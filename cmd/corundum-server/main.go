@@ -2,17 +2,18 @@
 // RESP-like line protocol, backed by one or more Corundum pools.
 //
 //	corundum-server -pool kv.pool [-addr :6380] [-shards 1] [-size 256MiB-bytes]
-//	                [-journals 16] [-max-batch 64] [-max-delay 200us]
+//	                [-journals 16] [-max-batch 64]
 //	                [-busy-timeout 100ms] [-metrics-addr :9100]
 //
 // On startup every shard pool is opened (created and formatted if its
 // file does not exist), crash recovery runs on all shards concurrently,
 // and each heap is consistency-checked; only then does the server start
 // accepting connections. SET and DEL requests from all connections are
-// group-committed per shard: the server packs up to -max-batch mutations
-// into one failure-atomic transaction per shard, waiting at most
-// -max-delay for stragglers, and acknowledges each request only after
-// its transaction is durably committed. INFO and STATS expose pool
+// group-committed per shard: the mutations that queue up while a shard's
+// previous transaction commits (up to -max-batch) go into its next
+// failure-atomic transaction — the committer never waits on a clock for
+// more — and each request is acknowledged only after its transaction is
+// durably committed. INFO and STATS expose pool
 // geometry, recovery counts, journal occupancy, the batch-size
 // histogram, and the emulated device's write/flush/fence counters
 // (including per-scope fence attribution), with per-shard breakdowns
@@ -105,7 +106,6 @@ func main() {
 		journals = flag.Int("journals", 16, "journal slots per shard (transaction concurrency) when creating")
 		buckets  = flag.Int("buckets", 4096, "KV bucket directory size when creating")
 		maxBatch = flag.Int("max-batch", 64, "max mutations per group-commit transaction")
-		maxDelay = flag.Duration("max-delay", 200*time.Microsecond, "max wait for group-commit stragglers")
 		busyTO   = flag.Duration("busy-timeout", 100*time.Millisecond, "max wait for a journal slot before replying -BUSY (0 blocks forever)")
 		profile  = flag.String("profile", "NoDelay", "emulated PM latency profile: OptaneDC|DRAM|NoDelay")
 		metrics  = flag.String("metrics-addr", "", "serve GET /metrics (Prometheus text), /debug/trace, and /debug/pprof on this address, e.g. :9100")
@@ -115,13 +115,13 @@ func main() {
 		lockedRd = flag.Bool("locked-reads", false, "ablation: serve GET/SCAN through the store RLock instead of the seqlock read path")
 	)
 	flag.Parse()
-	if err := run(*addr, *path, *shards, *size, *journals, *buckets, *maxBatch, *maxDelay, *busyTO, *traceSmp, *profile, *metrics, *replLn, *replOf, *lockedRd); err != nil {
+	if err := run(*addr, *path, *shards, *size, *journals, *buckets, *maxBatch, *busyTO, *traceSmp, *profile, *metrics, *replLn, *replOf, *lockedRd); err != nil {
 		fmt.Fprintln(os.Stderr, "corundum-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, path string, shards, size, journals, buckets, maxBatch int, maxDelay, busyTO time.Duration, traceSample int, profName, metricsAddr, replListen, replicaOf string, lockedReads bool) error {
+func run(addr, path string, shards, size, journals, buckets, maxBatch int, busyTO time.Duration, traceSample int, profName, metricsAddr, replListen, replicaOf string, lockedReads bool) error {
 	var prof pmem.Profile
 	switch profName {
 	case "OptaneDC":
@@ -217,7 +217,7 @@ func run(addr, path string, shards, size, journals, buckets, maxBatch int, maxDe
 		busyTO = -1 // 0 on the command line means "block forever", Options' disable value
 	}
 	srv, err := server.NewSharded(pools, server.Options{
-		MaxBatch: maxBatch, MaxDelay: maxDelay, Buckets: buckets,
+		MaxBatch: maxBatch, Buckets: buckets,
 		BusyTimeout: busyTO, TraceSample: traceSample, LockedReads: lockedReads,
 		// RESHARD grows past the booted pools by creating "<pool>.<i>"
 		// files with the same geometry.
@@ -255,7 +255,7 @@ func run(addr, path string, shards, size, journals, buckets, maxBatch int, maxDe
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serving on %s (%d shard(s), max-batch %d, max-delay %s)\n", ln.Addr(), shards, maxBatch, maxDelay)
+	fmt.Printf("serving on %s (%d shard(s), max-batch %d)\n", ln.Addr(), shards, maxBatch)
 
 	if metricsAddr != "" {
 		mln, err := net.Listen("tcp", metricsAddr)

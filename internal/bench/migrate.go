@@ -63,7 +63,7 @@ func ServerMigration(clients, seedKeys, fromN, toN int, mem pmem.Options) ([]Mig
 		}
 	}()
 	srv, err := server.NewSharded(pools, server.Options{
-		MaxBatch: 64, MaxDelay: 500 * time.Microsecond,
+		MaxBatch: 64,
 		// Small batches and a light throttle stretch the split so the
 		// migrating window is long enough to measure; target pools are
 		// created in-memory with shard 0's geometry.

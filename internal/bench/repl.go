@@ -74,7 +74,7 @@ func ServerReplication(clients, seedKeys int, mem pmem.Options) (*ReplicationRes
 			p.Close()
 		}
 	}()
-	opts := server.Options{MaxBatch: 64, MaxDelay: 500 * time.Microsecond}
+	opts := server.Options{MaxBatch: 64}
 	srvA, err := server.NewSharded(poolsA, opts)
 	if err != nil {
 		return nil, err

@@ -158,7 +158,7 @@ const mixPrewrite = 256
 // Clients pipeline a deep, constant window (512 requests) for every row
 // so only the shard count varies: a 64-op window would scatter a mere
 // ~64/N ops onto each shard, starving the per-shard batchers and
-// measuring the straggler timer rather than the commit path.
+// measuring half-empty commits rather than the commit path.
 //
 // Each configuration runs trials times and the fastest run is kept —
 // the min-time estimator, since scheduler and host interference only
@@ -215,7 +215,7 @@ func serverRunFull(clients, opsPerClient, maxBatch, shards, window, readPct, tra
 			p.Close()
 		}
 	}()
-	srv, err := server.NewSharded(pools, server.Options{MaxBatch: maxBatch, MaxDelay: 500 * time.Microsecond, TraceSample: traceSample, LockedReads: locked})
+	srv, err := server.NewSharded(pools, server.Options{MaxBatch: maxBatch, TraceSample: traceSample, LockedReads: locked})
 	if err != nil {
 		return ServerRow{}, err
 	}

@@ -220,6 +220,12 @@ type readerWriter struct {
 	model   map[uint64]uint64
 	pending *readerOp
 	err     error
+	// arm, when set, is called by the writer itself on its armAt-th ack,
+	// before it sends the next mutation: a power cut armed "part-way
+	// through the stream" cannot be outrun by the stream, however fast
+	// the server acks (a campaign goroutine polling the ack count could).
+	armAt int64
+	arm   func()
 }
 
 func (w *readerWriter) run(addr string, n, hotKeys int, round int, seed int64, hist *readHistory, halted func() bool, deadline time.Time) {
@@ -293,7 +299,9 @@ func (w *readerWriter) run(addr string, n, hotKeys int, round int, seed int64, h
 				} else {
 					w.model[op.key] = op.val
 				}
-				w.ackedN.Add(1)
+				if w.ackedN.Add(1) == w.armAt && w.arm != nil {
+					w.arm()
+				}
 				break
 			}
 			// -BUSY, halting shard, …: back off; the halted() check above
@@ -346,7 +354,6 @@ func (c *readersCampaign) opts() server.Options {
 	return server.Options{
 		Buckets:     c.cfg.Buckets,
 		MaxBatch:    16,
-		MaxDelay:    100 * time.Microsecond,
 		LockedReads: c.cfg.LockedReads,
 	}
 }
@@ -404,6 +411,13 @@ func (c *readersCampaign) runRound(round int, scen string) error {
 		}(c.cfg.Seed ^ int64(round*100+i+1))
 	}
 
+	if scen == "crash-mid" || scen == "crash-late" {
+		w.armAt = int64(c.cfg.WritesPerRound / 4)
+		if scen == "crash-late" {
+			w.armAt = int64(2 * c.cfg.WritesPerRound / 3)
+		}
+		w.arm = func() { dev.CrashAt(dev.OpCount() + uint64(50+rng.Intn(400))) }
+	}
 	go w.run(addr, c.cfg.WritesPerRound, c.cfg.HotKeys, round,
 		c.cfg.Seed^int64(round), hist, srv.Halted, deadline)
 
@@ -411,12 +425,6 @@ func (c *readersCampaign) runRound(round int, scen string) error {
 	switch scen {
 	case "steady":
 	case "crash-mid", "crash-late":
-		frac := int64(c.cfg.WritesPerRound / 4)
-		if scen == "crash-late" {
-			frac = int64(2 * c.cfg.WritesPerRound / 3)
-		}
-		waitReaderAcks(w, frac, deadline)
-		dev.CrashAt(dev.OpCount() + uint64(50+rng.Intn(400)))
 		fired := false
 		for !time.Now().After(deadline) {
 			if srv.ShardDown(0) != nil {
@@ -703,24 +711,6 @@ func (c *readersCampaign) verifyRecovered(round int, scen string, dev *pmem.Devi
 		c.fail(round, scen, fmt.Errorf("recovered server served no lock-free reads"))
 	}
 	return nil
-}
-
-// waitReaderAcks blocks until the churn writer has n acks (or finished,
-// or the deadline passed).
-func waitReaderAcks(w *readerWriter, n int64, deadline time.Time) bool {
-	for {
-		if w.ackedN.Load() >= n {
-			return true
-		}
-		select {
-		case <-w.done:
-			return w.ackedN.Load() >= n
-		case <-time.After(2 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-	}
 }
 
 // scanUntil polls scanAddr until the server answers a full SCAN (it may

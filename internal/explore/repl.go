@@ -350,11 +350,17 @@ type replWriter struct {
 	sent   map[uint64]uint64 // every SET attempted, acked or not
 	done   chan struct{}
 	err    error
+	// arm, when set, is called by the writer itself on its armAt-th ack,
+	// before it sends the next mutation: a power cut armed "a third of
+	// the way in" cannot be outrun by the stream, however fast the
+	// server acks (a campaign goroutine polling the ack count could).
+	armAt int64
+	arm   func()
 }
 
-func replSeedKey(i int) uint64  { return uint64(0x5EED)<<40 | uint64(i) }
-func replKey(r, i int) uint64   { return (uint64(r)+1)<<32 | uint64(i) + 1 }
-func replVal(k uint64) uint64   { return k*0x9E3779B97F4A7C15 + 5 }
+func replSeedKey(i int) uint64    { return uint64(0x5EED)<<40 | uint64(i) }
+func replKey(r, i int) uint64     { return (uint64(r)+1)<<32 | uint64(i) + 1 }
+func replVal(k uint64) uint64     { return k*0x9E3779B97F4A7C15 + 5 }
 func (w *replWriter) tgt() string { return w.target.Load().(string) }
 
 // run issues n mutations: fresh-key SETs, plus (when dels is true) an
@@ -380,6 +386,7 @@ func (w *replWriter) run(n int, dels bool, round int, seed int64, deadline time.
 		}
 	}
 	var live []uint64 // this round's acked, not-yet-deleted keys
+	last := ""        // most recent reply or transport error, for the wedge report
 	for i := 0; i < n; i++ {
 		del := dels && len(live) > 0 && rng.Intn(8) == 0
 		var key, val uint64
@@ -397,7 +404,7 @@ func (w *replWriter) run(n int, dels bool, round int, seed int64, deadline time.
 		}
 		for {
 			if time.Now().After(deadline) {
-				w.err = fmt.Errorf("writer wedged at mutation %d/%d (target %s)", i, n, w.tgt())
+				w.err = fmt.Errorf("writer wedged at mutation %d/%d (target %s, last reply %q)", i, n, w.tgt(), last)
 				return
 			}
 			tgt := w.tgt()
@@ -417,21 +424,30 @@ func (w *replWriter) run(n int, dels bool, round int, seed int64, deadline time.
 			}
 			line, err := rd.ReadString('\n')
 			if err != nil {
+				last = err.Error()
 				drop()
 				time.Sleep(5 * time.Millisecond)
 				continue
 			}
 			line = strings.TrimRight(line, "\r\n")
+			last = line
 			switch {
 			case strings.HasPrefix(line, "+OK"), del && strings.HasPrefix(line, ":"):
 				w.acks = append(w.acks, ackRec{del: del, key: key, val: val, target: tgt})
-				w.ackedN.Add(1)
+				if w.ackedN.Add(1) == w.armAt && w.arm != nil {
+					w.arm()
+				}
 				if !del {
 					live = append(live, key)
 				}
 			case server.IsReadonlyReply(line):
 				if p := server.ReadonlyPrimary(line); p != "" && p != tgt {
-					w.target.Store(p)
+					// Follow the redirect only if nobody re-aimed the writer
+					// since this request went out: a node demoted moments ago
+					// redirects to its new primary's replication address until
+					// the handshake teaches it the client address, and that
+					// stale answer must not overwrite the campaign's re-aim.
+					w.target.CompareAndSwap(tgt, p)
 				} else {
 					time.Sleep(5 * time.Millisecond)
 				}
@@ -586,6 +602,20 @@ func (c *replCampaign) runRound(round int, scen string) error {
 	w := &replWriter{sent: map[uint64]uint64{}, done: make(chan struct{})}
 	w.target.Store(a.clientAddr)
 	n := c.cfg.WritesPerRound
+	var victim *replNode
+	switch scen {
+	case "replica-crash":
+		victim = b
+	case "primary-crash":
+		victim = a
+	}
+	if victim != nil {
+		w.armAt = int64(n / 3)
+		w.arm = func() {
+			d := victim.devs[rng.Intn(len(victim.devs))]
+			d.CrashAt(d.OpCount() + uint64(100+rng.Intn(700)))
+		}
+	}
 	go w.run(n, scen != "promote", round, c.cfg.Seed^int64(round), deadline)
 
 	promoted := false
@@ -598,9 +628,6 @@ func (c *replCampaign) runRound(round int, scen string) error {
 			c.stats.LinkCuts.Add(1)
 		}
 	case "replica-crash":
-		waitAcks(w, int64(n/3), deadline)
-		d := b.devs[rng.Intn(len(b.devs))]
-		d.CrashAt(d.OpCount() + uint64(100+rng.Intn(700)))
 		if !waitShardDown(b, deadline) {
 			c.fail(round, scen, fmt.Errorf("replica power cut never fired"))
 			break
@@ -619,9 +646,6 @@ func (c *replCampaign) runRound(round int, scen string) error {
 			return err
 		}
 	case "primary-crash":
-		waitAcks(w, int64(n/3), deadline)
-		d := a.devs[rng.Intn(len(a.devs))]
-		d.CrashAt(d.OpCount() + uint64(100+rng.Intn(700)))
 		if !waitShardDown(a, deadline) {
 			c.fail(round, scen, fmt.Errorf("primary power cut never fired"))
 			break
@@ -639,7 +663,11 @@ func (c *replCampaign) runRound(round int, scen string) error {
 		// operator retries until the replica is serving.
 		var promErr error
 		for {
-			if promErr = b.srv.Promote(); promErr == nil {
+			// A replica that has not finished its first bootstrap holds no
+			// keyspace to fail over to; an operator promotes one that has.
+			if st := b.srv.ReplicaStatus(); st.FullSyncs == 0 || st.Syncing {
+				promErr = fmt.Errorf("replica has not bootstrapped yet")
+			} else if promErr = b.srv.Promote(); promErr == nil {
 				break
 			}
 			if time.Now().After(deadline) {

@@ -489,11 +489,11 @@ func (s *Server) Restore(path string) (RestoreReport, error) {
 
 	// Fence all mutations, then drain what was already queued.
 	for i := 0; i < st.n; i++ {
-		if bt := st.shards[i].b; bt != nil {
-			bt.SetFence(func(workloads.Op) error { return errAdminBusy })
+		if sh := st.shards[i]; sh.b != nil {
+			sh.b.SetFence(func(workloads.Op) error { return errAdminBusy })
+			defer s.installOwnershipVet(sh)
 		}
 	}
-	defer s.installFences(st.shards[:st.n], nil)
 	for i := 0; i < st.n; i++ {
 		if bt := st.shards[i].b; bt != nil {
 			if err := bt.Barrier(); err != nil {

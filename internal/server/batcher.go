@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"corundum/internal/obs"
 	"corundum/internal/pmem"
@@ -57,8 +56,8 @@ func HistLabel(bucket int) string {
 
 // PhaseTimes is one mutation's group-commit latency decomposition, as
 // measured by the committer. QueueNS is how long the op waited between
-// submission and its batch's commit starting (including straggler wait
-// and any prior batch's commit). JournalNS and FenceNS split the commit
+// submission and its batch's commit starting (the prior batch's commit,
+// when one was in flight). JournalNS and FenceNS split the commit
 // itself into durable-write time (device Flush wall-clock: undo-log
 // entries, data stores, allocator redo) and fence-stall time (device
 // Fence wall-clock); ApplyNS is the remaining commit wall-clock (store
@@ -90,9 +89,11 @@ type setReq struct {
 
 // Batcher is the group-commit engine: mutations from all connections are
 // funneled through one committer goroutine that packs them into
-// failure-atomic pool transactions of up to maxBatch operations, waiting
-// at most maxDelay after the first op for stragglers. One transaction's
-// undo-log commit (flush+fence) is thereby shared by the whole batch.
+// failure-atomic pool transactions of up to maxBatch operations. The
+// committer never waits for stragglers: a batch is whatever queued up
+// while the previous one was committing, so one transaction's undo-log
+// commit (flush+fence) is shared by exactly the ops that would otherwise
+// have waited behind it.
 //
 // The committer is the only writer to the store; lock is held exclusively
 // during a commit so that readers (GET/SCAN on connection goroutines)
@@ -106,7 +107,6 @@ type Batcher struct {
 	lock     *storeLock
 	dev      *pmem.Device // for flush/fence wall-clock deltas; may be nil
 	maxBatch int
-	maxDelay time.Duration
 
 	reqs chan setReq
 	done chan struct{} // closed when the committer exits
@@ -125,8 +125,10 @@ type Batcher struct {
 	// fence, when set, vets every mutation at batch assembly — after any
 	// Barrier that preceded it in the queue, before the op can reach the
 	// store. A non-nil return refuses the op with that error (the rest of
-	// the batch still commits). The migration engine installs it so no
-	// write lands in a key range that is mid-move.
+	// the batch still commits). The server keeps every shard's ownership
+	// vet here (installOwnershipVet) so no write lands on a shard that does
+	// not own its key — mid-move or after the move committed; RESTORE
+	// swaps in a refuse-everything vet for its duration.
 	fence atomic.Pointer[func(workloads.Op) error]
 	// tap, when set, observes every committed batch from inside the
 	// commit critical section (store lock held, Apply succeeded). Taps
@@ -142,17 +144,19 @@ type Batcher struct {
 	applier atomic.Pointer[func([]workloads.Op) ([]bool, error)]
 }
 
-func newBatcher(kv *workloads.KVStore, lock *storeLock, dev *pmem.Device, maxBatch int, maxDelay time.Duration, onFail func(error)) *Batcher {
+func newBatcher(kv *workloads.KVStore, lock *storeLock, dev *pmem.Device, maxBatch int, onFail func(error)) *Batcher {
 	b := &Batcher{
 		kv:       kv,
 		lock:     lock,
 		dev:      dev,
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
-		reqs:     make(chan setReq, 4*maxBatch),
-		done:     make(chan struct{}),
-		dead:     make(chan struct{}),
-		onFail:   onFail,
+		// The queue is where batches form: it must hold at least the next
+		// full batch while the current one commits; 4x keeps submitters
+		// from blocking on enqueue behind a slow commit.
+		reqs:   make(chan setReq, 4*maxBatch),
+		done:   make(chan struct{}),
+		dead:   make(chan struct{}),
+		onFail: onFail,
 	}
 	go b.run()
 	return b
@@ -341,7 +345,7 @@ func (b *Batcher) fail(err error) {
 
 func (b *Batcher) run() {
 	defer close(b.done)
-	var timer *time.Timer
+	batch := make([]setReq, 0, b.maxBatch) // reused: every reply is sent before the next batch forms
 	for {
 		first, ok := <-b.reqs
 		if !ok {
@@ -354,63 +358,32 @@ func (b *Batcher) run() {
 			first.reply <- reply{}
 			continue
 		}
-		batch := append(make([]setReq, 0, b.maxBatch), first)
+		// Natural batching: take what is already queued, never wait for
+		// more. Requests that arrive while this batch commits form the
+		// next one, so a busy committer fills its batches from the backlog
+		// and an idle one commits a lone op at once.
+		batch = append(batch[:0], first)
 		var barriers []chan reply
-		if b.maxBatch > 1 {
-			if timer == nil {
-				timer = time.NewTimer(b.maxDelay)
-			} else {
-				timer.Reset(b.maxDelay)
-			}
-		collect:
-			for len(batch) < b.maxBatch {
-				// Drain whatever is already queued without blocking; the
-				// straggler timer is only worth waiting on while the batch is
-				// still small. Once it is at least half-full the amortization
-				// is nearly all captured, and committing now beats idling the
-				// committer — which matters when N shard committers split the
-				// same offered load and none fills a batch instantly.
-				select {
-				case r, ok := <-b.reqs:
-					if !ok {
-						break collect
-					}
-					if r.barrier {
-						// Commit what is collected, then ack: the barrier's
-						// contract is "everything before me is durable".
-						barriers = append(barriers, r.reply)
-						break collect
-					}
-					batch = append(batch, r)
-					continue
-				default:
-				}
-				if 2*len(batch) >= b.maxBatch {
+	collect:
+		for len(batch) < b.maxBatch {
+			select {
+			case r, ok := <-b.reqs:
+				if !ok {
 					break collect
 				}
-				select {
-				case r, ok := <-b.reqs:
-					if !ok {
-						break collect
-					}
-					if r.barrier {
-						barriers = append(barriers, r.reply)
-						break collect
-					}
-					batch = append(batch, r)
-				case <-timer.C:
+				if r.barrier {
+					// Commit what is collected, then ack: the barrier's
+					// contract is "everything before me is durable".
+					barriers = append(barriers, r.reply)
 					break collect
 				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
+				batch = append(batch, r)
+			default:
+				break collect
 			}
 		}
 
-		// Vet the batch against the migration fence, if one is installed:
+		// Vet the batch against the admission fence, if one is installed:
 		// refused ops are answered here and never reach the store; the
 		// rest of the batch commits as usual.
 		if fp := b.fence.Load(); fp != nil {

@@ -113,9 +113,7 @@ func (s *Server) Reshard(newN int) error {
 	// inconsistent moment. Then publish the manifests — the durable "a
 	// migration exists" record — and only then start moving keys.
 	s.state.Store(&routeState{shards: shards, n: st.n, rs: rs})
-	s.installFences(shards, rs)
 	if err := rs.Init(); err != nil {
-		s.installFences(shards, nil)
 		s.state.Store(&routeState{shards: st.shards, n: st.n})
 		return fmt.Errorf("reshard: publishing migration: %w", err)
 	}
@@ -124,21 +122,28 @@ func (s *Server) Reshard(newN int) error {
 	return nil
 }
 
-// installFences points every batcher's admission check at rs (nil clears
-// them): mutations for keys owned elsewhere — or inside the in-flight
-// batch window — are refused with MovedError before they reach a store.
-func (s *Server) installFences(shards []*shard, rs *workloads.Resharder) {
-	for i, sh := range shards {
-		if sh.b == nil {
-			continue
+// installOwnershipVet points sh's batcher at its permanent admission
+// check: a mutation commits on sh only if the routing view current at
+// commit time says sh owns the key; otherwise it is refused with
+// MovedError before it reaches the store. During a migration that is
+// the Resharder's CheckWrite (owner by cursor, plus the in-flight batch
+// window). With none active it is the plain hash route — which is what
+// catches an op that was routed to a source shard just before the
+// migration committed and reaches the committer just after, and any
+// write aimed at a shard a merge retired. The vet reads the routing view
+// on every call, so swapping the view is what changes it.
+func (s *Server) installOwnershipVet(sh *shard) {
+	id := sh.id
+	sh.b.SetFence(func(op workloads.Op) error {
+		st := s.st()
+		if st.rs != nil {
+			return st.rs.CheckWrite(id, op.Key)
 		}
-		if rs == nil {
-			sh.b.SetFence(nil)
-			continue
+		if o := workloads.ShardFor(op.Key, st.n); o != id {
+			return workloads.MovedError{Shard: o}
 		}
-		id := i
-		sh.b.SetFence(func(op workloads.Op) error { return rs.CheckWrite(id, op.Key) })
-	}
+		return nil
+	})
 }
 
 // openTargetShard produces the shard that will serve id after a grow: a
@@ -247,16 +252,17 @@ func (s *Server) driveMigration(rs *workloads.Resharder, stop <-chan struct{}) {
 	}
 }
 
-// finishMigration swaps the routing view to the committed layout and
-// lifts the fences. The durable commit (config write, manifest clears)
-// already happened inside rs.Run; this is the in-memory half. Shards a
-// merge retired stay in s.all — empty, live, and ready to rejoin on a
-// later grow — until Close stops them.
+// finishMigration swaps the routing view to the committed layout; every
+// batcher's ownership vet follows the view, so from here a write still
+// aimed at a source shard is answered -MOVED to its new owner instead of
+// committing where nobody will look. The durable commit (config write,
+// manifest clears) already happened inside rs.Run; this is the
+// in-memory half. Shards a merge retired stay in s.all — empty, live,
+// and ready to rejoin on a later grow — until Close stops them.
 func (s *Server) finishMigration(rs *workloads.Resharder) {
 	_, newN := rs.Shape()
 	old := s.st()
 	s.state.Store(&routeState{shards: old.shards[:newN], n: newN})
-	s.installFences(old.shards, nil)
 }
 
 // resumeMigration restarts the driver for a migration adopted from
@@ -444,7 +450,6 @@ func (s *Server) adoptPersistentState() error {
 	if err := rs.Attach(); err != nil {
 		return err
 	}
-	s.installFences(st.shards, rs)
 	s.state.Store(&routeState{shards: st.shards, n: oldN, rs: rs})
 	return nil
 }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -90,7 +92,6 @@ func TestMovedReplyDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.state.Store(&routeState{shards: st.shards, n: 2, rs: rs})
-	srv.installFences(st.shards, rs)
 	if err := rs.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +143,33 @@ func TestMovedReplyDeterministic(t *testing.T) {
 		t.Fatalf("GET mid-window = %q, want :%d", rep, want)
 	}
 
+	// A client running the write through Retry is refused while the
+	// window is open and lands on the new owner once the batch does: the
+	// hand-off is released only after Retry has seen a -MOVED.
+	sawMoved := make(chan struct{})
+	retried := make(chan string, 1)
+	go func() {
+		tries := 0
+		rep, err := Retry(context.Background(), 1000, time.Millisecond, 5*time.Millisecond, nil,
+			func() (string, error) {
+				fmt.Fprintf(conn, "SET %d 4242\n", k)
+				rep, err := r.ReadString('\n')
+				if tries++; tries == 1 && err == nil && IsMovedReply(rep) {
+					close(sawMoved)
+				}
+				return strings.TrimRight(rep, "\r\n"), err
+			})
+		if err != nil {
+			rep = err.Error()
+		}
+		retried <- fmt.Sprintf("%s after %d tries", rep, tries)
+	}()
+	select {
+	case <-sawMoved:
+	case rep := <-retried:
+		t.Fatalf("Retry finished with the window still open: %s", rep)
+	}
+
 	st.shards[0].lock.Unlock()
 	unlocked = true
 	if err := <-stepDone; err != nil {
@@ -149,9 +177,9 @@ func TestMovedReplyDeterministic(t *testing.T) {
 	}
 
 	// The batch landed and the cursor advanced: the key's new owner
-	// accepts the retried write, and the value lives on shard 0 now.
-	if rep := send(fmt.Sprintf("SET %d 4242", k)); rep != "+OK" {
-		t.Fatalf("retry after handover = %q, want +OK", rep)
+	// accepted the retried write, and the value lives on shard 0 now.
+	if rep := <-retried; !strings.HasPrefix(rep, "+OK after ") {
+		t.Fatalf("Retry across the handover = %q, want +OK", rep)
 	}
 	if rep := send(fmt.Sprintf("GET %d", k)); rep != ":4242" {
 		t.Fatalf("GET after handover = %q, want :4242", rep)
@@ -167,5 +195,99 @@ func TestMovedReplyDeterministic(t *testing.T) {
 	st.shards[1].lock.RUnlock()
 	if err != nil || still {
 		t.Fatalf("key %d still present at the source after the batch (err=%v)", k, err)
+	}
+}
+
+// TestOwnershipVetOutlivesMigration is the regression test for an
+// acknowledged-write loss: a SET routed to a migration's source shard just
+// before the last hand-over could reach that shard's committer just after
+// the migration committed, find no admission vet installed, and commit on
+// a shard that no longer owned the key — acked, then unreadable. Each
+// batcher's ownership vet is permanent now: a stale-routed op is refused
+// with MovedError naming the committed owner and never touches the store.
+func TestOwnershipVetOutlivesMigration(t *testing.T) {
+	for _, c := range []struct{ from, to, stale int }{
+		{from: 1, to: 3, stale: 0}, // a source that kept serving: Server.Batcher()
+		{from: 3, to: 1, stale: 2}, // a shard the merge retired
+	} {
+		t.Run(fmt.Sprintf("%dto%d", c.from, c.to), func(t *testing.T) {
+			var pools []*pool.Pool
+			for i := 0; i < c.from; i++ {
+				p, err := pool.Create("", pool.Config{Size: 16 << 20, Journals: 8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				pools = append(pools, p)
+			}
+			srv, err := NewSharded(pools, Options{MaxBatch: 8, Buckets: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			for k := uint64(0); k < 200; k++ {
+				sh := srv.st().shards[workloads.ShardFor(k, c.from)]
+				if _, err := sh.b.Submit(workloads.Op{Key: k, Val: k + 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := srv.Reshard(c.to); err != nil {
+				t.Fatal(err)
+			}
+			srv.migWG.Wait()
+			if err := srv.MigrationError(); err != nil {
+				t.Fatal(err)
+			}
+			if st := srv.st(); st.n != c.to || st.rs != nil {
+				t.Fatalf("routing view after the migration: n=%d rs=%v, want n=%d and no resharder", st.n, st.rs, c.to)
+			}
+
+			var stale *shard
+			srv.allMu.Lock()
+			for _, sh := range srv.all {
+				if sh.id == c.stale {
+					stale = sh
+				}
+			}
+			srv.allMu.Unlock()
+			if c.stale == 0 && stale.b != srv.Batcher() {
+				t.Fatal("Server.Batcher() is not shard 0's batcher")
+			}
+			// A key that is new to the store and owned by some other shard.
+			k := uint64(1 << 20)
+			for workloads.ShardFor(k, c.to) == c.stale {
+				k++
+			}
+			owner := workloads.ShardFor(k, c.to)
+
+			_, err = stale.b.Submit(workloads.Op{Key: k, Val: 99})
+			var moved workloads.MovedError
+			if !errors.As(err, &moved) || moved.Shard != owner {
+				t.Fatalf("stale-routed SET on shard %d = %v, want MovedError to shard %d", c.stale, err, owner)
+			}
+			stale.lock.RLock()
+			_, found, err := stale.kv.Get(k)
+			stale.lock.RUnlock()
+			if err != nil || found {
+				t.Fatalf("shard %d holds the refused key (found=%v, err=%v)", c.stale, found, err)
+			}
+			// Deletes are vetted the same way: a key that moved away cannot
+			// be reported "not found" by the shard it left.
+			gone := uint64(0)
+			for workloads.ShardFor(gone, c.to) == c.stale {
+				gone++
+			}
+			if _, err := stale.b.Submit(workloads.Op{Del: true, Key: gone}); !errors.As(err, &moved) {
+				t.Fatalf("stale-routed DEL on shard %d = %v, want MovedError", c.stale, err)
+			}
+			// The owner takes both.
+			ob := srv.st().shards[owner].b
+			if _, err := ob.Submit(workloads.Op{Key: k, Val: 99}); err != nil {
+				t.Fatalf("owner shard %d refused the key: %v", owner, err)
+			}
+			if removed, err := srv.st().shards[workloads.ShardFor(gone, c.to)].b.Submit(workloads.Op{Del: true, Key: gone}); err != nil || !removed {
+				t.Fatalf("owner's DEL of migrated key %d = (%v, %v), want (true, nil)", gone, removed, err)
+			}
+		})
 	}
 }

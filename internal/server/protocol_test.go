@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -79,14 +82,54 @@ func TestParseCommandErrors(t *testing.T) {
 
 func TestResponseWriters(t *testing.T) {
 	var buf bytes.Buffer
-	writeOK(&buf)
-	writeNil(&buf)
-	writeInt(&buf, 1<<64-1)
-	writeErr(&buf, errors.New("boom\r\nwith newline"))
-	writeBulk(&buf, "a: 1\n")
-	want := "+OK\r\n$-1\r\n:18446744073709551615\r\n-ERR boom  with newline\r\n$5\r\na: 1\n\r\n"
+	w := bufio.NewWriter(&buf)
+	writeOK(w)
+	writeNil(w)
+	writeInt(w, 1<<64-1)
+	writeInt(w, 0)
+	writePair(w, 0, 1<<64-1)
+	writeErr(w, errors.New("boom\r\nwith newline"))
+	writeBulk(w, "a: 1\n")
+	w.Flush()
+	want := "+OK\r\n$-1\r\n:18446744073709551615\r\n:0\r\n0 18446744073709551615\r\n-ERR boom  with newline\r\n$5\r\na: 1\n\r\n"
 	if buf.String() != want {
 		t.Errorf("responses = %q, want %q", buf.String(), want)
+	}
+}
+
+// TestIntRepliesSpanBufferEdge writes integer replies through a writer
+// whose free space is repeatedly smaller than one reply: the bytes must
+// come out the same as through a roomy one.
+func TestIntRepliesSpanBufferEdge(t *testing.T) {
+	var buf bytes.Buffer
+	w := bufio.NewWriterSize(&buf, 16) // bufio's minimum; one max-width pair is 43 bytes
+	var want strings.Builder
+	for i := uint64(0); i < 100; i++ {
+		n := i * 0x0123456789ABCDEF
+		writeInt(w, n)
+		writePair(w, n, ^n)
+		fmt.Fprintf(&want, ":%d\r\n%d %d\r\n", n, n, ^n)
+	}
+	w.Flush()
+	if buf.String() != want.String() {
+		t.Errorf("replies through a 16-byte writer differ from fmt's rendering")
+	}
+}
+
+// TestReplyWritersDoNotAllocate pins the per-reply hot path — GET hit,
+// DEL ack, SCAN row, +OK, miss — at zero allocations.
+func TestReplyWritersDoNotAllocate(t *testing.T) {
+	w := bufio.NewWriter(io.Discard)
+	n := uint64(1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		n = n*0x9E3779B97F4A7C15 + 1
+		writeInt(w, n)
+		writePair(w, n, ^n)
+		writeOK(w)
+		writeNil(w)
+	})
+	if allocs != 0 {
+		t.Errorf("reply writers allocate %.1f times per round, want 0", allocs)
 	}
 }
 

@@ -77,7 +77,7 @@ func TestReadPathHammer(t *testing.T) {
 			}
 			defer p.Close()
 			srv, addr := startServer(t, p, server.Options{
-				MaxBatch: 32, MaxDelay: 50 * time.Microsecond, LockedReads: mode.locked,
+				MaxBatch: 32, LockedReads: mode.locked,
 			})
 			defer srv.Close()
 

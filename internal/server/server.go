@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,9 +24,6 @@ type Options struct {
 	// MaxBatch is the most SET/DEL operations folded into one group-commit
 	// transaction (default 64).
 	MaxBatch int
-	// MaxDelay is how long the committer waits after a batch's first
-	// operation for stragglers before committing short (default 200µs).
-	MaxDelay time.Duration
 	// Buckets sizes the KVStore's bucket directory when the pool has no
 	// store yet (default 4096). Ignored when attaching to an existing store.
 	Buckets int
@@ -82,9 +80,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 200 * time.Microsecond
 	}
 	if o.Buckets <= 0 {
 		o.Buckets = 4096
@@ -684,7 +679,7 @@ func (s *Server) dispatch(cmd Command, w *bufio.Writer) bool {
 		} else {
 			fmt.Fprintf(w, "*%d\r\n", len(pairs)/2)
 			for i := 0; i < len(pairs); i += 2 {
-				fmt.Fprintf(w, "%d %d\r\n", pairs[i], pairs[i+1])
+				writePair(w, pairs[i], pairs[i+1])
 			}
 			s.recordRead("SCAN", 0, startNS, readNS)
 		}
@@ -1224,7 +1219,21 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 func writeOK(w io.Writer)  { io.WriteString(w, "+OK\r\n") }
 func writeNil(w io.Writer) { io.WriteString(w, "$-1\r\n") }
 
-func writeInt(w io.Writer, n uint64) { fmt.Fprintf(w, ":%d\r\n", n) }
+// writeInt and writePair format straight into the writer's free buffer
+// space: every GET hit, DEL ack and SCAN row passes through here, and
+// fmt would box the integer and run its verb machine for each.
+func writeInt(w *bufio.Writer, n uint64) {
+	b := append(w.AvailableBuffer(), ':')
+	b = strconv.AppendUint(b, n, 10)
+	w.Write(append(b, '\r', '\n'))
+}
+
+func writePair(w *bufio.Writer, k, v uint64) {
+	b := strconv.AppendUint(w.AvailableBuffer(), k, 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, v, 10)
+	w.Write(append(b, '\r', '\n'))
+}
 
 func writeErr(w io.Writer, err error) { fmt.Fprintf(w, "-ERR %s\r\n", oneLine(err.Error())) }
 

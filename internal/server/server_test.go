@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"corundum/internal/baselines/corundumeng"
 	"corundum/internal/pmem"
@@ -205,7 +204,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	srv, addr := startServer(t, p, server.Options{MaxBatch: 32, MaxDelay: time.Millisecond})
+	srv, addr := startServer(t, p, server.Options{MaxBatch: 32})
 	defer srv.Close()
 
 	const clients, perClient = 8, 300
@@ -282,7 +281,7 @@ func crashRound(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, addr := startServer(t, p, server.Options{MaxBatch: 32, MaxDelay: 100 * time.Microsecond})
+	srv, addr := startServer(t, p, server.Options{MaxBatch: 32})
 
 	// Arm the fault injector only after the server (and its store) exist:
 	// the crash lands mid-load, not mid-format.

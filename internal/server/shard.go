@@ -203,8 +203,9 @@ func (s *Server) initShard(sh *shard) error {
 		}
 		sh.kv = attached
 	}
-	sh.b = newBatcher(sh.kv, &sh.lock, p.Device(), s.opts.MaxBatch, s.opts.MaxDelay,
+	sh.b = newBatcher(sh.kv, &sh.lock, p.Device(), s.opts.MaxBatch,
 		func(err error) { s.onShardFailure(sh, err) })
+	s.installOwnershipVet(sh)
 	if v, err := p.ReadView(); err == nil {
 		sh.view = v
 	}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"corundum/internal/baselines/corundumeng"
 	"corundum/internal/pmem"
@@ -237,7 +236,7 @@ func TestStatsInfoRoundTripSharded(t *testing.T) {
 func TestShardedCrashRecovery(t *testing.T) {
 	n := shardCount(t)
 	pools := newShardPools(t, n, 32<<20)
-	srv, addr := startShardedServer(t, pools, server.Options{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	srv, addr := startShardedServer(t, pools, server.Options{MaxBatch: 16})
 
 	// Arm injectors on up to two shards after the stores exist, so the
 	// crashes land mid-load, not mid-format.

@@ -340,7 +340,7 @@ func TestRecoveryTimelineSharded(t *testing.T) {
 func TestTraceHammer(t *testing.T) {
 	pools := newShardPools(t, 2, 16<<20)
 	defer closeShardPools(pools)
-	srv, addr := startShardedServer(t, pools, server.Options{MaxBatch: 16, MaxDelay: 50 * time.Microsecond, Buckets: 64, TraceRing: 128})
+	srv, addr := startShardedServer(t, pools, server.Options{MaxBatch: 16, Buckets: 64, TraceRing: 128})
 	defer srv.Close()
 
 	done := make(chan struct{})

@@ -65,12 +65,33 @@ type KVStore struct {
 	nBuckets uint64
 }
 
-func wordsCRC(words ...uint64) uint64 {
-	var buf [8 * slotGroup]byte
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], w)
+// crcTab holds the slicing-by-8 tables for CRC-32/IEEE: crcTab[0] is the
+// standard byte table, crcTab[k][b] is the CRC of byte b followed by k
+// zero bytes.
+var crcTab = func() (t [8][256]uint32) {
+	t[0] = *crc32.MakeTable(crc32.IEEE)
+	for k := 1; k < 8; k++ {
+		for b := range t[k] {
+			prev := t[k-1][b]
+			t[k][b] = t[0][prev&0xFF] ^ prev>>8
+		}
 	}
-	return uint64(crc32.ChecksumIEEE(buf[:8*len(words)]))
+	return t
+}()
+
+// wordsCRC is crc32.ChecksumIEEE over the little-endian bytes of words,
+// computed eight bytes per step straight from the uint64s. Every chain
+// hop of every read pays for one of these, so it neither builds a byte
+// buffer nor calls through hash/crc32's dispatch variable (which made
+// the buffer escape to the heap).
+func wordsCRC(words ...uint64) uint64 {
+	crc := ^uint32(0)
+	for _, w := range words {
+		lo, hi := uint32(w)^crc, uint32(w>>32)
+		crc = crcTab[7][lo&0xFF] ^ crcTab[6][lo>>8&0xFF] ^ crcTab[5][lo>>16&0xFF] ^ crcTab[4][lo>>24] ^
+			crcTab[3][hi&0xFF] ^ crcTab[2][hi>>8&0xFF] ^ crcTab[1][hi>>16&0xFF] ^ crcTab[0][hi>>24]
+	}
+	return uint64(^crc)
 }
 
 func entryCRC(key, next, val uint64) uint64 { return wordsCRC(key, next, val) }
