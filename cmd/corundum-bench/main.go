@@ -7,7 +7,6 @@
 //	corundum-bench -experiment table2 # Table 2 matrix (+ pmcheck verify)
 //	corundum-bench -experiment table3 # Table 3 lines-of-code comparison
 //	corundum-bench -experiment ablation # design-choice ablations (DESIGN.md)
-//	corundum-bench -experiment server # corundum-server group-commit throughput -> server.csv
 //	corundum-bench -experiment all
 //
 // Each experiment prints a human-readable table to stdout; -csv DIR also
@@ -29,21 +28,19 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig1|fig2|table2|table3|table5|ablation|server|all")
+		experiment = flag.String("experiment", "all", "fig1|fig2|table2|table3|table5|ablation|all")
 		n          = flag.Int("n", 20000, "operations per Figure 1 workload")
 		microOps   = flag.Int("micro-ops", 50000, "operations per Table 5 row (paper: 50k)")
 		segments   = flag.Int("segments", 256, "corpus segments for Figure 2")
 		segBytes   = flag.Int("seg-bytes", 64<<10, "bytes per corpus segment")
 		consumers  = flag.Int("consumers", 15, "max consumers for Figure 2 (paper: 15)")
-		srvClients = flag.Int("server-clients", 8, "concurrent clients for the server experiment")
-		srvOps     = flag.Int("server-ops", 5000, "SETs per client for the server experiment")
 		profile    = flag.String("profile", "OptaneDC", "memory profile for Figure 1: OptaneDC|CXL|DRAM|NoDelay")
 		csvDir     = flag.String("csv", "", "also write artifact CSV files to this directory")
-		jsonDir    = flag.String("json", "", "also write BENCH_*.json artifacts (with per-scope fence attribution) to this directory")
+		jsonDir    = flag.String("json", "", "also write the BENCH_micro.json artifact to this directory")
 	)
 	flag.Parse()
 
-	if err := run(*experiment, *n, *microOps, *segments, *segBytes, *consumers, *srvClients, *srvOps, *profile, *csvDir, *jsonDir); err != nil {
+	if err := run(*experiment, *n, *microOps, *segments, *segBytes, *consumers, *profile, *csvDir, *jsonDir); err != nil {
 		fmt.Fprintln(os.Stderr, "corundum-bench:", err)
 		os.Exit(1)
 	}
@@ -63,7 +60,7 @@ func profileByName(name string) (pmem.Profile, error) {
 	return pmem.Profile{}, fmt.Errorf("unknown profile %q", name)
 }
 
-func run(experiment string, n, microOps, segments, segBytes, consumers, srvClients, srvOps int, profName, csvDir, jsonDir string) error {
+func run(experiment string, n, microOps, segments, segBytes, consumers int, profName, csvDir, jsonDir string) error {
 	prof, err := profileByName(profName)
 	if err != nil {
 		return err
@@ -164,144 +161,6 @@ func run(experiment string, n, microOps, segments, segBytes, consumers, srvClien
 			fmt.Println()
 		}
 		fmt.Println()
-	}
-
-	if all || experiment == "server" {
-		fmt.Printf("=== corundum-server: group-commit throughput (%d clients x %d SETs, %s profile) ===\n",
-			srvClients, srvOps, prof.Name)
-		rows, err := bench.ServerThroughput(srvClients, srvOps, []int{1, 8, 64}, pmem.Options{Profile: prof})
-		if err != nil {
-			return err
-		}
-		bench.PrintServer(os.Stdout, rows)
-		if len(rows) > 1 {
-			first, last := rows[0], rows[len(rows)-1]
-			fmt.Printf("group-commit effect: %.3f -> %.3f fences/op (%.1fx fewer), %.0f -> %.0f ops/sec\n",
-				first.FencesPerOp, last.FencesPerOp, first.FencesPerOp/last.FencesPerOp,
-				first.OpsPerSec, last.OpsPerSec)
-		}
-		fmt.Println()
-		shardClients := srvClients
-		if shardClients < 16 {
-			shardClients = 16
-		}
-		// The shard axis always runs on the CXL profile: its parked
-		// (drain-overlapped) fences let N committers fence in parallel even
-		// on a small host, so the curve measures the sharding protocol
-		// rather than the runner's core count.
-		fmt.Printf("=== corundum-server: shard scaling (%d clients x %d SETs, max-batch 64, best of 5, CXL profile) ===\n",
-			shardClients, srvOps)
-		shardRows, err := bench.ServerShardScaling(shardClients, srvOps, 64, 5, []int{1, 2, 4, 8}, pmem.Options{Profile: pmem.CXL})
-		if err != nil {
-			return err
-		}
-		bench.PrintServer(os.Stdout, shardRows)
-		if len(shardRows) > 1 {
-			first, last := shardRows[0], shardRows[len(shardRows)-1]
-			fmt.Printf("shard scaling: %d -> %d shards = %.0f -> %.0f ops/sec (%.2fx)\n",
-				first.Shards, last.Shards, first.OpsPerSec, last.OpsPerSec,
-				last.OpsPerSec/first.OpsPerSec)
-		}
-		fmt.Println()
-		// The read-mix grid: read:write {50:50, 95:5, 100:0} × clients
-		// {16, 64, 256}, each cell through the seqlock lock-free read
-		// path AND the RLock fallback — the A/B pair pricing the read
-		// convoy the seqlock removes.
-		fmt.Printf("=== corundum-server: read/write mix x clients x read path (max-batch 64) ===\n")
-		mixRows, err := bench.ServerReadWriteMix(srvOps, 64, []int{50, 95, 100}, []int{16, 64, 256}, pmem.Options{Profile: prof})
-		if err != nil {
-			return err
-		}
-		bench.PrintServer(os.Stdout, mixRows)
-		var lockfree95, locked95 float64
-		for _, r := range mixRows {
-			if r.ReadPct == 95 && r.Clients == 64 {
-				if r.ReadPath == "seqlock" {
-					lockfree95 = r.OpsPerSec
-				} else {
-					locked95 = r.OpsPerSec
-				}
-			}
-		}
-		if locked95 > 0 {
-			fmt.Printf("read path at 95%% reads / 64 clients: seqlock %.0f vs locked %.0f ops/sec (%.2fx)\n",
-				lockfree95, locked95, lockfree95/locked95)
-		}
-		fmt.Println()
-		off, on, err := bench.ServerTraceOverhead(srvClients, srvOps, 64, pmem.Options{Profile: prof})
-		if err != nil {
-			return err
-		}
-		overhead := &bench.TraceOverheadRow{
-			OffOpsPerSec: off.OpsPerSec,
-			OnOpsPerSec:  on.OpsPerSec,
-			OverheadPct:  (off.OpsPerSec - on.OpsPerSec) / off.OpsPerSec * 100,
-		}
-		fmt.Printf("tracing overhead: off %.0f ops/sec, on %.0f ops/sec (%.1f%%)\n\n",
-			overhead.OffOpsPerSec, overhead.OnOpsPerSec, overhead.OverheadPct)
-		rows = append(rows, shardRows...)
-		rows = append(rows, mixRows...)
-		// Serving through a live 1->2 split: the migrating row is the
-		// tentpole claim (nonzero throughput while keys move) and CI gates
-		// on it in the JSON artifact.
-		fmt.Printf("=== corundum-server: serving through an online 1->2 reshard (%d clients) ===\n", srvClients)
-		migRows, err := bench.ServerMigration(srvClients, 20000, 1, 2, pmem.Options{Profile: prof})
-		if err != nil {
-			return err
-		}
-		bench.PrintMigration(os.Stdout, migRows)
-		fmt.Println()
-		// Primary/replica pair: bootstrap, shipping cost, replica read
-		// offload, lag depth, failover outage. CI gates on the replica
-		// serving reads and on failover_seconds being present.
-		fmt.Printf("=== corundum-server: streaming replication (%d clients) ===\n", srvClients)
-		replRes, err := bench.ServerReplication(srvClients, 20000, pmem.Options{Profile: prof})
-		if err != nil {
-			return err
-		}
-		bench.PrintReplication(os.Stdout, replRes)
-		fmt.Println()
-		if csvDir != "" {
-			f, err := os.Create(filepath.Join(csvDir, "server.csv"))
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteServerCSV(f, rows); err != nil {
-				return err
-			}
-			if err := bench.AppendMigrationCSV(f, migRows); err != nil {
-				return err
-			}
-			f.Close()
-		}
-		if jsonDir != "" {
-			// A bounded media-fault sweep rides along so the artifact tracks
-			// fault-campaign coverage (and zero violations) per build.
-			cov, err := bench.FaultCampaign(6, 7, 8, 3)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("fault campaign: %d crash points, %d torn schedules, %d flips — %d masked, %d repaired, %d detected, %d violations\n",
-				cov.CrashPoints, cov.TornSchedules, cov.BitFlips, cov.Masked, cov.Repaired, cov.Detected, cov.Violations)
-			// The reader-vs-crash campaign rides along too: readers on the
-			// seqlock path through injected power cuts, with its violation
-			// counter gated at zero in CI.
-			readersCov, err := bench.ReaderCampaign(3, 300)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("reader campaign: %d rounds, %d reads + %d scan pairs verified through %d power cuts — %d violations\n",
-				readersCov.Rounds, readersCov.Reads, readersCov.ScanPairs, readersCov.Crashes, readersCov.Violations)
-			f, err := os.Create(filepath.Join(jsonDir, "BENCH_server.json"))
-			if err != nil {
-				return err
-			}
-			err = bench.WriteServerJSON(f, rows, cov, overhead, migRows, replRes, readersCov)
-			f.Close()
-			if err != nil {
-				return err
-			}
-		}
 	}
 
 	if all || experiment == "fig2" {

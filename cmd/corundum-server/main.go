@@ -44,7 +44,7 @@
 // RESHARD N admin command changes it online — keys migrate between
 // pools in small crash-atomic batches while traffic keeps being served;
 // writes to a key mid-move answer -MOVED <shard> (retryable:
-// server.RetryTransient). New shard pools are created as "<pool>.<i>".
+// client.Retry). New shard pools are created as "<pool>.<i>".
 // A crash or SIGTERM mid-migration parks it at a durable cursor; the
 // next boot resumes it automatically. BACKUP <file> streams a
 // CRC-framed, crash-consistent snapshot of the whole keyspace to a file
@@ -67,7 +67,7 @@
 //
 // When every journal slot stays busy for longer than -busy-timeout the
 // affected request is answered with -BUSY, a retryable backpressure
-// signal (clients: server.Retry backs off with jitter). On SIGTERM or
+// signal (clients: client.Retry backs off with jitter). On SIGTERM or
 // SIGINT the server stops accepting, drains the group-commit batchers
 // and then the replication stream — connected replicas are at zero lag
 // before exit — and closes the pools cleanly.

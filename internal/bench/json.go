@@ -5,58 +5,8 @@ import (
 	"io"
 )
 
-// The JSON artifacts mirror the CSV files but carry the observability
-// extras CSV cannot express cleanly — per-scope fence attribution in
-// particular. CI uploads them (BENCH_server.json, BENCH_micro.json) so a
-// regression in fences/op or in the journal/user-data split is visible in
-// the artifact diff, not just in wall-clock noise.
-
-// serverJSON is the BENCH_server.json document.
-type serverJSON struct {
-	Experiment string      `json:"experiment"`
-	Rows       []ServerRow `json:"rows"`
-	// FaultCampaign, when present, is the media-fault coverage snapshot
-	// (explore_faults_* and pmem_media_faults_* counters).
-	FaultCampaign *FaultCoverage `json:"fault_campaign,omitempty"`
-	// TraceOverhead, when present, records what always-on tracing costs
-	// against the same configuration with tracing disabled.
-	TraceOverhead *TraceOverheadRow `json:"trace_overhead,omitempty"`
-	// Migration, when present, holds the serving-through-a-reshard
-	// measurement: steady state, split in flight, committed layout. CI
-	// gates on the migrating row showing nonzero throughput.
-	Migration []MigrationRow `json:"migration,omitempty"`
-	// Replication, when present, holds the primary/replica pair
-	// measurement: bootstrap time, write throughput with a streaming
-	// replica, lag depth and catch-up, replica read offload, failover
-	// outage. CI gates on the replica serving reads and on the failover
-	// time being present.
-	Replication *ReplicationResult `json:"replication,omitempty"`
-	// ReaderCampaign, when present, is the reader-vs-crash coverage
-	// snapshot (reader_chaos_* counters): readers on the seqlock
-	// lock-free path hammering through injected power cuts. CI gates on
-	// its violation counter staying at zero.
-	ReaderCampaign *ReaderCampaignResult `json:"reader_campaign,omitempty"`
-}
-
-// TraceOverheadRow summarizes the tracing-off vs tracing-on comparison.
-type TraceOverheadRow struct {
-	OffOpsPerSec float64 `json:"off_ops_per_sec"`
-	OnOpsPerSec  float64 `json:"on_ops_per_sec"`
-	// OverheadPct is (off−on)/off·100: positive means tracing slowed the
-	// run. Wall-clock on shared runners is noisy, so this is recorded,
-	// not gated.
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// WriteServerJSON writes the server experiment's rows, including each
-// configuration's ops/sec, fences/op, latency percentiles, phase means,
-// and per-scope fence attribution, plus the fault-campaign coverage
-// counters and the tracing-overhead comparison when non-nil.
-func WriteServerJSON(w io.Writer, rows []ServerRow, cov *FaultCoverage, overhead *TraceOverheadRow, migration []MigrationRow, replication *ReplicationResult, readers *ReaderCampaignResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(serverJSON{Experiment: "server", Rows: rows, FaultCampaign: cov, TraceOverhead: overhead, Migration: migration, Replication: replication, ReaderCampaign: readers})
-}
+// The JSON artifact mirrors micro.csv; CI uploads it (BENCH_micro.json)
+// so a Table 5 regression is visible in the artifact diff.
 
 // microJSON is the BENCH_micro.json document: Table 5 latencies keyed by
 // memory profile.

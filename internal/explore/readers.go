@@ -15,16 +15,15 @@
 package explore
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"corundum/internal/client"
 	"corundum/internal/obs"
 	"corundum/internal/pmem"
 	"corundum/internal/pool"
@@ -200,114 +199,32 @@ func (h *readHistory) knows(key, val uint64) bool {
 	return ok
 }
 
-// readerOp is one churn operation; pending records the single in-flight
-// operation (the writer is synchronous) at the moment a power cut fired
-// — the only write whose survival is legitimately ambiguous.
-type readerOp struct {
-	del bool
-	key uint64
-	val uint64
-}
-
-// readerWriter drives the synchronous churn stream: overwrites and
-// deletes in the hot band plus inserts of brand-new cold keys, so entry
-// blocks free and recycle under the readers (what makes a stale chain
-// pointer dangerous). model tracks the acked state exactly: the writer
-// acks in submission order with at most one operation in flight.
-type readerWriter struct {
-	ackedN  atomic.Int64
-	done    chan struct{}
-	model   map[uint64]uint64
-	pending *readerOp
-	err     error
-	// arm, when set, is called by the writer itself on its armAt-th ack,
-	// before it sends the next mutation: a power cut armed "part-way
-	// through the stream" cannot be outrun by the stream, however fast
-	// the server acks (a campaign goroutine polling the ack count could).
-	armAt int64
-	arm   func()
-}
-
-func (w *readerWriter) run(addr string, n, hotKeys int, round int, seed int64, hist *readHistory, halted func() bool, deadline time.Time) {
-	defer close(w.done)
-	rng := rand.New(rand.NewSource(seed))
-	var conn net.Conn
-	var rd *bufio.Reader
-	drop := func() {
-		if conn != nil {
-			conn.Close()
-			conn = nil
-		}
-	}
-	defer drop()
+// churn is the readers campaign's write stream: overwrites and deletes
+// in the hot band plus inserts of brand-new cold keys, so entry blocks
+// free and recycle under the readers (what makes a stale chain pointer
+// dangerous). Values are unique per round, and each lands in the history
+// before it hits the wire: observe ⇒ recorded.
+func churn(rng *rand.Rand, hotKeys, round int, hist *readHistory) func(i int) mutation {
 	cold := uint64(1 << 20)
 	vbase := uint64(round+1) << 40
-	for i := 0; i < n; i++ {
-		op := readerOp{}
+	return func(i int) mutation {
+		var m mutation
 		switch pick := rng.Intn(100); {
 		case pick < 15:
-			op.del = true
-			op.key = uint64(rng.Intn(hotKeys))
+			m.del = true
+			m.key = uint64(rng.Intn(hotKeys))
 		case pick < 85:
-			op.key = uint64(rng.Intn(hotKeys))
-			op.val = vbase | uint64(i+1)
+			m.key = uint64(rng.Intn(hotKeys))
+			m.val = vbase | uint64(i+1)
 		default:
-			op.key = cold
-			op.val = vbase | uint64(i+1)
+			m.key = cold
+			m.val = vbase | uint64(i+1)
 			cold++
 		}
-		cmd := fmt.Sprintf("SET %d %d\n", op.key, op.val)
-		if op.del {
-			cmd = fmt.Sprintf("DEL %d\n", op.key)
-		} else {
-			hist.add(op.key, op.val) // before the wire: observe ⇒ recorded
+		if !m.del {
+			hist.add(m.key, m.val)
 		}
-		for {
-			if halted() {
-				// Power cut: this op is the one in-flight maybe; all
-				// earlier ops are acked (synchronous stream).
-				w.pending = &op
-				return
-			}
-			if time.Now().After(deadline) {
-				w.err = fmt.Errorf("writer wedged at mutation %d/%d", i, n)
-				return
-			}
-			if conn == nil {
-				cn, err := net.DialTimeout("tcp", addr, time.Second)
-				if err != nil {
-					time.Sleep(5 * time.Millisecond)
-					continue
-				}
-				conn, rd = cn, bufio.NewReader(cn)
-			}
-			conn.SetDeadline(time.Now().Add(2 * time.Second))
-			if _, err := io.WriteString(conn, cmd); err != nil {
-				drop()
-				continue
-			}
-			line, err := rd.ReadString('\n')
-			if err != nil {
-				drop()
-				time.Sleep(2 * time.Millisecond)
-				continue
-			}
-			line = strings.TrimRight(line, "\r\n")
-			if strings.HasPrefix(line, "+OK") || (op.del && strings.HasPrefix(line, ":")) {
-				if op.del {
-					delete(w.model, op.key)
-				} else {
-					w.model[op.key] = op.val
-				}
-				if w.ackedN.Add(1) == w.armAt && w.arm != nil {
-					w.arm()
-				}
-				break
-			}
-			// -BUSY, halting shard, …: back off; the halted() check above
-			// decides whether this op becomes the crash's in-flight maybe.
-			time.Sleep(2 * time.Millisecond)
-		}
+		return m
 	}
 }
 
@@ -393,11 +310,20 @@ func (c *readersCampaign) runRound(round int, scen string) error {
 
 	// Seed the hot band so readers observe values from the first GET and
 	// every SCAN is non-trivial. Seed values land in the history first.
+	// model tracks the acked state exactly: the writer acks in submission
+	// order with at most one operation in flight.
 	hist := newReadHistory()
-	w := &readerWriter{done: make(chan struct{}), model: make(map[uint64]uint64, c.cfg.HotKeys)}
-	if err := c.seed(addr, hist, w.model, deadline); err != nil {
+	model := make(map[uint64]uint64, c.cfg.HotKeys)
+	err = seedKeys(addr, c.cfg.HotKeys, deadline, func(i int) (uint64, uint64) {
+		k, v := uint64(i), 0xC0FFEE<<32|uint64(i)
+		hist.add(k, v)
+		model[k] = v
+		return k, v
+	})
+	if err != nil {
 		return err
 	}
+	w := newAckWriter()
 
 	// Readers hammer for the whole round, crash window included: the
 	// point is what they observe WHILE the cut lands.
@@ -418,22 +344,24 @@ func (c *readersCampaign) runRound(round int, scen string) error {
 		}
 		w.arm = func() { dev.CrashAt(dev.OpCount() + uint64(50+rng.Intn(400))) }
 	}
-	go w.run(addr, c.cfg.WritesPerRound, c.cfg.HotKeys, round,
-		c.cfg.Seed^int64(round), hist, srv.Halted, deadline)
+	go w.run(addr, c.cfg.WritesPerRound, deadline,
+		churn(rand.New(rand.NewSource(c.cfg.Seed^int64(round))), c.cfg.HotKeys, round, hist),
+		func(m mutation, _ string) {
+			if m.del {
+				delete(model, m.key)
+			} else {
+				model[m.key] = m.val
+			}
+		},
+		// Power cut: the op in flight is the crash's one maybe; all earlier
+		// ops are acked (synchronous stream).
+		srv.Halted)
 
 	crashed := false
 	switch scen {
 	case "steady":
 	case "crash-mid", "crash-late":
-		fired := false
-		for !time.Now().After(deadline) {
-			if srv.ShardDown(0) != nil {
-				fired = true
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		if !fired {
+		if !waitShardDown(srv, deadline) {
 			c.fail(round, scen, fmt.Errorf("power cut never fired"))
 			break
 		}
@@ -459,8 +387,8 @@ func (c *readersCampaign) runRound(round int, scen string) error {
 		final, err := scanUntil(addr, deadline)
 		if err != nil {
 			c.fail(round, scen, fmt.Errorf("final scan: %w", err))
-		} else if !mapsEqual(final, w.model) {
-			c.fail(round, scen, fmt.Errorf("final state diverged from acked model: %d keys vs %d", len(final), len(w.model)))
+		} else if !mapsEqual(final, model) {
+			c.fail(round, scen, fmt.Errorf("final state diverged from acked model: %d keys vs %d", len(final), len(model)))
 		}
 	}
 
@@ -474,44 +402,11 @@ func (c *readersCampaign) runRound(round int, scen string) error {
 
 	if crashed {
 		dev.Crash()
-		if err := c.verifyRecovered(round, scen, dev, w, deadline); err != nil {
+		if err := c.verifyRecovered(round, scen, dev, model, w.pending, deadline); err != nil {
 			return err
 		}
 	}
 	c.cfg.Log("explore: readers round %d done: acked=%d reads=%d", round, w.ackedN.Load(), c.stats.Reads.Load())
-	return nil
-}
-
-// seed loads the hot band through the client protocol.
-func (c *readersCampaign) seed(addr string, hist *readHistory, model map[uint64]uint64, deadline time.Time) error {
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	rd := bufio.NewReader(conn)
-	for k := uint64(0); k < uint64(c.cfg.HotKeys); k++ {
-		v := 0xC0FFEE<<32 | k
-		hist.add(k, v)
-		for {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("seeding wedged at key %d", k)
-			}
-			conn.SetDeadline(time.Now().Add(2 * time.Second))
-			if _, err := fmt.Fprintf(conn, "SET %d %d\n", k, v); err != nil {
-				return err
-			}
-			line, err := rd.ReadString('\n')
-			if err != nil {
-				return err
-			}
-			if strings.HasPrefix(line, "+OK") {
-				model[k] = v
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
 	return nil
 }
 
@@ -522,63 +417,36 @@ func (c *readersCampaign) seed(addr string, hist *readHistory, model map[uint64]
 // the round stops it.
 func (c *readersCampaign) reader(round int, scen, addr string, seed int64, stop chan struct{}, hist *readHistory) {
 	rng := rand.New(rand.NewSource(seed))
-	var conn net.Conn
-	var rd *bufio.Reader
-	drop := func() {
-		if conn != nil {
-			conn.Close()
-			conn = nil
+	sess := client.NewSession(addr, opTimeout)
+	defer sess.Close()
+	// scripted reports whether err is part of the script — a refusal or a
+	// dropped connection: back off, keep hammering. A malformed reply is
+	// a violation and ends the reader.
+	scripted := func(what string, err error) bool {
+		if errors.Is(err, client.ErrProtocol) {
+			c.fail(round, scen, fmt.Errorf("bad %s reply: %w", what, err))
+			return false
 		}
+		time.Sleep(retryPause(err))
+		return true
 	}
-	defer drop()
 	for i := 0; ; i++ {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		if conn == nil {
-			cn, err := net.DialTimeout("tcp", addr, time.Second)
-			if err != nil {
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			conn, rd = cn, bufio.NewReader(cn)
-		}
-		conn.SetDeadline(time.Now().Add(2 * time.Second))
 		if i%24 == 23 {
-			limit := 8 + rng.Intn(40)
-			if _, err := fmt.Fprintf(conn, "SCAN %d\n", limit); err != nil {
-				drop()
-				continue
-			}
-			head, err := rd.ReadString('\n')
+			pairs, err := sess.Scan(8 + rng.Intn(40))
 			if err != nil {
-				drop()
-				continue
-			}
-			head = strings.TrimRight(head, "\r\n")
-			if !strings.HasPrefix(head, "*") {
-				continue // refused: busy or halting
-			}
-			var cnt int
-			if _, err := fmt.Sscanf(head, "*%d", &cnt); err != nil {
-				c.fail(round, scen, fmt.Errorf("bad SCAN header %q", head))
-				return
-			}
-			for j := 0; j < cnt; j++ {
-				line, err := rd.ReadString('\n')
-				if err != nil {
-					drop()
-					break
-				}
-				var k, v uint64
-				if _, err := fmt.Sscanf(strings.TrimRight(line, "\r\n"), "%d %d", &k, &v); err != nil {
-					c.fail(round, scen, fmt.Errorf("bad SCAN pair %q", line))
+				if !scripted("SCAN", err) {
 					return
 				}
-				if !hist.knows(k, v) {
-					c.fail(round, scen, fmt.Errorf("SCAN observed torn or phantom pair %d=%d", k, v))
+				continue
+			}
+			for _, p := range pairs {
+				if !hist.knows(p.Key, p.Val) {
+					c.fail(round, scen, fmt.Errorf("SCAN observed torn or phantom pair %d=%d", p.Key, p.Val))
 					return
 				}
 				c.stats.ScanPairs.Add(1)
@@ -589,34 +457,20 @@ func (c *readersCampaign) reader(round int, scen, addr string, seed int64, stop 
 		if rng.Intn(8) == 0 {
 			k = 1<<20 + uint64(rng.Intn(c.cfg.WritesPerRound/4+1))
 		}
-		if _, err := fmt.Fprintf(conn, "GET %d\n", k); err != nil {
-			drop()
-			continue
-		}
-		line, err := rd.ReadString('\n')
-		if err != nil {
-			drop()
-			continue
-		}
-		line = strings.TrimRight(line, "\r\n")
+		v, found, err := sess.Get(k)
 		switch {
-		case line == "$-1":
+		case err != nil:
+			if !scripted("GET", err) {
+				return
+			}
+		case !found:
 			// Absence is always legitimate: deleted, or never written.
 			c.stats.Reads.Add(1)
-		case strings.HasPrefix(line, ":"):
-			var v uint64
-			if _, err := fmt.Sscanf(line, ":%d", &v); err != nil {
-				c.fail(round, scen, fmt.Errorf("bad GET reply %q", line))
-				return
-			}
-			if !hist.knows(k, v) {
-				c.fail(round, scen, fmt.Errorf("GET %d observed torn or uncommitted value %d", k, v))
-				return
-			}
-			c.stats.Reads.Add(1)
+		case !hist.knows(k, v):
+			c.fail(round, scen, fmt.Errorf("GET %d observed torn or uncommitted value %d", k, v))
+			return
 		default:
-			// -BUSY / halting shard: back off, keep hammering.
-			time.Sleep(time.Millisecond)
+			c.stats.Reads.Add(1)
 		}
 	}
 }
@@ -627,7 +481,7 @@ func (c *readersCampaign) reader(round int, scen, addr string, seed int64, stop 
 // absence only where the last relevant operation was a delete (or the
 // key was never acked), and the recovered server serves reads again,
 // lock-free when the campaign runs the seqlock path.
-func (c *readersCampaign) verifyRecovered(round int, scen string, dev *pmem.Device, w *readerWriter, deadline time.Time) error {
+func (c *readersCampaign) verifyRecovered(round int, scen string, dev *pmem.Device, model map[uint64]uint64, pending *mutation, deadline time.Time) error {
 	p, err := pool.Attach(dev)
 	if err != nil {
 		c.fail(round, scen, fmt.Errorf("reattach after power cut: %w", err))
@@ -653,28 +507,28 @@ func (c *readersCampaign) verifyRecovered(round int, scen string, dev *pmem.Devi
 	}
 
 	// The writer is synchronous: at the cut, every op but one is acked
-	// (w.model is their exact fold), and w.pending is the single maybe.
-	keys := make(map[uint64]bool, len(w.model)+len(got)+1)
-	for k := range w.model {
+	// (model is their exact fold), and pending is the single maybe.
+	keys := make(map[uint64]bool, len(model)+len(got)+1)
+	for k := range model {
 		keys[k] = true
 	}
 	for k := range got {
 		keys[k] = true
 	}
-	if w.pending != nil {
-		keys[w.pending.key] = true
+	if pending != nil {
+		keys[pending.key] = true
 	}
 	for k := range keys {
-		mv, acked := w.model[k]
+		mv, acked := model[k]
 		gv, present := got[k]
-		pend := w.pending != nil && w.pending.key == k
+		pend := pending != nil && pending.key == k
 		switch {
 		case present && acked && gv == mv:
-		case present && pend && !w.pending.del && gv == w.pending.val:
+		case present && pend && !pending.del && gv == pending.val:
 		case present:
 			c.fail(round, scen, fmt.Errorf("recovered %d=%d is neither the acked value (%d, acked=%v) nor in-flight", k, gv, mv, acked))
 		case !acked: // never acked a SET: absence is the ground state
-		case pend && w.pending.del: // in-flight delete may have committed
+		case pend && pending.del: // in-flight delete may have committed
 		default:
 			c.fail(round, scen, fmt.Errorf("acked write %d=%d lost after power cut", k, mv))
 		}
@@ -683,50 +537,19 @@ func (c *readersCampaign) verifyRecovered(round int, scen string, dev *pmem.Devi
 	// The rebooted server must serve the read path again — through the
 	// seqlock when the campaign runs lock-free (nothing here may commit
 	// concurrently, so every bracket is stable on the first spin).
-	conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	rd := bufio.NewReader(conn)
+	sess := client.NewSession(ln.Addr().String(), opTimeout)
+	defer sess.Close()
 	for k := uint64(0); k < uint64(c.cfg.HotKeys); k++ {
-		conn.SetDeadline(time.Now().Add(2 * time.Second))
-		if _, err := fmt.Fprintf(conn, "GET %d\n", k); err != nil {
-			return err
-		}
-		line, err := rd.ReadString('\n')
+		v, found, err := sess.Get(k)
 		if err != nil {
 			return err
 		}
-		line = strings.TrimRight(line, "\r\n")
-		want, present := got[k]
-		switch {
-		case line == "$-1" && !present:
-		case strings.HasPrefix(line, fmt.Sprintf(":%d", want)) && present:
-		default:
-			c.fail(round, scen, fmt.Errorf("recovered server GET %d = %q, want %d (present=%v)", k, line, want, present))
+		if want, present := got[k]; found != present || v != want {
+			c.fail(round, scen, fmt.Errorf("recovered server GET %d = (%d, found=%v), want %d (present=%v)", k, v, found, want, present))
 		}
 	}
 	if lf, _, _ := srv.ReadPathStats(); !c.cfg.LockedReads && lf == 0 {
 		c.fail(round, scen, fmt.Errorf("recovered server served no lock-free reads"))
 	}
 	return nil
-}
-
-// scanUntil polls scanAddr until the server answers a full SCAN (it may
-// refuse briefly while a reboot settles) or the deadline passes.
-func scanUntil(addr string, deadline time.Time) (map[uint64]uint64, error) {
-	for {
-		m, err := scanAddr(addr)
-		if err == nil && m != nil {
-			return m, nil
-		}
-		if time.Now().After(deadline) {
-			if err == nil {
-				err = fmt.Errorf("server kept refusing SCAN")
-			}
-			return nil, err
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }

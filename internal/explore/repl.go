@@ -14,12 +14,9 @@
 package explore
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -338,153 +335,50 @@ type ackRec struct {
 	target   string
 }
 
-// replWriter drives the client write stream. It is deliberately built
-// like a real client: one connection, redial on failure, follow
-// -READONLY redirects, ride out -BUSY — because the contract under test
-// is "every write the CLIENT saw acknowledged survives", and only a
-// client-shaped loop defines that set honestly.
-type replWriter struct {
-	target atomic.Value // string: current client address
-	ackedN atomic.Int64
-	acks   []ackRec          // writer-owned until done is closed
-	sent   map[uint64]uint64 // every SET attempted, acked or not
-	done   chan struct{}
-	err    error
-	// arm, when set, is called by the writer itself on its armAt-th ack,
-	// before it sends the next mutation: a power cut armed "a third of
-	// the way in" cannot be outrun by the stream, however fast the
-	// server acks (a campaign goroutine polling the ack count could).
-	armAt int64
-	arm   func()
+func replSeedKey(i int) uint64 { return uint64(0x5EED)<<40 | uint64(i) }
+func replKey(r, i int) uint64  { return (uint64(r)+1)<<32 | uint64(i) + 1 }
+func replVal(k uint64) uint64  { return k*0x9E3779B97F4A7C15 + 5 }
+
+// replLog is what one round's write stream leaves for verify: the ack
+// log in ack order, and every SET attempted, acked or not. The writer
+// goroutine owns it until the writer's done channel closes.
+type replLog struct {
+	acks []ackRec
+	sent map[uint64]uint64
+	live []uint64 // this round's acked, not-yet-deleted keys
 }
 
-func replSeedKey(i int) uint64    { return uint64(0x5EED)<<40 | uint64(i) }
-func replKey(r, i int) uint64     { return (uint64(r)+1)<<32 | uint64(i) + 1 }
-func replVal(k uint64) uint64     { return k*0x9E3779B97F4A7C15 + 5 }
-func (w *replWriter) tgt() string { return w.target.Load().(string) }
-
-// run issues n mutations: fresh-key SETs, plus (when dels is true) an
+// next builds the stream: fresh-key SETs, plus (when dels is true) an
 // occasional DEL of a key this round already got acknowledged — each key
 // is written once and deleted at most once, so the expected final state
-// is a pure function of the ack log. Every mutation retries until
-// acknowledged; the round deadline is the only way out.
-func (w *replWriter) run(n int, dels bool, round int, seed int64, deadline time.Time) {
-	defer close(w.done)
-	rng := rand.New(rand.NewSource(seed))
-	var conn net.Conn
-	var rd *bufio.Reader
-	dialed := ""
-	defer func() {
-		if conn != nil {
-			conn.Close()
+// is a pure function of the ack log.
+func (l *replLog) next(rng *rand.Rand, round int, dels bool) func(i int) mutation {
+	return func(i int) mutation {
+		if dels && len(l.live) > 0 && rng.Intn(8) == 0 {
+			vi := rng.Intn(len(l.live))
+			key := l.live[vi]
+			l.live = append(l.live[:vi], l.live[vi+1:]...)
+			return mutation{del: true, key: key}
 		}
-	}()
-	drop := func() {
-		if conn != nil {
-			conn.Close()
-			conn = nil
-		}
-	}
-	var live []uint64 // this round's acked, not-yet-deleted keys
-	last := ""        // most recent reply or transport error, for the wedge report
-	for i := 0; i < n; i++ {
-		del := dels && len(live) > 0 && rng.Intn(8) == 0
-		var key, val uint64
-		var cmd string
-		if del {
-			vi := rng.Intn(len(live))
-			key = live[vi]
-			live = append(live[:vi], live[vi+1:]...)
-			cmd = fmt.Sprintf("DEL %d\n", key)
-		} else {
-			key = replKey(round, i)
-			val = replVal(key)
-			w.sent[key] = val
-			cmd = fmt.Sprintf("SET %d %d\n", key, val)
-		}
-		for {
-			if time.Now().After(deadline) {
-				w.err = fmt.Errorf("writer wedged at mutation %d/%d (target %s, last reply %q)", i, n, w.tgt(), last)
-				return
-			}
-			tgt := w.tgt()
-			if conn == nil || dialed != tgt {
-				drop()
-				cn, err := net.DialTimeout("tcp", tgt, time.Second)
-				if err != nil {
-					time.Sleep(10 * time.Millisecond)
-					continue
-				}
-				conn, rd, dialed = cn, bufio.NewReader(cn), tgt
-			}
-			conn.SetDeadline(time.Now().Add(2 * time.Second))
-			if _, err := io.WriteString(conn, cmd); err != nil {
-				drop()
-				continue
-			}
-			line, err := rd.ReadString('\n')
-			if err != nil {
-				last = err.Error()
-				drop()
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			line = strings.TrimRight(line, "\r\n")
-			last = line
-			switch {
-			case strings.HasPrefix(line, "+OK"), del && strings.HasPrefix(line, ":"):
-				w.acks = append(w.acks, ackRec{del: del, key: key, val: val, target: tgt})
-				if w.ackedN.Add(1) == w.armAt && w.arm != nil {
-					w.arm()
-				}
-				if !del {
-					live = append(live, key)
-				}
-			case server.IsReadonlyReply(line):
-				if p := server.ReadonlyPrimary(line); p != "" && p != tgt {
-					// Follow the redirect only if nobody re-aimed the writer
-					// since this request went out: a node demoted moments ago
-					// redirects to its new primary's replication address until
-					// the handshake teaches it the client address, and that
-					// stale answer must not overwrite the campaign's re-aim.
-					w.target.CompareAndSwap(tgt, p)
-				} else {
-					time.Sleep(5 * time.Millisecond)
-				}
-				continue
-			default: // -BUSY, shard-down errors, …: back off and retry
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			break
-		}
+		key := replKey(round, i)
+		l.sent[key] = replVal(key)
+		return mutation{key: key, val: l.sent[key]}
 	}
 }
 
-// waitAcks blocks until the writer has n acks (or finished, or the
-// deadline passed).
-func waitAcks(w *replWriter, n int64, deadline time.Time) bool {
-	for {
-		if w.ackedN.Load() >= n {
-			return true
-		}
-		select {
-		case <-w.done:
-			return w.ackedN.Load() >= n
-		case <-time.After(2 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
+func (l *replLog) onAck(m mutation, acker string) {
+	l.acks = append(l.acks, ackRec{del: m.del, key: m.key, val: m.val, target: acker})
+	if !m.del {
+		l.live = append(l.live, m.key)
 	}
 }
 
-// waitShardDown polls until some shard of n reports a crash-induced
+// waitShardDown polls until some shard of srv reports a crash-induced
 // failure — how a supervisor notices the injected power cut fired.
-func waitShardDown(n *replNode, deadline time.Time) bool {
+func waitShardDown(srv *server.Server, deadline time.Time) bool {
 	for {
-		for i := 0; i < n.srv.Shards(); i++ {
-			if n.srv.ShardDown(i) != nil {
+		for i := 0; i < srv.Shards(); i++ {
+			if srv.ShardDown(i) != nil {
 				return true
 			}
 		}
@@ -493,76 +387,6 @@ func waitShardDown(n *replNode, deadline time.Time) bool {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// scanAddr reads the full keyspace through the client protocol; nil map
-// with nil error means the server answered but refused (e.g. -BUSY
-// mid-bootstrap) and the caller should poll again.
-func scanAddr(addr string) (map[uint64]uint64, error) {
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.WriteString(conn, "SCAN\n"); err != nil {
-		return nil, err
-	}
-	rd := bufio.NewReader(conn)
-	head, err := rd.ReadString('\n')
-	if err != nil {
-		return nil, err
-	}
-	head = strings.TrimRight(head, "\r\n")
-	if !strings.HasPrefix(head, "*") {
-		return nil, nil
-	}
-	var cnt int
-	if _, err := fmt.Sscanf(head, "*%d", &cnt); err != nil {
-		return nil, fmt.Errorf("bad SCAN header %q", head)
-	}
-	m := make(map[uint64]uint64, cnt)
-	for i := 0; i < cnt; i++ {
-		line, err := rd.ReadString('\n')
-		if err != nil {
-			return nil, err
-		}
-		var k, v uint64
-		if _, err := fmt.Sscanf(strings.TrimRight(line, "\r\n"), "%d %d", &k, &v); err != nil {
-			return nil, fmt.Errorf("bad SCAN line %q", line)
-		}
-		m[k] = v
-	}
-	return m, nil
-}
-
-// converge polls both sides until their keyspaces are byte-exact equal,
-// returning the common map.
-func converge(primaryAddr, replicaAddr string, deadline time.Time) (map[uint64]uint64, error) {
-	for {
-		pm, errP := scanAddr(primaryAddr)
-		rm, errR := scanAddr(replicaAddr)
-		if errP == nil && errR == nil && pm != nil && rm != nil && mapsEqual(pm, rm) {
-			return pm, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("no convergence: primary %d keys (%v), replica %d keys (%v)",
-				len(pm), errP, len(rm), errR)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func mapsEqual(a, b map[uint64]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
 }
 
 // runRound builds a fresh primary/replica pair, seeds the primary, opens
@@ -579,7 +403,12 @@ func (c *replCampaign) runRound(round int, scen string) error {
 	defer func() { _ = a.srv.Close() }()
 
 	seeds := make(map[uint64]uint64, c.cfg.SeedKeys)
-	if err := c.seed(a.clientAddr, seeds, deadline); err != nil {
+	err = seedKeys(a.clientAddr, c.cfg.SeedKeys, deadline, func(i int) (uint64, uint64) {
+		k := replSeedKey(i)
+		seeds[k] = replVal(k)
+		return k, seeds[k]
+	})
+	if err != nil {
 		return err
 	}
 
@@ -599,8 +428,7 @@ func (c *replCampaign) runRound(round int, scen string) error {
 	}
 	defer func() { _ = b.srv.Close() }()
 
-	w := &replWriter{sent: map[uint64]uint64{}, done: make(chan struct{})}
-	w.target.Store(a.clientAddr)
+	w, log := newAckWriter(), &replLog{sent: map[uint64]uint64{}}
 	n := c.cfg.WritesPerRound
 	var victim *replNode
 	switch scen {
@@ -616,7 +444,9 @@ func (c *replCampaign) runRound(round int, scen string) error {
 			d.CrashAt(d.OpCount() + uint64(100+rng.Intn(700)))
 		}
 	}
-	go w.run(n, scen != "promote", round, c.cfg.Seed^int64(round), deadline)
+	go w.run(a.clientAddr, n, deadline,
+		log.next(rand.New(rand.NewSource(c.cfg.Seed^int64(round))), round, scen != "promote"),
+		log.onAck, nil)
 
 	promoted := false
 	switch scen {
@@ -628,7 +458,7 @@ func (c *replCampaign) runRound(round int, scen string) error {
 			c.stats.LinkCuts.Add(1)
 		}
 	case "replica-crash":
-		if !waitShardDown(b, deadline) {
+		if !waitShardDown(b.srv, deadline) {
 			c.fail(round, scen, fmt.Errorf("replica power cut never fired"))
 			break
 		}
@@ -637,7 +467,7 @@ func (c *replCampaign) runRound(round int, scen string) error {
 			return err
 		}
 	case "bootstrap-crash":
-		if !waitShardDown(b, deadline) {
+		if !waitShardDown(b.srv, deadline) {
 			c.fail(round, scen, fmt.Errorf("bootstrap power cut never fired"))
 			break
 		}
@@ -646,7 +476,7 @@ func (c *replCampaign) runRound(round int, scen string) error {
 			return err
 		}
 	case "primary-crash":
-		if !waitShardDown(a, deadline) {
+		if !waitShardDown(a.srv, deadline) {
 			c.fail(round, scen, fmt.Errorf("primary power cut never fired"))
 			break
 		}
@@ -681,11 +511,12 @@ func (c *replCampaign) runRound(round int, scen string) error {
 		promoted = true
 		// Demote the deposed primary under the new one. Its epoch is
 		// stale, so the handshake forces a full resync — every write it
-		// acknowledged after the promotion is (correctly) discarded.
+		// acknowledged after the promotion is (correctly) discarded. The
+		// writer finds the new primary the way any client does: by
+		// following the demoted node's -READONLY redirect.
 		if err := a.srv.ReplicaOf(b.replAddr); err != nil {
 			return fmt.Errorf("demote old primary: %w", err)
 		}
-		w.target.Store(b.clientAddr)
 	default:
 		return fmt.Errorf("unknown scenario %q", scen)
 	}
@@ -706,47 +537,14 @@ func (c *replCampaign) runRound(round int, scen string) error {
 		c.fail(round, scen, err)
 		return nil
 	}
-	c.verify(round, scen, w, seeds, final, promoted, a.clientAddr, b.clientAddr)
+	c.verify(round, scen, log, seeds, final, promoted, a.clientAddr, b.clientAddr)
 	lag := replica.srv.ReplLag()
 	c.cfg.Log("explore: repl round %d done: acked=%d keys=%d lag=%d frames", round, w.ackedN.Load(), len(final), lag.Frames)
 	return nil
 }
 
-// seed loads the bootstrap keyspace through the client protocol.
-func (c *replCampaign) seed(addr string, into map[uint64]uint64, deadline time.Time) error {
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	rd := bufio.NewReader(conn)
-	for i := 0; i < c.cfg.SeedKeys; i++ {
-		k := replSeedKey(i)
-		v := replVal(k)
-		for {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("seeding wedged at key %d", i)
-			}
-			conn.SetDeadline(time.Now().Add(2 * time.Second))
-			if _, err := fmt.Fprintf(conn, "SET %d %d\n", k, v); err != nil {
-				return err
-			}
-			line, err := rd.ReadString('\n')
-			if err != nil {
-				return err
-			}
-			if strings.HasPrefix(line, "+OK") {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		into[k] = v
-	}
-	return nil
-}
-
 // verify checks the round's contract against the converged keyspace.
-func (c *replCampaign) verify(round int, scen string, w *replWriter, seeds, final map[uint64]uint64, promoted bool, addrA, addrB string) {
+func (c *replCampaign) verify(round int, scen string, w *replLog, seeds, final map[uint64]uint64, promoted bool, addrA, addrB string) {
 	// Seeds replicate through the snapshot before any promotion can
 	// succeed, so they must survive every scenario.
 	for k, v := range seeds {

@@ -2,15 +2,14 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
 
 	"corundum/internal/pool"
+	"corundum/internal/repl"
 	"corundum/internal/workloads"
 )
 
@@ -24,7 +23,9 @@ import (
 //	"CRDBKP01"
 //	[u32 type][u32 len][payload...][u32 crc32(type||len||payload)] ...
 //
-// all integers little-endian, payloads built of 8-byte words. Frame
+// all integers little-endian, payloads built of 8-byte words — the
+// replication link's framing, written and read by the one codec
+// (repl.WriteFrame / repl.ReadFrame). Frame
 // types: header {version, shards, epoch}; base {shard, count, count ×
 // (key,val)} — the chunked store walk; delta {shard, count, count ×
 // (flags,key,val)} — mutations committed while the walk ran, in commit
@@ -58,7 +59,9 @@ const (
 )
 
 // backupScanBuckets is how many directory buckets one base chunk's read
-// lock covers; backupChunkPairs caps pairs per frame.
+// lock covers; backupChunkPairs caps pairs per frame, which keeps the
+// largest frame (a delta chunk: 2+3×1024 words, 24 KiB) far below the
+// codec's 16 MiB payload bound.
 const (
 	backupScanBuckets = 256
 	backupChunkPairs  = 1024
@@ -119,66 +122,14 @@ type frameWriter struct {
 	w *bufio.Writer
 }
 
-func (fw *frameWriter) frame(typ uint32, payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], typ)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	if _, err := fw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := fw.w.Write(payload); err != nil {
-		return err
-	}
-	if _, err := fw.w.Write(tail[:]); err != nil {
+func (fw *frameWriter) frame(typ uint32, words ...uint64) error {
+	if err := repl.WriteFrame(fw.w, typ, words); err != nil {
 		return err
 	}
 	if err := fw.w.Flush(); err != nil {
 		return err
 	}
 	return fw.f.Sync()
-}
-
-func putWords(words ...uint64) []byte {
-	buf := make([]byte, 8*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], w)
-	}
-	return buf
-}
-
-// readFrame reads one frame. io.EOF at a frame boundary is the clean
-// end; anything else truncated or corrupt is an explicit error.
-func readFrame(r *bufio.Reader) (typ uint32, payload []byte, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("truncated frame header: %w", err)
-	}
-	typ = binary.LittleEndian.Uint32(hdr[0:])
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	if n > 64<<20 {
-		return 0, nil, fmt.Errorf("frame claims %d payload bytes", n)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("truncated frame payload: %w", err)
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return 0, nil, fmt.Errorf("truncated frame checksum: %w", err)
-	}
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if crc != binary.LittleEndian.Uint32(tail[:]) {
-		return 0, nil, errors.New("frame checksum mismatch")
-	}
-	return typ, payload, nil
 }
 
 // Backup streams a consistent snapshot of the whole keyspace to path
@@ -188,8 +139,8 @@ func (s *Server) Backup(path string) (BackupReport, error) {
 	// Refused on a replica: BACKUP's delta phase taps the batchers, but a
 	// replica's writes arrive through ApplyFrame (no batcher), so the tap
 	// would miss them and the backup would be torn. Back up the primary.
-	if addr := s.redirectAddr(); addr != "" {
-		return BackupReport{}, replicaRedirectError{addr: addr}
+	if err := s.replicaRefusal(); err != nil {
+		return BackupReport{}, err
 	}
 	if err := s.beginAdmin("BACKUP"); err != nil {
 		return BackupReport{}, err
@@ -215,7 +166,7 @@ func (s *Server) Backup(path string) (BackupReport, error) {
 	if _, err := fw.w.WriteString(backupMagic); err != nil {
 		return BackupReport{}, err
 	}
-	if err := fw.frame(frameHeader, putWords(backupVersion, uint64(st.n), cfgEpoch)); err != nil {
+	if err := fw.frame(frameHeader, backupVersion, uint64(st.n), cfgEpoch); err != nil {
 		return BackupReport{}, fmt.Errorf("backup: writing header: %w", err)
 	}
 
@@ -268,15 +219,15 @@ func (s *Server) Backup(path string) (BackupReport, error) {
 				if n > backupChunkPairs {
 					n = backupChunkPairs
 				}
-				payload := putWords(append([]uint64{uint64(i), uint64(n)}, pairs[:2*n]...)...)
-				if err := fw.frame(frameBase, payload); err != nil {
+				words := append([]uint64{uint64(i), uint64(n)}, pairs[:2*n]...)
+				if err := fw.frame(frameBase, words...); err != nil {
 					return BackupReport{}, fmt.Errorf("backup: writing shard %d chunk: %w", i, err)
 				}
 				pairs = pairs[2*n:]
 				shardKeys += uint64(n)
 			}
 		}
-		if err := fw.frame(frameShardEnd, putWords(uint64(i), shardKeys)); err != nil {
+		if err := fw.frame(frameShardEnd, uint64(i), shardKeys); err != nil {
 			return BackupReport{}, err
 		}
 		totalKeys += shardKeys
@@ -317,7 +268,7 @@ func (s *Server) Backup(path string) (BackupReport, error) {
 				}
 				words = append(words, flags, op.Key, op.Val)
 			}
-			if err := fw.frame(frameDelta, putWords(words...)); err != nil {
+			if err := fw.frame(frameDelta, words...); err != nil {
 				return BackupReport{}, fmt.Errorf("backup: writing shard %d delta: %w", i, err)
 			}
 			ops = ops[n:]
@@ -325,7 +276,7 @@ func (s *Server) Backup(path string) (BackupReport, error) {
 		}
 	}
 
-	if err := fw.frame(frameFooter, putWords(totalKeys, totalDeltas, uint64(st.n))); err != nil {
+	if err := fw.frame(frameFooter, totalKeys, totalDeltas, uint64(st.n)); err != nil {
 		return BackupReport{}, fmt.Errorf("backup: writing footer: %w", err)
 	}
 	return BackupReport{Path: path, Shards: st.n, Epoch: cfgEpoch, BaseKeys: totalKeys, DeltaOps: totalDeltas}, nil
@@ -381,7 +332,7 @@ func validateBackup(path string) (*backupSummary, error) {
 		frameNo              int
 	)
 	for {
-		typ, payload, err := readFrame(r)
+		typ, w, err := repl.ReadFrame(r)
 		if err == io.EOF {
 			break
 		}
@@ -392,17 +343,16 @@ func validateBackup(path string) (*backupSummary, error) {
 		if sawFooter {
 			return nil, fmt.Errorf("frame %d: data after footer", frameNo)
 		}
-		words := len(payload) / 8
-		word := func(i int) uint64 { return binary.LittleEndian.Uint64(payload[8*i:]) }
+		words := len(w)
 		switch typ {
 		case frameHeader:
 			if sawHeader || words != 3 {
 				return nil, fmt.Errorf("frame %d: malformed header", frameNo)
 			}
-			if v := word(0); v != backupVersion {
+			if v := w[0]; v != backupVersion {
 				return nil, fmt.Errorf("unsupported backup version %d", v)
 			}
-			sum.shards, sum.epoch = int(word(1)), word(2)
+			sum.shards, sum.epoch = int(w[1]), w[2]
 			if sum.shards < 1 || sum.shards > 1<<16 {
 				return nil, fmt.Errorf("backup claims %d shards", sum.shards)
 			}
@@ -411,17 +361,17 @@ func validateBackup(path string) (*backupSummary, error) {
 			if !sawHeader || words < 2 {
 				return nil, fmt.Errorf("frame %d: malformed base chunk", frameNo)
 			}
-			n := word(1)
+			n := w[1]
 			if uint64(words) != 2+2*n {
 				return nil, fmt.Errorf("frame %d: base chunk count %d does not match payload", frameNo, n)
 			}
-			baseSeen[word(0)] += n
+			baseSeen[w[0]] += n
 			sum.baseKeys += n
 		case frameDelta:
 			if !sawHeader || words < 2 {
 				return nil, fmt.Errorf("frame %d: malformed delta chunk", frameNo)
 			}
-			n := word(1)
+			n := w[1]
 			if uint64(words) != 2+3*n {
 				return nil, fmt.Errorf("frame %d: delta chunk count %d does not match payload", frameNo, n)
 			}
@@ -430,16 +380,16 @@ func validateBackup(path string) (*backupSummary, error) {
 			if !sawHeader || words != 2 {
 				return nil, fmt.Errorf("frame %d: malformed shard-end", frameNo)
 			}
-			if got := baseSeen[word(0)]; got != word(1) {
-				return nil, fmt.Errorf("shard %d: chunks hold %d keys, shard-end says %d", word(0), got, word(1))
+			if got := baseSeen[w[0]]; got != w[1] {
+				return nil, fmt.Errorf("shard %d: chunks hold %d keys, shard-end says %d", w[0], got, w[1])
 			}
 		case frameFooter:
 			if !sawHeader || words != 3 {
 				return nil, fmt.Errorf("frame %d: malformed footer", frameNo)
 			}
-			if word(0) != sum.baseKeys || word(1) != sum.deltaOps || int(word(2)) != sum.shards {
+			if w[0] != sum.baseKeys || w[1] != sum.deltaOps || int(w[2]) != sum.shards {
 				return nil, fmt.Errorf("footer totals (%d keys, %d deltas, %d shards) do not match frames (%d, %d, %d)",
-					word(0), word(1), word(2), sum.baseKeys, sum.deltaOps, sum.shards)
+					w[0], w[1], w[2], sum.baseKeys, sum.deltaOps, sum.shards)
 			}
 			sawFooter = true
 		default:
@@ -468,8 +418,8 @@ func validateBackup(path string) (*backupSummary, error) {
 func (s *Server) Restore(path string) (RestoreReport, error) {
 	// A replica's keyspace is owned by the stream; RESTORE would diverge
 	// it from the primary irrecoverably.
-	if addr := s.redirectAddr(); addr != "" {
-		return RestoreReport{}, replicaRedirectError{addr: addr}
+	if err := s.replicaRefusal(); err != nil {
+		return RestoreReport{}, err
 	}
 	if err := s.beginAdmin("RESTORE"); err != nil {
 		return RestoreReport{}, err
@@ -588,29 +538,28 @@ func (s *Server) restoreApply(path string, st *routeState) error {
 		return nil
 	}
 	for {
-		typ, payload, err := readFrame(r)
+		typ, w, err := repl.ReadFrame(r)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return fmt.Errorf("restore: file changed after validation: %w", err)
 		}
-		word := func(i int) uint64 { return binary.LittleEndian.Uint64(payload[8*i:]) }
 		switch typ {
 		case frameBase:
-			n := int(word(1))
+			n := int(w[1])
 			for k := 0; k < n; k++ {
-				if err := add(workloads.Op{Key: word(2 + 2*k), Val: word(3 + 2*k)}); err != nil {
+				if err := add(workloads.Op{Key: w[2+2*k], Val: w[3+2*k]}); err != nil {
 					return fmt.Errorf("restore: applying base chunk: %w", err)
 				}
 			}
 		case frameDelta:
-			n := int(word(1))
+			n := int(w[1])
 			for k := 0; k < n; k++ {
 				op := workloads.Op{
-					Del: word(2+3*k)&deltaFlagDel != 0,
-					Key: word(3 + 3*k),
-					Val: word(4 + 3*k),
+					Del: w[2+3*k]&deltaFlagDel != 0,
+					Key: w[3+3*k],
+					Val: w[4+3*k],
 				}
 				if err := add(op); err != nil {
 					return fmt.Errorf("restore: applying delta chunk: %w", err)

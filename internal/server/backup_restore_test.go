@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"os"
@@ -46,6 +47,12 @@ func scanToMap(t *testing.T, reply string) map[uint64]uint64 {
 // the delta path is guaranteed to carry traffic), then restores the file
 // into a server with a different shard count that already holds junk —
 // and requires the restored walk to match the quiesced source exactly.
+//
+// The run is deterministic (synchronous clients, fresh pools), which
+// pins the file format too: testdata/backup_roundtrip_8f361da.crdbkp is
+// the file this same test wrote at commit 8f361da, before BACKUP moved
+// onto repl's frame codec. The file written now must equal it byte for
+// byte, and the old file must restore to the same keyspace.
 func TestBackupRestoreRoundTrip(t *testing.T) {
 	pools := newShardPools(t, 2, 16<<20)
 	defer closeShardPools(pools)
@@ -60,7 +67,7 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	// server's connection goroutine.
 	var (
 		hookMu  sync.Mutex
-		hookCl  *client
+		hookCl  *conn
 		hookOps int
 	)
 	model := map[uint64]uint64{}
@@ -124,6 +131,19 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 		t.Fatal("chunk hook never fired; the backup walk skipped instrumentation")
 	}
 
+	fixture, err := filepath.Abs("testdata/backup_roundtrip_8f361da.crdbkp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("backup differs from the file commit 8f361da wrote for the same store (%d vs %d bytes, err %v)",
+			len(got), len(want), err)
+	}
+
 	// The server is quiesced now: its live walk IS the snapshot state.
 	reference := scanToMap(t, mustCmd(t, cl, "SCAN"))
 	if len(reference) != len(model) {
@@ -146,17 +166,20 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	for i := uint64(0); i < 40; i++ {
 		mustReply(t, cl2, fmt.Sprintf("SET %d 1", 900_000+i), "+OK")
 	}
-	rrep := parseKV(t, mustCmd(t, cl2, "RESTORE "+path))
-	if rrep["backup_shards"] != "2" {
-		t.Fatalf("restore report backup_shards = %q, want 2", rrep["backup_shards"])
-	}
-	restored := scanToMap(t, mustCmd(t, cl2, "SCAN"))
-	if len(restored) != len(reference) {
-		t.Fatalf("restored walk holds %d keys, snapshot had %d", len(restored), len(reference))
-	}
-	for k, v := range reference {
-		if rv, ok := restored[k]; !ok || rv != v {
-			t.Fatalf("restored key %d = (%d, %v), snapshot says %d", k, rv, ok, v)
+	for _, file := range []string{path, fixture} {
+		mustReply(t, cl2, "SET 900000 2", "+OK") // junk again before the second restore
+		rrep := parseKV(t, mustCmd(t, cl2, "RESTORE "+file))
+		if rrep["backup_shards"] != "2" {
+			t.Fatalf("restore report backup_shards = %q, want 2", rrep["backup_shards"])
+		}
+		restored := scanToMap(t, mustCmd(t, cl2, "SCAN"))
+		if len(restored) != len(reference) {
+			t.Fatalf("%s: restored walk holds %d keys, snapshot had %d", file, len(restored), len(reference))
+		}
+		for k, v := range reference {
+			if rv, ok := restored[k]; !ok || rv != v {
+				t.Fatalf("%s: restored key %d = (%d, %v), snapshot says %d", file, k, rv, ok, v)
+			}
 		}
 	}
 }

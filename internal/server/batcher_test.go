@@ -369,3 +369,58 @@ func TestBatcherHammer(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupCommitFenceBudget pins what group commit buys, in device
+// fences — counters, not wall clock, so the numbers are exact. A run of
+// 64 fresh-key SETs committed as one batch (plus the lone primer that
+// parks the committer so the run is assembled whole) must cost under 4
+// fences per op — the slab allocator's budget, ~2.1 measured — and
+// strictly fewer than the same 65 ops committed one per batch (~4.2).
+func TestGroupCommitFenceBudget(t *testing.T) {
+	const run = 64
+	ops := func(base uint64) []workloads.Op {
+		out := make([]workloads.Op, run)
+		for i := range out {
+			out[i] = workloads.Op{Key: base + uint64(i), Val: uint64(i)}
+		}
+		return out
+	}
+	check := func(res []SubmitResult) {
+		t.Helper()
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("op %d: %v", i, r.Err)
+			}
+		}
+	}
+
+	batched := newBatcherRig(t, run)
+	before := batched.b.dev.Stats().Fences
+	release := batched.park(t, 1<<40)
+	done := make(chan []SubmitResult, 1)
+	go func() { done <- batched.b.SubmitMany(ops(1 << 20)) }()
+	batched.waitQueued(t, run)
+	release()
+	check(<-done)
+	batchedFences := batched.b.dev.Stats().Fences - before
+	if got := batched.b.Stats().Batches.Load(); got != 2 {
+		t.Fatalf("committed %d batches, want 2 (primer + one run of %d)", got, run)
+	}
+
+	single := newBatcherRig(t, run)
+	before = single.b.dev.Stats().Fences
+	for _, op := range append(ops(1<<20), workloads.Op{Key: 1 << 40, Val: 1}) {
+		check(single.b.SubmitMany([]workloads.Op{op}))
+	}
+	singleFences := single.b.dev.Stats().Fences - before
+
+	perOp := float64(batchedFences) / (run + 1)
+	t.Logf("fences/op: %.2f batched (%d fences), %.2f one per batch (%d fences)",
+		perOp, batchedFences, float64(singleFences)/(run+1), singleFences)
+	if perOp >= 4 {
+		t.Errorf("batched SETs cost %.2f fences/op, budget is < 4", perOp)
+	}
+	if batchedFences >= singleFences {
+		t.Errorf("one batch of %d used %d fences, no fewer than one per batch (%d)", run, batchedFences, singleFences)
+	}
+}

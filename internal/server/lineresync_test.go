@@ -29,17 +29,17 @@ func TestOversizedLineKeepsConnection(t *testing.T) {
 	// (> MaxLineLen, < the 32 KiB read buffer), then more requests.
 	burst := "SET 1 10\n" +
 		strings.Repeat("x", server.MaxLineLen+100) + "\n" +
-		"SET 2 20\nGET 1\n"
-	if _, err := cl.c.Write([]byte(burst)); err != nil {
+		"SET 2 20\nGET 1"
+	if err := cl.Send(burst); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"+OK", "-ERR request line exceeds", "+OK", ":10"} {
-		reply, err := readReply(cl.r)
+		reply, err := cl.Recv()
 		if err != nil {
 			t.Fatalf("reply (want %q): %v", want, err)
 		}
-		if !strings.HasPrefix(reply, want) {
-			t.Fatalf("reply %q, want prefix %q", reply, want)
+		if !strings.HasPrefix(reply.Head, want) {
+			t.Fatalf("reply %q, want prefix %q", reply.Head, want)
 		}
 	}
 
@@ -66,17 +66,17 @@ func TestOverflowingLineResyncsDeterministically(t *testing.T) {
 
 	// 96 KiB of garbage — three read buffers' worth with no newline —
 	// then the newline and a pipelined tail.
-	burst := strings.Repeat("y", 96<<10) + "\nSET 3 30\nGET 3\n"
-	if _, err := cl.c.Write([]byte(burst)); err != nil {
+	burst := strings.Repeat("y", 96<<10) + "\nSET 3 30\nGET 3"
+	if err := cl.Send(burst); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"-ERR request line exceeds", "+OK", ":30"} {
-		reply, err := readReply(cl.r)
+		reply, err := cl.Recv()
 		if err != nil {
 			t.Fatalf("reply (want %q): %v", want, err)
 		}
-		if !strings.HasPrefix(reply, want) {
-			t.Fatalf("reply %q, want prefix %q", reply, want)
+		if !strings.HasPrefix(reply.Head, want) {
+			t.Fatalf("reply %q, want prefix %q", reply.Head, want)
 		}
 	}
 	mustReply(t, cl, "PING", "+PONG")

@@ -49,11 +49,11 @@ func (s *Server) Reshard(newN int) error {
 	if newN < 1 {
 		return fmt.Errorf("reshard: shard count must be at least 1, got %d", newN)
 	}
-	if addr := s.redirectAddr(); addr != "" {
+	if err := s.replicaRefusal(); err != nil {
 		// A replica's layout follows its own config; resharding it while
 		// frames route by that layout is fine — but the operator drives
 		// topology from the primary, so refuse with the redirect.
-		return replicaRedirectError{addr: addr}
+		return err
 	}
 	s.migMu.Lock()
 	defer s.migMu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"corundum/internal/baselines/corundumeng"
+	"corundum/internal/client"
 	"corundum/internal/pmem"
 	"corundum/internal/pool"
 	"corundum/internal/server"
@@ -19,7 +20,7 @@ import (
 // waitMigration polls INFO until the background migration driver reports
 // done, returning the final INFO map. It fails the test if the driver
 // parks on an error instead of finishing.
-func waitMigration(t *testing.T, cl *client, timeout time.Duration) map[string]string {
+func waitMigration(t *testing.T, cl *conn, timeout time.Duration) map[string]string {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -91,10 +92,10 @@ func runReshardLive(t *testing.T, fromN, toN int) {
 				}
 				k := lo + rng.Uint64()%200
 				v := rng.Uint64()%1_000_000 + 1
-				line, err := server.RetryTransient(nil, 12, time.Millisecond, 50*time.Millisecond,
+				line, err := client.RetryTransient(nil, 12, time.Millisecond, 50*time.Millisecond,
 					func() (string, error) {
 						rep, err := wc.cmd(fmt.Sprintf("SET %d %d", k, v))
-						if err == nil && server.IsMovedReply(rep) {
+						if err == nil && client.IsMovedReply(rep) {
 							movedSeen.Add(1)
 						}
 						return rep, err
@@ -109,7 +110,7 @@ func runReshardLive(t *testing.T, fromN, toN int) {
 					modelMu.Lock()
 					model[k] = v
 					modelMu.Unlock()
-				case server.IsRetryableReply(line):
+				case client.IsRetryableReply(line):
 					// Exhausted the retry budget; the op never executed, so the
 					// model keeps the last acknowledged value.
 				default:
@@ -122,6 +123,7 @@ func runReshardLive(t *testing.T, fromN, toN int) {
 
 	mustReply(t, cl, fmt.Sprintf("RESHARD %d", toN), "+OK")
 	info := waitMigration(t, cl, 30*time.Second)
+	ackedInFlight := acked.Load() // acknowledged before the migration was seen to finish
 	close(stop)
 	wg.Wait()
 	if t.Failed() {
@@ -130,11 +132,22 @@ func runReshardLive(t *testing.T, fromN, toN int) {
 	if got := info["shards"]; got != fmt.Sprint(toN) {
 		t.Fatalf("INFO shards = %s after migration, want %d", got, toN)
 	}
-	if acked.Load() == 0 {
-		t.Fatal("no writer op was acknowledged during the migration")
+	if ackedInFlight == 0 {
+		t.Fatal("no writer op was acknowledged while the migration ran: RESHARD blocked serving")
 	}
-	t.Logf("%d->%d: %d acked writes, %d -MOVED refusals, moved_keys=%s",
-		fromN, toN, acked.Load(), movedSeen.Load(), info["migration_moved_keys"])
+	// Keys whose home shard changed had to be moved: the read-back below
+	// is answered by their new owner.
+	rehomed := 0
+	for k := range model {
+		if workloads.ShardFor(k, fromN) != workloads.ShardFor(k, toN) {
+			rehomed++
+		}
+	}
+	if rehomed == 0 {
+		t.Fatal("no key changed home: the migration moved nothing")
+	}
+	t.Logf("%d->%d: %d acked writes (%d in flight), %d -MOVED refusals, %d keys rehomed",
+		fromN, toN, acked.Load(), ackedInFlight, movedSeen.Load(), rehomed)
 
 	// Every acknowledged write reads back; the total key population is
 	// exactly the model (nothing lost, duplicated, or left behind).
@@ -323,20 +336,20 @@ func TestMovedReplyHelpers(t *testing.T) {
 		{"+OK", false, -1},
 	}
 	for _, c := range cases {
-		if got := server.IsMovedReply(c.line); got != c.moved {
+		if got := client.IsMovedReply(c.line); got != c.moved {
 			t.Errorf("IsMovedReply(%q) = %v, want %v", c.line, got, c.moved)
 		}
-		if got := server.MovedShard(c.line); got != c.shard {
+		if got := client.MovedShard(c.line); got != c.shard {
 			t.Errorf("MovedShard(%q) = %d, want %d", c.line, got, c.shard)
 		}
 	}
-	if !server.IsRetryableReply("-MOVED 1 x") || !server.IsRetryableReply("-BUSY x") {
+	if !client.IsRetryableReply("-MOVED 1 x") || !client.IsRetryableReply("-BUSY x") {
 		t.Error("IsRetryableReply must accept -MOVED and -BUSY")
 	}
-	if server.IsRetryableReply("-READONLY pool degraded") {
+	if client.IsRetryableReply("-READONLY pool degraded") {
 		t.Error("IsRetryableReply must not retry -READONLY")
 	}
-	if !server.IsReadonlyReply("-READONLY pool degraded") {
+	if !client.IsReadonlyReply("-READONLY pool degraded") {
 		t.Error("IsReadonlyReply(-READONLY ...) = false")
 	}
 }
@@ -346,7 +359,7 @@ func TestMovedReplyHelpers(t *testing.T) {
 func TestRetryTransientBackoff(t *testing.T) {
 	replies := []string{"-MOVED 2 moved", "-BUSY full", "+OK"}
 	i := 0
-	line, err := server.RetryTransient(nil, 5, time.Microsecond, time.Millisecond,
+	line, err := client.RetryTransient(nil, 5, time.Microsecond, time.Millisecond,
 		func() (string, error) { r := replies[i]; i++; return r, nil })
 	if err != nil || line != "+OK" {
 		t.Fatalf("RetryTransient = (%q, %v), want (+OK, nil)", line, err)
@@ -357,9 +370,9 @@ func TestRetryTransientBackoff(t *testing.T) {
 
 	// A terminal reply returns immediately, no retries.
 	i = 0
-	line, err = server.RetryTransient(nil, 5, time.Microsecond, time.Millisecond,
+	line, err = client.RetryTransient(nil, 5, time.Microsecond, time.Millisecond,
 		func() (string, error) { i++; return "-READONLY degraded", nil })
-	if err != nil || !server.IsReadonlyReply(line) || i != 1 {
+	if err != nil || !client.IsReadonlyReply(line) || i != 1 {
 		t.Fatalf("RetryTransient on -READONLY = (%q, %v) after %d tries", line, err, i)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"corundum/internal/client"
 	"corundum/internal/pmem"
 	"corundum/internal/pool"
 	"corundum/internal/workloads"
@@ -51,22 +51,18 @@ func TestMovedReplyDeterministic(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	conn, err := client.Dial(ln.Addr().String(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	r := bufio.NewReader(conn)
 	send := func(line string) string {
 		t.Helper()
-		if _, err := fmt.Fprintf(conn, "%s\n", line); err != nil {
-			t.Fatalf("%s: %v", line, err)
-		}
-		rep, err := r.ReadString('\n')
+		rep, err := conn.Do(line)
 		if err != nil {
 			t.Fatalf("%s: %v", line, err)
 		}
-		return strings.TrimRight(rep, "\r\n")
+		return rep.Head
 	}
 
 	// A key served by shard 1 today; the 2->1 merge moves it to shard 0.
@@ -128,14 +124,14 @@ func TestMovedReplyDeterministic(t *testing.T) {
 		moved = rep
 		break
 	}
-	if !IsMovedReply(moved) {
+	if !client.IsMovedReply(moved) {
 		t.Fatalf("refusal = %q, want -MOVED", moved)
 	}
-	if got := MovedShard(moved); got != 0 {
-		t.Fatalf("MovedShard(%q) = %d, want 0", moved, got)
+	if got := client.MovedShard(moved); got != 0 {
+		t.Fatalf("client.MovedShard(%q) = %d, want 0", moved, got)
 	}
 	// Deterministically refused again while the window is held open.
-	if rep := send(fmt.Sprintf("SET %d 9999", k)); !IsMovedReply(rep) {
+	if rep := send(fmt.Sprintf("SET %d 9999", k)); !client.IsMovedReply(rep) {
 		t.Fatalf("second probe = %q, want -MOVED", rep)
 	}
 	// Reads never go wrong mid-window: the source still owns the key.
@@ -150,14 +146,13 @@ func TestMovedReplyDeterministic(t *testing.T) {
 	retried := make(chan string, 1)
 	go func() {
 		tries := 0
-		rep, err := Retry(context.Background(), 1000, time.Millisecond, 5*time.Millisecond, nil,
+		rep, err := client.Retry(context.Background(), 1000, time.Millisecond, 5*time.Millisecond, nil,
 			func() (string, error) {
-				fmt.Fprintf(conn, "SET %d 4242\n", k)
-				rep, err := r.ReadString('\n')
-				if tries++; tries == 1 && err == nil && IsMovedReply(rep) {
+				rep, err := conn.Do(fmt.Sprintf("SET %d 4242", k))
+				if tries++; tries == 1 && err == nil && client.IsMovedReply(rep.Head) {
 					close(sawMoved)
 				}
-				return strings.TrimRight(rep, "\r\n"), err
+				return rep.Head, err
 			})
 		if err != nil {
 			rep = err.Error()

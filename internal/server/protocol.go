@@ -49,12 +49,14 @@
 // order. Two refinements of -ERR carry
 // machine-actionable meaning: "-BUSY" (journal slots exhausted, or an
 // admin stream command holding writes off; the request never ran and can
-// be re-sent, see Retry), "-READONLY" (the pool is serving degraded
+// be re-sent, see client.Retry), "-READONLY" (the pool is serving degraded
 // after unrepairable media damage, or this server is a replica — then
 // the reply's first token is the primary's address, see
-// ReadonlyPrimary), and "-MOVED <shard>" (the key's range is
-// mid-migration; retry after a short backoff and the new owner answers).
-// All three are retryable through the Retry helper.
+// client.ReadonlyPrimary; until the replication handshake has carried
+// that address the replica answers -BUSY instead), and "-MOVED <shard>"
+// (the key's range is mid-migration; retry after a short backoff and the
+// new owner answers).
+// All three are retryable through internal/client's Retry helper.
 package server
 
 import (

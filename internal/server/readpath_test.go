@@ -120,12 +120,12 @@ func TestReadPathHammer(t *testing.T) {
 						cold++
 						n++
 					}
-					if _, err := wcl.c.Write([]byte(b.String())); err != nil {
+					if err := wcl.Send(strings.TrimSuffix(b.String(), "\n")); err != nil {
 						t.Errorf("writer: %v", err)
 						return
 					}
 					for i := 0; i < n; i++ {
-						if _, err := readReply(wcl.r); err != nil {
+						if _, err := wcl.Recv(); err != nil {
 							t.Errorf("writer reply: %v", err)
 							return
 						}
@@ -228,6 +228,13 @@ func TestLockFreeReadNeedsNoJournalSlot(t *testing.T) {
 	<-held
 	defer close(hold)
 
+	fences := p.Device().Stats().Fences
 	mustReply(t, cl, "GET 7", ":42")
 	mustReply(t, cl, "GET 9999", "$-1")
+	mustReply(t, cl, "SCAN", "*1\n7 42")
+	// A read costs no fence either, so fences/op can only fall as the
+	// read share of a mix rises.
+	if got := p.Device().Stats().Fences - fences; got != 0 {
+		t.Fatalf("three reads cost %d device fences, want 0", got)
+	}
 }

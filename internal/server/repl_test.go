@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -14,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"corundum/internal/client"
 	"corundum/internal/pmem"
 	"corundum/internal/pool"
 	"corundum/internal/server"
@@ -67,24 +67,13 @@ func startReplica(t *testing.T, pools []*pool.Pool, opts server.Options, primary
 
 // scanMap parses a SCAN reply into a map; nil when the reply is an
 // error (e.g. -BUSY during a bootstrap).
-func scanMap(t *testing.T, cl *client) map[uint64]uint64 {
+func scanMap(t *testing.T, cl *conn) map[uint64]uint64 {
 	t.Helper()
-	out, err := cl.cmd("SCAN")
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := mustCmd(t, cl, "SCAN")
 	if !strings.HasPrefix(out, "*") {
 		return nil
 	}
-	m := map[uint64]uint64{}
-	for _, line := range strings.Split(out, "\n")[1:] {
-		var k, v uint64
-		if _, err := fmt.Sscanf(line, "%d %d", &k, &v); err != nil {
-			t.Fatalf("bad SCAN line %q", line)
-		}
-		m[k] = v
-	}
-	return m
+	return scanToMap(t, out)
 }
 
 func sameMap(a, b map[uint64]uint64) bool {
@@ -100,7 +89,7 @@ func sameMap(a, b map[uint64]uint64) bool {
 }
 
 // waitReplicaHas polls SCAN on cl until it equals model byte-exactly.
-func waitReplicaHas(t *testing.T, cl *client, model map[uint64]uint64) {
+func waitReplicaHas(t *testing.T, cl *conn, model map[uint64]uint64) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
@@ -157,19 +146,30 @@ func TestReplicationBootstrapTailAndRedirect(t *testing.T) {
 	if fs := srvB.ReplicaStatus().FullSyncs; fs != 1 {
 		t.Fatalf("tail caused %d full syncs, want 1", fs)
 	}
+	// With the write window over and the replica caught up, lag drains to
+	// zero on both ends (the primary's view trails by one ACK).
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		lagA, lagB := srvA.ReplLag().Frames, srvB.ReplLag().Frames
+		if lagA == 0 && lagB == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("lag never drained after the write window: primary sees %d frames, replica %d", lagA, lagB)
+		}
+	}
 
 	// Replica reads work; mutations redirect to the PRIMARY'S CLIENT
 	// address (not its replication listener) in ReadonlyPrimary form.
 	mustReply(t, clB, "GET 5", fmt.Sprintf(":%d", valFor(5)))
 	reply := mustCmd(t, clB, "SET 5 1")
-	if !server.IsReadonlyReply(reply) || !server.IsRetryableReply(reply) {
+	if !client.IsReadonlyReply(reply) || !client.IsRetryableReply(reply) {
 		t.Fatalf("SET on replica = %q, want retryable -READONLY", reply)
 	}
-	if got := server.ReadonlyPrimary(reply); got != addrA {
+	if got := client.ReadonlyPrimary(reply); got != addrA {
 		t.Fatalf("redirect addr = %q, want primary client addr %q", got, addrA)
 	}
 	for _, cmd := range []string{"DEL 5", "RESHARD 3", "BACKUP /tmp/nope", "RESTORE /tmp/nope"} {
-		if reply := mustCmd(t, clB, cmd); !server.IsReadonlyReply(reply) {
+		if reply := mustCmd(t, clB, cmd); !client.IsReadonlyReply(reply) {
 			t.Fatalf("%s on replica = %q, want -READONLY", cmd, reply)
 		}
 	}
@@ -413,7 +413,7 @@ func TestReplicationPromoteFailover(t *testing.T) {
 
 	// Mutations on the deposed primary now redirect to the NEW primary.
 	reply := mustCmd(t, clA, "SET 1 1")
-	if got := server.ReadonlyPrimary(reply); got != addrB {
+	if got := client.ReadonlyPrimary(reply); got != addrB {
 		t.Fatalf("deposed primary redirects to %q, want %q", got, addrB)
 	}
 
@@ -557,7 +557,7 @@ func TestReplicationAdminExclusion(t *testing.T) {
 	clB := dial(t, addrB)
 	defer clB.close()
 	for _, cmd := range []string{"RESHARD 3", "BACKUP " + backupPath + ".x", "RESTORE " + backupPath} {
-		if reply := mustCmd(t, clA, cmd); !server.IsBusyReply(reply) {
+		if reply := mustCmd(t, clA, cmd); !client.IsBusyReply(reply) {
 			t.Fatalf("%s during a replica snapshot = %q, want -BUSY", cmd, reply)
 		}
 	}
@@ -571,10 +571,10 @@ func TestReplicationAdminExclusion(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if reply := mustCmd(t, clB, "PROMOTE"); !server.IsBusyReply(reply) {
+	if reply := mustCmd(t, clB, "PROMOTE"); !client.IsBusyReply(reply) {
 		t.Fatalf("PROMOTE mid-bootstrap = %q, want -BUSY", reply)
 	}
-	if reply := mustCmd(t, clB, "SCAN"); !server.IsBusyReply(reply) {
+	if reply := mustCmd(t, clB, "SCAN"); !client.IsBusyReply(reply) {
 		t.Fatalf("SCAN mid-bootstrap = %q, want -BUSY", reply)
 	}
 	phase.Store(0)
@@ -613,13 +613,13 @@ func TestReplicationAdminExclusion(t *testing.T) {
 // dialCmd runs a single command on a fresh connection (for goroutines
 // that must not share a client).
 func dialCmd(addr, cmd string) (string, error) {
-	c, err := net.Dial("tcp", addr)
+	c, err := client.Dial(addr, 0)
 	if err != nil {
 		return "", err
 	}
 	defer c.Close()
-	cl := &client{c: c, r: bufio.NewReader(c)}
-	return cl.cmd(cmd)
+	rep, err := c.Do(cmd)
+	return rep.String(), err
 }
 
 // TestReplicationPowerCutMidApply power-cuts the replica's devices while
@@ -759,4 +759,45 @@ func TestReplicationMetricsExposed(t *testing.T) {
 	if _, ok := stats["repl_lag_frames"]; !ok {
 		t.Fatal("STATS missing repl_lag_frames")
 	}
+}
+
+// TestReplicaNeverRedirectsToReplicationAddr pins what a replica answers
+// before the SYNC handshake has taught it the primary's client address:
+// a retryable refusal naming NO address — never the configured
+// replication address, which does not speak the client protocol. The
+// "primary" here is a listener that accepts and then says nothing, so
+// the handshake can never complete.
+func TestReplicaNeverRedirectsToReplicationAddr(t *testing.T) {
+	mute, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	go func() {
+		for {
+			c, err := mute.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { c.Close() }) // held open, never answered
+		}
+	}()
+
+	pools := newShardPools(t, 2, 16<<20)
+	defer closeShardPools(pools)
+	srv, addr := startReplica(t, pools, replOpts(), mute.Addr().String())
+	defer srv.Close()
+	cl := dial(t, addr)
+	defer cl.close()
+
+	for _, cmd := range []string{"SET 1 1", "DEL 1", "RESHARD 3", "BACKUP /tmp/nope", "RESTORE /tmp/nope"} {
+		reply := mustCmd(t, cl, cmd)
+		if strings.Contains(reply, mute.Addr().String()) {
+			t.Fatalf("%s on a replica with no handshake = %q: names the replication address", cmd, reply)
+		}
+		if !client.IsBusyReply(reply) || client.ReadonlyPrimary(reply) != "" {
+			t.Fatalf("%s on a replica with no handshake = %q, want an address-free -BUSY", cmd, reply)
+		}
+	}
+	mustReply(t, cl, "GET 1", "$-1") // reads still serve
 }

@@ -40,7 +40,7 @@ type replState struct {
 
 // replicaRedirectError is the refusal a replica answers mutations with:
 // it renders as "-READONLY <primary-addr> ..." so clients (see
-// ReadonlyPrimary) can follow the redirect.
+// client.ReadonlyPrimary) can follow the redirect.
 type replicaRedirectError struct{ addr string }
 
 func (e replicaRedirectError) Error() string {
@@ -108,23 +108,24 @@ func (s *Server) clientAddr() string {
 	return ""
 }
 
-// redirectAddr is where a replica points refused mutations: the
-// primary's advertised client address when the handshake carried one,
-// else the configured replication address. "" when not a replica.
-func (s *Server) redirectAddr() string {
-	addr := s.primaryAddrStr()
-	if addr == "" {
-		return ""
+// replicaRefusal is what a replica answers mutations and admin verbs
+// with, nil when not a replica: the redirect to the primary's advertised
+// client address once the SYNC handshake has carried one, and until then
+// a retryable -BUSY naming no address — the configured replication
+// address does not speak the client protocol, so it is never offered.
+func (s *Server) replicaRefusal() error {
+	if s.primaryAddrStr() == "" {
+		return nil
 	}
 	s.replMu.Lock()
 	rep := s.repl.replica
 	s.replMu.Unlock()
 	if rep != nil {
 		if a := rep.Status().PrimaryClientAddr; a != "" {
-			return a
+			return replicaRedirectError{addr: a}
 		}
 	}
-	return addr
+	return fmt.Errorf("%w: replica: primary address not yet known", pool.ErrBusy)
 }
 
 // recoverStreamPos reads the durable replication position: epoch and

@@ -453,8 +453,7 @@ func (s *Server) flushMutations(pending *[]pendingMut, w *bufio.Writer) {
 	// A replica owns no write path: every mutation is redirected to the
 	// primary (-READONLY <addr>), never applied locally — local writes
 	// would silently diverge from the stream.
-	if addr := s.redirectAddr(); addr != "" {
-		err := replicaRedirectError{addr: addr}
+	if err := s.replicaRefusal(); err != nil {
 		for range cmds {
 			s.writeReplyErr(w, err)
 		}
@@ -1175,42 +1174,6 @@ func (s *Server) renderStats() string {
 	return out + perShard
 }
 
-// LatencySummary condenses the per-op latency instruments for benchmark
-// output: end-to-end mutation percentiles plus the mean time each phase
-// contributed, all in microseconds.
-type LatencySummary struct {
-	Ops                          uint64
-	MeanUs, P50Us, P99Us, P999Us float64
-	PhaseMeanUs                  map[string]float64
-}
-
-// LatencySummary reads the mutation latency decomposition accumulated so
-// far (zero-valued with tracing disabled or no traffic).
-func (s *Server) LatencySummary() LatencySummary {
-	h := s.m.opSecondsMut
-	sum := LatencySummary{
-		Ops:         h.Count(),
-		MeanUs:      h.Mean() * 1e6,
-		P50Us:       h.Quantile(0.5) * 1e6,
-		P99Us:       h.Quantile(0.99) * 1e6,
-		P999Us:      h.Quantile(0.999) * 1e6,
-		PhaseMeanUs: make(map[string]float64, 5),
-	}
-	for _, p := range s.m.mutationPhases() {
-		sum.PhaseMeanUs[p.Name] = p.H.Mean() * 1e6
-	}
-	return sum
-}
-
-// SetTraceSample retunes the tracer's sampling knob at runtime (see
-// Options.TraceSample; values ≤ 0 disable).
-func (s *Server) SetTraceSample(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.tracer.SetSample(n)
-}
-
 // Tracer exposes the server's op tracer (tests, embedding).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
@@ -1238,7 +1201,7 @@ func writePair(w *bufio.Writer, k, v uint64) {
 func writeErr(w io.Writer, err error) { fmt.Fprintf(w, "-ERR %s\r\n", oneLine(err.Error())) }
 
 // writeReplyErr distinguishes the two machine-actionable refusals — the
-// retryable journal-exhaustion condition (-BUSY, see RetryBusy) and the
+// retryable journal-exhaustion condition (-BUSY, see client.Retry) and the
 // read-only rejection (-READONLY: a degraded pool, or a down shard's
 // keyspace slice) — from terminal -ERR replies, and counts detected
 // media corruption surfacing through the read path.
@@ -1251,7 +1214,7 @@ func (s *Server) writeReplyErr(w io.Writer, err error) {
 		fmt.Fprintf(w, "-MOVED %d %s\r\n", moved.Shard, oneLine(err.Error()))
 	// The replica redirect wraps ErrReadOnly, so it must be matched
 	// before the generic read-only case: its reply leads with the
-	// primary's address for clients to follow (see ReadonlyPrimary).
+	// primary's address for clients to follow (see client.ReadonlyPrimary).
 	case errors.As(err, &redir):
 		s.m.readonlyRejects.Inc()
 		fmt.Fprintf(w, "-READONLY %s\r\n", oneLine(err.Error()))

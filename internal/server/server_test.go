@@ -1,9 +1,7 @@
 package server_test
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -13,6 +11,7 @@ import (
 	"testing"
 
 	"corundum/internal/baselines/corundumeng"
+	"corundum/internal/client"
 	"corundum/internal/pmem"
 	"corundum/internal/pool"
 	"corundum/internal/server"
@@ -34,68 +33,27 @@ func startServer(t *testing.T, p *pool.Pool, opts server.Options) (*server.Serve
 	return srv, ln.Addr().String()
 }
 
-type client struct {
-	c net.Conn
-	r *bufio.Reader
-}
+// conn is the tests' view of a client.Conn: replies as one normalized
+// string (head line, then body lines, '\n'-joined).
+type conn struct{ *client.Conn }
 
-func dial(t *testing.T, addr string) *client {
+func dial(t *testing.T, addr string) *conn {
 	t.Helper()
-	c, err := net.Dial("tcp", addr)
+	c, err := client.Dial(addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &client{c: c, r: bufio.NewReader(c)}
+	return &conn{c}
 }
 
-func (cl *client) close() { cl.c.Close() }
+func (cl *conn) close() { cl.Close() }
 
-// cmd sends one command and returns the reply, normalized: multi-line
-// replies (arrays, bulk strings) are joined with '\n'.
-func (cl *client) cmd(line string) (string, error) {
-	if _, err := fmt.Fprintf(cl.c, "%s\n", line); err != nil {
-		return "", err
-	}
-	return readReply(cl.r)
+func (cl *conn) cmd(line string) (string, error) {
+	rep, err := cl.Do(line)
+	return rep.String(), err
 }
 
-func readReply(r *bufio.Reader) (string, error) {
-	head, err := r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	head = strings.TrimRight(head, "\r\n")
-	switch {
-	case strings.HasPrefix(head, "$") && head != "$-1":
-		var n int
-		if _, err := fmt.Sscanf(head, "$%d", &n); err != nil {
-			return "", fmt.Errorf("bad bulk header %q", head)
-		}
-		body := make([]byte, n+2) // payload + CRLF
-		if _, err := io.ReadFull(r, body); err != nil {
-			return "", err
-		}
-		return head + "\n" + strings.TrimRight(string(body), "\r\n"), nil
-	case strings.HasPrefix(head, "*"):
-		var n int
-		if _, err := fmt.Sscanf(head, "*%d", &n); err != nil {
-			return "", fmt.Errorf("bad array header %q", head)
-		}
-		out := head
-		for i := 0; i < n; i++ {
-			line, err := r.ReadString('\n')
-			if err != nil {
-				return "", err
-			}
-			out += "\n" + strings.TrimRight(line, "\r\n")
-		}
-		return out, nil
-	default:
-		return head, nil
-	}
-}
-
-func mustReply(t *testing.T, cl *client, cmd, want string) {
+func mustReply(t *testing.T, cl *conn, cmd, want string) {
 	t.Helper()
 	got, err := cl.cmd(cmd)
 	if err != nil {
@@ -304,20 +262,16 @@ func crashRound(t *testing.T, seed int64) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := net.Dial("tcp", addr)
+			c, err := client.Dial(addr, 0)
 			if err != nil {
 				return // server may already be down
 			}
 			defer c.Close()
-			r := bufio.NewReader(c)
 			for i := 0; ; i++ {
 				key := uint64(id+1)<<40 | uint64(i)
-				if _, err := fmt.Fprintf(c, "SET %d %d\n", key, valFor(key)); err != nil {
-					return
-				}
 				sent[id] = append(sent[id], ack{key: key})
-				line, err := r.ReadString('\n')
-				if err != nil || !strings.HasPrefix(line, "+OK") {
+				rep, err := c.Do(fmt.Sprintf("SET %d %d", key, valFor(key)))
+				if err != nil || rep.Head != "+OK" {
 					return
 				}
 				sent[id][len(sent[id])-1].acked = true

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"corundum/internal/baselines/corundumeng"
+	"corundum/internal/client"
 	"corundum/internal/pmem"
 	"corundum/internal/pool"
 	"corundum/internal/server"
@@ -130,7 +131,7 @@ func TestShardedServerBasic(t *testing.T) {
 	}
 }
 
-func mustCmd(t *testing.T, cl *client, cmd string) string {
+func mustCmd(t *testing.T, cl *conn, cmd string) string {
 	t.Helper()
 	out, err := cl.cmd(cmd)
 	if err != nil {
@@ -265,23 +266,19 @@ func TestShardedCrashRecovery(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			cl, err := net.Dial("tcp", addr)
+			cl, err := client.Dial(addr, 0)
 			if err != nil {
 				return
 			}
 			defer cl.Close()
-			r := newReplyReader(cl)
 			for i := 0; i < perClient; i++ {
 				key := uint64(id+1)<<40 | uint64(i)
-				if _, err := fmt.Fprintf(cl, "SET %d %d\n", key, valFor(key)); err != nil {
-					return
-				}
 				sent[id] = append(sent[id], ack{key: key})
-				line, err := r.line()
+				rep, err := cl.Do(fmt.Sprintf("SET %d %d", key, valFor(key)))
 				if err != nil {
 					return
 				}
-				if strings.HasPrefix(line, "+OK") {
+				if rep.Head == "+OK" {
 					sent[id][len(sent[id])-1].acked = true
 				}
 			}
@@ -427,30 +424,6 @@ func TestShardedCrashRecovery(t *testing.T) {
 	}
 	if scanned < ackedTotal {
 		t.Fatalf("scan saw %d keys, fewer than %d acknowledged", scanned, ackedTotal)
-	}
-}
-
-// replyReader is a minimal line reader for the raw-conn crash clients.
-type replyReader struct {
-	buf  []byte
-	conn net.Conn
-}
-
-func newReplyReader(c net.Conn) *replyReader { return &replyReader{conn: c} }
-
-func (r *replyReader) line() (string, error) {
-	for {
-		if i := strings.IndexByte(string(r.buf), '\n'); i >= 0 {
-			line := string(r.buf[:i])
-			r.buf = r.buf[i+1:]
-			return line, nil
-		}
-		chunk := make([]byte, 512)
-		n, err := r.conn.Read(chunk)
-		if err != nil {
-			return "", err
-		}
-		r.buf = append(r.buf, chunk[:n]...)
 	}
 }
 

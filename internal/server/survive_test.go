@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"corundum/internal/baselines/corundumeng"
+	"corundum/internal/client"
 	"corundum/internal/journal"
 	"corundum/internal/pmem"
 	"corundum/internal/pool"
@@ -50,7 +50,7 @@ func TestServerBusyBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !server.IsBusyReply(reply) {
+	if !client.IsBusyReply(reply) {
 		t.Fatalf("locked GET under journal exhaustion = %q, want -BUSY", reply)
 	}
 	if !srv.Halted() == false {
@@ -62,34 +62,17 @@ func TestServerBusyBackpressure(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		close(hold)
 	}()
-	reply, err = server.RetryBusy(context.Background(), 20, time.Millisecond, 20*time.Millisecond, func() (string, error) {
+	reply, err = client.RetryBusy(context.Background(), 20, time.Millisecond, 20*time.Millisecond, func() (string, error) {
 		return cl.cmd("GET 7")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if server.IsBusyReply(reply) {
+	if client.IsBusyReply(reply) {
 		t.Fatalf("still busy after release: %q", reply)
 	}
 	if reply != "$-1" {
 		t.Fatalf("GET 7 = %q, want nil", reply)
-	}
-}
-
-func TestRetryBusyStopsAtAttempts(t *testing.T) {
-	calls := 0
-	line, err := server.RetryBusy(context.Background(), 5, time.Microsecond, 4*time.Microsecond, func() (string, error) {
-		calls++
-		return "-BUSY all journal slots busy", nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 5 {
-		t.Fatalf("do ran %d times, want 5", calls)
-	}
-	if !server.IsBusyReply(line) {
-		t.Fatalf("final line %q, want -BUSY", line)
 	}
 }
 
@@ -146,7 +129,7 @@ func TestServerGracefulShutdownDurability(t *testing.T) {
 		// mid-stream when Close fires, which is fine — unacked writes are
 		// allowed to be absent.
 		for i := uint64(1); i <= n; i++ {
-			if _, err := fmt.Fprintf(cl.c, "SET %d %d\n", i, i*10); err != nil {
+			if err := cl.Send(fmt.Sprintf("SET %d %d", i, i*10)); err != nil {
 				return
 			}
 		}
@@ -157,11 +140,11 @@ func TestServerGracefulShutdownDurability(t *testing.T) {
 	go func() {
 		defer close(readerDone)
 		for {
-			line, err := cl.r.ReadString('\n')
+			rep, err := cl.Recv()
 			if err != nil {
 				return
 			}
-			if strings.HasPrefix(line, "+OK") {
+			if rep.Head == "+OK" {
 				acked.Add(1)
 			}
 		}

@@ -349,15 +349,20 @@ func TestTraceHammer(t *testing.T) {
 	go func() {
 		defer churn.Done()
 		rates := []int{0, 1, 4}
+		scl := dial(t, addr)
+		defer scl.close()
 		for i := 0; ; i++ {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			srv.SetTraceSample(rates[i%len(rates)])
+			srv.Tracer().SetSample(rates[i%len(rates)])
 			srv.Tracer().Snapshot()
-			srv.LatencySummary()
+			if _, err := scl.cmd("STATS"); err != nil { // reads every latency histogram
+				t.Errorf("STATS under churn: %v", err)
+				return
+			}
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
@@ -392,7 +397,7 @@ func TestTraceHammer(t *testing.T) {
 	close(done)
 	churn.Wait()
 
-	srv.SetTraceSample(1)
+	srv.Tracer().SetSample(1)
 	cl := dial(t, addr)
 	defer cl.close()
 	parseSlowlog(t, mustCmd(t, cl, "SLOWLOG 32")) // still parses after the churn
