@@ -29,8 +29,10 @@ func TestImportGraphLaws(t *testing.T) {
 			why: "the serving path must not depend on the harnesses that test it"},
 		{dir: "internal/repl", deny: []string{"internal/bench", "internal/explore", "internal/torture"},
 			why: "the serving path must not depend on the harnesses that test it"},
-		{dir: "internal/pmem", only: []string{"internal/obs", "internal/gid"},
+		{dir: "internal/pmem", only: []string{"internal/obs"},
 			why: "the device emulator is the bottom layer"},
+		{dir: "internal/obs", only: []string{},
+			why: "the observability substrate is dependency-free, so every layer can record into it"},
 		{dir: "internal/pool", deny: []string{"internal/workloads", "internal/server", "internal/repl", "internal/core"},
 			why: "the pool never imports upward"},
 	}

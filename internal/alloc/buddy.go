@@ -62,7 +62,8 @@ var (
 // the first 16 bytes of a free block hold next and prev offsets (0 = none).
 type Buddy struct {
 	mu        sync.Mutex
-	dev       *pmem.Device
+	dev       *pmem.Device // payload and format stores: user-data traffic
+	redo      pmem.Handle  // redo log, apply, and slab ledger: alloc-redo traffic
 	logOff    uint64
 	headsOff  uint64
 	mapOff    uint64
@@ -120,9 +121,11 @@ func layout(dev *pmem.Device, metaOff, heapOff, heapSize uint64) *Buddy {
 	if heapOff%Granule != 0 {
 		panic("alloc: heap offset must be granule-aligned")
 	}
+	redo := dev.In(pmem.ScopeAllocRedo)
 	b := &Buddy{
-		batch:    newBatch(dev, metaOff),
+		batch:    newBatch(redo, metaOff),
 		dev:      dev,
+		redo:     redo,
 		logOff:   metaOff,
 		headsOff: metaOff + logAreaSize,
 		mapOff:   metaOff + logAreaSize + maxOrders*8,
@@ -185,7 +188,7 @@ func Format(dev *pmem.Device, metaOff, heapOff, heapSize uint64) *Buddy {
 // crashed incarnation had parked in its cache go back to the free lists.
 func Open(dev *pmem.Device, metaOff, heapOff, heapSize uint64) *Buddy {
 	b := layout(dev, metaOff, heapOff, heapSize)
-	replayLog(dev, b.logOff)
+	replayLog(b.redo, b.logOff)
 	b.replayLedger()
 	b.inUse = b.heapSize - b.freeBytesLocked()
 	return b
@@ -269,7 +272,7 @@ func (b *Buddy) AtomicInit(data []byte) (uint64, error) {
 func (b *Buddy) AllocEx(size uint64, payload []byte, extra func(off uint64) []Update) (uint64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	replayLog(b.dev, b.logOff) // finish any interrupted prior commit
+	replayLog(b.redo, b.logOff) // finish any interrupted prior commit
 	// Parked blocks are NOT served here: handing one out without a fence is
 	// only sound when a journal's durable state word can arbitrate ownership
 	// after a crash, which is exactly what AllocClaim implements. AllocEx
@@ -403,7 +406,7 @@ func (b *Buddy) Free(off, size uint64) error {
 	if off < b.heapOff || off >= b.heapOff+b.heapSize || (off-b.heapOff)%(uint64(1)<<order) != 0 {
 		return fmt.Errorf("%w: offset %#x", ErrBadFree, off)
 	}
-	replayLog(b.dev, b.logOff) // finish any interrupted prior commit
+	replayLog(b.redo, b.logOff) // finish any interrupted prior commit
 	// A parked block's order-map byte still reads allocated, so the map
 	// check below cannot catch a second free of it; the cache itself can.
 	if _, parked := b.slab.cached[off]; parked {

@@ -143,7 +143,7 @@ func (b *Buddy) verifyChecksumsLocked() error {
 func (b *Buddy) ScrubChecksums(repair bool) (repaired bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	replayLog(b.dev, b.logOff)
+	replayLog(b.redo, b.logOff)
 	err = b.verifyChecksumsLocked()
 	if err != nil && repair {
 		if consistency := b.checkConsistencyLocked(); consistency == nil {

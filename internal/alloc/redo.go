@@ -47,12 +47,12 @@ type redoEntry struct {
 // staged-value lookups use a linear scan rather than a map, and the arena
 // reuses one batch across operations to stay allocation-free.
 type redoBatch struct {
-	dev     *pmem.Device
+	dev     pmem.Handle // the arena's alloc-redo handle
 	logOff  uint64
 	entries []redoEntry
 }
 
-func newBatch(dev *pmem.Device, logOff uint64) *redoBatch {
+func newBatch(dev pmem.Handle, logOff uint64) *redoBatch {
 	return &redoBatch{dev: dev, logOff: logOff}
 }
 
@@ -125,7 +125,6 @@ func (b *redoBatch) commit() {
 	if len(b.entries) == 0 {
 		return
 	}
-	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeAllocRedo))
 	// Entries and header in one contiguous region: one flush run, one fence.
 	var ebuf [entrySize]byte
 	crc := crc32.NewIEEE()
@@ -149,7 +148,7 @@ func (b *redoBatch) commit() {
 
 // applyEntries writes every entry home and persists them, flushing each
 // touched cache line once.
-func applyEntries(dev *pmem.Device, entries []redoEntry) {
+func applyEntries(dev pmem.Handle, entries []redoEntry) {
 	var w [8]byte
 	for _, e := range entries {
 		switch e.width {
@@ -179,7 +178,7 @@ flushLoop:
 	dev.Fence()
 }
 
-func clearLogHeader(dev *pmem.Device, logOff uint64) {
+func clearLogHeader(dev pmem.Handle, logOff uint64) {
 	var zero [logHeaderSize]byte
 	dev.Write(logOff, zero[:])
 	dev.Persist(logOff, logHeaderSize)
@@ -190,8 +189,7 @@ func clearLogHeader(dev *pmem.Device, logOff uint64) {
 // it is safe even if the crash happened midway through the original apply.
 // A torn log (checksum mismatch) means the commit point was never reached:
 // the operation un-happened, and the log is discarded.
-func replayLog(dev *pmem.Device, logOff uint64) {
-	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeAllocRedo))
+func replayLog(dev pmem.Handle, logOff uint64) {
 	n := binary.LittleEndian.Uint64(dev.Bytes()[logOff:])
 	if n == 0 {
 		return

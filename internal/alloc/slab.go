@@ -234,13 +234,12 @@ func claimMeta(off uint64, order uint, journal int, epoch16 uint16) uint64 {
 // The entry rides the caller's next fence, exactly like the free-list
 // words a buddy free would have written.
 func (b *Buddy) writeLedger(slot int, off uint64, order uint) {
-	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeAllocRedo))
 	var w [slabSlotSize]byte
 	binary.LittleEndian.PutUint64(w[0:], off)
 	binary.LittleEndian.PutUint64(w[8:], slabMeta(off, order))
 	pos := b.slabSlotOff(slot)
-	b.dev.Write(pos, w[:])
-	b.dev.Flush(pos, slabSlotSize)
+	b.redo.Write(pos, w[:])
+	b.redo.Flush(pos, slabSlotSize)
 }
 
 // AllocClaim is the deferred-fence allocation fast path: it serves size
@@ -262,20 +261,18 @@ func (b *Buddy) AllocClaim(size uint64, payload []byte, journal int, epoch uint6
 	if ci < 0 || len(b.slab.classes[ci]) == 0 {
 		return 0, false
 	}
-	replayLog(b.dev, b.logOff) // finish any interrupted prior commit
+	replayLog(b.redo, b.logOff) // finish any interrupted prior commit
 	class := b.slab.classes[ci]
 	blk := class[len(class)-1]
 	b.slab.classes[ci] = class[:len(class)-1]
 	delete(b.slab.cached, blk.off)
 	b.slab.bytes -= uint64(1) << order
 
-	prev := pmem.EnterScope(pmem.ScopeAllocRedo)
 	var w [8]byte
 	binary.LittleEndian.PutUint64(w[:], claimMeta(blk.off, order, journal, uint16(epoch)))
 	pos := b.slabSlotOff(blk.slot) + 8
-	b.dev.Write(pos, w[:])
-	b.dev.Flush(pos, 8)
-	pmem.ExitScope(prev)
+	b.redo.Write(pos, w[:])
+	b.redo.Flush(pos, 8)
 
 	b.slab.claims = append(b.slab.claims, blk)
 	if payload != nil {
@@ -303,12 +300,11 @@ func (b *Buddy) RetireClaims() {
 	if len(b.slab.claims) == 0 {
 		return
 	}
-	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeAllocRedo))
 	var zero [8]byte
 	for _, blk := range b.slab.claims {
 		pos := b.slabSlotOff(blk.slot) + 8
-		b.dev.Write(pos, zero[:])
-		b.dev.Flush(pos, 8)
+		b.redo.Write(pos, zero[:])
+		b.redo.Flush(pos, 8)
 		b.slab.freeSlots = append(b.slab.freeSlots, blk.slot)
 	}
 	b.slab.claims = b.slab.claims[:0]
@@ -327,7 +323,7 @@ func (b *Buddy) ResolveClaims(txAborted func(journal int, epoch16 uint16) bool) 
 	if len(b.slab.pendingClaims) == 0 {
 		return
 	}
-	replayLog(b.dev, b.logOff)
+	replayLog(b.redo, b.logOff)
 	batch := b.batch
 	batch.reset()
 	var freed uint64

@@ -24,6 +24,10 @@
 //	       API: all library guarantees assume no unsafe code (§3.1).
 //	PM006  A persistent pointer type escapes a transaction through
 //	       TransactionV's return value (TxOutSafe).
+//	PM007  Transaction on pool tag P called lexically inside a transaction
+//	       body on the same P: that opens a second, independent
+//	       transaction rather than joining the caller's. Pass j to join.
+//	       Nesting transactions on two different pools is fine.
 //
 // The analyzer is purely syntactic (go/ast) with same-package type
 // resolution; it needs no build context, so it runs on any tree. It
@@ -161,6 +165,7 @@ func (c *checker) run() {
 		if (name == "Transaction" || name == "TransactionV") && len(call.Args) == 1 {
 			if body, ok := call.Args[0].(*ast.FuncLit); ok {
 				c.checkTransactionBody(body)
+				c.checkNestedSamePool(body, poolTag(typeArgs))
 			}
 		}
 		if name == "TransactionV" && len(typeArgs) > 0 {
@@ -440,6 +445,41 @@ func (c *checker) checkTransactionBody(body *ast.FuncLit) {
 				"goroutine spawned inside a transaction: it outlives the transaction, so captured persistent pointers may be orphaned; pass a VWeak and Promote it in the goroutine's own transaction (§3.9)")
 		}
 		return true
+	})
+}
+
+// poolTag renders the pool tag of a Transaction[P] or TransactionV[T, P]
+// call — its last explicit type argument — or "" when it is inferred.
+func poolTag(typeArgs []ast.Expr) string {
+	if len(typeArgs) == 0 {
+		return ""
+	}
+	switch tag := typeArgs[len(typeArgs)-1].(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+		return exprString(tag)
+	}
+	return ""
+}
+
+// checkNestedSamePool flags Transaction calls on pool tag inside body, a
+// transaction body on that same tag. It does not descend into a flagged
+// call: that call's own body is checked in its own right.
+func (c *checker) checkNestedSamePool(body *ast.FuncLit, tag string) {
+	if tag == "" {
+		return
+	}
+	ast.Inspect(body.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		name, typeArgs := callee(call)
+		if (name != "Transaction" && name != "TransactionV") || poolTag(typeArgs) != tag {
+			return true
+		}
+		c.report(call.Pos(), "PM007",
+			"%s on pool %s inside a transaction on the same pool: pass j — this opens a second, independent transaction (its own journal slot, its own commit), it does not join the caller's", name, tag)
+		return false
 	})
 }
 

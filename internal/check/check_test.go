@@ -45,6 +45,9 @@ func TestCorpus(t *testing.T) {
 				}
 			}
 			for line, codes := range got {
+				if len(codes) != len(want[line]) {
+					t.Errorf("line %d: got %v, want %v (each diagnostic once)", line, codes, want[line])
+				}
 				for _, code := range codes {
 					if !contains(want[line], code) {
 						t.Errorf("line %d: unexpected diagnostic %s", line, code)
@@ -187,6 +190,26 @@ func f() {
 	}
 	if len(diags) != 0 {
 		t.Fatalf("captured read flagged: %v", diags)
+	}
+}
+
+// TestCrossPoolNestingIsNotPM007: nesting transactions on two different
+// pool tags (the only lexical nesting in the tree) is not a same-pool
+// nested transaction.
+func TestCrossPoolNestingIsNotPM007(t *testing.T) {
+	const file = "../core/testdata/crosspool/main.go"
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := Source(file, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		if d.Code == "PM007" {
+			t.Errorf("%s", d)
+		}
 	}
 }
 

@@ -221,8 +221,11 @@ type Journal[P any] struct {
 
 // Transaction runs body atomically on pool P. All updates made through the
 // journal are undo-logged and either commit together or roll back together
-// on error, panic, or crash (Design Goal 3). Nested transactions on the
-// same pool from the same goroutine flatten into the outermost one.
+// on error, panic, or crash (Design Goal 3). Code that should join the
+// caller's transaction takes the caller's j; calling Transaction on the
+// same pool from inside body opens a second, independent transaction on
+// its own journal slot (pmcheck PM007). Nesting transactions on two
+// different pools is fine.
 func Transaction[P any](body func(j *Journal[P]) error) error {
 	st, err := stateOf[P]()
 	if err != nil {

@@ -87,12 +87,12 @@ func slotStale(img []byte, dirOff, bufOff uint64, index int) bool {
 // RepairSlot rewrites journal index's directory slot from its buffer
 // state word — the authoritative copy — and persists it. Callers must
 // hold the journal quiescent (fsck-time repair, recovery, or scrub with
-// the journal out of the free list); the write inherits the caller's
-// attribution scope.
-func RepairSlot(dev *pmem.Device, dirOff, bufOff, bufCap uint64, index int) {
+// the journal out of the free list); the write is charged to the
+// caller's handle.
+func RepairSlot(dev pmem.Handle, dirOff, bufOff, bufCap uint64, index int) {
 	slot := dirOff + uint64(index)*slotSize
 	var buf [slotSize]byte
-	putUint64(buf[:], encodeSlotWord(index, stateWord(dev, bufOff+uint64(index)*bufCap)))
+	putUint64(buf[:], encodeSlotWord(index, stateWord(dev.Device, bufOff+uint64(index)*bufCap)))
 	dev.Write(slot, buf[:])
 	dev.Persist(slot, slotSize)
 }

@@ -69,7 +69,8 @@ var ErrTxTooLarge = errors.New("journal: log entry exceeds journal segment capac
 // transaction currently using it. A journal serves one transaction at a
 // time; the pool hands idle journals to new transactions.
 type Journal struct {
-	dev     *pmem.Device
+	dev     *pmem.Device // commit-time data flush and fence: user-data traffic
+	log     pmem.Handle  // log entries and state words: journal traffic
 	heap    Heap
 	arena   int    // allocator arena this journal allocates from
 	slotOff uint64 // directory entry
@@ -89,10 +90,10 @@ type Journal struct {
 	allocSpans []span              // blocks allocated this tx (fresh-block undo skip)
 	logged     map[uint64]struct{} // data offsets already undo-logged this tx
 	held       map[uint64]struct{} // lock keys held until transaction end
-	depth    int                 // flattened-nesting depth
-	defers   []func()            // run after commit or abort (lock releases)
-	aborted  bool
-	logBytes uint64 // log bytes appended by the current transaction
+	depth      int                 // flattened-nesting depth
+	defers     []func()            // run after commit or abort (lock releases)
+	aborted    bool
+	logBytes   uint64 // log bytes appended by the current transaction
 }
 
 // DirSize returns the directory bytes needed for n journal slots.
@@ -103,19 +104,19 @@ func DirSize(n int) uint64 { return uint64(n) * slotSize }
 // bufCap bytes each at bufOff. It returns the journals. The caller
 // persists the containing region.
 func Format(dev *pmem.Device, heap Heap, dirOff, bufOff, bufCap uint64, n int) []*Journal {
-	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeJournal))
+	log := dev.In(pmem.ScopeJournal)
 	js := make([]*Journal, n)
 	for i := range js {
 		slot := dirOff + uint64(i)*slotSize
 		var sw [slotSize]byte
 		putUint64(sw[:], encodeSlotWord(i, 0)) // idle, epoch 0
-		dev.Write(slot, sw[:])
+		log.Write(slot, sw[:])
 		b := bufOff + uint64(i)*bufCap
-		dev.Write(b, make([]byte, stateSize+1)) // stateIdle + terminator
-		dev.Persist(b, stateSize+1)
+		log.Write(b, make([]byte, stateSize+1)) // stateIdle + terminator
+		log.Persist(b, stateSize+1)
 		js[i] = attach(dev, heap, i, slot, b, bufCap)
 	}
-	dev.Persist(dirOff, DirSize(n))
+	log.Persist(dirOff, DirSize(n))
 	return js
 }
 
@@ -130,7 +131,7 @@ func Attach(dev *pmem.Device, heap Heap, dirOff, bufOff, bufCap uint64, n int) [
 }
 
 func attach(dev *pmem.Device, heap Heap, arena int, slotOff, bufOff, bufCap uint64) *Journal {
-	j := &Journal{dev: dev, heap: heap, arena: arena, slotOff: slotOff, bufOff: bufOff, bufCap: bufCap}
+	j := &Journal{dev: dev, log: dev.In(pmem.ScopeJournal), heap: heap, arena: arena, slotOff: slotOff, bufOff: bufOff, bufCap: bufCap}
 	// Resume epochs above whatever is durable so new entries can never
 	// validate against a stale state word.
 	j.epoch = stateWord(dev, bufOff) >> 8
@@ -423,9 +424,7 @@ func (j *Journal) commit() {
 		// transition is even written. The commit record must never be able
 		// to reach the media (e.g. via cache eviction) ahead of the entries
 		// it governs.
-		prev := pmem.EnterScope(pmem.ScopeJournal)
-		j.dev.Flush(j.flushedTo, j.tail+1-j.flushedTo)
-		pmem.ExitScope(prev)
+		j.log.Flush(j.flushedTo, j.tail+1-j.flushedTo)
 		j.flushedTo = j.tail + 1
 	}
 	j.dev.Fence()
@@ -459,18 +458,14 @@ func (j *Journal) commit() {
 		// the media ahead of it (an evicted idle word paired with a lost
 		// park would leak the block — recovery ignores idle journals), so
 		// fence the parks before the retire is even written.
-		prev := pmem.EnterScope(pmem.ScopeAllocRedo)
-		j.dev.Fence()
-		pmem.ExitScope(prev)
+		j.dev.In(pmem.ScopeAllocRedo).Fence()
 	}
 	// Lazy retire: flushed but not fenced. Any later fence carries it, and
 	// a crash that still observes stateCommitting merely re-applies the
 	// drops and page frees idempotently; epoch-seeded checksums stop any
 	// later transaction's entries from being mistaken for this one's.
-	prev := pmem.EnterScope(pmem.ScopeJournal)
 	j.writeState(stateIdle)
-	j.dev.Flush(j.bufOff, stateSize)
-	pmem.ExitScope(prev)
+	j.log.Flush(j.bufOff, stateSize)
 	j.tail = j.bufOff + stateSize
 }
 
@@ -549,14 +544,13 @@ func (j *Journal) rollback() {
 // (lazy, no extra fence); being a single aligned word, a crash leaves
 // either the old or the new mirror, both checksum-valid.
 func (j *Journal) writeState(s byte) {
-	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeJournal))
 	word := j.epoch<<8 | uint64(s)
 	var w [8]byte
 	putUint64(w[:], word)
-	j.dev.Write(j.bufOff, w[:])
+	j.log.Write(j.bufOff, w[:])
 	putUint64(w[:], encodeSlotWord(j.arena, word))
-	j.dev.Write(j.slotOff, w[:])
-	j.dev.Flush(j.slotOff, stateSize)
+	j.log.Write(j.slotOff, w[:])
+	j.log.Flush(j.slotOff, stateSize)
 }
 
 // setState persists the journal's state word (8-byte atomic on real PM).
@@ -565,7 +559,6 @@ func (j *Journal) writeState(s byte) {
 // read 2 journal : 1 user-data for a plain overwrite (append, commit
 // fence, retire), the split the paper's cost model predicts.
 func (j *Journal) setState(s byte) {
-	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeJournal))
 	j.writeState(s)
-	j.dev.Persist(j.bufOff, stateSize)
+	j.log.Persist(j.bufOff, stateSize)
 }

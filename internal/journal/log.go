@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 
 	"corundum/internal/alloc"
-	"corundum/internal/pmem"
 )
 
 func leUint64(b []byte) uint64     { return binary.LittleEndian.Uint64(b) }
@@ -86,7 +85,6 @@ func (j *Journal) append(kind byte, off, size uint64, payload []byte) error {
 	if err := j.ensureRoom(total); err != nil {
 		return err
 	}
-	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeJournal))
 	// Flush from the watermark: this covers any deferred (drop) entries
 	// sitting between the last persisted byte and this entry, so recovery's
 	// scan can never hit a torn gap before a persisted entry.
@@ -100,13 +98,13 @@ func (j *Journal) append(kind byte, off, size uint64, payload []byte) error {
 	binary.LittleEndian.PutUint32(hdr[4:], entryCRC(j.epoch, kind, off, size, payload))
 	binary.LittleEndian.PutUint64(hdr[8:], off)
 	binary.LittleEndian.PutUint64(hdr[16:], size)
-	j.dev.Write(j.tail, hdr[:])
+	j.log.Write(j.tail, hdr[:])
 	if len(payload) > 0 {
-		j.dev.Write(j.tail+entryHdrSize, payload)
+		j.log.Write(j.tail+entryHdrSize, payload)
 	}
-	j.dev.Write(j.tail+total, []byte{entryEnd})
-	j.dev.Flush(flushFrom, j.tail+total+1-flushFrom)
-	j.dev.Fence()
+	j.log.Write(j.tail+total, []byte{entryEnd})
+	j.log.Flush(flushFrom, j.tail+total+1-flushFrom)
+	j.log.Fence()
 	j.flushedTo = j.tail + total
 	var pl []byte
 	if kind == entryData {
@@ -154,7 +152,6 @@ func (j *Journal) appendDeferred(kind byte, off, size uint64) error {
 	if err := j.ensureRoom(total); err != nil {
 		return err
 	}
-	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeJournal))
 	if !j.started {
 		j.writeState(stateRunning)
 		j.started = true
@@ -164,8 +161,8 @@ func (j *Journal) appendDeferred(kind byte, off, size uint64) error {
 	binary.LittleEndian.PutUint32(hdr[4:], entryCRC(j.epoch, kind, off, size, nil))
 	binary.LittleEndian.PutUint64(hdr[8:], off)
 	binary.LittleEndian.PutUint64(hdr[16:], size)
-	j.dev.Write(j.tail, hdr[:])
-	j.dev.Write(j.tail+total, []byte{entryEnd})
+	j.log.Write(j.tail, hdr[:])
+	j.log.Write(j.tail+total, []byte{entryEnd})
 	// flushedTo intentionally not advanced: this entry is deferred.
 	j.live = append(j.live, entry{kind: kind, off: off, size: size})
 	j.tail += total
@@ -216,20 +213,19 @@ func (j *Journal) chainPage() error {
 // reserveAt writes an unsealed entry header (kind stays invalid) at pos
 // and pre-flushes it, covering any deferred entries below the watermark.
 func (j *Journal) reserveAt(pos uint64, kind byte, size uint64) (hdrOff, payloadOff uint64, err error) {
-	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeJournal))
 	if !j.started {
 		j.writeState(stateRunning)
 		j.started = true
 	}
 	if j.flushedTo < pos {
-		j.dev.Flush(j.flushedTo, pos-j.flushedTo)
+		j.log.Flush(j.flushedTo, pos-j.flushedTo)
 		j.flushedTo = pos
 	}
 	var hdr [entryHdrSize]byte
 	binary.LittleEndian.PutUint64(hdr[16:], size)
-	j.dev.Write(pos, hdr[:])
-	j.dev.Write(pos+entryHdrSize, []byte{entryEnd})
-	j.dev.Flush(pos, entryHdrSize+1)
+	j.log.Write(pos, hdr[:])
+	j.log.Write(pos+entryHdrSize, []byte{entryEnd})
+	j.log.Flush(pos, entryHdrSize+1)
 	j.flushedTo = pos + entryHdrSize
 	return pos, pos + entryHdrSize, nil
 }

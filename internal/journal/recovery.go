@@ -18,9 +18,9 @@ import (
 // free), so a crash during recovery is handled by running Recover again.
 // It returns the number of transactions rolled back and rolled forward.
 func Recover(dev *pmem.Device, heap Heap, dirOff, bufOff, bufCap uint64, n int) (rolledBack, rolledForward int) {
-	// Everything below is attributed to recovery; allocator frees inside
-	// re-enter the redo scope on their own (innermost wins).
-	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeRecovery))
+	// Recovery's own stores go through rec; allocator frees inside are
+	// charged by the allocator's own handle (innermost wins).
+	rec := dev.In(pmem.ScopeRecovery)
 	for i := 0; i < n; i++ {
 		bOff := bufOff + uint64(i)*bufCap
 		word := stateWord(dev, bOff)
@@ -32,7 +32,7 @@ func Recover(dev *pmem.Device, heap Heap, dirOff, bufOff, bufCap uint64, n int) 
 			// or carry at-rest damage; the buffer word is authoritative
 			// either way, so resync in place.
 			if slotStale(dev.Bytes(), dirOff, bOff, i) {
-				RepairSlot(dev, dirOff, bufOff, bufCap, i)
+				RepairSlot(rec, dirOff, bufOff, bufCap, i)
 			}
 			continue
 		}
@@ -59,7 +59,7 @@ func Recover(dev *pmem.Device, heap Heap, dirOff, bufOff, bufCap uint64, n int) 
 				// buffer — but the transaction may still own slab claims
 				// (claim-only transactions log no entries at all), so this is
 				// a rollback and must bump like one.
-				clearSlot(dev, dirOff, bOff, i, true)
+				clearSlot(rec, dirOff, bOff, i, true)
 				rolledBack++
 				continue
 			}
@@ -71,8 +71,8 @@ func Recover(dev *pmem.Device, heap Heap, dirOff, bufOff, bufCap uint64, n int) 
 					// injectable device op: exhaustive exploration must be able
 					// to cut power between any two recovery stores, and a store
 					// the injector cannot see would be an unexplorable gap.
-					dev.Write(e.off, e.payload)
-					dev.Flush(e.off, e.size)
+					rec.Write(e.off, e.payload)
+					rec.Flush(e.off, e.size)
 				case entryAlloc:
 					if heap.IsAllocated(e.off, e.size) {
 						if err := heap.Free(e.off, e.size); err != nil {
@@ -81,7 +81,7 @@ func Recover(dev *pmem.Device, heap Heap, dirOff, bufOff, bufCap uint64, n int) 
 					}
 				}
 			}
-			dev.Fence()
+			rec.Fence()
 			rolledBack++
 		}
 		// Reclaim continuation pages BEFORE retiring the log (an idle
@@ -99,7 +99,7 @@ func Recover(dev *pmem.Device, heap Heap, dirOff, bufOff, bufCap uint64, n int) 
 				}
 			}
 		}
-		clearSlot(dev, dirOff, bOff, i, state != stateCommitting)
+		clearSlot(rec, dirOff, bOff, i, state != stateCommitting)
 	}
 	return rolledBack, rolledForward
 }
@@ -141,10 +141,10 @@ func ClaimAborted(dev *pmem.Device, bufOff uint64, e16 uint16) bool {
 // resolver tell "epoch e rolled back in recovery" (idle at e+1) apart
 // from "epoch e committed" (idle at e), since neither leaves log entries
 // behind for a claim-only transaction. A rolled-forward commit keeps its
-/// epoch, marking its claims as owned. Idempotent under re-crash: the
+// / epoch, marking its claims as owned. Idempotent under re-crash: the
 // bumped word is itself idle, so a second recovery pass skips the slot.
-func clearSlot(dev *pmem.Device, dirOff, bufOff uint64, index int, bump bool) {
-	epoch := stateWord(dev, bufOff) >> 8
+func clearSlot(dev pmem.Handle, dirOff, bufOff uint64, index int, bump bool) {
+	epoch := stateWord(dev.Device, bufOff) >> 8
 	if bump {
 		epoch++
 	}

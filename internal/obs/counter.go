@@ -2,8 +2,7 @@ package obs
 
 import (
 	"sync/atomic"
-
-	"corundum/internal/gid"
+	"unsafe"
 )
 
 // counterShards spreads hot-path increments across cache lines so that
@@ -25,10 +24,15 @@ type Counter struct {
 
 func newCounter() *Counter { return &Counter{} }
 
-// shardFor picks a shard by Fibonacci-hashing the goroutine identity, so
-// each goroutine consistently lands on "its" shard.
+// shardFor picks a shard by Fibonacci-hashing the address of a stack
+// local, dropping the low bits that vary with call depth: goroutines run
+// on disjoint stacks, so each mostly lands on "its" shard without the
+// counter needing to know who the goroutine is. It is only a hint — any
+// shard is correct — and the one place this package uses unsafe.
 func shardFor() int {
-	return int((gid.ID() * 0x9E3779B97F4A7C15) >> (64 - 4))
+	var local byte
+	stack := uint64(uintptr(unsafe.Pointer(&local))) >> 11 // 2 KiB: the smallest stack
+	return int((stack * 0x9E3779B97F4A7C15) >> (64 - 4))
 }
 
 // Add increments the counter by n.

@@ -26,6 +26,35 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+// TestCounterShardHintSpreads pins what the stack-address hint is for:
+// goroutines alive at the same time mostly land on different shards.
+func TestCounterShardHintSpreads(t *testing.T) {
+	const workers = 64
+	shards := make([]int, workers)
+	var ready, done sync.WaitGroup
+	release := make(chan struct{})
+	for i := 0; i < workers; i++ {
+		ready.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			shards[i] = shardFor()
+			ready.Done()
+			<-release // stay alive so no stack is reused
+		}()
+	}
+	ready.Wait()
+	close(release)
+	done.Wait()
+	seen := map[int]bool{}
+	for _, s := range shards {
+		seen[s] = true
+	}
+	if len(seen) < counterShards/2 {
+		t.Fatalf("%d live goroutines landed on %d of %d shards", workers, len(seen), counterShards)
+	}
+}
+
 func TestGauge(t *testing.T) {
 	var g Gauge
 	g.Set(2.5)

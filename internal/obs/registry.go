@@ -4,7 +4,7 @@
 // lock-light bounded trace ring (Recorder) that the pmem device uses as its
 // crash flight recorder.
 //
-// The package deliberately imports nothing above internal/gid, so every
+// The package deliberately imports nothing else from this module, so every
 // layer of the system — device, allocator, journal, pool, server — can
 // record into it without import cycles.
 package obs

@@ -45,8 +45,8 @@ type Device struct {
 	shadow   []byte
 	pending  map[uint32][]byte
 
-	// ctrs attributes every operation to the calling goroutine's scope
-	// (see Scope); Stats sums them into a snapshot.
+	// ctrs attributes every operation to the scope of the handle it was
+	// issued through (see Scope); Stats sums them into a snapshot.
 	ctrs [NumScopes]opCounters
 
 	// hook, when set, observes every completed Write/Flush/Fence with its
@@ -65,8 +65,9 @@ type Device struct {
 	ops     atomic.Uint64
 	crashAt atomic.Uint64
 
-	injectMu sync.Mutex
-	inject   func(op Op) bool
+	// inject, when set, is the fault injector consulted before every op
+	// (SetFaultInjector); poisoned is set from the cut until the reboot.
+	inject   atomic.Pointer[func(op Op) bool]
 	poisoned atomic.Bool
 
 	// media counts injected sub-fail-stop faults (torn lines, bit flips,
@@ -294,12 +295,16 @@ func (d *Device) MarkDirty(off, n uint64) {
 // stored word-atomically so lock-free seqlock readers (pool.ReadView)
 // can race them without tearing — the emulated analogue of the hardware
 // guarantee on aligned PM stores.
-func (d *Device) Write(off uint64, data []byte) {
+//
+// Write, Flush, Fence and Persist on the device itself are charged to
+// ScopeUserData; In returns the handle for any other scope.
+func (d *Device) Write(off uint64, data []byte) { d.write(ScopeUserData, off, data) }
+
+func (d *Device) write(sc Scope, off uint64, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	d.maybeInject(OpWrite)
-	sc := CurrentScope()
+	d.maybeInject(OpWrite, sc)
 	d.ctrs[sc].writes.Add(1)
 	StoreBytes(d.buf, off, data)
 	d.MarkDirty(off, uint64(len(data)))
@@ -319,17 +324,18 @@ func (d *Device) Read(off, n uint64) []byte {
 // Flush issues a write-back for every cache line overlapping [off, off+n),
 // like a CLWB loop. Flushed lines still need a Fence before they are
 // guaranteed durable.
-func (d *Device) Flush(off, n uint64) {
+func (d *Device) Flush(off, n uint64) { d.flush(ScopeUserData, off, n) }
+
+func (d *Device) flush(sc Scope, off, n uint64) {
 	if n == 0 {
 		return
 	}
 	d.bounds(off, n)
-	sc := CurrentScope()
 	start := time.Now()
 	first := off / CacheLineSize
 	last := (off + n - 1) / CacheLineSize
 	for line := first; line <= last; line++ {
-		d.maybeInject(OpFlush)
+		d.maybeInject(OpFlush, sc)
 		d.ctrs[sc].flushes.Add(1)
 		word := &d.dirty[line/64]
 		mask := uint64(1) << (line % 64)
@@ -347,9 +353,10 @@ func (d *Device) Flush(off, n uint64) {
 
 // Fence completes all outstanding write-backs, like SFENCE. After Fence
 // returns, every previously Flushed line survives a crash.
-func (d *Device) Fence() {
-	d.maybeInject(OpFence)
-	sc := CurrentScope()
+func (d *Device) Fence() { d.fence(ScopeUserData) }
+
+func (d *Device) fence(sc Scope) {
+	d.maybeInject(OpFence, sc)
 	start := time.Now()
 	d.ctrs[sc].fences.Add(1)
 	if d.track {
@@ -388,7 +395,7 @@ func (d *Device) Crash() {
 	if !d.track {
 		panic("pmem: Crash requires Options.TrackCrash")
 	}
-	d.markCrash()
+	d.markCrash(ScopeUserData)
 	d.poisoned.Store(false) // the machine reboots
 	d.shadowMu.Lock()
 	defer d.shadowMu.Unlock()
@@ -468,7 +475,7 @@ func (d *Device) CrashWithEviction(seed int64) {
 	if !d.track {
 		panic("pmem: CrashWithEviction requires Options.TrackCrash")
 	}
-	d.markCrash()
+	d.markCrash(ScopeUserData)
 	d.poisoned.Store(false) // the machine reboots
 	rng := rand.New(rand.NewSource(seed))
 	d.shadowMu.Lock()
@@ -506,9 +513,11 @@ func (d *Device) CrashWithEviction(seed int64) {
 // fn returns true the device panics with ErrInjectedCrash; harnesses
 // recover, call Crash, and exercise recovery. Pass nil to remove.
 func (d *Device) SetFaultInjector(fn func(op Op) bool) {
-	d.injectMu.Lock()
-	d.inject = fn
-	d.injectMu.Unlock()
+	if fn == nil {
+		d.inject.Store(nil)
+		return
+	}
+	d.inject.Store(&fn)
 }
 
 // OpCount reports how many injection points the device has passed: one
@@ -526,7 +535,7 @@ func (d *Device) OpCount() uint64 { return d.ops.Load() }
 // SetFaultInjector may be combined; CrashAt fires first.
 func (d *Device) CrashAt(n uint64) { d.crashAt.Store(n) }
 
-func (d *Device) maybeInject(op Op) {
+func (d *Device) maybeInject(op Op, sc Scope) {
 	if d.poisoned.Load() {
 		// Power is already off: nothing executes after a crash. Poisoning
 		// keeps deferred cleanup in the program under test from touching the
@@ -538,24 +547,23 @@ func (d *Device) maybeInject(op Op) {
 	if at := d.crashAt.Load(); at != 0 && n >= at {
 		d.crashAt.Store(0)
 		d.poisoned.Store(true)
-		d.markCrash()
+		d.markCrash(sc)
 		panic(ErrInjectedCrash)
 	}
-	d.injectMu.Lock()
-	fn := d.inject
-	d.injectMu.Unlock()
-	if fn != nil && fn(op) {
+	if fn := d.inject.Load(); fn != nil && (*fn)(op) {
 		d.poisoned.Store(true)
-		d.markCrash()
+		d.markCrash(sc)
 		panic(ErrInjectedCrash)
 	}
 }
 
 // markCrash drops a CRASH marker into the flight recorder so a dump
 // separates the operations that preceded power loss from recovery traffic.
-func (d *Device) markCrash() {
+// sc is the scope of the op the cut fell on (user data for a cut the
+// harness makes itself).
+func (d *Device) markCrash(sc Scope) {
 	if f := d.flight.Load(); f != nil {
-		f.Record(uint8(OpCrash), uint8(CurrentScope()), 0, 0)
+		f.Record(uint8(OpCrash), uint8(sc), 0, 0)
 	}
 }
 

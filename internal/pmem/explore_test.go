@@ -105,15 +105,13 @@ func TestRestoreDurableRewindsEverything(t *testing.T) {
 
 func TestInjectorFiresDuringRecoveryScope(t *testing.T) {
 	d := newTracked(t, 4096)
-	prev := EnterScope(ScopeRecovery)
-	defer ExitScope(prev)
 	fired := false
 	d.SetFaultInjector(func(op Op) bool {
 		fired = true
 		return false
 	})
 	defer d.SetFaultInjector(nil)
-	d.Write(0, []byte{1})
+	d.In(ScopeRecovery).Write(0, []byte{1})
 	if !fired {
 		t.Fatal("fault injector did not observe an op issued in ScopeRecovery")
 	}

@@ -123,7 +123,7 @@ func (d *Device) CrashTornMasks(masks map[uint32]uint8) {
 	if !d.track {
 		panic("pmem: CrashTornMasks requires Options.TrackCrash")
 	}
-	d.markCrash()
+	d.markCrash(ScopeUserData)
 	d.poisoned.Store(false) // the machine reboots
 	d.shadowMu.Lock()
 	defer d.shadowMu.Unlock()
@@ -171,7 +171,7 @@ func (d *Device) persistWordsLocked(line uint32, mask uint8, src []byte) {
 		// should explain.
 		d.media.tornLines.Add(1)
 		if f := d.flight.Load(); f != nil {
-			f.Record(uint8(OpTear), uint8(CurrentScope()), start, uint64(applied))
+			f.Record(uint8(OpTear), uint8(ScopeUserData), start, uint64(applied))
 		}
 	}
 }
@@ -210,7 +210,7 @@ func (d *Device) InjectBitFlip(off uint64, bit uint8) {
 	}
 	d.media.bitFlips.Add(1)
 	if f := d.flight.Load(); f != nil {
-		f.Record(uint8(OpFlip), uint8(CurrentScope()), off, uint64(bit%8))
+		f.Record(uint8(OpFlip), uint8(ScopeUserData), off, uint64(bit%8))
 	}
 }
 
@@ -240,7 +240,7 @@ func (d *Device) MarkBadLine(line uint32) {
 	d.badMu.Unlock()
 	d.media.badLines.Add(1)
 	if f := d.flight.Load(); f != nil {
-		f.Record(uint8(OpBadLine), uint8(CurrentScope()), start, CacheLineSize)
+		f.Record(uint8(OpBadLine), uint8(ScopeUserData), start, CacheLineSize)
 	}
 }
 

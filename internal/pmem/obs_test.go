@@ -6,35 +6,30 @@ import (
 	"testing"
 )
 
+// TestScopeNesting: "innermost wins" is who owns which handle. Work one
+// layer does from inside another's (an allocator free performed during
+// recovery) goes through its own handle and is charged to it, and the
+// outer layer's handle is unaffected afterwards.
 func TestScopeNesting(t *testing.T) {
-	if got := CurrentScope(); got != ScopeUserData {
-		t.Fatalf("default scope = %v, want user-data", got)
-	}
-	prev := EnterScope(ScopeJournal)
-	if got := CurrentScope(); got != ScopeJournal {
-		t.Fatalf("scope = %v, want journal", got)
-	}
-	inner := EnterScope(ScopeAllocRedo)
-	if got := CurrentScope(); got != ScopeAllocRedo {
-		t.Fatalf("nested scope = %v, want alloc-redo (innermost wins)", got)
-	}
-	ExitScope(inner)
-	if got := CurrentScope(); got != ScopeJournal {
-		t.Fatalf("after inner exit scope = %v, want journal", got)
-	}
-	ExitScope(prev)
-	if got := CurrentScope(); got != ScopeUserData {
-		t.Fatalf("after outer exit scope = %v, want user-data", got)
-	}
-}
-
-func TestScopeIsPerGoroutine(t *testing.T) {
-	prev := EnterScope(ScopeRecovery)
-	defer ExitScope(prev)
-	done := make(chan Scope)
-	go func() { done <- CurrentScope() }()
-	if got := <-done; got != ScopeUserData {
-		t.Fatalf("other goroutine sees scope %v, want user-data", got)
+	d := New(4096, Options{})
+	rec, redo := d.In(ScopeRecovery), d.In(ScopeAllocRedo)
+	rec.Write(0, []byte{1})
+	redo.Write(64, []byte{2}) // the allocator, called by recovery
+	redo.Persist(64, 1)
+	rec.Persist(0, 1)
+	d.Fence() // the device itself: user data
+	st := d.Stats()
+	for sc, want := range map[Scope]OpCounts{
+		ScopeRecovery:  {Writes: 1, Flushes: 1, Fences: 1},
+		ScopeAllocRedo: {Writes: 1, Flushes: 1, Fences: 1},
+		ScopeUserData:  {Fences: 1},
+		ScopeJournal:   {},
+	} {
+		got := st.ByScope[sc]
+		got.FlushNanos, got.FenceNanos = 0, 0
+		if got != want {
+			t.Errorf("%s counts = %+v, want %+v", sc, got, want)
+		}
 	}
 }
 
@@ -43,12 +38,11 @@ func TestStatsAttributesByScope(t *testing.T) {
 	d.Write(0, []byte{1})
 	d.Flush(0, 1)
 	d.Fence()
-	prev := EnterScope(ScopeJournal)
-	d.Write(64, []byte{2})
-	d.Flush(64, 1)
-	d.Fence()
-	d.Fence()
-	ExitScope(prev)
+	j := d.In(ScopeJournal)
+	j.Write(64, []byte{2})
+	j.Flush(64, 1)
+	j.Fence()
+	j.Fence()
 
 	st := d.Stats()
 	counts := func(c OpCounts) OpCounts {
@@ -102,9 +96,7 @@ func TestOpHook(t *testing.T) {
 		calls = append(calls, call{op, sc, n})
 		mu.Unlock()
 	})
-	prev := EnterScope(ScopeAllocRedo)
-	d.Write(0, []byte{1, 2, 3})
-	ExitScope(prev)
+	d.In(ScopeAllocRedo).Write(0, []byte{1, 2, 3})
 	d.Persist(0, 3)
 	d.SetOpHook(nil)
 	d.Fence() // after removal: not observed
@@ -126,11 +118,9 @@ func TestOpHook(t *testing.T) {
 
 func TestFlightRecorderRecordsAndFormats(t *testing.T) {
 	d := New(4096, Options{FlightRecorder: 64})
-	prev := EnterScope(ScopeJournal)
-	d.Write(128, []byte{1, 2})
-	d.Flush(128, 2)
-	d.Fence()
-	ExitScope(prev)
+	j := d.In(ScopeJournal)
+	j.Write(128, []byte{1, 2})
+	j.Persist(128, 2)
 
 	evs := d.FlightEvents()
 	if len(evs) != 3 {

@@ -1,22 +1,19 @@
 package pmem
 
-import (
-	"sync"
-
-	"corundum/internal/gid"
-)
-
 // Scope labels which subsystem a device operation is performed on behalf
 // of, so flush/fence traffic can be attributed the way the paper's Fig. 9
 // breaks costs down: undo logging (journal), the allocator's redo logging,
 // user data persistence, and crash recovery.
 //
-// The scope is a property of the calling goroutine's current code path,
-// not of the device: journal and allocator code push their scope around
-// their device operations (EnterScope/ExitScope), and everything else —
-// DAX-style stores persisted at commit — defaults to ScopeUserData.
-// Scopes nest; the innermost wins (an allocation performed during
-// recovery is allocator-redo traffic).
+// The scope rides the handle an operation is issued through (Device.In),
+// not the goroutine that issues it: the journal holds a ScopeJournal
+// handle for its log and state words, the allocator a ScopeAllocRedo
+// handle, recovery makes a ScopeRecovery handle and passes it down, and
+// the device's own methods — DAX-style stores persisted at commit — are
+// the ScopeUserData handle. "Innermost wins" (an allocation performed
+// during recovery is allocator-redo traffic) is then a matter of which
+// layer owns which handle, and there is no ambient label for a panic or
+// a power cut to strand.
 type Scope uint8
 
 // Attribution scopes, in render order.
@@ -43,70 +40,30 @@ func (s Scope) String() string {
 	}
 }
 
-// The scope table maps goroutine identity to its current scope. It is
-// sharded so concurrent transactions do not serialize on one lock; a
-// goroutine outside any Enter/Exit pair has no entry and reads as
-// ScopeUserData, which keeps the table small (only goroutines currently
-// inside library code appear).
-const scopeShards = 64
-
-type scopeShard struct {
-	mu sync.Mutex
-	m  map[uint64]Scope
-	_  [24]byte // keep shards off each other's cache lines
+// Handle is a device bound to one attribution scope: its Write, Flush,
+// Fence and Persist are the device's, charged to that scope. Everything
+// else (Bytes, MarkDirty, Stats, …) is the embedded device's own. A Handle
+// is a two-word value; layers keep the one they were given and pass it by
+// value.
+type Handle struct {
+	*Device
+	scope Scope
 }
 
-var scopeTab [scopeShards]scopeShard
+// In returns the handle that charges its operations to scope.
+func (d *Device) In(scope Scope) Handle { return Handle{d, scope} }
 
-func scopeShardFor(g uint64) *scopeShard {
-	return &scopeTab[(g*0x9E3779B97F4A7C15)>>(64-6)]
-}
+// Write is Device.Write charged to the handle's scope.
+func (h Handle) Write(off uint64, data []byte) { h.Device.write(h.scope, off, data) }
 
-// EnterScope sets the calling goroutine's attribution scope and returns
-// the previous one. Callers must restore it with ExitScope (typically via
-// defer), pairing every Enter with an Exit even on panic paths so an
-// injected crash cannot leak a stale label.
-func EnterScope(s Scope) (prev Scope) {
-	g := gid.ID()
-	sh := scopeShardFor(g)
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[uint64]Scope, 8)
-	}
-	prev, ok := sh.m[g]
-	if !ok {
-		prev = ScopeUserData
-	}
-	sh.m[g] = s
-	sh.mu.Unlock()
-	return prev
-}
+// Flush is Device.Flush charged to the handle's scope.
+func (h Handle) Flush(off, n uint64) { h.Device.flush(h.scope, off, n) }
 
-// ExitScope restores the scope returned by the matching EnterScope. When
-// that restores the default, the goroutine's entry is removed so the
-// table never outgrows the set of goroutines currently inside the
-// library.
-func ExitScope(prev Scope) {
-	g := gid.ID()
-	sh := scopeShardFor(g)
-	sh.mu.Lock()
-	if prev == ScopeUserData {
-		delete(sh.m, g)
-	} else {
-		sh.m[g] = prev
-	}
-	sh.mu.Unlock()
-}
+// Fence is Device.Fence charged to the handle's scope.
+func (h Handle) Fence() { h.Device.fence(h.scope) }
 
-// CurrentScope reports the calling goroutine's attribution scope.
-func CurrentScope() Scope {
-	g := gid.ID()
-	sh := scopeShardFor(g)
-	sh.mu.Lock()
-	s, ok := sh.m[g]
-	sh.mu.Unlock()
-	if !ok {
-		return ScopeUserData
-	}
-	return s
+// Persist is the common Flush-then-Fence sequence.
+func (h Handle) Persist(off, n uint64) {
+	h.Flush(off, n)
+	h.Fence()
 }

@@ -141,9 +141,8 @@ type Pool struct {
 	// waits for a free journal slot before failing with ErrBusy.
 	acquireTO atomic.Int64
 
-	mu     sync.RWMutex
-	open   bool
-	active map[uint64]*journal.Journal // goroutine id -> journal (flattening)
+	mu   sync.RWMutex
+	open bool
 
 	// metrics, when set by EnableMetrics, receives per-transaction
 	// observations; atomic so the transaction path never takes mu for it.
@@ -206,7 +205,7 @@ func Create(path string, cfg Config) (*Pool, error) {
 		}
 	}
 
-	p := &Pool{dev: dev, heapStart: g.heapOff, arenaSpan: g.arenaHeap, geo: g, active: make(map[uint64]*journal.Journal)}
+	p := &Pool{dev: dev, heapStart: g.heapOff, arenaSpan: g.arenaHeap, geo: g}
 	for i := 0; i < g.nJournals; i++ {
 		meta := g.metaOff + uint64(i)*alloc.MetaSize(g.arenaHeap)
 		heap := g.heapOff + uint64(i)*g.arenaHeap
@@ -290,7 +289,7 @@ func Attach(dev *pmem.Device) (*Pool, error) {
 		return nil, fmt.Errorf("pool: computed arena heap %d != recorded %d", g.arenaHeap, h.arenaHeap)
 	}
 
-	p := &Pool{dev: dev, heapStart: g.heapOff, arenaSpan: g.arenaHeap, geo: g, active: make(map[uint64]*journal.Journal)}
+	p := &Pool{dev: dev, heapStart: g.heapOff, arenaSpan: g.arenaHeap, geo: g}
 	phaseStart := time.Now()
 	mark := func(name string) {
 		now := time.Now()

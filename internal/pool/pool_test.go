@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"corundum/internal/journal"
 	"corundum/internal/pmem"
@@ -136,35 +137,59 @@ func TestTransactionPanicRollsBackAndRepanics(t *testing.T) {
 	}
 }
 
-func TestNestedTransactionsFlattenAcrossCalls(t *testing.T) {
-	p := newPool(t)
-	var cell uint64
-	err := p.Transaction(func(j *journal.Journal) error {
-		var err error
-		cell, err = j.Alloc(8)
-		if err != nil {
-			return err
-		}
-		p.write8(cell, 1)
-		return p.Transaction(func(j2 *journal.Journal) error {
-			if j2 != j {
-				t.Error("nested transaction got a different journal")
-			}
-			if err := j2.DataLog(cell, 8); err != nil {
-				return err
-			}
-			p.write8(cell, 2)
-			return nil
-		})
-	})
+// TestNestedTransactionIsIndependent pins what calling Transaction from
+// inside a transaction body means: a second transaction on its own journal
+// slot, committed or aborted on its own. Joining the caller's transaction
+// is done by passing j (journal.TestNestedTransactionsFlatten covers the
+// flattening itself). With every slot taken the inner call waits, or
+// under SetAcquireTimeout fails with ErrBusy.
+func TestNestedTransactionIsIndependent(t *testing.T) {
+	p, err := Create("", Config{Size: 8 << 20, Journals: 2, JournalCap: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.read8(cell); got != 2 {
-		t.Fatalf("got %d, want 2", got)
+	p.SetAcquireTimeout(10 * time.Millisecond)
+	var outerCell, innerCell uint64
+	boom := errors.New("outer boom")
+	err = p.Transaction(func(j *journal.Journal) error {
+		var err error
+		if outerCell, err = j.Alloc(8); err != nil {
+			return err
+		}
+		if err := p.Transaction(func(j2 *journal.Journal) error {
+			if j2 == j {
+				t.Error("inner transaction shares the outer journal")
+			}
+			innerCell, err = j2.Alloc(8)
+			if err != nil {
+				return err
+			}
+			// Both slots are now taken: a third level cannot start.
+			if err := p.Transaction(func(*journal.Journal) error { return nil }); !errors.Is(err, ErrBusy) {
+				t.Errorf("third-level transaction = %v, want ErrBusy", err)
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v", err)
+	}
+	if !p.IsAllocated(innerCell, 8) {
+		t.Error("inner transaction committed, but its block is gone after the outer abort")
+	}
+	if p.IsAllocated(outerCell, 8) {
+		t.Error("outer transaction aborted, but its block is still allocated")
+	}
+	if free := p.JournalsFree(); free != p.Journals() {
+		t.Fatalf("%d/%d journals free afterwards", free, p.Journals())
 	}
 }
 
+// TestNestedAbortAbortsOuter: an inner transaction's error, returned by
+// the outer body, rolls the outer transaction back too.
 func TestNestedAbortAbortsOuter(t *testing.T) {
 	p := newPool(t)
 	var cell uint64
@@ -362,23 +387,6 @@ func TestTooSmallConfigRejected(t *testing.T) {
 	_, err := Create("", Config{Size: 4096, Journals: 4, JournalCap: 1 << 20})
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
-	}
-}
-
-func TestInTransaction(t *testing.T) {
-	p := newPool(t)
-	if _, ok := p.InTransaction(); ok {
-		t.Fatal("InTransaction true outside any tx")
-	}
-	err := p.Transaction(func(j *journal.Journal) error {
-		got, ok := p.InTransaction()
-		if !ok || got != j {
-			t.Error("InTransaction did not see the active journal")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

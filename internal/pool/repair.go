@@ -132,7 +132,7 @@ func repairImage(dev *pmem.Device, rep *FsckReport) {
 			if err != nil {
 				continue
 			}
-			journal.RepairSlot(dev, g.dirOff, g.bufOff, g.bufCap, pr.Index)
+			journal.RepairSlot(dev.In(pmem.ScopeUserData), g.dirOff, g.bufOff, g.bufCap, pr.Index)
 		}
 	}
 }
@@ -304,7 +304,7 @@ dirScan:
 				seen[i] = true
 				checked++
 				if !journal.SlotOK(p.dev.Bytes(), p.geo.dirOff, i) {
-					journal.RepairSlot(p.dev, p.geo.dirOff, p.geo.bufOff, p.geo.bufCap, i)
+					journal.RepairSlot(p.dev.In(pmem.ScopeUserData), p.geo.dirOff, p.geo.bufOff, p.geo.bufCap, i)
 					rep.Repairs++
 					rep.Problems = append(rep.Problems, FsckProblem{
 						Area: AreaJournalDir, Index: i, Repairable: true,

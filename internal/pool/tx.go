@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"corundum/internal/gid"
 	"corundum/internal/journal"
 )
 
@@ -13,44 +12,34 @@ import (
 // operation, which is how the TX-Journal-Only invariant is kept: journals
 // exist only here.
 //
-// Nested calls from the same goroutine flatten, as in the paper: the inner
-// body joins the outer transaction and only the outermost commit publishes
-// anything. If fn returns an error or panics, the whole (outermost)
-// transaction rolls back; panics are re-raised after rollback, mirroring
-// Corundum's behaviour under panic!().
+// Every call takes a journal slot of its own. Code that should join the
+// caller's transaction takes the caller's j as a parameter; calling
+// Transaction again from inside fn opens a second, independent
+// transaction on another slot (and, with every slot taken, waits — or
+// fails with ErrBusy under SetAcquireTimeout). If fn returns an error or
+// panics, the transaction rolls back; panics are re-raised after
+// rollback, mirroring Corundum's behaviour under panic!().
 func (p *Pool) Transaction(fn func(j *journal.Journal) error) error {
-	p.mu.RLock()
-	if !p.open {
-		p.mu.RUnlock()
+	if !p.IsOpen() {
 		return ErrClosed
 	}
-	g := gid.ID()
-	j, nested := p.active[g]
-	p.mu.RUnlock()
-
-	if !nested {
-		idx, err := p.acquireSlot()
-		if err != nil {
-			return err
-		}
-		j = p.journals[idx]
-		p.mu.Lock()
-		p.active[g] = j
-		p.mu.Unlock()
+	idx, err := p.acquireSlot()
+	if err != nil {
+		return err
 	}
+	j := p.journals[idx]
 
 	var began time.Time
-	if !nested && p.metrics.Load() != nil {
+	if p.metrics.Load() != nil {
 		began = time.Now()
 	}
 	j.Begin()
-	var err error
 	done := false
 	defer func() {
 		if !done {
 			// fn panicked: roll back, release, and let the panic continue.
 			j.MarkAborted()
-			p.endTx(g, j, nested, began)
+			p.endTx(j, began)
 		}
 	}()
 	err = fn(j)
@@ -58,8 +47,8 @@ func (p *Pool) Transaction(fn func(j *journal.Journal) error) error {
 	if err != nil {
 		j.MarkAborted()
 	}
-	committed := p.endTx(g, j, nested, began)
-	if err == nil && !committed && !nested {
+	committed := p.endTx(j, began)
+	if err == nil && !committed {
 		return fmt.Errorf("pool: transaction aborted")
 	}
 	return err
@@ -97,30 +86,15 @@ func (p *Pool) SetAcquireTimeout(d time.Duration) {
 	p.acquireTO.Store(int64(d))
 }
 
-// endTx closes one nesting level and, at the outermost level, returns the
-// journal to the free list. It reports whether the transaction committed
-// (meaningful only at the outermost level). Metrics are observed before
-// the journal is released: once it is back on the free list another
+// endTx ends the transaction and returns its journal to the free list.
+// It reports whether the transaction committed. Metrics are observed
+// before the journal is released: once it is back on the free list another
 // goroutine's Begin may reset its counters.
-func (p *Pool) endTx(g uint64, j *journal.Journal, nested bool, began time.Time) bool {
+func (p *Pool) endTx(j *journal.Journal, began time.Time) bool {
 	committed := j.End()
-	if !nested {
-		if m := p.metrics.Load(); m != nil && !began.IsZero() {
-			m.observeTx(j, committed, began)
-		}
-		p.mu.Lock()
-		delete(p.active, g)
-		p.mu.Unlock()
-		p.freeJ <- j.Arena()
+	if m := p.metrics.Load(); m != nil && !began.IsZero() {
+		m.observeTx(j, committed, began)
 	}
+	p.freeJ <- j.Arena()
 	return committed
-}
-
-// InTransaction reports whether the calling goroutine is inside a
-// transaction on this pool, and returns its journal if so.
-func (p *Pool) InTransaction() (*journal.Journal, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	j, ok := p.active[gid.ID()]
-	return j, ok
 }

@@ -6,9 +6,8 @@ import (
 	"corundum/internal/journal"
 )
 
-// The goroutine-identity primitive itself lives in internal/gid (with its
-// own contract test); this benchmark pins the cost of the empty
-// transaction that rides on it.
+// BenchmarkPoolTxNop pins the cost of the empty transaction: a journal
+// slot taken and returned, Begin and End, no persistent-memory traffic.
 func BenchmarkPoolTxNop(b *testing.B) {
 	p, err := Create("", Config{Size: 8 << 20, Journals: 4})
 	if err != nil {

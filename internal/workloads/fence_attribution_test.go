@@ -111,9 +111,9 @@ func TestInsertFenceBudget(t *testing.T) {
 }
 
 // TestSetFenceAttributionConcurrent holds the same 2:1 journal:user-data
-// ratio in aggregate when many goroutines overwrite disjoint keys — the
-// per-goroutine scope table must not bleed labels across concurrent
-// transactions. Run under -race in CI.
+// ratio in aggregate when many goroutines overwrite disjoint keys —
+// attribution must not bleed across concurrent transactions sharing the
+// device's per-scope counters. Run under -race in CI.
 func TestSetFenceAttributionConcurrent(t *testing.T) {
 	p, err := corundumeng.Lib{}.Open(engine.Config{Size: 64 << 20})
 	if err != nil {
