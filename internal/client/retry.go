@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"math/rand"
+	"net"
 	"strings"
 	"time"
 )
@@ -71,15 +72,20 @@ func IsReadonlyReply(line string) bool {
 
 // ReadonlyPrimary extracts the primary's address from a replica's
 // -READONLY redirect, or "" when the reply is a plain degraded-pool
-// refusal (no address to follow). The address is recognized as the first
-// token after the verb containing a ':' — a host:port can never be
-// mistaken for refusal prose.
+// refusal (no address to follow). The address is the first token after
+// the verb, and only if it splits into a host and a non-empty port:
+// refusal prose has colons too ("-READONLY pool: degraded ..."), and a
+// session that re-aimed at "pool:" would dial a host by that name
+// forever.
 func ReadonlyPrimary(line string) string {
 	if !IsReadonlyReply(line) {
 		return ""
 	}
 	fields := strings.Fields(line)
-	if len(fields) < 2 || !strings.Contains(fields[1], ":") {
+	if len(fields) < 2 {
+		return ""
+	}
+	if _, port, err := net.SplitHostPort(fields[1]); err != nil || port == "" {
 		return ""
 	}
 	return fields[1]
@@ -102,7 +108,11 @@ func IsRetryableReply(line string) bool {
 // to cap — synchronized clients spread out instead of re-colliding in
 // lockstep). A nil predicate retries every transient refusal the server
 // can answer with: -BUSY, -MOVED, and a replica's -READONLY redirect
-// (see IsRetryableReply). It returns the last reply; a transport error
+// (see IsRetryableReply) — the loop to run mutations through while a
+// RESHARD, BACKUP, RESTORE, or failover is in flight: acknowledged
+// writes stay exactly-once (refused ops never executed), and the retries
+// land on the new owner as soon as the hand-off completes. It returns
+// the last reply; a transport error
 // from do is returned immediately — only explicit protocol refusals are
 // retried — and a context cancellation during a backoff sleep returns
 // ctx.Err() without another attempt.
@@ -145,22 +155,4 @@ func Retry(ctx context.Context, attempts int, base, cap time.Duration,
 		}
 	}
 	return line, err
-}
-
-// RetryBusy retries only -BUSY replies.
-//
-// Deprecated: use Retry with IsBusyReply.
-func RetryBusy(ctx context.Context, attempts int, base, cap time.Duration, do func() (string, error)) (string, error) {
-	return Retry(ctx, attempts, base, cap, IsBusyReply, do)
-}
-
-// RetryTransient retries every transient refusal (see IsRetryableReply).
-// This is the client loop to run mutations through while a RESHARD,
-// BACKUP, RESTORE, or failover is in flight: acknowledged writes stay
-// exactly-once (refused ops never executed), and the retries land on the
-// new owner as soon as the hand-off completes.
-//
-// Deprecated: use Retry with a nil predicate.
-func RetryTransient(ctx context.Context, attempts int, base, cap time.Duration, do func() (string, error)) (string, error) {
-	return Retry(ctx, attempts, base, cap, nil, do)
 }

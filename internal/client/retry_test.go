@@ -26,7 +26,7 @@ func TestRetryBusyBackoffBounds(t *testing.T) {
 		cap      = 8 * time.Millisecond
 	)
 	calls := 0
-	line, err := RetryBusy(context.Background(), attempts, base, cap, func() (string, error) {
+	line, err := Retry(context.Background(), attempts, base, cap, IsBusyReply, func() (string, error) {
 		calls++
 		return "-BUSY all journal slots busy", nil
 	})
@@ -54,7 +54,7 @@ func TestRetryBusyBackoffBounds(t *testing.T) {
 }
 
 // TestRetryBusyStopsOnContextCancel cancels the context from inside a
-// backoff sleep: RetryBusy must return the context's error without
+// backoff sleep: Retry must return the context's error without
 // another attempt.
 func TestRetryBusyStopsOnContextCancel(t *testing.T) {
 	orig := retrySleep
@@ -66,7 +66,7 @@ func TestRetryBusyStopsOnContextCancel(t *testing.T) {
 		return ctx.Err()
 	}
 	calls := 0
-	_, err := RetryBusy(ctx, 10, time.Millisecond, 8*time.Millisecond, func() (string, error) {
+	_, err := Retry(ctx, 10, time.Millisecond, 8*time.Millisecond, IsBusyReply, func() (string, error) {
 		calls++
 		return "-BUSY all journal slots busy", nil
 	})
@@ -84,7 +84,7 @@ func TestRetryBusyPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	_, err := RetryBusy(ctx, 5, time.Millisecond, 8*time.Millisecond, func() (string, error) {
+	_, err := Retry(ctx, 5, time.Millisecond, 8*time.Millisecond, IsBusyReply, func() (string, error) {
 		calls++
 		return "+OK", nil
 	})
@@ -93,5 +93,23 @@ func TestRetryBusyPreCancelledContext(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Fatalf("do ran %d times with dead context, want 0", calls)
+	}
+}
+
+// TestReadonlyPrimaryIgnoresProse: only a host:port is a redirect. A
+// down shard's refusal starts "pool: degraded ..." — taking "pool:" for
+// an address re-aims a session at a host of that name for good.
+func TestReadonlyPrimaryIgnoresProse(t *testing.T) {
+	for line, want := range map[string]string{
+		"-READONLY 127.0.0.1:6380 replica; send mutations to the primary": "127.0.0.1:6380",
+		"-READONLY [::1]:6380 replica":                                    "[::1]:6380",
+		"-READONLY pool: degraded read-only mode: shard 0 is down":        "",
+		"-READONLY degraded":                                              "",
+		"-READONLY":                                                       "",
+		"-BUSY 127.0.0.1:6380":                                            "",
+	} {
+		if got := ReadonlyPrimary(line); got != want {
+			t.Errorf("ReadonlyPrimary(%q) = %q, want %q", line, got, want)
+		}
 	}
 }

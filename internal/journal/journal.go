@@ -35,6 +35,13 @@ type Heap interface {
 	Free(off, size uint64) error
 	// IsAllocated reports whether off is an allocated block of size's order.
 	IsAllocated(off, size uint64) bool
+	// Reclaim runs fn with every allocation in the heap held out until it
+	// returns (or panics). A commit applies its drops and retires to a
+	// durable idle inside it: a block freed under a non-idle journal state
+	// must not reach another transaction before that journal is durably
+	// idle, or a crash in between has recovery re-apply the drop against
+	// the block's new owner.
+	Reclaim(fn func())
 }
 
 // Journal states, persisted in the low byte of the state word at the log
@@ -444,35 +451,47 @@ func (j *Journal) commit() {
 	// pages forever (idle journals are invisible to recovery).
 	j.setState(stateCommitting) // commit point: drops and frees may now apply
 	j.heap.RetireClaims(j.arena)
-	for _, e := range entries {
-		if e.kind == entryDrop {
-			if err := j.heap.Free(e.off, e.size); err != nil {
-				panic(fmt.Sprintf("journal: drop of %#x failed: %v", e.off, err))
-			}
-		}
-	}
-	j.freePages()
 	if hasDrops {
-		// A dropped block may have parked in the slab cache: a flushed but
-		// unfenced ledger write. The lazy idle retire below must never reach
-		// the media ahead of it (an evicted idle word paired with a lost
-		// park would leak the block — recovery ignores idle journals), so
-		// fence the parks before the retire is even written.
-		j.dev.In(pmem.ScopeAllocRedo).Fence()
+		// A dropped block may belong to another journal's arena, and
+		// recovery re-applies a drop whenever the block reads allocated —
+		// which it also does once a new owner holds it. So no allocation
+		// may see these frees until this journal is durably idle: the
+		// heap holds every allocator out for the length of the call, and
+		// the retire inside it is eager.
+		j.heap.Reclaim(func() {
+			for _, e := range entries {
+				if e.kind == entryDrop {
+					if err := j.heap.Free(e.off, e.size); err != nil {
+						panic(fmt.Sprintf("journal: drop of %#x failed: %v", e.off, err))
+					}
+				}
+			}
+			j.freePages()
+			// A dropped block may have parked in the slab cache: a flushed
+			// but unfenced ledger write. The idle word must never reach the
+			// media ahead of it (an evicted idle word paired with a lost
+			// park would leak the block — recovery ignores idle journals),
+			// so fence the parks before the retire is even written.
+			j.dev.In(pmem.ScopeAllocRedo).Fence()
+			j.setState(stateIdle)
+		})
+		j.tail = j.bufOff + stateSize
+		return
 	}
-	// Lazy retire: flushed but not fenced. Any later fence carries it, and
-	// a crash that still observes stateCommitting merely re-applies the
-	// drops and page frees idempotently; epoch-seeded checksums stop any
-	// later transaction's entries from being mistaken for this one's.
+	// Chained pages only. They come from this journal's own arena, which
+	// nothing else allocates from while the transaction holds the slot,
+	// and the next transaction on this journal starts by overwriting the
+	// same state word — so the retire can stay lazy: flushed but not
+	// fenced. Any later fence carries it, and a crash that still observes
+	// stateCommitting merely re-frees the pages idempotently; epoch-seeded
+	// checksums stop any later transaction's entries from being mistaken
+	// for this one's.
+	j.freePages()
 	j.writeState(stateIdle)
 	j.log.Flush(j.bufOff, stateSize)
 	j.tail = j.bufOff + stateSize
 }
 
-// freePages returns chained continuation pages to the arena. Called only
-// after the log is retired: the first buddy operation fences, making the
-// idle state durable before any page's contents are disturbed, so a crash
-// can never strand recovery inside a recycled page.
 // freePages returns the transaction's chained continuation pages to the
 // heap. It must run BEFORE the log durably retires to idle — recovery
 // ignores idle journals, so a crash after the idle transition but before

@@ -21,6 +21,7 @@ func (h testHeap) AllocClaim(arena int, size uint64, payload []byte, epoch uint6
 func (h testHeap) RetireClaims(arena int)            { h.b.RetireClaims() }
 func (h testHeap) Free(off, size uint64) error       { return h.b.Free(off, size) }
 func (h testHeap) IsAllocated(off, size uint64) bool { return h.b.IsAllocated(off, size) }
+func (h testHeap) Reclaim(fn func())                 { fn() }
 
 type fixture struct {
 	dev  *pmem.Device

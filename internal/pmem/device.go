@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -340,9 +341,10 @@ func (d *Device) flush(sc Scope, off, n uint64) {
 		word := &d.dirty[line/64]
 		mask := uint64(1) << (line % 64)
 		if word.Load()&mask != 0 {
-			word.And(^mask)
 			if d.track {
-				d.stageLine(uint32(line))
+				d.stageLine(word, mask, line)
+			} else {
+				word.And(^mask)
 			}
 		}
 		d.prof.delay(d.prof.FlushDelay)
@@ -378,13 +380,27 @@ func (d *Device) Persist(off, n uint64) {
 	d.Fence()
 }
 
-func (d *Device) stageLine(line uint32) {
-	start := uint64(line) * CacheLineSize
-	cp := make([]byte, CacheLineSize)
-	copy(cp, d.buf[start:start+CacheLineSize])
+// stageLine moves one dirty line into pending. Clearing the dirty bit,
+// copying the line and publishing the copy are one critical section:
+// when several goroutines flush the same line, whichever copy is
+// published last was also taken last, and a flusher that finds the bit
+// already clear can only have lost to one that is still inside this
+// section — its own Fence then queues behind it on shadowMu. The copy
+// uses the word-atomic loads StoreBytes pairs with, so neighbours storing
+// to their own words of the line are not a data race.
+func (d *Device) stageLine(word *atomic.Uint64, mask, line uint64) {
 	d.shadowMu.Lock()
-	d.pending[line] = cp
-	d.shadowMu.Unlock()
+	defer d.shadowMu.Unlock()
+	if word.Load()&mask == 0 {
+		return // a concurrent flusher staged it between our check and the lock
+	}
+	word.And(^mask)
+	start := line * CacheLineSize
+	cp := make([]byte, CacheLineSize)
+	for i := uint64(0); i < CacheLineSize; i += WordSize {
+		binary.LittleEndian.PutUint64(cp[i:], LoadWord(d.buf, start+i))
+	}
+	d.pending[uint32(line)] = cp
 }
 
 // Crash simulates power loss: the live contents revert to the durable

@@ -1,8 +1,10 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -291,4 +293,40 @@ func TestPersistedWritesAlwaysSurvive(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSharedLineFlushIsDurable has eight goroutines each own one 8-byte
+// word of ONE cache line and loop Write, Flush, Fence: once a word's own
+// fence has returned, that word must be in the durable image, whatever
+// the neighbours' flushes of the same line were doing. (Clearing the
+// dirty bit before staging the copy lost this: a second flusher saw the
+// bit clear and fenced before the first had staged, or a stale copy was
+// published over a newer one.)
+func TestSharedLineFlushIsDurable(t *testing.T) {
+	d := newTracked(t, 4*CacheLineSize)
+	const line = 2 * CacheLineSize
+	rounds := 4000
+	if testing.Short() {
+		rounds = 500
+	}
+	var wg sync.WaitGroup
+	for g := uint64(0); g < CacheLineSize/WordSize; g++ {
+		wg.Add(1)
+		go func(off uint64) {
+			defer wg.Done()
+			var w [WordSize]byte
+			for i := 1; i <= rounds; i++ {
+				val := off<<32 | uint64(i)
+				binary.LittleEndian.PutUint64(w[:], val)
+				d.Write(off, w[:])
+				d.Flush(off, WordSize)
+				d.Fence()
+				if got := binary.LittleEndian.Uint64(d.DurableSnapshot()[off:]); got != val {
+					t.Errorf("word %#x: wrote, flushed and fenced %#x, durable image holds %#x", off, val, got)
+					return
+				}
+			}
+		}(line + g*WordSize)
+	}
+	wg.Wait()
 }

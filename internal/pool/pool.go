@@ -127,6 +127,11 @@ type Pool struct {
 	// scrub-time mirror repair.
 	rootMu sync.Mutex
 
+	// reclaimMu keeps a freed block away from other transactions until
+	// the journal that freed it is durably idle: allocations hold it
+	// shared, a drop-applying commit holds it exclusively (see Reclaim).
+	reclaimMu sync.RWMutex
+
 	// Recovery statistics from Attach (zero for freshly created pools).
 	recoveredBack int
 	recoveredFwd  int
@@ -527,6 +532,8 @@ func (p *Pool) AllocEx(arena int, size uint64, payload []byte, extra func(off ui
 	if err := p.Writable(); err != nil {
 		return 0, err
 	}
+	p.reclaimMu.RLock()
+	defer p.reclaimMu.RUnlock()
 	return p.arenas[arena].AllocEx(size, payload, extra)
 }
 
@@ -537,7 +544,22 @@ func (p *Pool) AllocClaim(arena int, size uint64, payload []byte, epoch uint64) 
 	if p.Writable() != nil {
 		return 0, false
 	}
+	p.reclaimMu.RLock()
+	defer p.reclaimMu.RUnlock()
 	return p.arenas[arena].AllocClaim(size, payload, arena, epoch)
+}
+
+// Reclaim implements journal.Heap: fn (a commit's drops through its
+// durable idle retire) runs with every AllocEx and AllocClaim in the pool
+// held out. Arenas are per journal but a drop frees into whichever arena
+// owns the block, so without this another transaction could be handed a
+// block whose drop a crash would make recovery apply a second time. The
+// deferred unlock lets an injected-crash panic out of fn release the
+// other goroutines onto the poisoned device instead of parking them.
+func (p *Pool) Reclaim(fn func()) {
+	p.reclaimMu.Lock()
+	defer p.reclaimMu.Unlock()
+	fn()
 }
 
 // RetireClaims recycles the arena's settled claim ledger slots.

@@ -1,11 +1,13 @@
 package pool
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -516,4 +518,112 @@ func TestRecoveryCountersAndJournalOccupancy(t *testing.T) {
 		}
 	}
 	t.Fatal("no crash point produced a recoverable journal")
+}
+
+// TestDroppedBlockNotReallocatedBeforeIdle pins the reuse-after-drop
+// invariant: a block freed by a commit's drop must not reach another
+// transaction until the dropping journal is durably idle. J1 drops X
+// (which lives in J2's arena); once the free has been applied — the
+// allocator fence that follows it has completed — a second goroutine
+// runs a J2 transaction that allocates the same size, fills the block
+// and commits, and power is cut before J1's idle word is written. If
+// J2's commit returned before the cut, recovery must leave its block
+// allocated with its contents; re-applying J1's drop to it would free a
+// live block.
+func TestDroppedBlockNotReallocatedBeforeIdle(t *testing.T) {
+	cfg := testConfig()
+	cfg.Journals = 2
+	p, err := Create("", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := p.Device()
+	const size = 128
+	fill := bytes.Repeat([]byte{0xAB}, size)
+
+	// Slot 0 allocates X; the slot ring then hands slot 1 to the dropper
+	// and slot 0 — X's arena — to the transaction started under it.
+	var x uint64
+	if err := p.Transaction(func(j *journal.Journal) error {
+		var err error
+		x, err = j.Alloc(size)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		off       uint64
+		committed bool
+	}
+	j2 := func() (out outcome) {
+		defer func() {
+			if r := recover(); r != nil && r != pmem.ErrInjectedCrash {
+				panic(r)
+			}
+		}()
+		err := p.Transaction(func(j *journal.Journal) error {
+			var err error
+			out.off, err = j.AllocInit(fill)
+			return err
+		})
+		out.committed = err == nil
+		return out
+	}
+
+	var (
+		armed    atomic.Bool
+		early    = make(chan outcome, 1) // J2 finished while J1 was still committing
+		finished = make(chan outcome, 1)
+	)
+	dev.SetOpHook(func(op pmem.Op, sc pmem.Scope, _ uint64) {
+		if op != pmem.OpFence || sc != pmem.ScopeAllocRedo || !armed.CompareAndSwap(true, false) {
+			return
+		}
+		go func() { finished <- j2() }()
+		select {
+		case out := <-finished:
+			early <- out
+		case <-time.After(100 * time.Millisecond):
+			// J2 is being held out, as it must be.
+		}
+		dev.CrashAt(dev.OpCount() + 1) // J1's next op: the idle retire
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != pmem.ErrInjectedCrash {
+				t.Fatalf("dropping transaction ended with %v, want the injected power cut", r)
+			}
+		}()
+		p.Transaction(func(j *journal.Journal) error {
+			armed.Store(true)
+			return j.DropLog(x, size)
+		})
+	}()
+	dev.SetOpHook(nil)
+
+	var got outcome
+	select {
+	case got = <-early:
+	case got = <-finished: // released by the cut, onto a dead device
+		if got.committed {
+			t.Fatal("a transaction committed after the power cut")
+		}
+	}
+	p2 := crashAndReattach(t, p)
+	if err := p2.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if !got.committed {
+		return
+	}
+	if got.off != x {
+		t.Logf("J2 received %#x, not the dropped block %#x", got.off, x)
+	}
+	if !p2.IsAllocated(got.off, size) {
+		t.Fatalf("block %#x, allocated and committed by J2 before the cut, was freed by recovery (J1's drop re-applied to its new owner)", got.off)
+	}
+	if !bytes.Equal(p2.Device().Bytes()[got.off:got.off+size], fill) {
+		t.Fatalf("block %#x lost J2's committed contents", got.off)
+	}
 }

@@ -31,12 +31,12 @@ type Log struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	next    uint64            // highest reserved sequence
-	contig  uint64            // highest contiguous published sequence
-	pending map[uint64]Frame  // published above contig, awaiting the gap fill
-	frames  []Frame           // retained window: seqs (start, start+len]
-	start   uint64            // frames[0].Seq - 1
-	bytes   int               // wire bytes retained
+	next    uint64           // highest reserved sequence
+	contig  uint64           // highest contiguous published sequence
+	pending map[uint64]Frame // published above contig, awaiting the gap fill
+	frames  []Frame          // retained window: seqs (start, start+len]
+	start   uint64           // frames[0].Seq - 1
+	bytes   int              // wire bytes retained
 
 	maxFrames int
 	maxBytes  int
@@ -46,10 +46,12 @@ type Log struct {
 
 // Pin holds a snapshot anchor: frames above Seq are protected from
 // eviction (up to a 4× hard cap) until Release, so a bootstrap's delta
-// tail is still in the window when the snapshot walk finishes.
+// tail is still in the window when the snapshot walk finishes. A pin
+// taken with Hold is exempt from the cap.
 type Pin struct {
-	Seq uint64
-	l   *Log
+	Seq  uint64
+	l    *Log
+	hold bool
 }
 
 // Release drops the pin. Safe to call more than once.
@@ -101,8 +103,11 @@ func (l *Log) Publish(f Frame) {
 	f.WallNS = time.Now().UnixNano()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if f.Seq <= l.contig {
-		return // duplicate (cannot happen in practice; be safe)
+	if l.closed || f.Seq <= l.contig {
+		// Closed: nobody can read it, and a stream closed over a sequence
+		// left unresolved would only pile later frames up behind the hole.
+		// At or below contig: a duplicate (cannot happen in practice).
+		return
 	}
 	l.pending[f.Seq] = f
 	for {
@@ -161,12 +166,43 @@ func (l *Log) CanResume(seq uint64) bool {
 // pin's Seq is the stream position the snapshot is consistent with
 // (every frame ≤ Seq is in the walked stores; every frame > Seq replays
 // over the snapshot idempotently).
-func (l *Log) Pin() *Pin {
+func (l *Log) Pin() *Pin { return l.pin(false) }
+
+func (l *Log) pin(hold bool) *Pin {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	p := &Pin{Seq: l.contig, l: l}
+	p := &Pin{Seq: l.contig, l: l, hold: hold}
 	l.pins[p] = struct{}{}
 	return p
+}
+
+// Hold is Pin for a reader in this process that keeps the whole tail — a
+// backup's file sink. Its frames stay in the window however far commits
+// run ahead: the memory such a reader would otherwise spend buffering
+// the same frames itself, so it never has to start over the way a slow
+// replica is made to.
+func (l *Log) Hold() *Pin { return l.pin(true) }
+
+// Through blocks until every sequence up to end is published or
+// gap-filled, then returns the frames in (p.Seq, end] in stream order.
+// ErrLogClosed means the stream ended first (shutdown, or the node left
+// the role that fed it); ErrEvicted that a capped pin lost its tail.
+func (p *Pin) Through(end uint64) ([]Frame, error) {
+	l := p.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.contig < end && !l.closed {
+		l.cond.Wait()
+	}
+	switch {
+	case l.closed:
+		return nil, ErrLogClosed
+	case p.Seq < l.start:
+		return nil, ErrEvicted
+	case end <= p.Seq:
+		return nil, nil
+	}
+	return append([]Frame(nil), l.frames[p.Seq-l.start:end-l.start]...), nil
 }
 
 // Next blocks until the frame after `after` is available, then returns
@@ -252,7 +288,8 @@ func (l *Log) LagFrom(ackSeq uint64) Lag {
 	return lag
 }
 
-// Close wakes every waiting reader with ErrLogClosed.
+// Close ends the stream: every waiting reader wakes with ErrLogClosed and
+// later publishes are dropped.
 func (l *Log) Close() {
 	l.mu.Lock()
 	l.closed = true
@@ -262,12 +299,17 @@ func (l *Log) Close() {
 
 // evictLocked trims the window to maxFrames/maxBytes. Pins protect
 // frames above the lowest pin, but only up to a 4× hard cap — past
-// that, bounded memory wins and the pinned reader eats a resync.
+// that, bounded memory wins and the pinned reader eats a resync. Holds
+// protect theirs outright.
 func (l *Log) evictLocked() {
-	minPin := l.contig + 1 // lowest pin-protected sequence
+	minPin := l.contig + 1  // lowest pin-protected sequence
+	minHold := l.contig + 1 // lowest sequence protected without the cap
 	for p := range l.pins {
 		if p.Seq+1 < minPin {
 			minPin = p.Seq + 1
+		}
+		if p.hold && p.Seq+1 < minHold {
+			minHold = p.Seq + 1
 		}
 	}
 	for l.contig > l.start {
@@ -275,8 +317,8 @@ func (l *Log) evictLocked() {
 		if size <= uint64(l.maxFrames) && l.bytes <= l.maxBytes {
 			break
 		}
-		if lowest := l.start + 1; lowest >= minPin && size <= uint64(4*l.maxFrames) {
-			break // pinned, and under the hard cap: keep
+		if lowest := l.start + 1; lowest >= minHold || (lowest >= minPin && size <= uint64(4*l.maxFrames)) {
+			break // held, or pinned and under the hard cap: keep
 		}
 		l.bytes -= l.frames[0].Bytes
 		l.frames = l.frames[1:]

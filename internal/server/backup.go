@@ -6,17 +6,18 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"corundum/internal/pool"
 	"corundum/internal/repl"
 	"corundum/internal/workloads"
 )
 
-// Streaming BACKUP/RESTORE rides the same machinery as live resharding:
-// the batcher tap gives a commit-ordered delta stream, the shard locks
-// give clean cut points, and the restore marker (a ManifestRestore in
-// shard 0's meta slot) makes a crashed RESTORE detectable at boot.
+// BACKUP and RESTORE are the file-shaped ends of the server's one
+// snapshot+delta pipeline (replication.go holds the other ends): BACKUP
+// is a replica that writes a file — it claims a snapshot of the change
+// stream, writes the walk as base frames and the stream's tail as delta
+// frames — and RESTORE is a bootstrap that reads one, through the same
+// keyspace loader a replica's full resync uses.
 //
 // A backup file is a magic string followed by CRC-framed chunks:
 //
@@ -36,14 +37,10 @@ import (
 // A file without its footer is an incomplete backup and RESTORE refuses
 // it.
 //
-// Consistency: taps are installed on every shard before the walk starts,
-// so any mutation the walk missed is in some delta frame; a mutation
-// captured by both (committed between its bucket's scan and the tap
-// install is impossible — the tap is installed first — but a batch can
-// land in base AND delta when its commit straddles the install) replays
-// idempotently. The walk ends by taking every shard's write lock at
-// once, draining the taps, and removing them: one instant — the snapshot
-// point — at which the base+delta stream is exactly the store state.
+// Consistency is the snapshot contract, stated once on snapshot
+// (replication.go): base frames plus delta frames are the store at one
+// stream position. No shard lock is taken beyond the walk's per-window
+// read locks.
 
 const backupMagic = "CRDBKP01"
 
@@ -95,7 +92,7 @@ type RestoreReport struct {
 // beginAdmin claims the exclusive admin slot (BACKUP, RESTORE, and
 // RESHARD exclude each other; concurrent data traffic is fine). It also
 // refuses while a migration is moving keys: the migration writes stores
-// directly, invisible to the batcher taps a backup relies on.
+// directly, invisible to the change stream a snapshot's delta relies on.
 func (s *Server) beginAdmin(op string) error {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
@@ -134,24 +131,20 @@ func (fw *frameWriter) frame(typ uint32, words ...uint64) error {
 
 // Backup streams a consistent snapshot of the whole keyspace to path
 // while the server keeps serving reads AND writes. See the file comment
-// for the format and the consistency argument.
+// for the format.
 func (s *Server) Backup(path string) (BackupReport, error) {
-	// Refused on a replica: BACKUP's delta phase taps the batchers, but a
-	// replica's writes arrive through ApplyFrame (no batcher), so the tap
-	// would miss them and the backup would be torn. Back up the primary.
+	// Refused on a replica: its writes arrive through ApplyFrame, not the
+	// batchers that feed the stream, so the delta tail would miss them.
+	// Back up the primary.
 	if err := s.replicaRefusal(); err != nil {
 		return BackupReport{}, err
 	}
-	if err := s.beginAdmin("BACKUP"); err != nil {
+	sn, err := s.snapshot("BACKUP", "backup", nil)
+	if err != nil {
 		return BackupReport{}, err
 	}
-	defer s.endAdmin()
-	st := s.st()
-	for i := 0; i < st.n; i++ {
-		if err := st.shards[i].down(); err != nil {
-			return BackupReport{}, fmt.Errorf("backup: shard %d: %w", i, err)
-		}
-	}
+	defer sn.release()
+	st := sn.st
 	_, cfgEpoch, err := st.shards[0].kv.ReadConfig()
 	if err != nil {
 		return BackupReport{}, fmt.Errorf("backup: reading config: %w", err)
@@ -170,95 +163,55 @@ func (s *Server) Backup(path string) (BackupReport, error) {
 		return BackupReport{}, fmt.Errorf("backup: writing header: %w", err)
 	}
 
-	// Tap every shard before any scanning: from here on, no committed
-	// mutation can escape both the walk and the delta stream.
-	type deltaBuf struct {
-		mu  sync.Mutex
-		ops []workloads.Op
+	// Base: the walk, each shard's chunks closed by its shard-end frame
+	// (written when the walk moves on, so empty shards get theirs too).
+	shardKeys := make([]uint64, st.n)
+	ended := 0
+	endShards := func(upto int) error {
+		for ; ended < upto; ended++ {
+			if err := fw.frame(frameShardEnd, uint64(ended), shardKeys[ended]); err != nil {
+				return fmt.Errorf("backup: writing shard %d end: %w", ended, err)
+			}
+		}
+		return nil
 	}
-	bufs := make([]*deltaBuf, st.n)
-	for i := 0; i < st.n; i++ {
-		b := &deltaBuf{}
-		bufs[i] = b
-		if bt := st.shards[i].b; bt != nil {
-			bt.SetTap(func(ops []workloads.Op) {
-				b.mu.Lock()
-				b.ops = append(b.ops, ops...)
-				b.mu.Unlock()
-			})
+	totalKeys, err := sn.walk(func(i int, pairs []uint64) error {
+		if err := endShards(i); err != nil {
+			return err
 		}
+		for len(pairs) > 0 {
+			n := min(len(pairs)/2, backupChunkPairs)
+			words := append([]uint64{uint64(i), uint64(n)}, pairs[:2*n]...)
+			if err := fw.frame(frameBase, words...); err != nil {
+				return fmt.Errorf("backup: writing shard %d chunk: %w", i, err)
+			}
+			pairs = pairs[2*n:]
+			shardKeys[i] += uint64(n)
+		}
+		return nil
+	})
+	if err == nil {
+		err = endShards(st.n)
 	}
-	removeTaps := func() {
-		for i := 0; i < st.n; i++ {
-			if bt := st.shards[i].b; bt != nil {
-				bt.SetTap(nil)
-			}
-		}
-	}
-	defer removeTaps()
-
-	var totalKeys uint64
-	for i := 0; i < st.n; i++ {
-		sh := st.shards[i]
-		var shardKeys uint64
-		nb := sh.kv.Buckets()
-		for lo := uint64(0); lo < nb; lo += backupScanBuckets {
-			hi := lo + backupScanBuckets
-			if hi > nb {
-				hi = nb
-			}
-			pairs, err := s.backupScanChunk(sh, lo, hi)
-			if err != nil {
-				return BackupReport{}, fmt.Errorf("backup: scanning shard %d: %w", i, err)
-			}
-			if s.backupChunkHook != nil {
-				s.backupChunkHook(i, lo)
-			}
-			for len(pairs) > 0 {
-				n := len(pairs) / 2
-				if n > backupChunkPairs {
-					n = backupChunkPairs
-				}
-				words := append([]uint64{uint64(i), uint64(n)}, pairs[:2*n]...)
-				if err := fw.frame(frameBase, words...); err != nil {
-					return BackupReport{}, fmt.Errorf("backup: writing shard %d chunk: %w", i, err)
-				}
-				pairs = pairs[2*n:]
-				shardKeys += uint64(n)
-			}
-		}
-		if err := fw.frame(frameShardEnd, uint64(i), shardKeys); err != nil {
-			return BackupReport{}, err
-		}
-		totalKeys += shardKeys
+	if err != nil {
+		return BackupReport{}, err
 	}
 
-	// Snapshot point: all write locks at once, drain and remove the taps.
-	// Every batch committed before this instant is in base or delta; none
-	// after it can be.
+	// Delta: the stream's frames from the pin to the snapshot point. They
+	// go out grouped by shard; a key lives on one shard and a shard's
+	// frames keep their order, so per key this is still commit order.
+	frames, err := sn.pin.Through(sn.log.LastSeq())
+	if err != nil {
+		return BackupReport{}, fmt.Errorf("%w: backup: the change stream ended under the walk (%v); the file is incomplete, run BACKUP again", pool.ErrBusy, err)
+	}
 	deltas := make([][]workloads.Op, st.n)
-	for i := 0; i < st.n; i++ {
-		st.shards[i].lock.Lock()
+	for _, fr := range frames {
+		deltas[fr.Shard] = append(deltas[fr.Shard], fr.Ops...)
 	}
-	for i := 0; i < st.n; i++ {
-		bufs[i].mu.Lock()
-		deltas[i] = bufs[i].ops
-		bufs[i].mu.Unlock()
-		if bt := st.shards[i].b; bt != nil {
-			bt.SetTap(nil)
-		}
-	}
-	for i := st.n - 1; i >= 0; i-- {
-		st.shards[i].lock.Unlock()
-	}
-
 	var totalDeltas uint64
 	for i, ops := range deltas {
 		for len(ops) > 0 {
-			n := len(ops)
-			if n > backupChunkPairs {
-				n = backupChunkPairs
-			}
+			n := min(len(ops), backupChunkPairs)
 			words := make([]uint64, 0, 2+3*n)
 			words = append(words, uint64(i), uint64(n))
 			for _, op := range ops[:n] {
@@ -289,18 +242,6 @@ func (s *Server) Backup(path string) (BackupReport, error) {
 // set before Serve; nil in production.
 func (s *Server) SetBackupChunkHook(fn func(shard int, bucket uint64)) { s.backupChunkHook = fn }
 
-// backupScanChunk reads one bucket window under the shard's read lock.
-func (s *Server) backupScanChunk(sh *shard, lo, hi uint64) (pairs []uint64, err error) {
-	defer s.recoverShardFailure(sh, &err)
-	sh.lock.RLock()
-	defer sh.lock.RUnlock()
-	err = sh.kv.ScanRange(lo, hi, func(k, v uint64) bool {
-		pairs = append(pairs, k, v)
-		return true
-	})
-	return pairs, err
-}
-
 // backupSummary is what pass-1 validation learns about a backup file.
 type backupSummary struct {
 	shards   int
@@ -309,18 +250,15 @@ type backupSummary struct {
 	deltaOps uint64
 }
 
-// validateBackup reads the whole file, checking the magic, every frame
-// CRC, the per-shard and total counts, and the footer's presence. It is
-// RESTORE's pass 1: nothing touches a pool until the entire file has
-// proven intact — a truncated or bit-flipped backup is rejected here,
-// loudly, with the pools untouched.
-func validateBackup(path string) (*backupSummary, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+// validateBackup reads a whole backup, checking the magic, every frame
+// CRC, the frame grammar, the per-shard and total counts, and the
+// footer's presence. It is RESTORE's pass 1: nothing touches a pool
+// until the entire file has proven intact — a truncated or bit-flipped
+// backup is rejected here, loudly, with the pools untouched. Shard ids
+// and per-frame counts are outside input: both are bounded before use
+// (a count of 1<<63 would otherwise wrap the payload-length check).
+func validateBackup(in io.Reader) (*backupSummary, error) {
+	r := bufio.NewReaderSize(in, 1<<20)
 	magic := make([]byte, len(backupMagic))
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != backupMagic {
 		return nil, fmt.Errorf("not a corundum backup (bad magic)")
@@ -331,6 +269,18 @@ func validateBackup(path string) (*backupSummary, error) {
 		baseSeen             = map[uint64]uint64{} // shard -> keys counted
 		frameNo              int
 	)
+	// chunk vets a base or delta frame: {shard, n, n × perOp words}.
+	chunk := func(kind string, w []uint64, perOp uint64) error {
+		switch {
+		case !sawHeader || len(w) < 2:
+			return fmt.Errorf("frame %d: malformed %s chunk", frameNo, kind)
+		case w[0] >= uint64(sum.shards):
+			return fmt.Errorf("frame %d: %s chunk names shard %d of %d", frameNo, kind, w[0], sum.shards)
+		case w[1] > backupChunkPairs || uint64(len(w)) != 2+perOp*w[1]:
+			return fmt.Errorf("frame %d: %s chunk count %d does not match payload", frameNo, kind, w[1])
+		}
+		return nil
+	}
 	for {
 		typ, w, err := repl.ReadFrame(r)
 		if err == io.EOF {
@@ -343,51 +293,42 @@ func validateBackup(path string) (*backupSummary, error) {
 		if sawFooter {
 			return nil, fmt.Errorf("frame %d: data after footer", frameNo)
 		}
-		words := len(w)
 		switch typ {
 		case frameHeader:
-			if sawHeader || words != 3 {
+			if sawHeader || len(w) != 3 {
 				return nil, fmt.Errorf("frame %d: malformed header", frameNo)
 			}
 			if v := w[0]; v != backupVersion {
 				return nil, fmt.Errorf("unsupported backup version %d", v)
 			}
-			sum.shards, sum.epoch = int(w[1]), w[2]
-			if sum.shards < 1 || sum.shards > 1<<16 {
-				return nil, fmt.Errorf("backup claims %d shards", sum.shards)
+			if w[1] < 1 || w[1] > 1<<16 {
+				return nil, fmt.Errorf("backup claims %d shards", w[1])
 			}
+			sum.shards, sum.epoch = int(w[1]), w[2]
 			sawHeader = true
 		case frameBase:
-			if !sawHeader || words < 2 {
-				return nil, fmt.Errorf("frame %d: malformed base chunk", frameNo)
+			if err := chunk("base", w, 2); err != nil {
+				return nil, err
 			}
-			n := w[1]
-			if uint64(words) != 2+2*n {
-				return nil, fmt.Errorf("frame %d: base chunk count %d does not match payload", frameNo, n)
-			}
-			baseSeen[w[0]] += n
-			sum.baseKeys += n
+			baseSeen[w[0]] += w[1]
+			sum.baseKeys += w[1]
 		case frameDelta:
-			if !sawHeader || words < 2 {
-				return nil, fmt.Errorf("frame %d: malformed delta chunk", frameNo)
+			if err := chunk("delta", w, 3); err != nil {
+				return nil, err
 			}
-			n := w[1]
-			if uint64(words) != 2+3*n {
-				return nil, fmt.Errorf("frame %d: delta chunk count %d does not match payload", frameNo, n)
-			}
-			sum.deltaOps += n
+			sum.deltaOps += w[1]
 		case frameShardEnd:
-			if !sawHeader || words != 2 {
+			if !sawHeader || len(w) != 2 || w[0] >= uint64(sum.shards) {
 				return nil, fmt.Errorf("frame %d: malformed shard-end", frameNo)
 			}
 			if got := baseSeen[w[0]]; got != w[1] {
 				return nil, fmt.Errorf("shard %d: chunks hold %d keys, shard-end says %d", w[0], got, w[1])
 			}
 		case frameFooter:
-			if !sawHeader || words != 3 {
+			if !sawHeader || len(w) != 3 {
 				return nil, fmt.Errorf("frame %d: malformed footer", frameNo)
 			}
-			if w[0] != sum.baseKeys || w[1] != sum.deltaOps || int(w[2]) != sum.shards {
+			if w[0] != sum.baseKeys || w[1] != sum.deltaOps || w[2] != uint64(sum.shards) {
 				return nil, fmt.Errorf("footer totals (%d keys, %d deltas, %d shards) do not match frames (%d, %d, %d)",
 					w[0], w[1], w[2], sum.baseKeys, sum.deltaOps, sum.shards)
 			}
@@ -408,13 +349,12 @@ func validateBackup(path string) (*backupSummary, error) {
 // Restore replaces the server's entire keyspace with the snapshot in
 // path. Two passes: pass 1 validates the whole file without touching any
 // pool (a damaged backup is rejected with the stores intact); pass 2
-// writes the durable restore marker, wipes every shard, and applies the
-// snapshot routed by the CURRENT layout (a backup taken at a different
-// shard count restores fine). The config-epoch bump at the end is the
-// commit point; a crash anywhere between marker and commit is detected
-// at next boot, which wipes the half-written pools rather than serving
-// a blend (see adoptPersistentState). Mutations during the restore
-// answer -BUSY; reads keep serving (they observe the wipe and refill).
+// feeds the file — base chunks first, then deltas in commit order, so
+// replay reproduces the snapshot exactly — to a keyspaceLoad, which
+// routes by the CURRENT layout (a backup taken at a different shard count
+// restores fine) and carries the crash protocol. Mutations during the
+// restore answer -BUSY; reads keep serving (they observe the wipe and
+// refill).
 func (s *Server) Restore(path string) (RestoreReport, error) {
 	// A replica's keyspace is owned by the stream; RESTORE would diverge
 	// it from the primary irrecoverably.
@@ -425,152 +365,177 @@ func (s *Server) Restore(path string) (RestoreReport, error) {
 		return RestoreReport{}, err
 	}
 	defer s.endAdmin()
-	st := s.st()
-	for i := 0; i < st.n; i++ {
-		if err := st.shards[i].writable(); err != nil {
-			return RestoreReport{}, fmt.Errorf("restore: shard %d: %w", i, err)
-		}
-	}
 
-	sum, err := validateBackup(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return RestoreReport{}, fmt.Errorf("restore: rejecting %s: %w", path, err)
 	}
+	defer f.Close()
+	sum, err := validateBackup(f)
+	if err != nil {
+		return RestoreReport{}, fmt.Errorf("restore: rejecting %s: %w", path, err)
+	}
+	if _, err := f.Seek(int64(len(backupMagic)), io.SeekStart); err != nil {
+		return RestoreReport{}, fmt.Errorf("restore: %w", err)
+	}
 
-	// Fence all mutations, then drain what was already queued.
-	for i := 0; i < st.n; i++ {
-		if sh := st.shards[i]; sh.b != nil {
+	// Fence all mutations; the load drains what was already queued.
+	for _, sh := range s.st().shards {
+		if sh.b != nil {
 			sh.b.SetFence(func(workloads.Op) error { return errAdminBusy })
 			defer s.installOwnershipVet(sh)
 		}
 	}
-	for i := 0; i < st.n; i++ {
-		if bt := st.shards[i].b; bt != nil {
-			if err := bt.Barrier(); err != nil {
-				return RestoreReport{}, fmt.Errorf("restore: draining shard %d: %w", i, err)
-			}
-		}
-	}
-
-	sh0 := st.shards[0]
-	_, cfgEpoch, err := sh0.kv.ReadConfig()
+	load, err := s.beginLoad("restore", false)
 	if err != nil {
-		return RestoreReport{}, fmt.Errorf("restore: reading config: %w", err)
-	}
-	marker := &workloads.Manifest{
-		Kind: workloads.ManifestRestore, Epoch: cfgEpoch + 1,
-		OldN: uint64(st.n), NewN: uint64(st.n),
-	}
-	sh0.lock.Lock()
-	err = sh0.kv.WriteManifest(marker)
-	sh0.lock.Unlock()
-	if err != nil {
-		return RestoreReport{}, fmt.Errorf("restore: writing restore marker: %w", err)
-	}
-
-	// Point of no return: from here until the commit below, the pools are
-	// a work in progress and the marker guarantees a crash wipes them.
-	for i := 0; i < st.n; i++ {
-		sh := st.shards[i]
-		sh.lock.Lock()
-		err := wipeStore(sh.kv)
-		sh.lock.Unlock()
-		if err != nil {
-			return RestoreReport{}, fmt.Errorf("restore: wiping shard %d: %w", i, err)
-		}
-	}
-
-	if err := s.restoreApply(path, st); err != nil {
 		return RestoreReport{}, err
 	}
-
-	// Commit: the epoch bump makes the marker stale; clearing it is
-	// cleanup a crash would redo at boot.
-	sh0.lock.Lock()
-	err = sh0.kv.WriteConfig(st.n, cfgEpoch+1)
-	sh0.lock.Unlock()
-	if err != nil {
-		return RestoreReport{}, fmt.Errorf("restore: committing: %w", err)
-	}
-	sh0.lock.Lock()
-	err = sh0.kv.ClearManifest()
-	sh0.lock.Unlock()
-	if err != nil {
-		return RestoreReport{}, fmt.Errorf("restore: clearing restore marker: %w", err)
-	}
-	return RestoreReport{Path: path, Shards: sum.shards, Epoch: sum.epoch,
-		BaseKeys: sum.baseKeys, DeltaOps: sum.deltaOps}, nil
-}
-
-// restoreApply is RESTORE's pass 2: stream the (already fully validated)
-// file again, routing every op to its CURRENT shard home and applying in
-// file order — base chunks first, then deltas in commit order, so replay
-// reproduces the snapshot exactly — in bounded failure-atomic chunks.
-func (s *Server) restoreApply(path string, st *routeState) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("restore: %w", err)
-	}
-	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<20)
-	if _, err := io.ReadFull(r, make([]byte, len(backupMagic))); err != nil {
-		return fmt.Errorf("restore: %w", err)
-	}
-
-	pending := make([][]workloads.Op, st.n)
-	flush := func(i int) error {
-		if len(pending[i]) == 0 {
-			return nil
-		}
-		sh := st.shards[i]
-		sh.lock.Lock()
-		_, err := sh.kv.Apply(pending[i])
-		sh.lock.Unlock()
-		pending[i] = pending[i][:0]
-		return err
-	}
-	add := func(op workloads.Op) error {
-		i := workloads.ShardFor(op.Key, st.n)
-		pending[i] = append(pending[i], op)
-		if len(pending[i]) >= 512 {
-			return flush(i)
-		}
-		return nil
-	}
+	var ops []workloads.Op
 	for {
 		typ, w, err := repl.ReadFrame(r)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return fmt.Errorf("restore: file changed after validation: %w", err)
+			return RestoreReport{}, fmt.Errorf("restore: file changed after validation: %w", err)
 		}
+		ops = ops[:0]
 		switch typ {
 		case frameBase:
-			n := int(w[1])
-			for k := 0; k < n; k++ {
-				if err := add(workloads.Op{Key: w[2+2*k], Val: w[3+2*k]}); err != nil {
-					return fmt.Errorf("restore: applying base chunk: %w", err)
-				}
+			for k := 2; k+1 < len(w); k += 2 {
+				ops = append(ops, workloads.Op{Key: w[k], Val: w[k+1]})
 			}
 		case frameDelta:
-			n := int(w[1])
-			for k := 0; k < n; k++ {
-				op := workloads.Op{
-					Del: w[2+3*k]&deltaFlagDel != 0,
-					Key: w[3+3*k],
-					Val: w[4+3*k],
-				}
-				if err := add(op); err != nil {
-					return fmt.Errorf("restore: applying delta chunk: %w", err)
-				}
+			for k := 2; k+2 < len(w); k += 3 {
+				ops = append(ops, workloads.Op{Del: w[k]&deltaFlagDel != 0, Key: w[k+1], Val: w[k+2]})
 			}
 		}
-	}
-	for i := 0; i < st.n; i++ {
-		if err := flush(i); err != nil {
-			return fmt.Errorf("restore: applying to shard %d: %w", i, err)
+		if err := load.apply(ops); err != nil {
+			return RestoreReport{}, err
 		}
+	}
+	if err := load.commit(0, 0); err != nil {
+		return RestoreReport{}, err
+	}
+	return RestoreReport{Path: path, Shards: sum.shards, Epoch: sum.epoch,
+		BaseKeys: sum.baseKeys, DeltaOps: sum.deltaOps}, nil
+}
+
+// keyspaceLoad replaces the server's whole keyspace, and is the only
+// code that does: RESTORE feeds it a backup file, a replica's full
+// resync (replHost) feeds it the primary's snapshot. One crash protocol
+// serves both — a durable ManifestRestore marker on shard 0 before the
+// first destructive write, every shard wiped, the new contents applied
+// in bounded failure-atomic chunks routed by the serving layout, then
+// the config-epoch bump that makes the marker stale (the commit point)
+// and the marker's clear. A crash anywhere between marker and commit is
+// detected at the next boot, which wipes the half-written pools rather
+// than serving a blend (adoptPersistentState). Every store call runs
+// under onStore, so a power cut inside any of them fails that shard
+// instead of the process. The caller holds the admin slot throughout.
+type keyspaceLoad struct {
+	s        *Server
+	what     string // error prefix
+	st       *routeState
+	cfgEpoch uint64
+	// replica marks a replication bootstrap: reads answer -BUSY while the
+	// load runs (replLoading), every shard's cursor is zeroed with the
+	// wipe — so a stale {epoch, seq} can never claim an empty store is
+	// caught up — and commit sets shard 0's cursor to the snapshot's
+	// position. RESTORE leaves cursors alone.
+	replica bool
+}
+
+// beginLoad drains the batchers, writes the marker and wipes. It is
+// re-entrant across a failed load: a second begin re-wipes.
+func (s *Server) beginLoad(what string, replica bool) (*keyspaceLoad, error) {
+	l := &keyspaceLoad{s: s, what: what, st: s.st(), replica: replica}
+	for i, sh := range l.st.shards[:l.st.n] {
+		if err := sh.writable(); err != nil {
+			return nil, fmt.Errorf("%s: shard %d: %w", what, i, err)
+		}
+	}
+	for i, sh := range l.st.shards[:l.st.n] {
+		if err := sh.b.Barrier(); err != nil {
+			return nil, fmt.Errorf("%s: draining shard %d: %w", what, i, err)
+		}
+	}
+	if replica {
+		s.replLoading.Store(true)
+	}
+	n := uint64(l.st.n)
+	err := s.onStore(l.st.shards[0], func(kv *workloads.KVStore) (err error) {
+		if _, l.cfgEpoch, err = kv.ReadConfig(); err != nil {
+			return fmt.Errorf("reading config: %w", err)
+		}
+		return kv.WriteManifest(&workloads.Manifest{
+			Kind: workloads.ManifestRestore, Epoch: l.cfgEpoch + 1, OldN: n, NewN: n,
+		})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: writing restore marker: %w", what, err)
+	}
+	// Point of no return: from here until commit the pools are a work in
+	// progress and the marker guarantees a crash wipes them.
+	for i, sh := range l.st.shards[:l.st.n] {
+		err := s.onStore(sh, func(kv *workloads.KVStore) error {
+			if replica {
+				if err := kv.WriteReplCursor(0, 0); err != nil {
+					return err
+				}
+			}
+			return wipeStore(kv)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: wiping shard %d: %w", what, i, err)
+		}
+	}
+	return l, nil
+}
+
+// apply loads one chunk, in order, each op on the shard that serves its
+// key now.
+func (l *keyspaceLoad) apply(ops []workloads.Op) error {
+	groups := make([][]workloads.Op, l.st.n)
+	for _, op := range ops {
+		si := workloads.ShardFor(op.Key, l.st.n)
+		groups[si] = append(groups[si], op)
+	}
+	for si, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
+		if err := l.s.applyOnShard(l.st.shards[si], g); err != nil {
+			return fmt.Errorf("%s: loading shard %d: %w", l.what, si, err)
+		}
+	}
+	return nil
+}
+
+// commit ends the load: a replica's cursor first, then the epoch bump —
+// a crash before it re-wipes at boot, after it the new keyspace (and, on
+// a replica, its resume point) stands — then cleanup a crash would redo.
+func (l *keyspaceLoad) commit(epoch, seq uint64) error {
+	err := l.s.onStore(l.st.shards[0], func(kv *workloads.KVStore) error {
+		if l.replica {
+			if err := kv.WriteReplCursor(epoch, seq); err != nil {
+				return fmt.Errorf("cursor: %w", err)
+			}
+		}
+		if err := kv.WriteConfig(l.st.n, l.cfgEpoch+1); err != nil {
+			return err
+		}
+		if err := kv.ClearManifest(); err != nil {
+			return fmt.Errorf("clearing restore marker: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("%s: committing: %w", l.what, err)
+	}
+	if l.replica {
+		l.s.replLoading.Store(false)
 	}
 	return nil
 }

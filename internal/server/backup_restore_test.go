@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"corundum/internal/baselines/corundumeng"
+	"corundum/internal/repl"
 	"corundum/internal/server"
 	"corundum/internal/workloads"
 )
@@ -184,9 +186,23 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsDamage feeds RESTORE truncated, bit-flipped, and
-// plain-garbage files: each must be rejected loudly during validation,
-// with the serving keyspace untouched.
+// craftBackup frames a hand-made backup file: each frame is its type
+// (1 header, 2 base, 3 delta, 4 shard-end, 5 footer) followed by its
+// payload words, CRC-clean — only the contents lie.
+func craftBackup(frames [][]uint64) []byte {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	w.WriteString("CRDBKP01")
+	for _, f := range frames {
+		repl.WriteFrame(w, uint32(f[0]), f[1:])
+	}
+	w.Flush()
+	return buf.Bytes()
+}
+
+// TestRestoreRejectsDamage feeds RESTORE truncated, bit-flipped,
+// plain-garbage and well-framed-but-lying files: each must be rejected
+// loudly during validation, with the serving keyspace untouched.
 func TestRestoreRejectsDamage(t *testing.T) {
 	pools := newShardPools(t, 2, 16<<20)
 	defer closeShardPools(pools)
@@ -217,6 +233,24 @@ func TestRestoreRejectsDamage(t *testing.T) {
 			return b
 		}},
 		{"garbage", func() []byte { return []byte("this is not a backup file") }},
+		// Outside-input words: a count that wraps the payload-length
+		// check (2+2n overflows to 2, and pass 2 would index by it), and
+		// shard ids the header's shard count does not cover.
+		{"count-overflow", func() []byte {
+			return craftBackup([][]uint64{{1, 1, 2, 1}, {2, 0, 1 << 63}, {4, 0, 1 << 63}, {4, 1, 0}, {5, 1 << 63, 0, 2}})
+		}},
+		{"delta-count-over-bound", func() []byte {
+			return craftBackup([][]uint64{{1, 1, 2, 1}, {4, 0, 0}, {4, 1, 0}, append([]uint64{3, 0, 1025}, make([]uint64, 3*1025)...), {5, 0, 1025, 2}})
+		}},
+		{"base-shard-out-of-range", func() []byte {
+			return craftBackup([][]uint64{{1, 1, 2, 1}, {2, 2, 1, 7, 7}, {4, 2, 1}, {5, 1, 0, 2}})
+		}},
+		{"delta-shard-out-of-range", func() []byte {
+			return craftBackup([][]uint64{{1, 1, 2, 1}, {4, 0, 0}, {4, 1, 0}, {3, 9, 1, 0, 7, 7}, {5, 0, 1, 2}})
+		}},
+		{"shard-end-out-of-range", func() []byte {
+			return craftBackup([][]uint64{{1, 1, 2, 1}, {4, 0, 0}, {4, 1, 0}, {4, 5, 0}, {5, 0, 0, 2}})
+		}},
 	}
 	for _, d := range damage {
 		bad := filepath.Join(dir, d.name+".crdbkp")

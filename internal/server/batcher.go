@@ -8,6 +8,7 @@ import (
 
 	"corundum/internal/obs"
 	"corundum/internal/pmem"
+	"corundum/internal/repl"
 	"corundum/internal/workloads"
 )
 
@@ -130,18 +131,58 @@ type Batcher struct {
 	// not own its key — mid-move or after the move committed; RESTORE
 	// swaps in a refuse-everything vet for its duration.
 	fence atomic.Pointer[func(workloads.Op) error]
-	// tap, when set, observes every committed batch from inside the
-	// commit critical section (store lock held, Apply succeeded). Taps
-	// therefore see batches in exactly commit order — the property the
-	// backup delta stream depends on. Taps must be brief and must not
-	// touch the store.
-	tap atomic.Pointer[func([]workloads.Op)]
-	// applier, when set, replaces kv.Apply as the commit body. The
-	// replication source installs one that fuses each batch with a
-	// durable stream-sequence advance (KVStore.ApplyWithCursor) and
-	// publishes the committed frame — a separate hook from tap so BACKUP
-	// can tap the stream while replication is active.
-	applier atomic.Pointer[func([]workloads.Op) ([]bool, error)]
+	// stream, when attached, is the server's commit-ordered change stream
+	// (replication source, BACKUP): each batch then commits through
+	// changeStream.commit instead of the store's plain Apply.
+	stream atomic.Pointer[changeStream]
+}
+
+// changeStream is one batcher's attachment to the server's repl.Log, the
+// single subscription point for anything that needs the commits of every
+// shard in one order. A batch reserves the next stream sequence, commits,
+// and publishes its ops as that sequence's frame, all inside the store
+// lock: per shard, sequence order is commit order, and a batch a store
+// walk can see has already reserved its sequence. A commit that failed
+// cleanly cancels its sequence (the stream stays dense); one cut short by
+// a power failure ends the stream.
+type changeStream struct {
+	log   *repl.Log
+	epoch *atomic.Uint64 // the server's replication epoch, stamped on every frame
+	shard int
+	// durable is set on a replication source: the sequence rides the
+	// batch's own transaction into the shard's cursor slot (no extra
+	// fence), which is what lets a restarted source continue the stream.
+	// A stream attached for a local subscriber only leaves no cursor.
+	durable bool
+}
+
+func (cs *changeStream) commit(kv *workloads.KVStore, ops []workloads.Op) (res []bool, err error) {
+	seq := cs.log.Reserve()
+	epoch := cs.epoch.Load()
+	defer func() {
+		if r := recover(); r != nil {
+			// Injected crash (power cut): the batch may or may not be
+			// durable, so its sequence can be neither published nor
+			// gap-filled — a gap says "nothing happened", and a replica
+			// that advanced over it would resume past a batch the
+			// rebooted node does hold. The stream ends here instead;
+			// replicas are left at or below seq-1 and the reboot's
+			// handshake resumes or resyncs them by the durable cursors.
+			cs.log.Close()
+			panic(r)
+		}
+	}()
+	if cs.durable {
+		res, err = kv.ApplyWithCursor(ops, epoch, seq)
+	} else {
+		res, err = kv.Apply(ops)
+	}
+	if err != nil {
+		cs.log.Cancel(epoch, seq)
+		return res, err
+	}
+	cs.log.Publish(repl.Frame{Epoch: epoch, Seq: seq, Shard: cs.shard, Ops: ops})
+	return res, nil
 }
 
 func newBatcher(kv *workloads.KVStore, lock *storeLock, dev *pmem.Device, maxBatch int, onFail func(error)) *Batcher {
@@ -248,32 +289,6 @@ func (b *Batcher) SetFence(fn func(workloads.Op) error) {
 		return
 	}
 	b.fence.Store(&fn)
-}
-
-// SetTap installs (or, with nil, removes) the committed-batch observer.
-// It is invoked under the store lock immediately after a successful
-// Apply, so installing a tap under the same lock gives the caller a
-// clean cut: every batch committed after the lock is released is seen.
-func (b *Batcher) SetTap(fn func([]workloads.Op)) {
-	if fn == nil {
-		b.tap.Store(nil)
-		return
-	}
-	b.tap.Store(&fn)
-}
-
-// SetApplier installs (or, with nil, removes) a replacement commit body:
-// when set, batches commit through fn instead of the store's plain
-// Apply. fn runs under the store lock and must preserve Apply's
-// contract (one failure-atomic transaction, per-op delete results). The
-// replication source uses it to ride a durable sequence advance on each
-// batch's own commit fence.
-func (b *Batcher) SetApplier(fn func([]workloads.Op) ([]bool, error)) {
-	if fn == nil {
-		b.applier.Store(nil)
-		return
-	}
-	b.applier.Store(&fn)
 }
 
 // Barrier blocks until every mutation submitted before it has been
@@ -431,6 +446,16 @@ func (b *Batcher) run() {
 		if ph.ApplyNS < 0 {
 			ph.ApplyNS = 0
 		}
+		if err == nil {
+			// Counted before acked: whoever holds an ack sees its batch in
+			// the counters.
+			b.stats.Batches.Add(1)
+			b.stats.BatchedOps.Add(uint64(len(batch)))
+			b.stats.Hist[histBucket(len(batch))].Add(1)
+			if h := b.sizes.Load(); h != nil {
+				h.Observe(float64(len(batch)))
+			}
+		}
 		for i, r := range batch {
 			rep := reply{err: err}
 			if err == nil {
@@ -445,14 +470,6 @@ func (b *Batcher) run() {
 		}
 		for _, br := range barriers {
 			br <- reply{err: err}
-		}
-		if err == nil {
-			b.stats.Batches.Add(1)
-			b.stats.BatchedOps.Add(uint64(len(batch)))
-			b.stats.Hist[histBucket(len(batch))].Add(1)
-			if h := b.sizes.Load(); h != nil {
-				h.Observe(float64(len(batch)))
-			}
 		}
 		select {
 		case <-b.dead:
@@ -477,18 +494,8 @@ func (b *Batcher) commit(ops []workloads.Op) (res []bool, err error) {
 	}()
 	b.lock.Lock()
 	defer b.lock.Unlock()
-	if ap := b.applier.Load(); ap != nil {
-		res, err = (*ap)(ops)
-	} else {
-		res, err = b.kv.Apply(ops)
+	if cs := b.stream.Load(); cs != nil {
+		return cs.commit(b.kv, ops)
 	}
-	if err == nil {
-		if t := b.tap.Load(); t != nil {
-			// Inside the lock on purpose: taps observe batches in commit
-			// order, with no later batch able to slip between Apply and the
-			// observation. The backup delta stream relies on exactly this.
-			(*t)(ops)
-		}
-	}
-	return res, err
+	return b.kv.Apply(ops)
 }

@@ -6,11 +6,13 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"corundum/internal/baselines/corundumeng"
 	"corundum/internal/pool"
+	"corundum/internal/repl"
 	"corundum/internal/workloads"
 )
 
@@ -192,8 +194,11 @@ func TestBarrierAndRefusalsInBatchAssembly(t *testing.T) {
 		}
 		return nil
 	})
-	var batches [][]workloads.Op
-	r.b.SetTap(func(ops []workloads.Op) { batches = append(batches, ops) }) // under the store lock
+	// The committed batches are read back from the change stream: one
+	// frame per batch, in commit order.
+	log := repl.NewLog(0, 64, 1<<20)
+	pin := log.Pin()
+	r.b.stream.Store(&changeStream{log: log, epoch: new(atomic.Uint64)})
 
 	// Queue, in order: ops 0..9 (7 refused) | barrier | ops 10..14.
 	before := make(chan []SubmitResult, 1)
@@ -246,12 +251,14 @@ func TestBarrierAndRefusalsInBatchAssembly(t *testing.T) {
 	if _, found := r.get(t, 7); found {
 		t.Error("the refused op reached the store")
 	}
-	r.lock.RLock()
-	sizes := make([]int, len(batches))
-	for i, b := range batches {
-		sizes[i] = len(b)
+	frames, err := pin.Through(log.LastSeq())
+	if err != nil {
+		t.Fatal(err)
 	}
-	r.lock.RUnlock()
+	sizes := make([]int, len(frames))
+	for i, f := range frames {
+		sizes[i] = len(f.Ops)
+	}
 	if want := []int{1, 9, 5}; len(sizes) != 3 || sizes[0] != want[0] || sizes[1] != want[1] || sizes[2] != want[2] {
 		t.Errorf("committed batch sizes %v, want %v (primer | nine admitted ops, cut at the barrier | the five after it)", sizes, want)
 	}

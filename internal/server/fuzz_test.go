@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"os"
 	"strings"
 	"testing"
+
+	"corundum/internal/repl"
 )
 
 // FuzzParseCommand checks that the protocol parser never panics and obeys
@@ -102,4 +107,73 @@ func u64str(v uint64) string {
 		}
 	}
 	return string(buf[i:])
+}
+
+// FuzzValidateBackup feeds RESTORE's pass 1 arbitrary bytes: it must
+// never panic, and whatever it accepts must really be a whole backup —
+// re-read here frame by frame — with a header first, a footer last,
+// every shard id and per-frame count inside the bounds pass 2 relies on,
+// and totals that match the footer.
+func FuzzValidateBackup(f *testing.F) {
+	good, err := os.ReadFile("testdata/backup_roundtrip_8f361da.crdbkp")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)-5])
+	f.Add([]byte(backupMagic))
+	var huge bytes.Buffer // a base frame whose count wraps the length check
+	hw := bufio.NewWriter(&huge)
+	hw.WriteString(backupMagic)
+	repl.WriteFrame(hw, frameHeader, []uint64{backupVersion, 1, 1})
+	repl.WriteFrame(hw, frameBase, []uint64{0, 1 << 63})
+	repl.WriteFrame(hw, frameShardEnd, []uint64{0, 1 << 63})
+	repl.WriteFrame(hw, frameFooter, []uint64{1 << 63, 0, 1})
+	hw.Flush()
+	f.Add(huge.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sum, err := validateBackup(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		r := bufio.NewReader(bytes.NewReader(data[len(backupMagic):]))
+		var baseKeys, deltaOps uint64
+		last := uint32(0)
+		for first := true; ; first = false {
+			typ, w, err := repl.ReadFrame(r)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("accepted a file with an unreadable frame: %v", err)
+			}
+			if first != (typ == frameHeader) {
+				t.Fatalf("accepted a file whose header is not exactly its first frame (type %d, first %v)", typ, first)
+			}
+			switch typ {
+			case frameBase, frameDelta:
+				if w[0] >= uint64(sum.shards) || w[1] > backupChunkPairs {
+					t.Fatalf("accepted a type-%d frame {shard %d, count %d} of a %d-shard backup", typ, w[0], w[1], sum.shards)
+				}
+				if typ == frameBase {
+					baseKeys += w[1]
+				} else {
+					deltaOps += w[1]
+				}
+			case frameShardEnd:
+				if w[0] >= uint64(sum.shards) {
+					t.Fatalf("accepted a shard-end for shard %d of %d", w[0], sum.shards)
+				}
+			case frameFooter:
+				if w[0] != baseKeys || w[1] != deltaOps || w[2] != uint64(sum.shards) {
+					t.Fatalf("accepted a footer %v over %d keys, %d deltas, %d shards", w, baseKeys, deltaOps, sum.shards)
+				}
+			}
+			last = typ
+		}
+		if last != frameFooter || sum.baseKeys != baseKeys || sum.deltaOps != deltaOps {
+			t.Fatalf("accepted a file ending in frame type %d with summary %+v (frames hold %d keys, %d deltas)", last, *sum, baseKeys, deltaOps)
+		}
+	})
 }

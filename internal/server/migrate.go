@@ -131,10 +131,16 @@ func (s *Server) Reshard(newN int) error {
 // catches an op that was routed to a source shard just before the
 // migration committed and reaches the committer just after, and any
 // write aimed at a shard a merge retired. The vet reads the routing view
-// on every call, so swapping the view is what changes it.
+// on every call, so swapping the view is what changes it. The vet also
+// refuses on the replica role: the connection handler checks the role
+// before it routes, so an op routed as the node was being demoted would
+// otherwise commit behind the bootstrap's drain, after its wipe.
 func (s *Server) installOwnershipVet(sh *shard) {
 	id := sh.id
 	sh.b.SetFence(func(op workloads.Op) error {
+		if err := s.replicaRefusal(); err != nil {
+			return err
+		}
 		st := s.st()
 		if st.rs != nil {
 			return st.rs.CheckWrite(id, op.Key)
@@ -179,12 +185,10 @@ func (s *Server) openTargetShard(id int) (*shard, error) {
 	sh.b.sizes.Store(s.m.batchSizes)
 	s.m.registerShardGauges(sh)
 	p.EnableMetricsLabeled(s.m.reg, obs.Labels{"shard": strconv.Itoa(id)})
-	// A serving replication source stamps every shard's commits into the
-	// stream; a shard born mid-life must publish like the boot-time ones.
+	// An attached change stream carries every shard's commits; a shard
+	// born mid-life must publish like the boot-time ones.
 	s.replMu.Lock()
-	if s.repl.log != nil {
-		s.installReplApplier(sh)
-	}
+	s.attachShardLocked(sh)
 	s.replMu.Unlock()
 	s.allMu.Lock()
 	s.all = append(s.all, sh)

@@ -39,7 +39,7 @@ func waitMigration(t *testing.T, cl *conn, timeout time.Duration) map[string]str
 }
 
 // runReshardLive drives a live fromN->toN migration with concurrent
-// writers running through RetryTransient, then verifies no acknowledged
+// writers running through client.Retry, then verifies no acknowledged
 // write was lost and no key duplicated or left behind.
 func runReshardLive(t *testing.T, fromN, toN int) {
 	t.Helper()
@@ -70,7 +70,7 @@ func runReshardLive(t *testing.T, fromN, toN int) {
 
 	// Writers keep mutating disjoint key ranges throughout the migration.
 	// Every acknowledged write must survive; -MOVED and -BUSY refusals
-	// never executed, so RetryTransient re-sends them safely.
+	// never executed, so Retry re-sends them safely.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var acked, movedSeen atomic.Int64
@@ -92,7 +92,7 @@ func runReshardLive(t *testing.T, fromN, toN int) {
 				}
 				k := lo + rng.Uint64()%200
 				v := rng.Uint64()%1_000_000 + 1
-				line, err := client.RetryTransient(nil, 12, time.Millisecond, 50*time.Millisecond,
+				line, err := client.Retry(nil, 12, time.Millisecond, 50*time.Millisecond, nil,
 					func() (string, error) {
 						rep, err := wc.cmd(fmt.Sprintf("SET %d %d", k, v))
 						if err == nil && client.IsMovedReply(rep) {
@@ -354,15 +354,15 @@ func TestMovedReplyHelpers(t *testing.T) {
 	}
 }
 
-// TestRetryTransientBackoff verifies RetryTransient re-sends -MOVED (and
-// only transient) replies with bounded attempts.
+// TestRetryTransientBackoff verifies Retry with a nil predicate re-sends
+// -MOVED (and only transient) replies with bounded attempts.
 func TestRetryTransientBackoff(t *testing.T) {
 	replies := []string{"-MOVED 2 moved", "-BUSY full", "+OK"}
 	i := 0
-	line, err := client.RetryTransient(nil, 5, time.Microsecond, time.Millisecond,
+	line, err := client.Retry(nil, 5, time.Microsecond, time.Millisecond, nil,
 		func() (string, error) { r := replies[i]; i++; return r, nil })
 	if err != nil || line != "+OK" {
-		t.Fatalf("RetryTransient = (%q, %v), want (+OK, nil)", line, err)
+		t.Fatalf("Retry = (%q, %v), want (+OK, nil)", line, err)
 	}
 	if i != 3 {
 		t.Fatalf("do ran %d times, want 3", i)
@@ -370,9 +370,9 @@ func TestRetryTransientBackoff(t *testing.T) {
 
 	// A terminal reply returns immediately, no retries.
 	i = 0
-	line, err = client.RetryTransient(nil, 5, time.Microsecond, time.Millisecond,
+	line, err = client.Retry(nil, 5, time.Microsecond, time.Millisecond, nil,
 		func() (string, error) { i++; return "-READONLY degraded", nil })
 	if err != nil || !client.IsReadonlyReply(line) || i != 1 {
-		t.Fatalf("RetryTransient on -READONLY = (%q, %v) after %d tries", line, err, i)
+		t.Fatalf("Retry on -READONLY = (%q, %v) after %d tries", line, err, i)
 	}
 }

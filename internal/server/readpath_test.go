@@ -11,45 +11,50 @@ import (
 	"corundum/internal/journal"
 	"corundum/internal/pmem"
 	"corundum/internal/pool"
+	"corundum/internal/repl"
 	"corundum/internal/server"
-	"corundum/internal/workloads"
 )
 
-// committedHistory records, from the batcher tap (which runs inside the
-// commit critical section, in commit order), every value ever committed
-// for each key. A reader that observes (k, v) can then assert v was
-// committed at some point: the tap's append happens-before the commit's
-// lock release, which happens-before any read bracket that can see v.
+// committedHistory reads, from the server's change stream, every value
+// ever committed for each key. A reader that observes (k, v) can then
+// assert v was committed at some point: a batch publishes its frame
+// inside the commit critical section, so the publish happens-before the
+// commit's lock release, which happens-before any read bracket that can
+// see v — by the time v is observable its frame is in the stream (one
+// shard, so every published frame is contiguous at once).
 type committedHistory struct {
-	mu   sync.RWMutex
+	mu   sync.Mutex
+	log  *repl.Log
+	next uint64 // frames up to here are folded into vals
 	vals map[uint64]map[uint64]bool
 }
 
-func newCommittedHistory() *committedHistory {
-	return &committedHistory{vals: make(map[uint64]map[uint64]bool)}
-}
-
-func (h *committedHistory) record(ops []workloads.Op) {
-	h.mu.Lock()
-	for _, op := range ops {
-		if op.Del {
-			continue // absence is always a legitimate observation
-		}
-		m := h.vals[op.Key]
-		if m == nil {
-			m = make(map[uint64]bool)
-			h.vals[op.Key] = m
-		}
-		m[op.Val] = true
-	}
-	h.mu.Unlock()
+func newCommittedHistory(log *repl.Log) *committedHistory {
+	return &committedHistory{log: log, next: log.Contiguous(), vals: make(map[uint64]map[uint64]bool)}
 }
 
 func (h *committedHistory) committed(key, val uint64) bool {
-	h.mu.RLock()
-	ok := h.vals[key][val]
-	h.mu.RUnlock()
-	return ok
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for h.next < h.log.Contiguous() {
+		f, ok, err := h.log.Next(h.next, time.Second, nil)
+		if err != nil || !ok {
+			return false // the history fell out of the log's window
+		}
+		h.next = f.Seq
+		for _, op := range f.Ops {
+			if op.Del {
+				continue // absence is always a legitimate observation
+			}
+			m := h.vals[op.Key]
+			if m == nil {
+				m = make(map[uint64]bool)
+				h.vals[op.Key] = m
+			}
+			m[op.Val] = true
+		}
+	}
+	return h.vals[key][val]
 }
 
 // TestReadPathHammer is the seqlock adversarial test: 8 reader
@@ -81,9 +86,7 @@ func TestReadPathHammer(t *testing.T) {
 			})
 			defer srv.Close()
 
-			hist := newCommittedHistory()
-			srv.Batcher().SetTap(hist.record)
-			defer srv.Batcher().SetTap(nil)
+			hist := newCommittedHistory(srv.SubscribeStream())
 
 			const (
 				hotKeys = 64

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -17,6 +18,7 @@ import (
 	"corundum/internal/pmem"
 	"corundum/internal/pool"
 	"corundum/internal/server"
+	"corundum/internal/workloads"
 )
 
 // replOpts keeps replication tests fast: short heartbeats, small batches.
@@ -800,4 +802,119 @@ func TestReplicaNeverRedirectsToReplicationAddr(t *testing.T) {
 		}
 	}
 	mustReply(t, cl, "GET 1", "$-1") // reads still serve
+}
+
+// TestPrimaryPowerCutMidCommitLeavesNoGap cuts power on the primary at
+// every device op of a one-DEL batch in turn, reboots it from the
+// durable image into the same role on the same replication address, and
+// requires the replica to converge on whatever the reboot holds. A cut
+// after the batch's commit point leaves the delete durable on the
+// primary though its commit never returned; if the stream fills that
+// sequence with a gap frame, the replica advances over it to exactly the
+// rebooted primary's durable position, is told +CONT, and keeps the key
+// forever. (The old-bug-3a divergence: "primary N keys, replica N+1".)
+func TestPrimaryPowerCutMidCommitLeavesNoGap(t *testing.T) {
+	poolsB := newShardPools(t, 1, 16<<20)
+	defer closeShardPools(poolsB)
+	poolsA := newShardPools(t, 1, 16<<20)
+	dev := poolsA[0].Device()
+
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replAddr := rln.Addr().String()
+	boot := func(pools []*pool.Pool, rln net.Listener) (*server.Server, *conn) {
+		srv, err := server.NewSharded(pools, replOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.EnableReplicationSource(rln); err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		return srv, dial(t, ln.Addr().String())
+	}
+	srvA, clA := boot(poolsA, rln)
+	defer func() { clA.close(); srvA.Close() }()
+	const keys = 128
+	for k := uint64(0); k < keys; k++ {
+		mustReply(t, clA, fmt.Sprintf("SET %d %d", k, valFor(k)), "+OK")
+	}
+	srvB, addrB := startReplica(t, poolsB, replOpts(), replAddr)
+	defer srvB.Close()
+	clB := dial(t, addrB)
+	defer clB.close()
+	waitReplicaHas(t, clB, scanMap(t, clA))
+
+	// -short sweeps only the batch's tail, where the commit point lies;
+	// each cut costs the replica a reconnect backoff.
+	first := uint64(1)
+	if testing.Short() {
+		before := dev.OpCount()
+		mustReply(t, clA, "DEL 0", ":1")
+		first = dev.OpCount() - before - 16
+	}
+	for cut := first; cut < keys; cut++ {
+		dev.CrashAt(dev.OpCount() + cut)
+		if rep, err := clA.cmd(fmt.Sprintf("DEL %d", cut)); err == nil && rep == ":1" {
+			dev.CrashAt(0) // past the batch's last op: the sweep is complete
+			waitReplicaHas(t, clB, scanMap(t, clA))
+			t.Logf("swept cut points %d..%d; replica ran %d full syncs", first, cut-1, srvB.ReplicaStatus().FullSyncs)
+			return
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for srvA.ShardDown(0) == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("cut %d: the power cut never fired", cut)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		clA.close()
+		srvA.Close()
+		dev.Crash()
+		pools, errs := server.AttachShards([]*pmem.Device{dev})
+		if errs[0] != nil {
+			t.Fatalf("cut %d: reattaching the primary: %v", cut, errs[0])
+		}
+		if rln, err = net.Listen("tcp", replAddr); err != nil {
+			t.Fatalf("cut %d: re-listening on %s: %v", cut, replAddr, err)
+		}
+		srvA, clA = boot(pools, rln)
+		waitReplicaHas(t, clB, scanMap(t, clA))
+	}
+	t.Fatal("a one-DEL batch outlasted every cut point tried")
+}
+
+// TestReplicaRoleRefusedAtCommit: the role check a connection handler
+// makes before routing is not the last word. An op routed while the node
+// was still a primary can reach the committer after REPLICAOF — behind
+// the bootstrap's drain, so after its wipe — and a commit there diverges
+// the replica for good. The batcher's permanent vet must refuse it.
+func TestReplicaRoleRefusedAtCommit(t *testing.T) {
+	pools := newShardPools(t, 1, 16<<20)
+	defer closeShardPools(pools)
+	srv, addr := startShardedServer(t, pools, replOpts())
+	defer srv.Close()
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+	if err := srv.ReplicaOf(deadAddr); err != nil {
+		t.Fatal(err)
+	}
+	// Straight to the committer: what a handler that had already passed
+	// its own role check would do next.
+	if _, err := srv.Batcher().Submit(workloads.Op{Key: 7, Val: 49}); !errors.Is(err, pool.ErrBusy) && !errors.Is(err, pool.ErrReadOnly) {
+		t.Fatalf("mutation committed on a replica: Submit = %v, want a role refusal", err)
+	}
+	cl := dial(t, addr)
+	defer cl.close()
+	mustReply(t, cl, "GET 7", "$-1")
 }

@@ -11,11 +11,14 @@ import (
 	"corundum/internal/workloads"
 )
 
-// This file wires internal/repl into the server: the primary side (a
-// replication log fed by every shard's group-commit batcher through
-// SetApplier, served to replicas over a dedicated listener) and the
-// replica side (a repl.Replica driving this server's stores through the
-// repl.Host interface, with mutations redirected to the primary).
+// This file wires internal/repl into the server: the change stream (one
+// repl.Log fed by every shard's group-commit batcher while anything
+// subscribes to it), its reader-side helper (snapshot: the replication
+// source serves it to replicas over a dedicated listener, BACKUP writes
+// it to a file), and the replica side (a repl.Replica driving this
+// server's stores through the repl.Host interface — its full resync goes
+// through the same keyspaceLoad as RESTORE — with mutations redirected to
+// the primary).
 //
 // Durability split: the primary's stream sequence is durable because
 // every batch commits through KVStore.ApplyWithCursor — the sequence
@@ -28,8 +31,13 @@ import (
 // replState groups the replication fields; guarded by Server.replMu
 // except where noted.
 type replState struct {
+	// log is the server's change stream, attached to every batcher while
+	// it has a subscriber: the replication source for as long as it
+	// serves (durable: sequences ride into the shard cursors), a BACKUP
+	// for as long as it runs. nil otherwise — batchers commit plainly.
+	log     *repl.Log
+	durable bool
 	// Primary side.
-	log        *repl.Log
 	primary    *repl.Primary
 	listenAddr string       // where the source serves (for re-listen on promote)
 	pendingLn  net.Listener // listener handed over while still a replica
@@ -54,7 +62,7 @@ var errNotReplica = fmt.Errorf("not a replica (see REPLICAOF)")
 // EnableReplicationSource serves the replication stream on ln. On a
 // primary the source starts immediately: the durable epoch and last
 // sequence are recovered from the shard cursors, every shard's batcher
-// gets the sequence-stamping applier, and replicas may connect. On a
+// is attached to the stream, and replicas may connect. On a
 // server currently in the replica role the listener is parked and the
 // source starts when PROMOTE makes this node the primary.
 func (s *Server) EnableReplicationSource(ln net.Listener) error {
@@ -80,17 +88,12 @@ func (s *Server) startSourceLocked(ln net.Listener) error {
 		return err
 	}
 	s.replEpoch.Store(epoch)
-	s.repl.log = repl.NewLog(lastSeq, s.opts.ReplLogFrames, s.opts.ReplLogBytes)
-	s.allMu.Lock()
-	all := append([]*shard(nil), s.all...)
-	s.allMu.Unlock()
-	for _, sh := range all {
-		s.installReplApplier(sh)
-	}
+	log := repl.NewLog(lastSeq, s.opts.ReplLogFrames, s.opts.ReplLogBytes)
+	s.setStreamLocked(log, true)
 	s.repl.primary = repl.NewPrimary(ln, repl.PrimaryConfig{
-		Log:       s.repl.log,
+		Log:       log,
 		Epoch:     s.replEpoch.Load,
-		Snapshot:  s.replSnapshot,
+		Snapshot:  func() (*repl.Snapshot, error) { return s.replSnapshot(log) },
 		Heartbeat: s.opts.ReplHeartbeat,
 		Advertise: s.clientAddr,
 	})
@@ -156,95 +159,179 @@ func (s *Server) recoverStreamPos() (epoch, lastSeq uint64, err error) {
 	return epoch, lastSeq, nil
 }
 
-// installReplApplier points sh's batcher at the sequence-stamping commit
-// body: reserve the next stream sequence, commit the batch WITH that
-// sequence in the shard's cursor (one transaction, no extra fence), then
-// publish the frame. A failed or crashed commit cancels the sequence so
-// the stream stays dense — replicas advance over the gap frame.
-func (s *Server) installReplApplier(sh *shard) {
+// setStreamLocked makes log the server's change stream: from its next
+// batch on, every shard's committer reserves, commits and publishes
+// through it (see changeStream), or — log nil — commits plainly again. A
+// stream already attached is closed first, waking every reader waiting
+// on it with ErrLogClosed: that is how a BACKUP learns that the source
+// started under its own stream, or that the node was demoted under it.
+// Caller holds replMu.
+func (s *Server) setStreamLocked(log *repl.Log, durable bool) {
+	if s.repl.log != nil {
+		s.repl.log.Close()
+	}
+	s.repl.log, s.repl.durable = log, durable
+	for _, sh := range s.allShards() {
+		s.attachShardLocked(sh)
+	}
+}
+
+// subscribeLocked returns the attached stream for a reader in this
+// process, attaching a non-durable one (own: the caller takes it away
+// again) when nothing else feeds one. Caller holds replMu.
+func (s *Server) subscribeLocked() (log *repl.Log, own bool) {
+	if own = s.repl.log == nil; own {
+		s.setStreamLocked(repl.NewLog(0, s.opts.ReplLogFrames, s.opts.ReplLogBytes), false)
+	}
+	return s.repl.log, own
+}
+
+// attachShardLocked points sh's batcher at the current stream (or at
+// none). Caller holds replMu.
+func (s *Server) attachShardLocked(sh *shard) {
 	if sh.b == nil {
 		return
 	}
-	log := s.repl.log
-	kv := sh.kv
-	id := sh.id
-	sh.b.SetApplier(func(ops []workloads.Op) (res []bool, err error) {
-		seq := log.Reserve()
-		epoch := s.replEpoch.Load()
-		defer func() {
-			if r := recover(); r != nil {
-				// Injected crash (power cut): the batch may or may not be
-				// durable, but this process's stream is over either way —
-				// gap-fill so surviving shards' frames still flow.
-				log.Cancel(epoch, seq)
-				panic(r)
-			}
-		}()
-		res, err = kv.ApplyWithCursor(ops, epoch, seq)
-		if err != nil {
-			log.Cancel(epoch, seq)
-			return res, err
-		}
-		log.Publish(repl.Frame{Epoch: epoch, Seq: seq, Shard: id, Ops: ops})
-		return res, nil
-	})
+	var cs *changeStream
+	if s.repl.log != nil {
+		cs = &changeStream{log: s.repl.log, epoch: &s.replEpoch, shard: sh.id, durable: s.repl.durable}
+	}
+	sh.b.stream.Store(cs)
 }
 
-// replSnapshot claims a consistent full-keyspace snapshot for a
-// bootstrapping replica. It takes the exclusive admin slot (a snapshot
-// must not interleave with RESHARD's direct store writes, or with
-// BACKUP/RESTORE) and pins the log at the current contiguous sequence:
-// every frame ≤ the pin is durably in the stores the walk reads, and
-// every frame above it stays retained until Release so the delta tail
-// replays over the snapshot.
-func (s *Server) replSnapshot() (*repl.Snapshot, error) {
-	if err := s.beginAdmin("REPLSNAPSHOT"); err != nil {
+// allShards copies the every-shard-ever list.
+func (s *Server) allShards() []*shard {
+	s.allMu.Lock()
+	defer s.allMu.Unlock()
+	return append([]*shard(nil), s.all...)
+}
+
+// snapshot is a claimed consistent view of the whole keyspace: the one
+// reader-side helper of the change stream, under the replication
+// source's bootstrap and under BACKUP.
+//
+// The snapshot contract, stated here once: the base walk from a pin,
+// plus the stream's frames above the pin up to the highest sequence
+// RESERVED when the walk ended, is the store at that sequence. Every
+// frame at or below the pin was published, so committed, before the
+// walk began and is in the stores it reads. A batch reserves its
+// sequence inside the shard lock before it touches the store, so any
+// batch a walk window could see — wholly, the window holds the read
+// lock — has a sequence no higher than the one read after the walk; and
+// per shard, so per key, sequence order is commit order, so replaying
+// those frames over the base in stream order (idempotent sets and
+// deletes) lands every key on its value at that sequence. The walk
+// takes no lock beyond each window's read lock. A replica keeps
+// replaying past that sequence, which only moves it forward; BACKUP
+// waits for the frames up to it (Pin.Through) and stops there.
+type snapshot struct {
+	s       *Server
+	what    string // error prefix
+	st      *routeState
+	log     *repl.Log
+	pin     *repl.Pin
+	release func() // unpin, drop the admin slot; must always be called, once is enough
+}
+
+// snapshot claims one. It takes the exclusive admin slot under the name
+// op (a snapshot must not interleave with RESHARD's direct store writes,
+// or with another snapshot or load). The source passes its own log and
+// gets a capped pin, as a slow replica should. A nil log means a local
+// sink: it subscribes to whatever stream is attached — attaching one of
+// its own, non-durable and gone again at release, when nothing else
+// feeds one — and its pin holds the whole tail.
+func (s *Server) snapshot(op, what string, log *repl.Log) (*snapshot, error) {
+	if err := s.beginAdmin(op); err != nil {
 		return nil, err
 	}
 	st := s.st()
 	for i := 0; i < st.n; i++ {
 		if err := st.shards[i].down(); err != nil {
 			s.endAdmin()
-			return nil, fmt.Errorf("repl: snapshot: shard %d: %w", i, err)
+			return nil, fmt.Errorf("%s: shard %d: %w", what, i, err)
 		}
 	}
-	pin := s.repl.log.Pin()
+	sn := &snapshot{s: s, what: what, st: st, log: log}
+	own := false
+	if log != nil {
+		sn.pin = log.Pin()
+	} else {
+		s.replMu.Lock()
+		sn.log, own = s.subscribeLocked()
+		sn.pin = sn.log.Hold()
+		s.replMu.Unlock()
+	}
 	var once sync.Once
-	release := func() {
+	sn.release = func() {
 		once.Do(func() {
-			pin.Release()
+			sn.pin.Release()
+			if own {
+				s.replMu.Lock()
+				if s.repl.log == sn.log {
+					s.setStreamLocked(nil, false)
+				}
+				s.replMu.Unlock()
+			}
 			s.endAdmin()
 		})
 	}
-	walk := func(chunk func(pairs []uint64) error) (uint64, error) {
-		var keys uint64
-		for i := 0; i < st.n; i++ {
-			sh := st.shards[i]
-			nb := sh.kv.Buckets()
-			for lo := uint64(0); lo < nb; lo += backupScanBuckets {
-				hi := lo + backupScanBuckets
-				if hi > nb {
-					hi = nb
-				}
-				pairs, err := s.backupScanChunk(sh, lo, hi)
-				if err != nil {
-					return keys, fmt.Errorf("repl: snapshot walk on shard %d: %w", i, err)
-				}
-				if s.backupChunkHook != nil {
-					s.backupChunkHook(i, lo)
-				}
-				if len(pairs) == 0 {
-					continue
-				}
-				if err := chunk(pairs); err != nil {
-					return keys, err
-				}
-				keys += uint64(len(pairs) / 2)
+	return sn, nil
+}
+
+// walk streams the keyspace through chunk as flat (key,value,...) pairs,
+// one bucket window of one shard at a time, each read under that shard's
+// read lock. It returns the number of keys.
+func (sn *snapshot) walk(chunk func(shard int, pairs []uint64) error) (keys uint64, err error) {
+	s := sn.s
+	for i := 0; i < sn.st.n; i++ {
+		sh := sn.st.shards[i]
+		nb := sh.kv.Buckets()
+		for lo := uint64(0); lo < nb; lo += backupScanBuckets {
+			pairs, err := sn.scan(sh, lo, min(lo+backupScanBuckets, nb))
+			if err != nil {
+				return keys, fmt.Errorf("%s: walking shard %d: %w", sn.what, i, err)
 			}
+			if s.backupChunkHook != nil {
+				s.backupChunkHook(i, lo)
+			}
+			if len(pairs) == 0 {
+				continue
+			}
+			if err := chunk(i, pairs); err != nil {
+				return keys, err
+			}
+			keys += uint64(len(pairs) / 2)
 		}
-		return keys, nil
 	}
-	return &repl.Snapshot{StartSeq: pin.Seq, Walk: walk, Release: release}, nil
+	return keys, nil
+}
+
+// scan reads one bucket window under the shard's read lock.
+func (sn *snapshot) scan(sh *shard, lo, hi uint64) (pairs []uint64, err error) {
+	defer sn.s.recoverShardFailure(sh, &err)
+	sh.lock.RLock()
+	defer sh.lock.RUnlock()
+	err = sh.kv.ScanRange(lo, hi, func(k, v uint64) bool {
+		pairs = append(pairs, k, v)
+		return true
+	})
+	return pairs, err
+}
+
+// replSnapshot hands a snapshot of the source's stream to a
+// bootstrapping replica's link.
+func (s *Server) replSnapshot(log *repl.Log) (*repl.Snapshot, error) {
+	sn, err := s.snapshot("REPLSNAPSHOT", "repl: snapshot", log)
+	if err != nil {
+		return nil, err
+	}
+	return &repl.Snapshot{
+		StartSeq: sn.pin.Seq,
+		Walk: func(chunk func(pairs []uint64) error) (uint64, error) {
+			return sn.walk(func(_ int, pairs []uint64) error { return chunk(pairs) })
+		},
+		Release: sn.release,
+	}, nil
 }
 
 // ReplicaOf enters the replica role: mutations start answering
@@ -268,13 +355,14 @@ func (s *Server) ReplicaOf(addr string) error {
 		return fmt.Errorf("%w: migration in progress", pool.ErrBusy)
 	}
 	// A serving primary being demoted stops its source first: a stale
-	// primary must not keep feeding downstream replicas.
+	// primary must not keep feeding downstream replicas. The stream ends
+	// with the role whoever fed it — a BACKUP reading it fails, retryably,
+	// rather than finish a file whose tail nobody is writing any more.
 	if s.repl.primary != nil {
 		s.repl.primary.Close()
 		s.repl.primary = nil
-		s.repl.log = nil
-		s.clearReplAppliers()
 	}
+	s.setStreamLocked(nil, false)
 	a := addr
 	s.primaryAddr.Store(&a)
 	s.repl.lastErr = nil
@@ -284,17 +372,6 @@ func (s *Server) ReplicaOf(addr string) error {
 		Heartbeat: s.opts.ReplHeartbeat,
 	})
 	return nil
-}
-
-func (s *Server) clearReplAppliers() {
-	s.allMu.Lock()
-	all := append([]*shard(nil), s.all...)
-	s.allMu.Unlock()
-	for _, sh := range all {
-		if sh.b != nil {
-			sh.b.SetApplier(nil)
-		}
-	}
 }
 
 // Promote performs failover on a replica: stop the sync loop, durably
@@ -541,7 +618,10 @@ func (s *Server) cursorSnapshot() (epoch, seq uint64, err error) {
 
 // replHost adapts the server to repl.Host. Methods are called from the
 // replica's link goroutine only (one at a time).
-type replHost struct{ s *Server }
+type replHost struct {
+	s    *Server
+	load *keyspaceLoad // the bootstrap in flight, between Begin and End/Abort
+}
 
 func (h *replHost) Cursor() (uint64, uint64, error) { return h.s.cursorSnapshot() }
 
@@ -583,28 +663,30 @@ func (h *replHost) ApplyFrame(epoch, seq uint64, ops []workloads.Op) error {
 	if err := sh0.writable(); err != nil {
 		return err
 	}
-	var err error
-	func() {
-		defer s.recoverShardFailure(sh0, &err)
-		sh0.lock.Lock()
-		defer sh0.lock.Unlock()
-		_, err = sh0.kv.ApplyWithCursor(groups[0], epoch, seq)
-	}()
-	return err
+	return s.onStore(sh0, func(kv *workloads.KVStore) error {
+		_, err := kv.ApplyWithCursor(groups[0], epoch, seq)
+		return err
+	})
 }
 
-// applyOnShard commits ops on sh in one failure-atomic transaction
-// under its write lock, converting an injected crash into the shard's
-// failure.
-func (s *Server) applyOnShard(sh *shard, ops []workloads.Op) (err error) {
-	if err := sh.writable(); err != nil {
-		return err
-	}
+// onStore runs fn on sh's store under its write lock, converting an
+// injected crash under it into the shard's failure.
+func (s *Server) onStore(sh *shard, fn func(kv *workloads.KVStore) error) (err error) {
 	defer s.recoverShardFailure(sh, &err)
 	sh.lock.Lock()
 	defer sh.lock.Unlock()
-	_, err = sh.kv.Apply(ops)
-	return err
+	return fn(sh.kv)
+}
+
+// applyOnShard commits ops on sh in one failure-atomic transaction.
+func (s *Server) applyOnShard(sh *shard, ops []workloads.Op) error {
+	if err := sh.writable(); err != nil {
+		return err
+	}
+	return s.onStore(sh, func(kv *workloads.KVStore) error {
+		_, err := kv.Apply(ops)
+		return err
+	})
 }
 
 // applyOpsOwned routes each op by the current (migration-refined) owner
@@ -656,123 +738,37 @@ func (s *Server) applyOpsOwned(ops []workloads.Op) error {
 
 // BeginBootstrap prepares a full resync: claim the exclusive admin slot
 // (held until End/Abort — a bootstrap must not interleave with
-// RESHARD/BACKUP/RESTORE), drain the batchers, persist the wipe marker
-// (the same ManifestRestore a crashed RESTORE uses, so a power cut
-// mid-bootstrap is detected at boot and the half-loaded pools are wiped
-// rather than served), zero every cursor, and wipe the keyspace. Reads
-// answer -BUSY until the bootstrap commits.
+// RESHARD/BACKUP/RESTORE) and begin a replica keyspaceLoad, which drains,
+// marks, zeroes every cursor and wipes. Reads answer -BUSY until the
+// bootstrap commits.
 func (h *replHost) BeginBootstrap() error {
-	s := h.s
-	if err := s.beginAdmin("REPLSYNC"); err != nil {
+	if err := h.s.beginAdmin("REPLSYNC"); err != nil {
 		return err
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			s.endAdmin()
-		}
-	}()
-	st := s.st()
-	for i := 0; i < st.n; i++ {
-		if err := st.shards[i].writable(); err != nil {
-			return fmt.Errorf("repl: bootstrap: shard %d: %w", i, err)
-		}
-	}
-	for i := 0; i < st.n; i++ {
-		if bt := st.shards[i].b; bt != nil {
-			if err := bt.Barrier(); err != nil {
-				return fmt.Errorf("repl: bootstrap: draining shard %d: %w", i, err)
-			}
-		}
-	}
-	s.replLoading.Store(true)
-	sh0 := st.shards[0]
-	_, cfgEpoch, err := sh0.kv.ReadConfig()
+	load, err := h.s.beginLoad("repl: bootstrap", true)
 	if err != nil {
-		return fmt.Errorf("repl: bootstrap: reading config: %w", err)
+		h.s.endAdmin()
+		return err
 	}
-	marker := &workloads.Manifest{
-		Kind: workloads.ManifestRestore, Epoch: cfgEpoch + 1,
-		OldN: uint64(st.n), NewN: uint64(st.n),
-	}
-	sh0.lock.Lock()
-	err = sh0.kv.WriteManifest(marker)
-	sh0.lock.Unlock()
-	if err != nil {
-		return fmt.Errorf("repl: bootstrap: writing wipe marker: %w", err)
-	}
-	// Point of no return: marker durable. A crash below wipes at boot —
-	// including the cursor, so a stale {epoch, seq} can never claim an
-	// empty store is caught up.
-	for i := 0; i < st.n; i++ {
-		sh := st.shards[i]
-		sh.lock.Lock()
-		err := sh.kv.WriteReplCursor(0, 0)
-		if err == nil {
-			err = wipeStore(sh.kv)
-		}
-		sh.lock.Unlock()
-		if err != nil {
-			return fmt.Errorf("repl: bootstrap: wiping shard %d: %w", i, err)
-		}
-	}
-	ok = true
+	h.load = load
 	return nil
 }
 
 // BootstrapChunk loads snapshot pairs, routed by this server's layout.
 func (h *replHost) BootstrapChunk(pairs []uint64) error {
-	s := h.s
-	st := s.st()
-	groups := make([][]workloads.Op, st.n)
+	ops := make([]workloads.Op, 0, len(pairs)/2)
 	for i := 0; i+1 < len(pairs); i += 2 {
-		si := workloads.ShardFor(pairs[i], st.n)
-		groups[si] = append(groups[si], workloads.Op{Key: pairs[i], Val: pairs[i+1]})
+		ops = append(ops, workloads.Op{Key: pairs[i], Val: pairs[i+1]})
 	}
-	for si, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		if err := s.applyOnShard(st.shards[si], g); err != nil {
-			return fmt.Errorf("repl: bootstrap chunk on shard %d: %w", si, err)
-		}
-	}
-	return nil
+	return h.load.apply(ops)
 }
 
-// EndBootstrap commits the resync: cursor to the snapshot's position,
-// then the config-epoch bump that retires the wipe marker (the commit
-// point), then the marker clear. A crash before the bump re-wipes and
-// re-bootstraps; after it, the replica resumes from {epoch, seq}.
+// EndBootstrap commits the resync with the cursor at the snapshot's
+// position: a crash before the commit re-wipes and re-bootstraps; after
+// it, the replica resumes from {epoch, seq}.
 func (h *replHost) EndBootstrap(epoch, seq uint64) error {
-	s := h.s
-	defer s.endAdmin()
-	st := s.st()
-	sh0 := st.shards[0]
-	sh0.lock.Lock()
-	err := sh0.kv.WriteReplCursor(epoch, seq)
-	sh0.lock.Unlock()
-	if err != nil {
-		return fmt.Errorf("repl: bootstrap: committing cursor: %w", err)
-	}
-	_, cfgEpoch, err := sh0.kv.ReadConfig()
-	if err != nil {
-		return fmt.Errorf("repl: bootstrap: reading config: %w", err)
-	}
-	sh0.lock.Lock()
-	err = sh0.kv.WriteConfig(st.n, cfgEpoch+1)
-	sh0.lock.Unlock()
-	if err != nil {
-		return fmt.Errorf("repl: bootstrap: committing: %w", err)
-	}
-	sh0.lock.Lock()
-	err = sh0.kv.ClearManifest()
-	sh0.lock.Unlock()
-	if err != nil {
-		return fmt.Errorf("repl: bootstrap: clearing wipe marker: %w", err)
-	}
-	s.replLoading.Store(false)
-	return nil
+	defer h.s.endAdmin()
+	return h.load.commit(epoch, seq)
 }
 
 // AbortBootstrap abandons a failed resync. The wipe marker stays and

@@ -198,7 +198,7 @@ type Server struct {
 	// it must be set before Serve and is nil in production.
 	testHook func(Command)
 
-	// backupChunkHook, when non-nil, runs after each BACKUP scan chunk
+	// backupChunkHook, when non-nil, runs after each snapshot walk window
 	// (shard id, first bucket of the window) — tests use it to interleave
 	// mutations with the walk deterministically. Nil in production.
 	backupChunkHook func(shard int, bucket uint64)
@@ -305,10 +305,7 @@ func (s *Server) Close() error {
 	// cursor durable — the graceful-shutdown checkpoint a restart
 	// resumes from.
 	s.stopMigration()
-	s.allMu.Lock()
-	all := append([]*shard(nil), s.all...)
-	s.allMu.Unlock()
-	for _, sh := range all {
+	for _, sh := range s.allShards() {
 		if sh.b != nil {
 			sh.b.Stop()
 		}

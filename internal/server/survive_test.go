@@ -19,7 +19,7 @@ import (
 
 // TestServerBusyBackpressure exhausts the pool's only journal slot and
 // asserts the server answers -BUSY (a retryable signal) instead of
-// blocking the connection forever, and that RetryBusy rides out the
+// blocking the connection forever, and that client.Retry rides out the
 // exhaustion once the slot frees. Reads are the exception: the seqlock
 // read path holds no journal slot at all, so GET serves normally while
 // every slot is taken — only the locked fallback (exercised here via
@@ -62,7 +62,7 @@ func TestServerBusyBackpressure(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		close(hold)
 	}()
-	reply, err = client.RetryBusy(context.Background(), 20, time.Millisecond, 20*time.Millisecond, func() (string, error) {
+	reply, err = client.Retry(context.Background(), 20, time.Millisecond, 20*time.Millisecond, client.IsBusyReply, func() (string, error) {
 		return cl.cmd("GET 7")
 	})
 	if err != nil {
