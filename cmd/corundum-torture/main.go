@@ -9,11 +9,11 @@
 //
 //	corundum-torture [-seeds N] [-iterations N] [-workers N]
 //
-// With -workers 1 (the default) each campaign is serial: one transaction
-// in flight at a time. With -workers N>1, N goroutines transact
-// concurrently on the same pool and the power cut lands while several
-// journals are active — the configuration that stresses sharded-journal
-// recovery.
+// It is one campaign whose serial mode is -workers 1 (the default): one
+// transaction in flight at a time. With -workers N>1, N goroutines
+// transact concurrently on the same pool and the power cut lands while
+// several journals are active — the configuration that stresses
+// sharded-journal recovery.
 //
 // Exhaust mode enumerates EVERY device operation of a fixed workload as a
 // crash point — no sampling — recovers from each, and verifies
@@ -75,9 +75,10 @@
 // store walked — a crash, torn write, or bit flip on shard i must never
 // block or corrupt shard j.
 //
-// Exit code 1 means a consistency violation was found (a bug); in exhaust
-// and faults modes each violation's flight-recorder dump is written under
-// -dump-dir.
+// Exit code 1 means a consistency violation was found (a bug); in exhaust,
+// faults and migrate modes each violation's flight-recorder dump is
+// written under -dump-dir. Exit code 2 is flag misuse or a sweep that
+// was not exhaustive.
 package main
 
 import (
@@ -96,12 +97,12 @@ func main() {
 	mode := flag.String("mode", "random", "campaign mode: random | exhaust | faults | migrate | repl | readers")
 	seeds := flag.Int("seeds", 8, "random mode: number of independent campaigns")
 	iterations := flag.Int("iterations", 500, "random mode: transactions per campaign")
-	workers := flag.Int("workers", 0, fmt.Sprintf("goroutines (random mode: 1..%d concurrent transactions, default 1; exhaust mode: crash-point shards, default GOMAXPROCS)", torture.MaxWorkers))
-	workload := flag.String("workload", "kvstore", "exhaust mode: structure under test (kvstore | allocheavy | bst | btree)")
-	depth := flag.Int("depth", 2, "exhaust mode: nested crashes injected during recovery (0 = none)")
-	steps := flag.Int("steps", 8, "exhaust mode: script mutations to enumerate crash points over")
+	workers := flag.Int("workers", 0, fmt.Sprintf("goroutines (random mode: 1..%d concurrent transactions, default 1; exhaust/faults/migrate modes: crash-point shards, default GOMAXPROCS)", torture.MaxWorkers))
+	workload := flag.String("workload", "kvstore", "exhaust/faults mode: structure under test (kvstore | allocheavy | bst | btree)")
+	depth := flag.Int("depth", 2, "exhaust/migrate mode: nested crashes injected during recovery (0 = none)")
+	steps := flag.Int("steps", 8, "exhaust/faults mode: script mutations to enumerate crash points over")
 	evictSeeds := flag.Int("evict-seeds", 0, "exhaust mode: additionally replay each crash point with eviction seeds 1..N")
-	dumpDir := flag.String("dump-dir", "", "exhaust/faults mode: write flight-recorder dumps for violations into this directory")
+	dumpDir := flag.String("dump-dir", "", "exhaust/faults/migrate mode: write flight-recorder dumps for violations into this directory")
 	stride := flag.Int("stride", 1, "faults mode: explore every stride-th crash point")
 	tornBudget := flag.Int("torn-budget", 16, "faults mode: max torn-word schedules per crash point")
 	slabRefill := flag.Int("slab-refill", 0, "exhaust mode: slab refill batch size (0 = pool default, -1 = disable the cache)")
@@ -193,15 +194,7 @@ func runRandom(seeds, iterations, workers int) {
 	start := time.Now()
 	totalCrashes := 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		var (
-			res *torture.Result
-			err error
-		)
-		if workers > 1 {
-			res, err = torture.ConcurrentCampaign(seed, iterations, workers)
-		} else {
-			res, err = torture.Campaign(seed, iterations)
-		}
+		res, err := torture.Campaign(seed, iterations, workers)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "corundum-torture: seed %d: CONSISTENCY VIOLATION: %v\n", seed, err)
 			os.Exit(1)
@@ -219,6 +212,7 @@ func runRandom(seeds, iterations, workers int) {
 }
 
 func runExhaust(workload string, depth, steps, evictSeeds, workers, slabRefill, slabCap int, dumpDir string) {
+	st := &explore.Stats{}
 	cfg := explore.Config{
 		Workload:      workload,
 		Steps:         steps,
@@ -227,41 +221,22 @@ func runExhaust(workload string, depth, steps, evictSeeds, workers, slabRefill, 
 		Workers:       workers,
 		SlabRefill:    slabRefill,
 		SlabCap:       slabCap,
+		Stats:         st,
 	}
 	if depth == 0 {
 		cfg.Depth = -1 // Config treats 0 as "default"; the CLI's 0 means none
 	}
-	st := &explore.Stats{}
-	cfg.Stats = st
-
-	// Live progress on stderr: the sweep is deterministic but can take a
-	// while at higher depths, so show the counters advancing.
-	stop := make(chan struct{})
-	progressDone := make(chan struct{})
-	go func() {
-		defer close(progressDone)
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				fmt.Fprintf(os.Stderr, "  ... %d/%d crash points (%d recovered+verified, %d pruned, %d recovery crashes, %d evictions)\n",
-					st.CrashPoints.Load(), st.TotalOps.Load(), st.Explored.Load(),
-					st.Pruned.Load(), st.RecoveryCrashes.Load(), st.Evictions.Load())
-			}
-		}
-	}()
-
+	// The sweep can take a while at higher depths, so show the counters
+	// advancing.
+	stop := progress(func() string {
+		return fmt.Sprintf("%d/%d crash points (%d recovered+verified, %d pruned, %d recovery crashes, %d evictions)",
+			st.CrashPoints.Load(), st.TotalOps.Load(), st.Explored.Load(),
+			st.Pruned.Load(), st.RecoveryCrashes.Load(), st.Evictions.Load())
+	})
 	start := time.Now()
 	res, err := explore.Run(cfg)
-	close(stop)
-	<-progressDone
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "corundum-torture: exhaust: %v\n", err)
-		os.Exit(2)
-	}
+	stop()
+	exitOnError("exhaust", err)
 
 	fmt.Printf("workload %s: %d ops, %d fences, %d steps\n", workload, res.TotalOps, len(res.FenceOps), res.Steps)
 	for i, n := range res.IntervalPoints {
@@ -269,30 +244,7 @@ func runExhaust(workload string, depth, steps, evictSeeds, workers, slabRefill, 
 	}
 	fmt.Printf("explored %d states (%d pruned by durable-image hash), %d recovery crashes, %d eviction variants (%.1fs)\n",
 		st.Explored.Load(), st.Pruned.Load(), st.RecoveryCrashes.Load(), st.Evictions.Load(), time.Since(start).Seconds())
-
-	// Exhaustiveness check: every fence interval of the workload must have
-	// contributed at least one crash point.
-	for i, n := range res.IntervalPoints {
-		if n == 0 {
-			fmt.Fprintf(os.Stderr, "corundum-torture: exhaust: fence interval %d got zero crash points — enumeration is not exhaustive\n", i)
-			os.Exit(2)
-		}
-	}
-	if st.CrashPoints.Load() != res.TotalOps {
-		fmt.Fprintf(os.Stderr, "corundum-torture: exhaust: processed %d of %d crash points\n", st.CrashPoints.Load(), res.TotalOps)
-		os.Exit(2)
-	}
-
-	if len(res.Violations) > 0 {
-		for i, v := range res.Violations {
-			fmt.Fprintf(os.Stderr, "corundum-torture: VIOLATION: %v\n", v)
-			if dumpDir != "" {
-				writeFlightDump(dumpDir, i, v)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "corundum-torture: exhaust: %d violations\n", len(res.Violations))
-		os.Exit(1)
-	}
+	exitOnViolations("exhaust", "", res.Violations, dumpDir)
 	fmt.Printf("OK: all %d crash points recover consistently\n", res.TotalOps)
 }
 
@@ -307,50 +259,22 @@ func runFaults(workload string, steps, stride, tornBudget, flips, workers int, d
 		Workers:       workers,
 		Stats:         st,
 	}
-
-	stop := make(chan struct{})
-	progressDone := make(chan struct{})
-	go func() {
-		defer close(progressDone)
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				fmt.Fprintf(os.Stderr, "  ... %d crash points (%d torn schedules, %d flips; %d masked, %d repaired, %d detected)\n",
-					st.CrashPoints.Load(), st.TornSchedules.Load(), st.BitFlips.Load(),
-					st.Masked.Load(), st.Repaired.Load(), st.Detected.Load())
-			}
-		}
-	}()
-
+	stop := progress(func() string {
+		return fmt.Sprintf("%d crash points (%d torn schedules, %d flips; %d masked, %d repaired, %d detected)",
+			st.CrashPoints.Load(), st.TornSchedules.Load(), st.BitFlips.Load(),
+			st.Masked.Load(), st.Repaired.Load(), st.Detected.Load())
+	})
 	start := time.Now()
 	res, err := explore.RunFaults(cfg)
-	close(stop)
-	<-progressDone
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "corundum-torture: faults: %v\n", err)
-		os.Exit(2)
-	}
+	stop()
+	exitOnError("faults", err)
 
 	fmt.Printf("workload %s: %d ops, %d crash points visited (stride %d)\n", workload, res.TotalOps, res.Points, stride)
 	fmt.Printf("torn: %d schedules (%d pruned), %d lines actually tore, %d words persisted out of order\n",
 		st.TornSchedules.Load(), st.TornPruned.Load(), res.Media.TornLines, res.Media.TornWords)
 	fmt.Printf("rot:  %d bit flips — %d masked+%d repaired+%d detected (%.1fs)\n",
 		st.BitFlips.Load(), st.Masked.Load(), st.Repaired.Load(), st.Detected.Load(), time.Since(start).Seconds())
-
-	if len(res.Violations) > 0 {
-		for i, v := range res.Violations {
-			fmt.Fprintf(os.Stderr, "corundum-torture: VIOLATION: %v\n", v)
-			if dumpDir != "" {
-				writeFlightDump(dumpDir, i, v)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "corundum-torture: faults: %d violations — silent corruption or torn recovery failure\n", len(res.Violations))
-		os.Exit(1)
-	}
+	exitOnViolations("faults", " — silent corruption or torn recovery failure", res.Violations, dumpDir)
 	fmt.Printf("OK: no silent corruption — every injected fault was masked, repaired, or detected\n")
 }
 
@@ -367,56 +291,21 @@ func runMigrate(keys, batch, depth, maxPoints, workers int, dumpDir string) {
 	if depth == 0 {
 		cfg.Depth = -1 // MigrateConfig treats 0 as "default"; the CLI's 0 means none
 	}
-
-	stop := make(chan struct{})
-	progressDone := make(chan struct{})
-	go func() {
-		defer close(progressDone)
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				fmt.Fprintf(os.Stderr, "  ... %d/%d crash points (%d recovered+verified, %d pruned, %d recovery crashes)\n",
-					st.CrashPoints.Load(), st.TotalOps.Load(), st.Explored.Load(),
-					st.Pruned.Load(), st.RecoveryCrashes.Load())
-			}
-		}
-	}()
-
+	stop := progress(func() string {
+		return fmt.Sprintf("%d/%d crash points (%d recovered+verified, %d pruned, %d recovery crashes)",
+			st.CrashPoints.Load(), st.TotalOps.Load(), st.Explored.Load(),
+			st.Pruned.Load(), st.RecoveryCrashes.Load())
+	})
 	start := time.Now()
 	res, err := explore.RunMigrate(cfg)
-	close(stop)
-	<-progressDone
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "corundum-torture: migrate: %v\n", err)
-		os.Exit(2)
-	}
+	stop()
+	exitOnError("migrate", err)
 
 	fmt.Printf("migration: %d keys, 1->2 split, %d device ops across both pools, %d crash points enumerated\n",
 		res.Keys, res.TotalOps, res.ExploredPoints)
 	fmt.Printf("explored %d terminal states (%d pruned by durable-image-pair hash), %d nested recovery crashes (%.1fs)\n",
 		st.Explored.Load(), st.Pruned.Load(), st.RecoveryCrashes.Load(), time.Since(start).Seconds())
-
-	if len(res.Violations) > 0 {
-		for i, v := range res.Violations {
-			fmt.Fprintf(os.Stderr, "corundum-torture: VIOLATION: %v\n", v)
-			if dumpDir != "" {
-				writeFlightDump(dumpDir, i, v)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "corundum-torture: migrate: %d violations — keys lost, duplicated, or torn across the split\n", len(res.Violations))
-		os.Exit(1)
-	}
-	// Exhaustiveness check (only meaningful on a clean run: violations
-	// stop the sweep early by design).
-	if st.CrashPoints.Load() != res.ExploredPoints {
-		fmt.Fprintf(os.Stderr, "corundum-torture: migrate: processed %d of %d crash points\n",
-			st.CrashPoints.Load(), res.ExploredPoints)
-		os.Exit(2)
-	}
+	exitOnViolations("migrate", " — keys lost, duplicated, or torn across the split", res.Violations, dumpDir)
 	fmt.Printf("OK: every power cut resumes to a completed migration with all %d keys intact\n", res.Keys)
 }
 
@@ -432,21 +321,12 @@ func runRepl(rounds, writes int, seed int64) {
 			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
 		},
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "corundum-torture: repl: %v\n", err)
-		os.Exit(2)
-	}
+	exitOnError("repl", err)
 	fmt.Printf("repl chaos: %d rounds, %d writes acked; %d link cuts, %d replica crashes, %d bootstrap crashes, %d primary crashes, %d promotions, %d reboots (%.1fs)\n",
 		res.Rounds, st.Acked.Load(), st.LinkCuts.Load(), st.ReplicaCrashes.Load(),
 		st.BootstrapCrashes.Load(), st.PrimaryCrashes.Load(), st.Promotes.Load(),
 		st.Reboots.Load(), time.Since(start).Seconds())
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			fmt.Fprintf(os.Stderr, "corundum-torture: VIOLATION: %v\n", v)
-		}
-		fmt.Fprintf(os.Stderr, "corundum-torture: repl: %d violations — acked writes lost or replicas diverged\n", len(res.Violations))
-		os.Exit(1)
-	}
+	exitOnViolations("repl", " — acked writes lost or replicas diverged", res.Violations, "")
 	fmt.Printf("OK: every round converged byte-exact with zero acked-write loss on the surviving epoch\n")
 }
 
@@ -464,10 +344,7 @@ func runReaders(rounds, writes, clients int, seed int64, locked bool) {
 			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
 		},
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "corundum-torture: readers: %v\n", err)
-		os.Exit(2)
-	}
+	exitOnError("readers", err)
 	path := "seqlock"
 	if locked {
 		path = "locked"
@@ -476,14 +353,55 @@ func runReaders(rounds, writes, clients int, seed int64, locked bool) {
 		path, res.Rounds, st.Acked.Load(), st.Reads.Load(), st.ScanPairs.Load(),
 		st.Crashes.Load(), st.Reboots.Load(), st.LockFreeReads.Load(),
 		st.ReadRetries.Load(), st.Fallbacks.Load(), time.Since(start).Seconds())
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			fmt.Fprintf(os.Stderr, "corundum-torture: VIOLATION: %v\n", v)
-		}
-		fmt.Fprintf(os.Stderr, "corundum-torture: readers: %d violations — a reader observed torn, phantom, or uncommitted state, or an acked write was lost\n", len(res.Violations))
-		os.Exit(1)
-	}
+	exitOnViolations("readers", " — a reader observed torn, phantom, or uncommitted state, or an acked write was lost", res.Violations, "")
 	fmt.Printf("OK: no reader ever observed torn, phantom, or uncommitted state; every acked write survived\n")
+}
+
+// progress prints line() to stderr once a second until the returned stop
+// is called.
+func progress(line func() string) (stop func()) {
+	done := make(chan struct{})
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		tick := time.NewTicker(time.Second)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				fmt.Fprintf(os.Stderr, "  ... %s\n", line())
+			}
+		}
+	}()
+	return func() { close(done); <-finished }
+}
+
+// exitOnError ends the run with exit code 2 on an infrastructure failure,
+// including a sweep that was not exhaustive.
+func exitOnError(mode string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "corundum-torture: %s: %v\n", mode, err)
+		os.Exit(2)
+	}
+}
+
+// exitOnViolations reports every violation — writing its flight-recorder
+// dump under dumpDir, for the campaigns that record one — and ends the
+// run with exit code 1 when there is any.
+func exitOnViolations[V any](mode, what string, vs []V, dumpDir string) {
+	if len(vs) == 0 {
+		return
+	}
+	for i, v := range vs {
+		fmt.Fprintf(os.Stderr, "corundum-torture: VIOLATION: %v\n", v)
+		if ev, ok := any(v).(explore.Violation); ok && dumpDir != "" {
+			writeFlightDump(dumpDir, i, ev)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "corundum-torture: %s: %d violations%s\n", mode, len(vs), what)
+	os.Exit(1)
 }
 
 // writeFlightDump names the file after the crash point and trail so a

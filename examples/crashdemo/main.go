@@ -82,12 +82,7 @@ func main() {
 		return count == *crashAt
 	})
 	fmt.Printf("transferring 500 from account 0 to account 7, crashing at device op %d...\n", *crashAt)
-	func() {
-		defer func() {
-			if r := recover(); r != nil && r != pmem.ErrInjectedCrash {
-				panic(r)
-			}
-		}()
+	pmem.Contain(func() {
 		_ = core.Transaction[P](func(j *core.Journal[P]) error {
 			l := root.Deref()
 			if err := l.Accounts[0].Balance.Update(j, func(b int64) int64 { return b - 500 }); err != nil {
@@ -98,7 +93,7 @@ func main() {
 			}
 			return l.Transfers.Update(j, func(n int64) int64 { return n + 1 })
 		})
-	}()
+	})
 	dev.SetFaultInjector(nil)
 
 	// Power loss: everything unflushed is gone. Reboot: pool recovery runs.

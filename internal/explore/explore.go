@@ -22,8 +22,6 @@ package explore
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"corundum/internal/baselines/corundumeng"
@@ -55,9 +53,9 @@ type Config struct {
 	PoolSize int
 	// MaxViolations stops the run after this many failures (default 8).
 	MaxViolations int
-	// AttachFn reopens a pool over a crashed device image. Defaults to
-	// pool.Attach; tests substitute a wrapper to prove the explorer
-	// catches recovery bugs.
+	// AttachFn reopens a pool over a crashed device image: it is the
+	// script's reboot. Defaults to pool.Attach; tests substitute a wrapper
+	// to prove the explorer catches recovery bugs.
 	AttachFn func(dev *pmem.Device) (*pool.Pool, error)
 	// Registry, when set, receives live explore_* counters.
 	Registry *obs.Registry
@@ -66,11 +64,6 @@ type Config struct {
 	Stats *Stats
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
-	// FlightCap is the per-device flight-recorder capacity used for
-	// violation dumps (default 4096: recovery may replay bulk slab
-	// refill/spill batches of several hundred ops, and the CRASH marker
-	// must stay in the ring through them).
-	FlightCap int
 	// SlabRefill and SlabCap, when either is non-zero, retune every
 	// arena's slab cache (pool.SetSlabParams) after each attach, so the
 	// tuning holds across the pristine build, the census, and every
@@ -90,31 +83,11 @@ func (c Config) withDefaults() Config {
 	if c.Steps <= 0 {
 		c.Steps = 8
 	}
-	if c.Depth < 0 {
-		c.Depth = 0
-	} else if c.Depth == 0 {
-		c.Depth = 2
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-		if c.Workers > 8 {
-			c.Workers = 8
-		}
-	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = 4 << 20
 	}
-	if c.MaxViolations <= 0 {
-		c.MaxViolations = 8
-	}
 	if c.AttachFn == nil {
 		c.AttachFn = pool.Attach
-	}
-	if c.Log == nil {
-		c.Log = func(string, ...any) {}
-	}
-	if c.FlightCap <= 0 {
-		c.FlightCap = 4096
 	}
 	return c
 }
@@ -138,8 +111,8 @@ type Stats struct {
 }
 
 // Violation is one verification failure, with enough context to replay it
-// deterministically: restore the pristine image, arm CrashAt at the
-// crash point, then arm each trail entry during successive recoveries.
+// deterministically: restore the pristine image, arm a cut at the crash
+// point, then arm each trail entry during successive recoveries.
 type Violation struct {
 	// CrashPoint is the workload-relative op index of the initial cut.
 	CrashPoint uint64
@@ -152,7 +125,7 @@ type Violation struct {
 	Acked int
 	// Err names the violated invariant.
 	Err error
-	// Flight is the device's flight-recorder dump at failure time.
+	// Flight is the flight-recorder dump of every device at failure time.
 	Flight string
 }
 
@@ -179,7 +152,7 @@ type Result struct {
 	// IntervalPoints[i] is how many crash points fall in the i-th fence
 	// interval (ops after fence i-1, up to and including fence i; the
 	// last entry is the post-final-fence tail if non-empty). Exhaustive
-	// enumeration makes every entry positive by construction; the CLI
+	// enumeration makes every entry positive by construction; the sweep
 	// asserts it anyway.
 	IntervalPoints []uint64
 	// Stats is the final counter snapshot source.
@@ -188,174 +161,36 @@ type Result struct {
 	Violations []Violation
 }
 
-type shared struct {
-	cfg      Config
-	def      workloadDef
-	script   []scriptOp
-	models   []map[uint64]uint64
-	pristine []byte
-
-	// inUseByStep[k] is the heap's in-use byte count after k completed
-	// steps of a clean run (recorded during census). Replays are
-	// deterministic, so a recovered state that matches models[k] must
-	// also sit at exactly inUseByStep[k]: anything higher is a leak,
-	// anything lower a double-free or lost allocation.
-	inUseByStep []uint64
-
-	seen  sync.Map // durable-image hash -> struct{}
-	stats *Stats
-
-	mu    sync.Mutex
-	viols []Violation
-	stop  atomic.Bool
-}
-
 // Run explores every crash point of the configured workload. It returns
-// an error only for infrastructure failures (bad config, setup failure);
-// verification failures are reported as Result.Violations.
+// an error only for infrastructure failures (bad config, setup failure,
+// a clean sweep that was not exhaustive); verification failures are
+// reported as Result.Violations.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	def, err := workloadFor(cfg.Workload)
+	w, imgs, err := newSteps(cfg)
 	if err != nil {
 		return nil, err
 	}
-	script, models := scriptFor(cfg.Workload, cfg.Steps)
-	sh := &shared{cfg: cfg, def: def, script: script, models: models, stats: cfg.Stats}
-	if sh.stats == nil {
-		sh.stats = &Stats{}
-	}
-	if cfg.Registry != nil {
-		registerMetrics(cfg.Registry, sh.stats)
-	}
-
-	if err := sh.buildPristine(); err != nil {
+	s := &sweep[*pool.Pool]{sc: w, pristine: imgs, depth: cfg.Depth, evictions: cfg.EvictionSeeds,
+		workers: cfg.Workers, maxViolations: cfg.MaxViolations, log: cfg.Log, registry: cfg.Registry, stats: cfg.Stats}
+	if err := s.start(); err != nil {
 		return nil, err
 	}
-	T, fences, err := sh.census()
+	s.log("explore: workload=%s steps=%d ops=%d fences=%d depth=%d workers=%d evict-seeds=%d",
+		cfg.Workload, cfg.Steps, s.total, len(s.fences), s.depth, s.workers, s.evictions)
+	s.run(s.point)
+	viols, err := s.finish()
 	if err != nil {
 		return nil, err
 	}
-	sh.stats.TotalOps.Store(T)
-	cfg.Log("explore: workload=%s steps=%d ops=%d fences=%d depth=%d workers=%d evict-seeds=%d",
-		cfg.Workload, cfg.Steps, T, len(fences), cfg.Depth, cfg.Workers, cfg.EvictionSeeds)
-
-	var wg sync.WaitGroup
-	for wid := 0; wid < cfg.Workers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			w := sh.newWorker()
-			for m := uint64(wid + 1); m <= T; m += uint64(cfg.Workers) {
-				if sh.stop.Load() {
-					return
-				}
-				w.explorePoint(m)
-			}
-		}(wid)
-	}
-	wg.Wait()
-
-	res := &Result{
-		TotalOps:       T,
+	return &Result{
+		TotalOps:       s.total,
 		Steps:          cfg.Steps,
-		FenceOps:       fences,
-		IntervalPoints: intervalPoints(T, fences),
-		Stats:          sh.stats,
-	}
-	sh.mu.Lock()
-	res.Violations = sh.viols
-	sh.mu.Unlock()
-	return res, nil
-}
-
-// buildPristine formats a pool, runs workload setup, and captures the
-// durable image every exploration replays from.
-func (sh *shared) buildPristine() error {
-	p, err := pool.Create("", pool.Config{
-		Size:       sh.cfg.PoolSize,
-		Journals:   2,
-		JournalCap: 16 << 10,
-		Mem:        pmem.Options{TrackCrash: true},
-	})
-	if err != nil {
-		return err
-	}
-	sh.tune(p)
-	if _, err := sh.def.setup(corundumeng.Wrap(p)); err != nil {
-		return fmt.Errorf("explore: workload setup: %w", err)
-	}
-	// Setup is committed transactions only, so the durable image is
-	// complete; exploration effectively starts from "power lost right
-	// after setup was acknowledged".
-	sh.pristine = p.Device().DurableSnapshot()
-	return nil
-}
-
-// tune applies the configured slab parameters to a freshly attached
-// pool. Caches start cold, so the call itself issues no device ops and
-// cannot perturb the crash-point universe; only subsequent allocator
-// behaviour changes, identically in census and every replay.
-func (sh *shared) tune(p *pool.Pool) {
-	if sh.cfg.SlabRefill == 0 && sh.cfg.SlabCap == 0 {
-		return
-	}
-	refill := sh.cfg.SlabRefill
-	if refill < 0 {
-		refill = 0 // pool.SetSlabParams(<1, _) disables the cache
-	}
-	p.SetSlabParams(refill, sh.cfg.SlabCap)
-}
-
-// census replays the script once, uninterrupted, recording the total op
-// count and each fence's workload-relative op index. Replays are
-// deterministic, so these indices are exact for every later run.
-func (sh *shared) census() (T uint64, fences []uint64, err error) {
-	w := sh.newWorker()
-	w.dev.RestoreDurable(sh.pristine)
-	p, err := sh.cfg.AttachFn(w.dev)
-	if err != nil {
-		return 0, nil, fmt.Errorf("explore: census attach: %w", err)
-	}
-	sh.tune(p)
-	st, err := sh.def.attach(corundumeng.Wrap(p))
-	if err != nil {
-		return 0, nil, fmt.Errorf("explore: census attach structure: %w", err)
-	}
-	base := w.dev.OpCount()
-	w.dev.SetOpHook(func(op pmem.Op, _ pmem.Scope, _ uint64) {
-		if op == pmem.OpFence {
-			fences = append(fences, w.dev.OpCount()-base)
-		}
-	})
-	sh.inUseByStep = append(sh.inUseByStep[:0], p.InUse())
-	for _, op := range sh.script {
-		if err := st.step(op); err != nil {
-			w.dev.SetOpHook(nil)
-			return 0, nil, fmt.Errorf("explore: census step: %w", err)
-		}
-		sh.inUseByStep = append(sh.inUseByStep, p.InUse())
-	}
-	w.dev.SetOpHook(nil)
-	T = w.dev.OpCount() - base
-	if T == 0 {
-		return 0, nil, fmt.Errorf("explore: workload issued no device ops")
-	}
-	return T, fences, nil
-}
-
-// intervalPoints sizes each fence interval (f_{i-1}, f_i], plus the tail
-// after the last fence when non-empty.
-func intervalPoints(T uint64, fences []uint64) []uint64 {
-	var out []uint64
-	prev := uint64(0)
-	for _, f := range fences {
-		out = append(out, f-prev)
-		prev = f
-	}
-	if T > prev {
-		out = append(out, T-prev)
-	}
-	return out
+		FenceOps:       s.fences,
+		IntervalPoints: intervalPoints(s.total, s.fences),
+		Stats:          s.stats,
+		Violations:     viols,
+	}, nil
 }
 
 func registerMetrics(reg *obs.Registry, st *Stats) {
@@ -367,253 +202,139 @@ func registerMetrics(reg *obs.Registry, st *Stats) {
 	reg.CounterFunc("explore_violations_total", "Verification failures.", nil, st.Violations.Load)
 }
 
-// worker owns one device and explores a shard of crash points.
-type worker struct {
-	sh  *shared
-	dev *pmem.Device
+// createPool formats the in-memory, crash-tracked pool every image
+// campaign builds its pristine images on.
+func createPool(size int) (*pool.Pool, error) {
+	return pool.Create("", pool.Config{
+		Size:       size,
+		Journals:   2,
+		JournalCap: 16 << 10,
+		Mem:        pmem.Options{TrackCrash: true},
+	})
 }
 
-func (sh *shared) newWorker() *worker {
-	dev := pmem.New(len(sh.pristine), pmem.Options{TrackCrash: true})
-	dev.SetFlightRecorder(sh.cfg.FlightCap)
-	return &worker{sh: sh, dev: dev}
+// steps is the exhaust script: a structure driven by a deterministic
+// sequence of single-transaction steps, held to the linearizability
+// contract after every cut.
+type steps struct {
+	cfg    Config
+	def    workloadDef
+	ops    []scriptOp
+	models []map[uint64]uint64
+
+	// inUse[k] is the heap's in-use byte count after k completed steps of
+	// a clean run. Replays are deterministic, so a recovered state that
+	// matches models[k] must also sit at exactly inUse[k]: anything higher
+	// is a leak, anything lower a double-free or lost allocation.
+	inUse []uint64
 }
 
-// markSeen records a durable-image hash, reporting whether it was new.
-func (w *worker) markSeen(h uint64) bool {
-	_, loaded := w.sh.seen.LoadOrStore(h, struct{}{})
-	return !loaded
-}
-
-func (w *worker) fail(m uint64, trail []uint64, seed int64, acked int, err error) {
-	w.sh.stats.Violations.Add(1)
-	v := Violation{
-		CrashPoint: m,
-		Trail:      append([]uint64(nil), trail...),
-		EvictSeed:  seed,
-		Acked:      acked,
-		Err:        err,
-		Flight:     pmem.FormatFlight(w.dev.FlightEvents()),
-	}
-	w.sh.mu.Lock()
-	w.sh.viols = append(w.sh.viols, v)
-	if len(w.sh.viols) >= w.sh.cfg.MaxViolations {
-		w.sh.stop.Store(true)
-	}
-	w.sh.mu.Unlock()
-	w.sh.cfg.Log("explore: VIOLATION %s", v)
-}
-
-// explorePoint handles one top-level crash point: plain crash (with
-// nested recovery exploration), then eviction variants.
-func (w *worker) explorePoint(m uint64) {
-	acked, crashed, err := w.replayWorkload(m, 0)
-	w.sh.stats.CrashPoints.Add(1)
+// newSteps formats a pool, runs workload setup, and returns the script
+// with the pristine image every replay starts from. Setup is committed
+// transactions only, so the durable image is complete: exploration
+// starts from "power lost right after setup was acknowledged".
+func newSteps(cfg Config) (*steps, [][]byte, error) {
+	def, err := workloadFor(cfg.Workload)
 	if err != nil {
-		w.fail(m, nil, 0, acked, err)
+		return nil, nil, err
+	}
+	w := &steps{cfg: cfg, def: def}
+	w.ops, w.models = scriptFor(cfg.Workload, cfg.Steps)
+	p, err := createPool(cfg.PoolSize)
+	if err != nil {
+		return nil, nil, err
+	}
+	w.tune(p)
+	if _, err := def.setup(corundumeng.Wrap(p)); err != nil {
+		return nil, nil, fmt.Errorf("explore: workload setup: %w", err)
+	}
+	img := p.Device().DurableSnapshot()
+
+	// One clean run records the heap occupancy after every step.
+	dev := pmem.New(len(img), pmem.Options{TrackCrash: true})
+	dev.RestoreDurable(img)
+	var acked int
+	if err := w.run(dev, func() {}, &acked, func(p *pool.Pool) { w.inUse = append(w.inUse, p.InUse()) }); err != nil {
+		return nil, nil, fmt.Errorf("explore: clean run: %w", err)
+	}
+	return w, [][]byte{img}, nil
+}
+
+// tune applies the configured slab parameters to a freshly attached
+// pool. Caches start cold, so the call itself issues no device ops and
+// cannot perturb the crash-point universe; only subsequent allocator
+// behaviour changes, identically in census and every replay.
+func (w *steps) tune(p *pool.Pool) {
+	if w.cfg.SlabRefill == 0 && w.cfg.SlabCap == 0 {
 		return
 	}
-	if !crashed {
-		w.fail(m, nil, 0, acked, fmt.Errorf("crash point %d never fired (workload ops shrank?)", m))
-		return
-	}
-	if w.markSeen(w.dev.DurableHash()) {
-		img := w.dev.DurableSnapshot()
-		w.exploreRecovery(img, acked, m, nil, 0)
-	} else {
-		w.sh.stats.Pruned.Add(1)
-	}
-
-	for seed := int64(1); seed <= int64(w.sh.cfg.EvictionSeeds); seed++ {
-		if w.sh.stop.Load() {
-			return
-		}
-		acked, crashed, err := w.replayWorkload(m, seed)
-		if err != nil {
-			w.fail(m, nil, seed, acked, err)
-			return
-		}
-		if !crashed {
-			return
-		}
-		w.sh.stats.Evictions.Add(1)
-		if !w.markSeen(w.dev.DurableHash()) {
-			w.sh.stats.Pruned.Add(1)
-			continue
-		}
-		// Eviction variants get plain recovery verification; the nested
-		// dimension is explored on the canonical (evict-free) image.
-		img := w.dev.DurableSnapshot()
-		w.recoverAndVerify(img, acked, m, nil, seed)
-	}
+	p.SetSlabParams(max(w.cfg.SlabRefill, 0), w.cfg.SlabCap) // refill < 1 disables the cache
 }
 
-// replayWorkload restores the pristine image, attaches, arms a cut at
-// workload-relative op m, and replays the script. It reports how many
-// steps completed before power was lost. With evictSeed non-zero the cut
-// additionally persists a pseudo-random subset of unfenced cache lines.
-func (w *worker) replayWorkload(m uint64, evictSeed int64) (acked int, crashed bool, err error) {
-	acked, crashed, err = w.replayArm(m)
-	if err != nil || !crashed {
-		return acked, crashed, err
-	}
-	if evictSeed != 0 {
-		w.dev.CrashWithEviction(evictSeed)
-	} else {
-		w.dev.Crash()
-	}
-	return acked, true, nil
-}
-
-// replayArm is replayWorkload up to — but not including — the loss of
-// power: the device is left armed at the cut, its dirty/pending state
-// intact, so the caller can inspect TornCandidates (or any other at-risk
-// state) before deciding how the crash lands. Callers must apply
-// Crash/CrashWithEviction/CrashTornMasks themselves when crashed is true.
-func (w *worker) replayArm(m uint64) (acked int, crashed bool, err error) {
-	w.dev.RestoreDurable(w.sh.pristine)
-	w.dev.SetFlightRecorder(w.sh.cfg.FlightCap) // fresh history per replay
-	p, err := w.sh.cfg.AttachFn(w.dev)
+// run attaches to dev, opens the crash window, and applies the script,
+// calling each (when set) after the attach and after every step.
+func (w *steps) run(dev *pmem.Device, open func(), acked *int, each func(*pool.Pool)) error {
+	p, err := w.cfg.AttachFn(dev)
 	if err != nil {
-		return 0, false, fmt.Errorf("clean attach failed: %w", err)
+		return fmt.Errorf("clean attach failed: %w", err)
 	}
-	w.sh.tune(p)
-	st, err := w.sh.def.attach(corundumeng.Wrap(p))
+	w.tune(p)
+	st, err := w.def.attach(corundumeng.Wrap(p))
 	if err != nil {
-		return 0, false, fmt.Errorf("clean attach structure: %w", err)
+		return fmt.Errorf("clean attach structure: %w", err)
 	}
-	w.dev.CrashAt(w.dev.OpCount() + m)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != pmem.ErrInjectedCrash {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
-		for _, op := range w.sh.script {
-			if e := st.step(op); e != nil {
-				err = fmt.Errorf("step error before crash point: %w", e)
-				return
-			}
-			acked++
+	open()
+	if each == nil {
+		each = func(*pool.Pool) {}
+	}
+	each(p)
+	for _, op := range w.ops {
+		if err := st.step(op); err != nil {
+			return fmt.Errorf("step error before crash point: %w", err)
 		}
-	}()
-	w.dev.CrashAt(0)
-	return acked, crashed, err
+		*acked++
+		each(p)
+	}
+	return nil
 }
 
-// exploreRecovery enumerates every op of recovery-from-img as a further
-// crash point, up to the configured depth, verifying each terminal state.
-// crashes counts recovery-level crashes already on the trail.
-func (w *worker) exploreRecovery(img []byte, acked int, m uint64, trail []uint64, crashes int) {
-	// The clean path first: recovery runs to completion and must yield a
-	// state satisfying the contract.
-	if !w.recoverAndVerify(img, acked, m, trail, 0) {
-		return
-	}
-	if crashes >= w.sh.cfg.Depth {
-		return
-	}
-	for r := uint64(1); ; r++ {
-		if w.sh.stop.Load() {
-			return
-		}
-		w.dev.RestoreDurable(img)
-		w.dev.CrashAt(w.dev.OpCount() + r)
-		_, crashed, err := w.tryAttach()
-		if err != nil {
-			w.fail(m, append(trail, r), 0, acked, fmt.Errorf("recovery attach error: %w", err))
-			return
-		}
-		if !crashed {
-			w.dev.CrashAt(0)
-			return // recovery finished in fewer than r ops: level exhausted
-		}
-		w.sh.stats.RecoveryCrashes.Add(1)
-		w.dev.Crash()
-		if !w.markSeen(w.dev.DurableHash()) {
-			w.sh.stats.Pruned.Add(1)
-			continue
-		}
-		sub := w.dev.DurableSnapshot()
-		// Copy the trail: siblings at this level must not share backing.
-		subTrail := append(append([]uint64(nil), trail...), r)
-		w.exploreRecovery(sub, acked, m, subTrail, crashes+1)
-	}
+func (w *steps) forward(mc *machine, open func(), acked *int) error {
+	return w.run(mc.devs[0], open, acked, nil)
 }
 
-// tryAttach attempts recovery, converting an injected crash into a flag.
-func (w *worker) tryAttach() (p *pool.Pool, crashed bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r != pmem.ErrInjectedCrash {
-				panic(r)
-			}
-			crashed = true
-		}
-	}()
-	p, err = w.sh.cfg.AttachFn(w.dev)
-	return
-}
+func (w *steps) reboot(mc *machine) (*pool.Pool, error) { return w.cfg.AttachFn(mc.devs[0]) }
 
-// recoverAndVerify restores img, runs fsck + recovery, and checks every
-// invariant: structural fsck of the raw image, allocator consistency,
-// workload shape, and the linearizability contract — the recovered state
-// must equal the model after acked steps (in-flight transaction rolled
-// back) or acked+1 (it had committed). Reports whether verification
-// passed.
-func (w *worker) recoverAndVerify(img []byte, acked int, m uint64, trail []uint64, seed int64) bool {
-	w.dev.RestoreDurable(img)
-	if err := pool.Fsck(w.dev); err != nil {
-		w.fail(m, trail, seed, acked, fmt.Errorf("post-crash fsck: %w", err))
-		return false
-	}
-	p, err := w.sh.cfg.AttachFn(w.dev)
-	if err != nil {
-		w.fail(m, trail, seed, acked, fmt.Errorf("recovery failed: %w", err))
-		return false
-	}
+// verify checks every invariant of a recovered pool: allocator
+// consistency, workload shape, the linearizability contract — the
+// recovered state must equal the model after acked steps (in-flight
+// transaction rolled back) or acked+1 (it had committed) — and heap
+// conservation.
+func (w *steps) verify(p *pool.Pool, acked int) error {
 	if err := p.CheckConsistency(); err != nil {
-		w.fail(m, trail, seed, acked, fmt.Errorf("allocator inconsistent after recovery: %w", err))
-		return false
+		return fmt.Errorf("allocator inconsistent after recovery: %w", err)
 	}
-	st, err := w.sh.def.attach(corundumeng.Wrap(p))
+	st, err := w.def.attach(corundumeng.Wrap(p))
 	if err != nil {
-		w.fail(m, trail, seed, acked, fmt.Errorf("structure attach: %w", err))
-		return false
+		return fmt.Errorf("structure attach: %w", err)
 	}
 	if err := st.check(); err != nil {
-		w.fail(m, trail, seed, acked, fmt.Errorf("structure invariant: %w", err))
-		return false
+		return fmt.Errorf("structure invariant: %w", err)
 	}
-	matched := -1
-	errA := st.verify(w.sh.models[acked])
-	if errA == nil {
-		matched = acked
-	} else if acked+1 < len(w.sh.models) {
-		if errB := st.verify(w.sh.models[acked+1]); errB == nil {
-			matched = acked + 1
+	matched := acked
+	if errA := st.verify(w.models[acked]); errA != nil {
+		if acked+1 >= len(w.models) || st.verify(w.models[acked+1]) != nil {
+			return fmt.Errorf("state matches neither %d nor %d acked steps: %w", acked, acked+1, errA)
 		}
-	}
-	if matched < 0 {
-		w.fail(m, trail, seed, acked, fmt.Errorf("state matches neither %d nor %d acked steps: %w", acked, acked+1, errA))
-		return false
+		matched = acked + 1
 	}
 	// Heap conservation: the models are pairwise distinct, so the matched
 	// step count is unique, and a clean run at that step count holds
-	// exactly inUseByStep[matched] bytes. A recovered image must agree —
-	// this is the allocator's no-leak/no-double-alloc contract, and it is
-	// exactly the invariant an unresolved slab claim or a discarded
-	// ledger entry would break.
-	if matched < len(w.sh.inUseByStep) {
-		if got, want := p.InUse(), w.sh.inUseByStep[matched]; got != want {
-			w.fail(m, trail, seed, acked, fmt.Errorf(
-				"heap in-use %d after recovery, want %d at %d acked steps (leak or double-alloc)", got, want, matched))
-			return false
-		}
+	// exactly inUse[matched] bytes. A recovered image must agree — this is
+	// the allocator's no-leak/no-double-alloc contract, and it is exactly
+	// the invariant an unresolved slab claim or a discarded ledger entry
+	// would break.
+	if got, want := p.InUse(), w.inUse[matched]; got != want {
+		return fmt.Errorf("heap in-use %d after recovery, want %d at %d acked steps (leak or double-alloc)", got, want, matched)
 	}
-	w.sh.stats.Explored.Add(1)
-	return true
+	return nil
 }

@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"corundum/internal/baselines/corundumeng"
@@ -72,8 +71,6 @@ type FaultsConfig struct {
 	PoolSize int
 	// MaxViolations stops the run after this many failures (default 8).
 	MaxViolations int
-	// FlightCap is the per-device flight-recorder capacity (default 512).
-	FlightCap int
 	// Registry, when set, receives live explore_faults_* counters.
 	Registry *obs.Registry
 	// Stats, when set, is updated live; otherwise one is allocated.
@@ -83,20 +80,11 @@ type FaultsConfig struct {
 }
 
 func (c FaultsConfig) withDefaults() FaultsConfig {
-	if c.Workload == "" {
-		c.Workload = "kvstore"
-	}
-	if c.Steps <= 0 {
-		c.Steps = 8
-	}
 	if c.TornBudget <= 0 {
 		c.TornBudget = 16
 	}
 	if c.FlipsPerPoint <= 0 {
 		c.FlipsPerPoint = 4
-	}
-	if c.PointStride <= 0 {
-		c.PointStride = 1
 	}
 	return c
 }
@@ -156,8 +144,11 @@ func registerFaultsMetrics(reg *obs.Registry, st *FaultsStats) {
 	reg.CounterFunc("explore_faults_violations_total", "Silent corruption and torn-recovery failures.", nil, st.Violations.Load)
 }
 
+// faultsRun visits crash points of the exhaust script through the core's
+// two primitives: replay to an armed cut, and reboot-and-verify an image.
 type faultsRun struct {
-	sh  *shared
+	s   *sweep[*pool.Pool]
+	w   *steps
 	cfg FaultsConfig
 	fst *FaultsStats
 
@@ -165,9 +156,6 @@ type faultsRun struct {
 	// the pristine image's geometry.
 	targets  []pool.Range
 	totalLen uint64
-
-	mediaMu sync.Mutex
-	media   pmem.MediaFaultCounts
 }
 
 // RunFaults runs the media-fault campaign. Like Run, it returns an error
@@ -175,98 +163,49 @@ type faultsRun struct {
 // as FaultsResult.Violations.
 func RunFaults(cfg FaultsConfig) (*FaultsResult, error) {
 	cfg = cfg.withDefaults()
-	def, err := workloadFor(cfg.Workload)
+	w, imgs, err := newSteps(Config{Workload: cfg.Workload, Steps: cfg.Steps, PoolSize: cfg.PoolSize}.withDefaults())
 	if err != nil {
 		return nil, err
 	}
-	script, models := scriptFor(cfg.Workload, cfg.Steps)
-	inner := Config{
-		Workload:      cfg.Workload,
-		Steps:         cfg.Steps,
-		Depth:         -1, // nesting is Run's dimension, not this campaign's
-		Workers:       cfg.Workers,
-		PoolSize:      cfg.PoolSize,
-		MaxViolations: cfg.MaxViolations,
-		FlightCap:     cfg.FlightCap,
-		Log:           cfg.Log,
-	}.withDefaults()
-	sh := &shared{cfg: inner, def: def, script: script, models: models, stats: &Stats{}}
-	fst := cfg.Stats
-	if fst == nil {
-		fst = &FaultsStats{}
+	// Nesting is Run's dimension, not this campaign's.
+	s := &sweep[*pool.Pool]{sc: w, pristine: imgs, depth: -1, workers: cfg.Workers,
+		stride: uint64(max(cfg.PointStride, 1)), maxViolations: cfg.MaxViolations, log: cfg.Log}
+	if err := s.start(); err != nil {
+		return nil, err
+	}
+	fr := &faultsRun{s: s, w: w, cfg: cfg, fst: cfg.Stats}
+	if fr.fst == nil {
+		fr.fst = &FaultsStats{}
 	}
 	if cfg.Registry != nil {
-		registerFaultsMetrics(cfg.Registry, fst)
+		registerFaultsMetrics(cfg.Registry, fr.fst)
 	}
-
-	if err := sh.buildPristine(); err != nil {
-		return nil, err
-	}
-	T, _, err := sh.census()
-	if err != nil {
-		return nil, err
-	}
-	fst.TotalOps.Store(T)
+	fr.fst.TotalOps.Store(s.total)
 
 	// Flip targets are a pure function of the image's header geometry.
-	gdev := pmem.New(len(sh.pristine), pmem.Options{TrackCrash: true})
-	gdev.RestoreDurable(sh.pristine)
-	targets, err := pool.FlipTargets(gdev)
-	if err != nil {
+	gdev := pmem.New(len(imgs[0]), pmem.Options{TrackCrash: true})
+	gdev.RestoreDurable(imgs[0])
+	if fr.targets, err = pool.FlipTargets(gdev); err != nil {
 		return nil, fmt.Errorf("explore: flip targets: %w", err)
 	}
-	fr := &faultsRun{sh: sh, cfg: cfg, fst: fst, targets: targets}
-	for _, r := range targets {
+	for _, r := range fr.targets {
 		fr.totalLen += r.Len
 	}
-	inner.Log("explore: faults workload=%s steps=%d ops=%d stride=%d torn-budget=%d flips/point=%d workers=%d",
-		cfg.Workload, cfg.Steps, T, cfg.PointStride, cfg.TornBudget, cfg.FlipsPerPoint, inner.Workers)
+	s.log("explore: faults workload=%s steps=%d ops=%d stride=%d torn-budget=%d flips/point=%d workers=%d",
+		w.cfg.Workload, len(w.ops), s.total, s.stride, cfg.TornBudget, cfg.FlipsPerPoint, s.workers)
 
-	var points []uint64
-	for m := uint64(1); m <= T; m += uint64(cfg.PointStride) {
-		points = append(points, m)
+	res := &FaultsResult{TotalOps: s.total, Points: s.points(), Steps: len(w.ops), Stats: fr.fst}
+	for _, mc := range s.run(fr.point) {
+		m := mc.devs[0].MediaFaults()
+		res.Media.TornLines += m.TornLines
+		res.Media.TornWords += m.TornWords
+		res.Media.BitFlips += m.BitFlips
+		res.Media.BadLines += m.BadLines
 	}
-	var wg sync.WaitGroup
-	for wid := 0; wid < inner.Workers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			fw := &faultsWorker{fr: fr, w: sh.newWorker()}
-			for i := wid; i < len(points); i += inner.Workers {
-				if sh.stop.Load() {
-					break
-				}
-				fw.point(points[i])
-			}
-			m := fw.w.dev.MediaFaults()
-			fr.mediaMu.Lock()
-			fr.media.TornLines += m.TornLines
-			fr.media.TornWords += m.TornWords
-			fr.media.BitFlips += m.BitFlips
-			fr.media.BadLines += m.BadLines
-			fr.mediaMu.Unlock()
-		}(wid)
+	if res.Violations, err = s.finish(); err != nil {
+		return nil, err
 	}
-	wg.Wait()
-
-	res := &FaultsResult{
-		TotalOps: T,
-		Points:   uint64(len(points)),
-		Steps:    cfg.Steps,
-		Stats:    fst,
-		Media:    fr.media,
-	}
-	sh.mu.Lock()
-	res.Violations = sh.viols
-	sh.mu.Unlock()
 	return res, nil
-}
-
-// faultsWorker drives one worker's shard of crash points through both
-// fault dimensions.
-type faultsWorker struct {
-	fr *faultsRun
-	w  *worker
 }
 
 // tornBit addresses one at-risk 8-byte word: bit `word` of line's mask.
@@ -300,86 +239,73 @@ func masksForIndex(bits []tornBit, idx uint64) map[uint32]uint8 {
 	return masks
 }
 
-func (fw *faultsWorker) point(m uint64) {
-	fw.fr.fst.CrashPoints.Add(1)
-	acked, crashed, err := fw.w.replayArm(m)
-	if err != nil {
-		fw.w.fail(m, nil, 0, acked, err)
-		fw.fr.fst.Violations.Add(1)
-		return
+// point drives one crash point through both fault dimensions.
+func (fr *faultsRun) point(mc *machine, m uint64) {
+	fr.fst.CrashPoints.Add(1)
+	acked, ok := fr.rearm(mc, m, -1)
+	if ok && fr.tornSchedules(mc, m, acked) {
+		fr.flipSweep(mc, m, acked)
 	}
-	if !crashed {
-		// Beyond the workload's op count; census sized the universe, so
-		// this indicates nondeterminism.
-		fw.w.fail(m, nil, 0, acked, fmt.Errorf("crash point %d never fired (workload ops shrank?)", m))
-		fw.fr.fst.Violations.Add(1)
-		return
-	}
-	if !fw.tornSchedules(m, acked) {
-		return
-	}
-	fw.flipSweep(m, acked)
 }
 
-// rearm replays the workload back to the same armed cut; torn and flip
-// applications consume the device state, so every schedule after the
-// first needs one.
-func (fw *faultsWorker) rearm(m uint64, acked int) bool {
-	a, crashed, err := fw.w.replayArm(m)
-	if err == nil && crashed && a == acked {
-		return true
+// rearm replays the workload to the armed cut at m (torn and flip
+// applications consume the device state, so every schedule needs one).
+// want, when not -1, is the acked count an earlier replay saw.
+func (fr *faultsRun) rearm(mc *machine, m uint64, want int) (int, bool) {
+	acked, cut, err := fr.s.replay(mc, m)
+	switch {
+	case err != nil:
+	case !cut:
+		// Census sized the universe, so this indicates nondeterminism.
+		err = fmt.Errorf("crash point %d never fired (workload ops shrank?)", m)
+	case want != -1 && acked != want:
+		err = fmt.Errorf("rearm diverged: acked %d then %d", want, acked)
+	default:
+		return acked, true
 	}
-	if err == nil {
-		err = fmt.Errorf("rearm diverged: acked %d then %d, crashed=%v", acked, a, crashed)
-	}
-	fw.w.fail(m, nil, 0, acked, err)
-	fw.fr.fst.Violations.Add(1)
-	return false
+	fr.s.fail(mc, Violation{CrashPoint: m, Acked: acked}, err)
+	fr.fst.Violations.Add(1)
+	return acked, false
 }
 
 // tornSchedules explores the torn-write dimension at an armed cut and
 // reports whether the campaign should continue with this point. The
-// device arrives armed (replayArm done, crash not yet applied).
-func (fw *faultsWorker) tornSchedules(m uint64, acked int) bool {
-	cands := fw.w.dev.TornCandidates()
+// machine arrives armed (replayed, crash not yet applied).
+func (fr *faultsRun) tornSchedules(mc *machine, m uint64, acked int) bool {
+	dev := mc.devs[0]
+	cands := dev.TornCandidates()
 	bits := flattenTorn(cands)
-	budget := fw.fr.cfg.TornBudget
-	if n := len(bits); n < 63 && (1<<uint(n)) <= budget {
-		// Exhaustive: every subset of at-risk words, index 0 being the
-		// plain none-persist crash.
-		for idx := uint64(0); idx < uint64(1)<<uint(n); idx++ {
-			if fw.fr.sh.stop.Load() {
-				return false
-			}
-			if idx > 0 && !fw.rearm(m, acked) {
-				return false
-			}
-			fw.w.dev.CrashTornMasks(masksForIndex(bits, idx))
-			fw.verifyTorn(m, acked, int64(idx))
-		}
-		return true
+	budget := fr.cfg.TornBudget
+	exhaustive := len(bits) < 63 && (1<<uint(len(bits))) <= budget
+	if exhaustive {
+		budget = 1 << uint(len(bits))
 	}
-	// Sampled: the two deterministic endpoints, then seeded coin flips.
 	for s := 0; s < budget; s++ {
-		if fw.fr.sh.stop.Load() {
+		if fr.s.stop.Load() {
 			return false
 		}
-		if s > 0 && !fw.rearm(m, acked) {
-			return false
+		if s > 0 {
+			if _, ok := fr.rearm(mc, m, acked); !ok {
+				return false
+			}
 		}
-		switch s {
-		case 0:
-			fw.w.dev.Crash() // none of the at-risk words persist
-		case 1:
+		switch {
+		case exhaustive:
+			// Every subset of at-risk words, index 0 being the plain
+			// none-persist crash.
+			dev.CrashTornMasks(masksForIndex(bits, uint64(s)))
+		case s == 0:
+			dev.Crash() // none of the at-risk words persist
+		case s == 1:
 			masks := make(map[uint32]uint8, len(cands))
 			for _, c := range cands {
 				masks[c.Line] = c.Mask // all of them persist
 			}
-			fw.w.dev.CrashTornMasks(masks)
+			dev.CrashTornMasks(masks)
 		default:
-			fw.w.dev.CrashTorn(int64(m)*1_000_003 + int64(s))
+			dev.CrashTorn(int64(m)*1_000_003 + int64(s)) // seeded coin flips
 		}
-		fw.verifyTorn(m, acked, int64(s))
+		fr.verifyTorn(mc, m, acked, int64(s))
 	}
 	return true
 }
@@ -388,17 +314,16 @@ func (fw *faultsWorker) tornSchedules(m uint64, acked int) bool {
 // tearing is inside the design's fault model, so recovery must succeed
 // and land on the model after acked or acked+1 steps, exactly as for a
 // plain crash.
-func (fw *faultsWorker) verifyTorn(m uint64, acked int, sched int64) {
-	fw.fr.fst.TornSchedules.Add(1)
-	if !fw.w.markSeen(fw.w.dev.DurableHash()) {
-		fw.fr.fst.TornPruned.Add(1)
+func (fr *faultsRun) verifyTorn(mc *machine, m uint64, acked int, sched int64) {
+	fr.fst.TornSchedules.Add(1)
+	if !fr.s.firstSeen(mc) {
+		fr.fst.TornPruned.Add(1)
 		return
 	}
-	img := fw.w.dev.DurableSnapshot()
-	if fw.w.recoverAndVerify(img, acked, m, nil, sched) {
-		fw.fr.fst.Masked.Add(1)
+	if fr.s.check(mc, mc.snapshot(), Violation{CrashPoint: m, EvictSeed: sched, Acked: acked}) {
+		fr.fst.Masked.Add(1)
 	} else {
-		fw.fr.fst.Violations.Add(1)
+		fr.fst.Violations.Add(1)
 	}
 }
 
@@ -414,29 +339,30 @@ const (
 
 // flipSweep injects FlipsPerPoint single-bit flips into the plain-crash
 // image at m and classifies each through the self-healing open path.
-func (fw *faultsWorker) flipSweep(m uint64, acked int) {
-	if !fw.rearm(m, acked) {
+func (fr *faultsRun) flipSweep(mc *machine, m uint64, acked int) {
+	if _, ok := fr.rearm(mc, m, acked); !ok {
 		return
 	}
-	fw.w.dev.Crash()
-	rest := fw.w.dev.DurableSnapshot()
+	dev := mc.devs[0]
+	dev.Crash()
+	rest := dev.DurableSnapshot()
 	rng := rand.New(rand.NewSource(int64(m)*0x9E3779B9 + 0xFA)) // deterministic per point
-	for j := 0; j < fw.fr.cfg.FlipsPerPoint; j++ {
-		if fw.fr.sh.stop.Load() {
+	for j := 0; j < fr.cfg.FlipsPerPoint; j++ {
+		if fr.s.stop.Load() {
 			return
 		}
-		off, bit := fw.fr.pickFlip(rng, rest)
-		fw.fr.fst.BitFlips.Add(1)
-		switch fw.classifyFlip(rest, off, bit, acked) {
+		off, bit := fr.pickFlip(rng, rest)
+		fr.fst.BitFlips.Add(1)
+		switch fr.w.classifyFlip(dev, rest, off, bit, acked) {
 		case flipMasked:
-			fw.fr.fst.Masked.Add(1)
+			fr.fst.Masked.Add(1)
 		case flipRepaired:
-			fw.fr.fst.Repaired.Add(1)
+			fr.fst.Repaired.Add(1)
 		case flipDetected:
-			fw.fr.fst.Detected.Add(1)
+			fr.fst.Detected.Add(1)
 		case flipSilent:
-			fw.fr.fst.Violations.Add(1)
-			fw.w.fail(m, nil, int64(j), acked, fmt.Errorf(
+			fr.fst.Violations.Add(1)
+			fr.s.fail(mc, Violation{CrashPoint: m, EvictSeed: int64(j), Acked: acked}, fmt.Errorf(
 				"SILENT CORRUPTION: bit flip at off=%d bit=%d survived recovery undetected", off, bit))
 		}
 	}
@@ -471,38 +397,34 @@ func (fr *faultsRun) pickFlip(rng *rand.Rand, rest []byte) (off uint64, bit uint
 // structure's own reads — counts as detection. A correct verify counts as
 // masked, or repaired when fsck had flagged the damage first. Wrong data
 // with no error anywhere is silent corruption, the campaign's violation.
-func (fw *faultsWorker) classifyFlip(rest []byte, off uint64, bit uint8, acked int) flipOutcome {
-	w := fw.w
-	w.dev.RestoreDurable(rest)
-	w.dev.InjectBitFlip(off, bit)
+func (w *steps) classifyFlip(dev *pmem.Device, rest []byte, off uint64, bit uint8, acked int) flipOutcome {
+	dev.RestoreDurable(rest)
+	dev.InjectBitFlip(off, bit)
 	flagged := false
-	if rep, err := pool.FsckDevice(w.dev); err != nil {
+	if rep, err := pool.FsckDevice(dev); err != nil {
 		return flipDetected // image no longer parses: maximally loud
 	} else if !rep.Clean() {
 		flagged = true
 	}
-	p, err := pool.AttachRepair(w.dev)
-	if err != nil {
+	p, err := pool.AttachRepair(dev)
+	if err != nil || p.Degraded() {
 		return flipDetected
 	}
-	if p.Degraded() {
-		return flipDetected
-	}
-	st, err := w.sh.def.attach(corundumeng.Wrap(p))
+	st, err := w.def.attach(corundumeng.Wrap(p))
 	if err != nil {
 		return flipDetected
 	}
 	if err := st.check(); err != nil {
 		return flipDetected
 	}
-	errA := st.verify(w.sh.models[acked])
+	errA := st.verify(w.models[acked])
 	ok := errA == nil
 	if !ok {
 		if errors.Is(errA, workloads.ErrDataCorrupt) {
 			return flipDetected
 		}
-		if acked+1 < len(w.sh.models) {
-			errB := st.verify(w.sh.models[acked+1])
+		if acked+1 < len(w.models) {
+			errB := st.verify(w.models[acked+1])
 			ok = errB == nil
 			if !ok && errors.Is(errB, workloads.ErrDataCorrupt) {
 				return flipDetected
@@ -517,7 +439,7 @@ func (fw *faultsWorker) classifyFlip(rest []byte, off uint64, bit uint8, acked i
 	}
 	// Wrong data, but did any read say so? Re-probe every model key: a
 	// data-corruption error on the divergent key still counts as loud.
-	for k := range w.sh.models[acked] {
+	for k := range w.models[acked] {
 		if _, _, err := st.get(k); err != nil {
 			return flipDetected
 		}

@@ -93,24 +93,10 @@ func TestFaultsCampaignNoSilentCorruption(t *testing.T) {
 // (which would mean the directory is unprotected again) and never
 // silent.
 func TestJournalDirFlipsNeverSilent(t *testing.T) {
-	cfg := FaultsConfig{Workload: "kvstore", Steps: 6}.withDefaults()
-	def, err := workloadFor(cfg.Workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	script, models := buildScript(cfg.Steps)
-	inner := Config{Workload: cfg.Workload, Steps: cfg.Steps, Depth: -1}.withDefaults()
-	sh := &shared{cfg: inner, def: def, script: script, models: models, stats: &Stats{}}
-	if err := sh.buildPristine(); err != nil {
-		t.Fatal(err)
-	}
-	T, _, err := sh.census()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, s, mc := armedFixture(t, Config{Workload: "kvstore", Steps: 6})
 
-	gdev := pmem.New(len(sh.pristine), pmem.Options{TrackCrash: true})
-	gdev.RestoreDurable(sh.pristine)
+	gdev := pmem.New(len(s.pristine[0]), pmem.Options{TrackCrash: true})
+	gdev.RestoreDurable(s.pristine[0])
 	targets, err := pool.FlipTargets(gdev)
 	if err != nil {
 		t.Fatal(err)
@@ -121,15 +107,14 @@ func TestJournalDirFlipsNeverSilent(t *testing.T) {
 		t.Fatalf("unexpected journal directory range %+v", dir)
 	}
 
-	fr := &faultsRun{sh: sh, cfg: cfg, fst: &FaultsStats{}, targets: targets}
-	fw := &faultsWorker{fr: fr, w: sh.newWorker()}
-	m := T / 2 // mid-workload: journals have run, the directory is live
-	acked, crashed, err := fw.w.replayArm(m)
+	m := s.total / 2 // mid-workload: journals have run, the directory is live
+	acked, crashed, err := s.replay(mc, m)
 	if err != nil || !crashed {
 		t.Fatalf("arming crash point %d: crashed=%v err=%v", m, crashed, err)
 	}
-	fw.w.dev.Crash()
-	rest := fw.w.dev.DurableSnapshot()
+	dev := mc.devs[0]
+	dev.Crash()
+	rest := dev.DurableSnapshot()
 
 	// Pick a slot whose mirror has seen a transaction (nonzero state/epoch
 	// bits); the checksum makes even the idle slots protected, but the
@@ -149,7 +134,7 @@ func TestJournalDirFlipsNeverSilent(t *testing.T) {
 	for b := uint64(0); b < slotSize; b++ {
 		off := dir.Off + slot + b
 		for bit := uint8(0); bit < 8; bit++ {
-			switch fw.classifyFlip(rest, off, bit, acked) {
+			switch w.classifyFlip(dev, rest, off, bit, acked) {
 			case flipRepaired, flipDetected:
 			case flipMasked:
 				t.Errorf("slot byte %d bit %d: flip masked — the directory slot is not fully covered", b, bit)
@@ -170,26 +155,11 @@ func TestJournalDirFlipsNeverSilent(t *testing.T) {
 // as masked, repaired, or detected. Silent data corruption from ledger
 // damage would mean the CRC gate leaks free-space state into user data.
 func TestSlabLedgerFlipsNeverSilent(t *testing.T) {
-	cfg := FaultsConfig{Workload: "allocheavy", Steps: 8}.withDefaults()
-	def, err := workloadFor(cfg.Workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	script, models := scriptFor(cfg.Workload, cfg.Steps)
-	inner := Config{Workload: cfg.Workload, Steps: cfg.Steps, Depth: -1,
-		SlabRefill: 2, SlabCap: 2}.withDefaults()
-	sh := &shared{cfg: inner, def: def, script: script, models: models, stats: &Stats{}}
-	if err := sh.buildPristine(); err != nil {
-		t.Fatal(err)
-	}
-	T, _, err := sh.census()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, s, mc := armedFixture(t, Config{Workload: "allocheavy", Steps: 8, SlabRefill: 2, SlabCap: 2})
 
 	// The ledger spans are a pure function of the image's geometry.
-	gdev := pmem.New(len(sh.pristine), pmem.Options{TrackCrash: true})
-	gdev.RestoreDurable(sh.pristine)
+	gdev := pmem.New(len(s.pristine[0]), pmem.Options{TrackCrash: true})
+	gdev.RestoreDurable(s.pristine[0])
 	gp, err := pool.Attach(gdev)
 	if err != nil {
 		t.Fatal(err)
@@ -198,9 +168,7 @@ func TestSlabLedgerFlipsNeverSilent(t *testing.T) {
 	for i := 0; i < gp.Journals(); i++ {
 		ledgers = append(ledgers, gp.ArenaLedgerRange(i))
 	}
-
-	fr := &faultsRun{sh: sh, cfg: cfg, fst: &FaultsStats{}, targets: nil}
-	fw := &faultsWorker{fr: fr, w: sh.newWorker()}
+	dev := mc.devs[0]
 
 	// Find a crash point whose durable image has live ledger entries:
 	// walk back from late in the workload until one shows nonzero bytes.
@@ -208,13 +176,13 @@ func TestSlabLedgerFlipsNeverSilent(t *testing.T) {
 	var acked int
 	nonzero := 0
 	for _, frac := range []uint64{7, 6, 5, 4, 3} {
-		m := T * frac / 8
-		a, crashed, err := fw.w.replayArm(m)
+		m := s.total * frac / 8
+		a, crashed, err := s.replay(mc, m)
 		if err != nil || !crashed {
 			t.Fatalf("arming crash point %d: crashed=%v err=%v", m, crashed, err)
 		}
-		fw.w.dev.Crash()
-		img := fw.w.dev.DurableSnapshot()
+		dev.Crash()
+		img := dev.DurableSnapshot()
 		n := 0
 		for _, r := range ledgers {
 			for _, b := range img[r.Off : r.Off+r.Len] {
@@ -249,7 +217,7 @@ func TestSlabLedgerFlipsNeverSilent(t *testing.T) {
 			}
 			for bit := uint8(0); bit < 8; bit += step {
 				flips++
-				if fw.classifyFlip(rest, off, bit, acked) == flipSilent {
+				if w.classifyFlip(dev, rest, off, bit, acked) == flipSilent {
 					t.Fatalf("ledger byte %#x bit %d: SILENT corruption", off, bit)
 				}
 			}
@@ -259,6 +227,21 @@ func TestSlabLedgerFlipsNeverSilent(t *testing.T) {
 		t.Fatal("no flips were applied")
 	}
 	t.Logf("%d ledger flips, none silent", flips)
+}
+
+// armedFixture builds the exhaust script for cfg, runs the core's census
+// over it, and returns a machine to replay crash points on.
+func armedFixture(t *testing.T, cfg Config) (*steps, *sweep[*pool.Pool], *machine) {
+	t.Helper()
+	w, imgs, err := newSteps(cfg.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sweep[*pool.Pool]{sc: w, pristine: imgs, depth: -1}
+	if err := s.start(); err != nil {
+		t.Fatal(err)
+	}
+	return w, s, newMachine(imgs)
 }
 
 // TestTornEnumeration pins the schedule decoder: flattening candidates

@@ -12,13 +12,9 @@ package explore
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"corundum/internal/baselines/corundumeng"
 	"corundum/internal/obs"
-	"corundum/internal/pmem"
 	"corundum/internal/pool"
 	"corundum/internal/workloads"
 )
@@ -52,8 +48,6 @@ type MigrateConfig struct {
 	Stats *Stats
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
-	// FlightCap is the per-device flight-recorder capacity (default 4096).
-	FlightCap int
 }
 
 func (c MigrateConfig) withDefaults() MigrateConfig {
@@ -66,28 +60,8 @@ func (c MigrateConfig) withDefaults() MigrateConfig {
 	if c.BatchBuckets <= 0 {
 		c.BatchBuckets = 4
 	}
-	if c.Depth < 0 {
-		c.Depth = 0
-	} else if c.Depth == 0 {
-		c.Depth = 2
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-		if c.Workers > 8 {
-			c.Workers = 8
-		}
-	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = 4 << 20
-	}
-	if c.MaxViolations <= 0 {
-		c.MaxViolations = 8
-	}
-	if c.Log == nil {
-		c.Log = func(string, ...any) {}
-	}
-	if c.FlightCap <= 0 {
-		c.FlightCap = 4096
 	}
 	return c
 }
@@ -108,386 +82,169 @@ type MigrateResult struct {
 	Violations []Violation
 }
 
-type migShared struct {
-	cfg      MigrateConfig
-	pristine [2][]byte
-	model    map[uint64]uint64
-	stats    *Stats
-
-	seen  sync.Map // combined durable-image hash -> struct{}
-	mu    sync.Mutex
-	viols []Violation
-	stop  atomic.Bool
-}
-
 // RunMigrate explores every crash point of the scripted shard split. As
 // with Run, the returned error covers infrastructure failures only;
 // safety violations land in MigrateResult.Violations.
 func RunMigrate(cfg MigrateConfig) (*MigrateResult, error) {
 	cfg = cfg.withDefaults()
-	sh := &migShared{cfg: cfg, stats: cfg.Stats}
-	if sh.stats == nil {
-		sh.stats = &Stats{}
-	}
-	if cfg.Registry != nil {
-		registerMetrics(cfg.Registry, sh.stats)
-	}
-	if err := sh.buildPristine(); err != nil {
+	g, imgs, err := newMigration(cfg)
+	if err != nil {
 		return nil, err
 	}
-
-	// Census: one uninterrupted migration fixes the op universe. The
-	// protocol is single-threaded and deterministic, so the shared
-	// op-ordinal of every device op is exact across replays.
-	w := sh.newWorker()
-	w.restore(sh.pristine)
-	T, err := w.countedResume()
+	s := &sweep[migrated]{sc: g, pristine: imgs, depth: cfg.Depth, workers: cfg.Workers,
+		limit: uint64(cfg.MaxPoints), maxViolations: cfg.MaxViolations, log: cfg.Log,
+		registry: cfg.Registry, stats: cfg.Stats}
+	if err := s.start(); err != nil {
+		return nil, err
+	}
+	s.log("explore: migrate keys=%d buckets=%d batch=%d ops=%d points=%d depth=%d workers=%d",
+		cfg.Keys, cfg.Buckets, cfg.BatchBuckets, s.total, s.points(), s.depth, s.workers)
+	s.run(s.point)
+	viols, err := s.finish()
 	if err != nil {
-		return nil, fmt.Errorf("explore: migration census: %w", err)
+		return nil, err
 	}
-	if T == 0 {
-		return nil, fmt.Errorf("explore: migration issued no device ops")
-	}
-	sh.stats.TotalOps.Store(T)
-	points := T
-	if cfg.MaxPoints > 0 && uint64(cfg.MaxPoints) < points {
-		points = uint64(cfg.MaxPoints)
-	}
-	cfg.Log("explore: migrate keys=%d buckets=%d batch=%d ops=%d points=%d depth=%d workers=%d",
-		cfg.Keys, cfg.Buckets, cfg.BatchBuckets, T, points, cfg.Depth, cfg.Workers)
-
-	var wg sync.WaitGroup
-	for wid := 0; wid < cfg.Workers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			w := sh.newWorker()
-			for m := uint64(wid + 1); m <= points; m += uint64(cfg.Workers) {
-				if sh.stop.Load() {
-					return
-				}
-				w.explorePoint(m)
-			}
-		}(wid)
-	}
-	wg.Wait()
-
-	res := &MigrateResult{TotalOps: T, ExploredPoints: points, Keys: cfg.Keys, Stats: sh.stats}
-	sh.mu.Lock()
-	res.Violations = sh.viols
-	sh.mu.Unlock()
-	return res, nil
+	return &MigrateResult{TotalOps: s.total, ExploredPoints: s.points(), Keys: cfg.Keys, Stats: s.stats, Violations: viols}, nil
 }
 
-// buildPristine formats both pools, seeds the source store, commits the
+// migration is the migrate script: forward and reboot are the same
+// resume, because a rebooted server drives the split from whatever
+// durable state the two pools hold to completion, and the pristine run
+// simply finds it not yet started.
+type migration struct {
+	cfg   MigrateConfig
+	model map[uint64]uint64
+}
+
+// migrated is what a completed resume holds: both pools and stores.
+type migrated struct {
+	pools [2]*pool.Pool
+	kvs   [2]*workloads.KVStore
+}
+
+// newMigration formats both pools, seeds the source store, commits the
 // one-shard config, and snapshots the images every replay starts from.
-func (sh *migShared) buildPristine() error {
+func newMigration(cfg MigrateConfig) (*migration, [][]byte, error) {
+	g := &migration{cfg: cfg, model: make(map[uint64]uint64, cfg.Keys)}
 	var kvs [2]*workloads.KVStore
-	var devs [2]*pmem.Device
-	for i := 0; i < 2; i++ {
-		p, err := pool.Create("", pool.Config{
-			Size:       sh.cfg.PoolSize,
-			Journals:   2,
-			JournalCap: 16 << 10,
-			Mem:        pmem.Options{TrackCrash: true},
-		})
+	var pools [2]*pool.Pool
+	for i := range kvs {
+		p, err := createPool(cfg.PoolSize)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		kv, err := workloads.NewKVStore(corundumeng.Wrap(p), sh.cfg.Buckets)
-		if err != nil {
-			return fmt.Errorf("explore: building store %d: %w", i, err)
+		if kvs[i], err = workloads.NewKVStore(corundumeng.Wrap(p), cfg.Buckets); err != nil {
+			return nil, nil, fmt.Errorf("explore: building store %d: %w", i, err)
 		}
-		kvs[i], devs[i] = kv, p.Device()
+		pools[i] = p
 	}
 	if err := kvs[0].WriteConfig(1, 1); err != nil {
-		return fmt.Errorf("explore: committing seed config: %w", err)
+		return nil, nil, fmt.Errorf("explore: committing seed config: %w", err)
 	}
-	sh.model = make(map[uint64]uint64, sh.cfg.Keys)
-	for i := 0; i < sh.cfg.Keys; i++ {
+	for i := 0; i < cfg.Keys; i++ {
 		// Golden-ratio keys spread across buckets and across the 2-shard
 		// split, so batches genuinely move some keys and keep others.
 		k := uint64(i)*0x9E3779B97F4A7C15 + 11
 		v := k*7 + 1
 		if err := kvs[0].Put(k, v); err != nil {
-			return fmt.Errorf("explore: seeding key %d: %w", i, err)
+			return nil, nil, fmt.Errorf("explore: seeding key %d: %w", i, err)
 		}
-		sh.model[k] = v
+		g.model[k] = v
 	}
-	sh.pristine[0] = devs[0].DurableSnapshot()
-	sh.pristine[1] = devs[1].DurableSnapshot()
-	return nil
+	return g, [][]byte{pools[0].Device().DurableSnapshot(), pools[1].Device().DurableSnapshot()}, nil
 }
 
-// migWorker owns the device pair one goroutine replays on.
-type migWorker struct {
-	sh   *migShared
-	devs [2]*pmem.Device
+func (g *migration) forward(mc *machine, open func(), _ *int) error {
+	open()
+	_, err := g.resume(mc)
+	return err
 }
 
-func (sh *migShared) newWorker() *migWorker {
-	w := &migWorker{sh: sh}
-	for i := 0; i < 2; i++ {
-		w.devs[i] = pmem.New(len(sh.pristine[i]), pmem.Options{TrackCrash: true})
-		w.devs[i].SetFlightRecorder(sh.cfg.FlightCap)
-	}
-	return w
-}
+func (g *migration) reboot(mc *machine) (migrated, error) { return g.resume(mc) }
 
-func (w *migWorker) restore(imgs [2][]byte) {
-	for i := 0; i < 2; i++ {
-		w.devs[i].RestoreDurable(imgs[i])
-		w.devs[i].SetFlightRecorder(w.sh.cfg.FlightCap)
-	}
-}
-
-// arm installs a shared fault injector across both devices: the n-th
-// device op of the pair — in protocol order, whichever pool it lands on
-// — panics with ErrInjectedCrash. target 0 disarms.
-func (w *migWorker) arm(target uint64) {
-	if target == 0 {
-		for i := 0; i < 2; i++ {
-			w.devs[i].SetFaultInjector(nil)
-		}
-		return
-	}
-	var n atomic.Uint64
-	fire := func(pmem.Op) bool { return n.Add(1) == target }
-	for i := 0; i < 2; i++ {
-		w.devs[i].SetFaultInjector(fire)
-	}
-}
-
-// crashBoth models the machine losing power: every pool on it reverts to
-// its durable image, not just the one whose op tripped the injector.
-func (w *migWorker) crashBoth() {
-	w.devs[0].Crash()
-	w.devs[1].Crash()
-}
-
-func (w *migWorker) hash() uint64 {
-	return w.devs[0].DurableHash()*0x100000001b3 ^ w.devs[1].DurableHash()
-}
-
-func (w *migWorker) snapshot() [2][]byte {
-	return [2][]byte{w.devs[0].DurableSnapshot(), w.devs[1].DurableSnapshot()}
-}
-
-func (w *migWorker) fail(m uint64, trail []uint64, err error) {
-	w.sh.stats.Violations.Add(1)
-	v := Violation{
-		CrashPoint: m,
-		Trail:      append([]uint64(nil), trail...),
-		Err:        err,
-		Flight: "shard 0:\n" + pmem.FormatFlight(w.devs[0].FlightEvents()) +
-			"\nshard 1:\n" + pmem.FormatFlight(w.devs[1].FlightEvents()),
-	}
-	w.sh.mu.Lock()
-	w.sh.viols = append(w.sh.viols, v)
-	if len(w.sh.viols) >= w.sh.cfg.MaxViolations {
-		w.sh.stop.Store(true)
-	}
-	w.sh.mu.Unlock()
-	w.sh.cfg.Log("explore: MIGRATE VIOLATION %s", v)
-}
-
-// resumeOnce attaches both pools and drives the migration from whatever
+// resume attaches both pools and drives the migration from whatever
 // durable state they hold to completion — exactly what a rebooted server
-// does. It is used for the pristine run (census and top-level replays,
-// where it starts the migration), for every recovery, and for every
-// recovery-of-a-recovery. Injected crashes propagate as panics for the
-// caller to field.
-func (w *migWorker) resumeOnce() (kv0, kv1 *workloads.KVStore, p0, p1 *pool.Pool, err error) {
-	if p0, err = pool.Attach(w.devs[0]); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("attach shard 0: %w", err)
+// does. Injected crashes propagate as panics for the sweep to contain.
+func (g *migration) resume(mc *machine) (st migrated, err error) {
+	for i, d := range mc.devs {
+		if st.pools[i], err = pool.Attach(d); err != nil {
+			return st, fmt.Errorf("attach shard %d: %w", i, err)
+		}
 	}
-	if p1, err = pool.Attach(w.devs[1]); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("attach shard 1: %w", err)
+	for i, p := range st.pools {
+		if st.kvs[i], err = workloads.AttachKVStore(corundumeng.Wrap(p)); err != nil {
+			return st, fmt.Errorf("attach store %d: %w", i, err)
+		}
 	}
-	if kv0, err = workloads.AttachKVStore(corundumeng.Wrap(p0)); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("attach store 0: %w", err)
-	}
-	if kv1, err = workloads.AttachKVStore(corundumeng.Wrap(p1)); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("attach store 1: %w", err)
-	}
+	kv0 := st.kvs[0]
 	cfgShards, cfgEpoch, err := kv0.ReadConfig()
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("read config: %w", err)
+		return st, fmt.Errorf("read config: %w", err)
 	}
 	m, err := kv0.ReadManifest()
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("read manifest: %w", err)
+		return st, fmt.Errorf("read manifest: %w", err)
 	}
-	stores := []*workloads.KVStore{kv0, kv1}
+	var rs *workloads.Resharder
 	switch {
 	case m != nil && m.Epoch > cfgEpoch:
 		// Interrupted mid-migration: adopt the durable cursor and resume.
-		rs, err := workloads.NewResharder(stores, int(m.OldN), int(m.NewN), m.Epoch,
-			w.sh.cfg.BatchBuckets, workloads.NopCoordinator{})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		if err := rs.Attach(); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("resharder attach: %w", err)
-		}
-		if _, err := rs.Run(nil, nil); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("resume run: %w", err)
+		if rs, err = workloads.NewResharder(st.kvs[:], int(m.OldN), int(m.NewN), m.Epoch,
+			g.cfg.BatchBuckets, workloads.NopCoordinator{}); err == nil {
+			err = rs.Attach()
 		}
 	case m != nil:
 		// Stale manifest: the config write (the commit point) landed but
 		// cleanup didn't. Finish the cleanup.
 		if err := kv0.ClearManifest(); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("clearing stale manifest: %w", err)
+			return st, fmt.Errorf("clearing stale manifest: %w", err)
 		}
 	case cfgShards == 1:
 		// Not started (or cut before the manifest became durable): run the
 		// whole split.
-		rs, err := workloads.NewResharder(stores, 1, 2, cfgEpoch+1,
-			w.sh.cfg.BatchBuckets, workloads.NopCoordinator{})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		if err := rs.Init(); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("resharder init: %w", err)
-		}
-		if _, err := rs.Run(nil, nil); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("run: %w", err)
+		if rs, err = workloads.NewResharder(st.kvs[:], 1, 2, cfgEpoch+1,
+			g.cfg.BatchBuckets, workloads.NopCoordinator{}); err == nil {
+			err = rs.Init()
 		}
 	default:
 		// cfgShards == 2 with no manifest: fully committed and cleaned.
 	}
-	return kv0, kv1, p0, p1, nil
-}
-
-// countedResume runs resumeOnce while counting shared device ops.
-func (w *migWorker) countedResume() (uint64, error) {
-	var n atomic.Uint64
-	count := func(pmem.Op) bool { n.Add(1); return false }
-	w.devs[0].SetFaultInjector(count)
-	w.devs[1].SetFaultInjector(count)
-	_, _, _, _, err := w.resumeOnce()
-	w.arm(0)
-	return n.Load(), err
-}
-
-// tryResume is resumeOnce with the injected-crash panic converted to a
-// flag.
-func (w *migWorker) tryResume() (crashed bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r != pmem.ErrInjectedCrash {
-				panic(r)
-			}
-			crashed = true
-		}
-	}()
-	_, _, _, _, err = w.resumeOnce()
-	return
-}
-
-// explorePoint cuts power at shared op m of the pristine migration, then
-// explores recovery from the surviving image pair.
-func (w *migWorker) explorePoint(m uint64) {
-	w.restore(w.sh.pristine)
-	w.arm(m)
-	crashed, err := w.tryResume()
-	w.arm(0)
-	w.sh.stats.CrashPoints.Add(1)
 	if err != nil {
-		w.fail(m, nil, fmt.Errorf("error before crash point: %w", err))
-		return
+		return st, fmt.Errorf("resharder: %w", err)
 	}
-	if !crashed {
-		w.fail(m, nil, fmt.Errorf("crash point %d never fired (op universe shrank?)", m))
-		return
+	if rs != nil {
+		if _, err := rs.Run(nil, nil); err != nil {
+			return st, fmt.Errorf("run: %w", err)
+		}
 	}
-	w.crashBoth()
-	if _, dup := w.sh.seen.LoadOrStore(w.hash(), struct{}{}); dup {
-		w.sh.stats.Pruned.Add(1)
-		return
-	}
-	w.exploreRecovery(w.snapshot(), m, nil, 0)
+	return st, nil
 }
 
-// exploreRecovery verifies the clean recovery+resume of imgs, then — to
-// the configured depth — enumerates every op of that recovery+resume as
-// a further crash point.
-func (w *migWorker) exploreRecovery(imgs [2][]byte, m uint64, trail []uint64, crashes int) {
-	if !w.recoverAndVerify(imgs, m, trail) {
-		return
-	}
-	if crashes >= w.sh.cfg.Depth {
-		return
-	}
-	for r := uint64(1); ; r++ {
-		if w.sh.stop.Load() {
-			return
-		}
-		w.restore(imgs)
-		w.arm(r)
-		crashed, err := w.tryResume()
-		w.arm(0)
-		if err != nil && !crashed {
-			w.fail(m, append(trail, r), fmt.Errorf("recovery error: %w", err))
-			return
-		}
-		if !crashed {
-			return // recovery+resume finished in fewer than r ops: level done
-		}
-		w.sh.stats.RecoveryCrashes.Add(1)
-		w.crashBoth()
-		if _, dup := w.sh.seen.LoadOrStore(w.hash(), struct{}{}); dup {
-			w.sh.stats.Pruned.Add(1)
-			continue
-		}
-		subTrail := append(append([]uint64(nil), trail...), r)
-		w.exploreRecovery(w.snapshot(), m, subTrail, crashes+1)
-	}
-}
-
-// recoverAndVerify runs fsck on both crashed images, recovery+resume to
-// migration completion, then the full safety contract: committed config,
-// cleared manifest, allocator consistency, store integrity, and every
-// key exactly once at its 2-shard home with its original value.
-func (w *migWorker) recoverAndVerify(imgs [2][]byte, m uint64, trail []uint64) bool {
-	w.restore(imgs)
-	for i := 0; i < 2; i++ {
-		if err := pool.Fsck(w.devs[i]); err != nil {
-			w.fail(m, trail, fmt.Errorf("post-crash fsck shard %d: %w", i, err))
-			return false
-		}
-	}
-	kv0, kv1, p0, p1, err := w.resumeOnce()
-	if err != nil {
-		w.fail(m, trail, fmt.Errorf("recovery/resume: %w", err))
-		return false
-	}
-	for i, p := range []*pool.Pool{p0, p1} {
+// verify is the full safety contract of a completed split: committed
+// config, cleared manifest, allocator consistency, store integrity, and
+// every key exactly once at its 2-shard home with its original value.
+func (g *migration) verify(st migrated, _ int) error {
+	for i, p := range st.pools {
 		if err := p.CheckConsistency(); err != nil {
-			w.fail(m, trail, fmt.Errorf("allocator inconsistent on shard %d: %w", i, err))
-			return false
+			return fmt.Errorf("allocator inconsistent on shard %d: %w", i, err)
 		}
 	}
-	cfgShards, cfgEpoch, err := kv0.ReadConfig()
-	if err != nil || cfgShards != 2 {
-		w.fail(m, trail, fmt.Errorf("config after resume = (%d shards, epoch %d, %v), want 2 shards", cfgShards, cfgEpoch, err))
-		return false
+	kv0 := st.kvs[0]
+	if cfgShards, cfgEpoch, err := kv0.ReadConfig(); err != nil || cfgShards != 2 {
+		return fmt.Errorf("config after resume = (%d shards, epoch %d, %v), want 2 shards", cfgShards, cfgEpoch, err)
 	}
 	if mf, err := kv0.ReadManifest(); err != nil || mf != nil {
-		w.fail(m, trail, fmt.Errorf("manifest not cleared after completed migration (m=%v err=%v)", mf, err))
-		return false
+		return fmt.Errorf("manifest not cleared after completed migration (m=%v err=%v)", mf, err)
 	}
-	got := make(map[uint64]uint64, len(w.sh.model))
-	for i, kv := range []*workloads.KVStore{kv0, kv1} {
+	got := make(map[uint64]uint64, len(g.model))
+	for shard, kv := range st.kvs {
 		if err := kv.VerifyIntegrity(); err != nil {
-			w.fail(m, trail, fmt.Errorf("store %d integrity: %w", i, err))
-			return false
+			return fmt.Errorf("store %d integrity: %w", shard, err)
 		}
-		shard := i
 		var walkErr error
 		err := kv.ScanRange(0, kv.Buckets(), func(k, v uint64) bool {
-			if workloads.ShardFor(k, 2) != shard {
-				walkErr = fmt.Errorf("key %d found on shard %d, belongs to %d", k, shard, workloads.ShardFor(k, 2))
+			if home := workloads.ShardFor(k, 2); home != shard {
+				walkErr = fmt.Errorf("key %d found on shard %d, belongs to %d", k, shard, home)
 				return false
 			}
 			if _, dup := got[k]; dup {
@@ -501,20 +258,16 @@ func (w *migWorker) recoverAndVerify(imgs [2][]byte, m uint64, trail []uint64) b
 			err = walkErr
 		}
 		if err != nil {
-			w.fail(m, trail, err)
-			return false
+			return err
 		}
 	}
-	if len(got) != len(w.sh.model) {
-		w.fail(m, trail, fmt.Errorf("%d keys after migration, want %d", len(got), len(w.sh.model)))
-		return false
+	if len(got) != len(g.model) {
+		return fmt.Errorf("%d keys after migration, want %d", len(got), len(g.model))
 	}
-	for k, v := range w.sh.model {
+	for k, v := range g.model {
 		if gv, ok := got[k]; !ok || gv != v {
-			w.fail(m, trail, fmt.Errorf("key %d = (%d, %v) after migration, want %d", k, gv, ok, v))
-			return false
+			return fmt.Errorf("key %d = (%d, %v) after migration, want %d", k, gv, ok, v)
 		}
 	}
-	w.sh.stats.Explored.Add(1)
-	return true
+	return nil
 }

@@ -1,7 +1,10 @@
 package explore
 
 import (
+	"strings"
 	"testing"
+
+	"corundum/internal/workloads"
 )
 
 // TestMigrateCampaign runs the exhaustive power-cut sweep of a scripted
@@ -73,5 +76,51 @@ func TestMigrateCampaignDeep(t *testing.T) {
 	}
 	if res.Stats.Explored.Load() == 0 {
 		t.Fatal("no terminal state was ever verified")
+	}
+}
+
+// lostKey is the migrate script with a planted recovery bug: every
+// reboot resumes the split and then deletes the first seeded key.
+type lostKey struct{ *migration }
+
+func (l lostKey) reboot(mc *machine) (migrated, error) {
+	st, err := l.migration.reboot(mc)
+	if err != nil {
+		return st, err
+	}
+	const k = 11 // the first seeded key
+	_, err = st.kvs[workloads.ShardFor(k, 2)].Delete(k)
+	return st, err
+}
+
+// TestMigrateCatchesLostKey proves the migrate verdict fails closed: a
+// reboot that loses one seeded key must surface as a violation whose
+// flight dump covers both shards of the machine.
+func TestMigrateCatchesLostKey(t *testing.T) {
+	cfg := MigrateConfig{Keys: 6}.withDefaults()
+	g, imgs, err := newMigration(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sweep[migrated]{sc: lostKey{g}, pristine: imgs, depth: -1, limit: 40, maxViolations: 2}
+	if err := s.start(); err != nil {
+		t.Fatal(err)
+	}
+	s.run(s.point)
+	viols, err := s.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(viols) == 0 {
+		t.Fatal("a reboot that loses a seeded key was not detected")
+	}
+	v := viols[0]
+	if !strings.Contains(v.Err.Error(), "keys after migration") {
+		t.Errorf("violation does not name the lost key: %v", v)
+	}
+	for _, want := range []string{"shard 0:", "shard 1:", "CRASH"} {
+		if !strings.Contains(v.Flight, want) {
+			t.Errorf("flight dump lacks %q:\n%s", want, v.Flight)
+		}
 	}
 }

@@ -161,6 +161,23 @@ type Stats struct {
 // Harnesses recover it, call Crash, and then exercise recovery.
 var ErrInjectedCrash = errors.New("pmem: injected crash")
 
+// Contain runs fn and reports whether a power cut ended it: true when fn
+// panicked with ErrInjectedCrash, false when it returned. Any other panic
+// value propagates unchanged. It is the one place a harness turns a cut
+// back into control flow.
+func Contain(fn func()) (cut bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != ErrInjectedCrash {
+				panic(r)
+			}
+			cut = true
+		}
+	}()
+	fn()
+	return false
+}
+
 // Options configures a Device.
 type Options struct {
 	// Profile selects injected latencies. The zero value means NoDelay.

@@ -1,11 +1,16 @@
 // Package torture runs randomized crash-injection campaigns against a
-// live pool: every iteration executes a random transaction while power may
-// be cut at a random device operation; after each crash the pool is
-// recovered and the persistent state is checked against a volatile model.
-// The linearizability contract checked is the standard one for
+// live pool: workers execute random transactions while power may be cut
+// at a random device operation; after each crash the pool is recovered
+// and the persistent state is checked against a volatile model. The
+// linearizability contract checked is the standard one for
 // failure-atomic transactions: a transaction that returned successfully
 // must be fully visible after recovery; a transaction interrupted by the
 // crash may be fully visible or fully absent; nothing may ever be torn.
+//
+// One worker is the serial campaign: one transaction in flight at a time.
+// Several workers transact concurrently on the same pool, so the cut
+// lands while multiple undo logs are in flight, allocator arenas serve
+// different transactions, and recovery walks several non-idle journals.
 //
 // This is the in-repo counterpart of PM testing tools like Yat and PMTest
 // from the paper's related work (§5) — but running against the emulated
@@ -15,6 +20,8 @@ package torture
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"corundum/internal/containers"
 	"corundum/internal/core"
@@ -25,42 +32,105 @@ import (
 // Tag is the pool tag torture campaigns run in.
 type Tag struct{}
 
-// Root composes the structures under torture.
+// MaxWorkers bounds the campaign's concurrency (the root carries one
+// slot of each array per worker).
+const MaxWorkers = 16
+
+// Root gives every worker its own sorted map, stack and hash map, at its
+// index in each array. Workers share the pool — journals, heap arenas,
+// the device — but not data structures, so each worker's model stays
+// independently checkable. The arrays pack several workers into each
+// cache line on purpose: one worker's commit then flushes a line its
+// neighbours are writing, which keeps the shared-line flush path and
+// the typed API's plain stores into shared lines inside the campaign.
 type Root struct {
-	Map   containers.SortedMap[int64, Tag]
-	Stack containers.Stack[int64, Tag]
+	Maps   [MaxWorkers]containers.SortedMap[int64, Tag]
+	Stacks [MaxWorkers]containers.Stack[int64, Tag]
+	Hashes [MaxWorkers]containers.HashMap[uint64, int64, Tag]
 }
 
 // Result summarizes a campaign.
 type Result struct {
-	Iterations  int
-	Crashes     int
-	RolledBack  int // interrupted transactions that ended up absent
-	RolledFwd   int // interrupted transactions that ended up visible
+	Iterations int // transactions attempted
+	Crashes    int
+	// RolledBack and RolledFwd count interrupted transactions that ended
+	// up absent or visible. With one worker every crash interrupts exactly
+	// one transaction; with several, one crash may interrupt several.
+	RolledBack  int
+	RolledFwd   int
 	Evictions   int // crashes with adversarial cache eviction
-	FinalMapLen int
+	FinalMapLen int // keys across every worker's maps at the end
 }
 
-// model mirrors the persistent state in volatile memory.
+// model mirrors one worker's structures in volatile memory.
 type model struct {
-	m     map[uint64]int64
+	m     map[uint64]int64 // its Maps entry
 	stack []int64
+	h     map[uint64]int64 // its Hashes entry
 }
 
 func (mo *model) clone() *model {
-	c := &model{m: make(map[uint64]int64, len(mo.m)), stack: append([]int64(nil), mo.stack...)}
+	c := &model{m: make(map[uint64]int64, len(mo.m)), stack: append([]int64(nil), mo.stack...),
+		h: make(map[uint64]int64, len(mo.h))}
 	for k, v := range mo.m {
 		c.m[k] = v
+	}
+	for k, v := range mo.h {
+		c.h[k] = v
 	}
 	return c
 }
 
-// Campaign runs iterations random transactions with crash injection under
-// the given seed and returns statistics. It returns an error on any
-// consistency violation — torn state, structural corruption, or a lost
-// acknowledged transaction.
-func Campaign(seed int64, iterations int) (*Result, error) {
-	cfg := core.Config{Size: 32 << 20, Journals: 4, Mem: pmem.Options{TrackCrash: true}}
+// worker is one goroutine's volatile mirror of its structures.
+type worker struct {
+	slot      int // index into each Root array
+	rng       *rand.Rand
+	committed *model // acknowledged state
+	pending   *model // including the interrupted transaction
+	inDoubt   bool   // this round ended in a mid-transaction cut
+	attempted int
+	err       error
+}
+
+// runRound issues up to quota transactions against the worker's
+// structures, stopping at the first cut (every device operation after
+// the power cut panics, so an in-flight transaction can never
+// half-complete silently).
+func (w *worker) runRound(r *Root, quota int) {
+	w.inDoubt = false
+	for k := 0; k < quota; k++ {
+		pending := w.committed.clone()
+		w.attempted++
+		var err error
+		if pmem.Contain(func() {
+			err = core.Transaction[Tag](func(j *core.Journal[Tag]) error {
+				return randomTx(j, r, w.slot, w.rng, pending)
+			})
+		}) {
+			w.inDoubt, w.pending = true, pending
+			return
+		}
+		if err != nil {
+			w.err = fmt.Errorf("transaction error: %w", err)
+			return
+		}
+		w.committed = pending
+	}
+}
+
+// Campaign runs randomized crash-injection rounds with the given number
+// of workers transacting concurrently on one pool (one worker is the
+// serial campaign), until at least iterations transactions have been
+// attempted. It returns an error on any consistency violation — torn
+// state, structural corruption, or a lost acknowledged transaction.
+func Campaign(seed int64, iterations, workers int) (*Result, error) {
+	if workers < 1 || workers > MaxWorkers {
+		return nil, fmt.Errorf("torture: workers must be in [1,%d], got %d", MaxWorkers, workers)
+	}
+	// Journals >= workers: after the power cut, a transaction's cleanup
+	// panics before returning its journal slot, so a worker waiting for a
+	// free slot would otherwise wait forever on a dead round.
+	cfg := core.Config{Size: 32 << 20, Journals: workers + 2, Mem: pmem.Options{TrackCrash: true}}
 	root, err := core.Open[Root, Tag]("", cfg)
 	if err != nil {
 		return nil, err
@@ -69,49 +139,66 @@ func Campaign(seed int64, iterations int) (*Result, error) {
 
 	rng := rand.New(rand.NewSource(seed))
 	res := &Result{}
-	mo := &model{m: map[uint64]int64{}}
+	ws := make([]*worker, workers)
+	for i := range ws {
+		ws[i] = &worker{slot: i, committed: &model{m: map[uint64]int64{}, h: map[uint64]int64{}}}
+		// Build the hash's bucket directory before arming the injector: the
+		// directory allocation is one huge transaction that would otherwise
+		// absorb nearly every early crash, starving the campaign of
+		// steady-state coverage. (Crashes during structure growth still
+		// occur via chain allocations.)
+		hash := &root.Deref().Hashes[i]
+		if err := core.Transaction[Tag](func(j *core.Journal[Tag]) error {
+			if err := hash.Put(j, 1, 0); err != nil {
+				return err
+			}
+			_, err := hash.Delete(j, 1)
+			return err
+		}); err != nil {
+			return nil, fmt.Errorf("slot %d init: %w", i, err)
+		}
+	}
 
-	for i := 0; i < iterations; i++ {
-		res.Iterations++
-		pending := mo.clone()
-		crashAt := 1 + rng.Intn(400)
+	const quota = 4 // transactions per worker per round
+	for res.Iterations < iterations {
+		crashAt := uint64(1 + rng.Intn(400*workers))
 		evict := rng.Intn(4) == 0
 		evictSeed := rng.Int63()
+		for _, w := range ws {
+			w.rng = rand.New(rand.NewSource(rng.Int63()))
+		}
 
 		dev := core.DeviceOf[Tag]()
-		var count int
+		var count atomic.Uint64
+		var fired atomic.Bool
 		dev.SetFaultInjector(func(op pmem.Op) bool {
-			count++
-			return count == crashAt
-		})
-
-		acked := false
-		crashed := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if r != pmem.ErrInjectedCrash {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
-			err := core.Transaction[Tag](func(j *core.Journal[Tag]) error {
-				return randomTx(j, root.Deref(), rng, pending)
-			})
-			if err != nil {
-				panic(fmt.Sprintf("torture: transaction error: %v", err))
+			if count.Add(1) == crashAt {
+				fired.Store(true)
+				return true
 			}
-			acked = true
-		}()
+			return false
+		})
+		r := root.Deref()
+		var wg sync.WaitGroup
+		for _, w := range ws {
+			wg.Add(1)
+			go func(w *worker) {
+				defer wg.Done()
+				w.runRound(r, quota)
+			}(w)
+		}
+		wg.Wait()
 		dev.SetFaultInjector(nil)
 
-		if acked {
-			mo = pending
-			continue
+		for _, w := range ws {
+			res.Iterations += w.attempted
+			w.attempted = 0
+			if w.err != nil {
+				return nil, fmt.Errorf("worker %d: %w", w.slot, w.err)
+			}
 		}
-		if !crashed {
-			return nil, fmt.Errorf("iteration %d: transaction neither acked nor crashed", i)
+		if !fired.Load() {
+			continue // the round finished before the scheduled power cut
 		}
 		res.Crashes++
 
@@ -125,70 +212,81 @@ func Campaign(seed int64, iterations int) (*Result, error) {
 		if err := core.ClosePool[Tag](); err != nil {
 			return nil, err
 		}
-		p2, err := pool.Attach(dev)
+		p, err := pool.Attach(dev)
 		if err != nil {
-			return nil, fmt.Errorf("iteration %d: recovery failed: %w", i, err)
+			return nil, fmt.Errorf("crash %d: recovery failed: %w", res.Crashes, err)
 		}
-		if err := p2.CheckConsistency(); err != nil {
-			return nil, fmt.Errorf("iteration %d: heap corrupt after recovery: %w", i, err)
+		if err := p.CheckConsistency(); err != nil {
+			return nil, fmt.Errorf("crash %d: heap corrupt after recovery: %w", res.Crashes, err)
 		}
-		adopted, err := core.Adopt[Root, Tag](p2)
-		if err != nil {
+		if root, err = core.Adopt[Root, Tag](p); err != nil {
 			return nil, err
 		}
-		root = adopted
 
-		switch matchErr, pendErr := verify(root.Deref(), mo), verify(root.Deref(), pending); {
-		case matchErr == nil:
-			res.RolledBack++
-		case pendErr == nil:
-			res.RolledFwd++
-			mo = pending
-		default:
-			return nil, fmt.Errorf("iteration %d (crashAt=%d evict=%v): state is neither pre- nor post-transaction:\n pre: %v\n post: %v",
-				i, crashAt, evict, matchErr, pendErr)
+		r = root.Deref()
+		for _, w := range ws {
+			preErr := verify(r, w.slot, w.committed)
+			switch {
+			case preErr == nil:
+				if w.inDoubt {
+					res.RolledBack++
+				}
+			case w.inDoubt && verify(r, w.slot, w.pending) == nil:
+				res.RolledFwd++
+				w.committed = w.pending
+			default:
+				return nil, fmt.Errorf("crash %d (crashAt=%d evict=%v) worker %d: state is neither pre- nor post-transaction (inDoubt=%v): %v",
+					res.Crashes, crashAt, evict, w.slot, w.inDoubt, preErr)
+			}
 		}
 	}
-	res.FinalMapLen = len(mo.m)
-	// Final structural check.
-	if err := root.Deref().Map.CheckInvariants(); err != nil {
-		return nil, err
+
+	// Final structural and content check of every worker's structures.
+	r := root.Deref()
+	for _, w := range ws {
+		if err := r.Maps[w.slot].CheckInvariants(); err != nil {
+			return nil, fmt.Errorf("final check, worker %d: %w", w.slot, err)
+		}
+		if err := verify(r, w.slot, w.committed); err != nil {
+			return nil, fmt.Errorf("final check, worker %d: %w", w.slot, err)
+		}
+		res.FinalMapLen += len(w.committed.m) + len(w.committed.h)
 	}
-	return res, verify(root.Deref(), mo)
+	return res, nil
 }
 
-// randomTx applies 1-6 random operations inside one transaction, updating
-// the pending model to match.
-func randomTx(j *core.Journal[Tag], r *Root, rng *rand.Rand, pending *model) error {
+// randomTx applies 1-6 random operations to worker i's structures
+// inside one transaction, keeping the pending model in lockstep.
+func randomTx(j *core.Journal[Tag], r *Root, i int, rng *rand.Rand, pending *model) error {
+	m, stack, hash := &r.Maps[i], &r.Stacks[i], &r.Hashes[i]
 	ops := 1 + rng.Intn(6)
 	for k := 0; k < ops; k++ {
-		switch rng.Intn(5) {
-		case 0, 1: // map put
+		switch rng.Intn(7) {
+		case 0, 1: // sorted-map put
 			key := uint64(1 + rng.Intn(200))
 			val := rng.Int63()
-			if err := r.Map.Put(j, key, val); err != nil {
+			if err := m.Put(j, key, val); err != nil {
 				return err
 			}
 			pending.m[key] = val
-		case 2: // map delete
+		case 2: // sorted-map delete
 			key := uint64(1 + rng.Intn(200))
-			removed, err := r.Map.Delete(j, key)
+			removed, err := m.Delete(j, key)
 			if err != nil {
 				return err
 			}
-			_, in := pending.m[key]
-			if removed != in {
-				return fmt.Errorf("delete(%d) disagreed with model", key)
+			if _, in := pending.m[key]; removed != in {
+				return fmt.Errorf("map delete(%d) disagreed with model", key)
 			}
 			delete(pending.m, key)
 		case 3: // stack push
 			v := rng.Int63()
-			if err := r.Stack.Push(j, v); err != nil {
+			if err := stack.Push(j, v); err != nil {
 				return err
 			}
 			pending.stack = append(pending.stack, v)
 		case 4: // stack pop
-			v, ok, err := r.Stack.Pop(j)
+			v, ok, err := stack.Pop(j)
 			if err != nil {
 				return err
 			}
@@ -202,44 +300,71 @@ func randomTx(j *core.Journal[Tag], r *Root, rng *rand.Rand, pending *model) err
 					return fmt.Errorf("pop %d want %d", v, want)
 				}
 			}
+		case 5: // hash put
+			key := uint64(1 + rng.Intn(64))
+			val := rng.Int63()
+			if err := hash.Put(j, key, val); err != nil {
+				return err
+			}
+			pending.h[key] = val
+		case 6: // hash delete
+			key := uint64(1 + rng.Intn(64))
+			removed, err := hash.Delete(j, key)
+			if err != nil {
+				return err
+			}
+			if _, in := pending.h[key]; removed != in {
+				return fmt.Errorf("hash delete(%d) disagreed with model", key)
+			}
+			delete(pending.h, key)
 		}
 	}
 	return nil
 }
 
-// verify compares the persistent structures to a model.
-func verify(r *Root, mo *model) error {
-	if got := r.Map.Len(); got != len(mo.m) {
-		return fmt.Errorf("map len %d, model %d", got, len(mo.m))
+// verify compares worker i's persistent structures to a model.
+func verify(r *Root, i int, mo *model) error {
+	if err := verifyMap("map", r.Maps[i].Len(), r.Maps[i].Scan, mo.m); err != nil {
+		return err
 	}
-	bad := error(nil)
+	if err := verifyMap("hash", r.Hashes[i].Len(), r.Hashes[i].Range, mo.h); err != nil {
+		return err
+	}
+	stack := &r.Stacks[i]
+	if got := stack.Len(); got != len(mo.stack) {
+		return fmt.Errorf("stack len %d, model %d", got, len(mo.stack))
+	}
+	var bad error
+	k := len(mo.stack) - 1
+	stack.Range(func(v *int64) bool {
+		if *v != mo.stack[k] {
+			bad = fmt.Errorf("stack[%d] = %d, model %d", k, *v, mo.stack[k])
+			return false
+		}
+		k--
+		return true
+	})
+	return bad
+}
+
+// verifyMap compares one persistent map, given its length and walk, to
+// its model.
+func verifyMap(name string, n int, walk func(func(uint64, *int64) bool), model map[uint64]int64) error {
+	if n != len(model) {
+		return fmt.Errorf("%s len %d, model %d", name, n, len(model))
+	}
+	var bad error
 	seen := 0
-	r.Map.Scan(func(k uint64, v *int64) bool {
-		want, ok := mo.m[k]
-		if !ok || want != *v {
-			bad = fmt.Errorf("map key %d = %d, model %d (present=%v)", k, *v, want, ok)
+	walk(func(k uint64, v *int64) bool {
+		if want, ok := model[k]; !ok || want != *v {
+			bad = fmt.Errorf("%s key %d = %d, model %d (present=%v)", name, k, *v, want, ok)
 			return false
 		}
 		seen++
 		return true
 	})
-	if bad != nil {
-		return bad
+	if bad == nil && seen != len(model) {
+		bad = fmt.Errorf("%s walk saw %d keys, model %d", name, seen, len(model))
 	}
-	if seen != len(mo.m) {
-		return fmt.Errorf("scan saw %d keys, model %d", seen, len(mo.m))
-	}
-	if got := r.Stack.Len(); got != len(mo.stack) {
-		return fmt.Errorf("stack len %d, model %d", got, len(mo.stack))
-	}
-	i := len(mo.stack) - 1
-	r.Stack.Range(func(v *int64) bool {
-		if *v != mo.stack[i] {
-			bad = fmt.Errorf("stack[%d] = %d, model %d", i, *v, mo.stack[i])
-			return false
-		}
-		i--
-		return true
-	})
 	return bad
 }

@@ -13,7 +13,7 @@ func TestConcurrentCampaigns(t *testing.T) {
 	}
 	for _, workers := range workerCounts {
 		for seed := int64(1); seed <= 2; seed++ {
-			res, err := ConcurrentCampaign(seed, 200, workers)
+			res, err := Campaign(seed, 200, workers)
 			if err != nil {
 				t.Fatalf("workers %d seed %d: %v", workers, seed, err)
 			}
@@ -26,15 +26,17 @@ func TestConcurrentCampaigns(t *testing.T) {
 	}
 }
 
-// TestCampaigns runs several deterministic crash campaigns. Any torn
-// state, corruption, or lost acknowledged transaction fails the test.
+// TestCampaigns runs several deterministic serial (one-worker) crash
+// campaigns. Any torn state, corruption, or lost acknowledged transaction
+// fails the test, and with one transaction in flight every crash must
+// resolve to exactly one rollback or roll-forward.
 func TestCampaigns(t *testing.T) {
 	seeds, iterations := int64(4), 150
 	if testing.Short() {
 		seeds, iterations = 2, 75
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
-		res, err := Campaign(seed, iterations)
+		res, err := Campaign(seed, iterations, 1)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
