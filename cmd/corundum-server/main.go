@@ -13,11 +13,15 @@
 // previous transaction commits (up to -max-batch) go into its next
 // failure-atomic transaction — the committer never waits on a clock for
 // more — and each request is acknowledged only after its transaction is
-// durably committed. INFO and STATS expose pool
-// geometry, recovery counts, journal occupancy, the batch-size
-// histogram, and the emulated device's write/flush/fence counters
-// (including per-scope fence attribution), with per-shard breakdowns
-// when sharded. With -metrics-addr the same numbers are served as
+// durably committed. Each shard's store is a hash table whose bucket
+// directory grows with its keys: a batch that leaves more keys than
+// buckets splits bucket groups inside its own transaction, so a GET walks
+// about one entry however many keys the store holds, and no flag sizes
+// the directory. INFO and STATS expose pool geometry, store shape
+// (store_keys, store_buckets), recovery counts, journal occupancy, the
+// batch-size histogram, and the emulated device's write/flush/fence
+// counters (including per-scope fence attribution), with per-shard
+// breakdowns when sharded. With -metrics-addr the same numbers are served as
 // Prometheus text on GET /metrics, alongside net/http/pprof.
 //
 // Every op is traced by default (-trace-sample 1): its latency is
@@ -104,7 +108,6 @@ func main() {
 		shards   = flag.Int("shards", 1, "hash-partition the keyspace across this many independent pools")
 		size     = flag.Int("size", 256<<20, "per-shard pool size in bytes when creating")
 		journals = flag.Int("journals", 16, "journal slots per shard (transaction concurrency) when creating")
-		buckets  = flag.Int("buckets", 4096, "KV bucket directory size when creating")
 		maxBatch = flag.Int("max-batch", 64, "max mutations per group-commit transaction")
 		busyTO   = flag.Duration("busy-timeout", 100*time.Millisecond, "max wait for a journal slot before replying -BUSY (0 blocks forever)")
 		profile  = flag.String("profile", "NoDelay", "emulated PM latency profile: OptaneDC|DRAM|NoDelay")
@@ -115,13 +118,13 @@ func main() {
 		lockedRd = flag.Bool("locked-reads", false, "ablation: serve GET/SCAN through the store RLock instead of the seqlock read path")
 	)
 	flag.Parse()
-	if err := run(*addr, *path, *shards, *size, *journals, *buckets, *maxBatch, *busyTO, *traceSmp, *profile, *metrics, *replLn, *replOf, *lockedRd); err != nil {
+	if err := run(*addr, *path, *shards, *size, *journals, *maxBatch, *busyTO, *traceSmp, *profile, *metrics, *replLn, *replOf, *lockedRd); err != nil {
 		fmt.Fprintln(os.Stderr, "corundum-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, path string, shards, size, journals, buckets, maxBatch int, busyTO time.Duration, traceSample int, profName, metricsAddr, replListen, replicaOf string, lockedReads bool) error {
+func run(addr, path string, shards, size, journals, maxBatch int, busyTO time.Duration, traceSample int, profName, metricsAddr, replListen, replicaOf string, lockedReads bool) error {
 	var prof pmem.Profile
 	switch profName {
 	case "OptaneDC":
@@ -217,7 +220,7 @@ func run(addr, path string, shards, size, journals, buckets, maxBatch int, busyT
 		busyTO = -1 // 0 on the command line means "block forever", Options' disable value
 	}
 	srv, err := server.NewSharded(pools, server.Options{
-		MaxBatch: maxBatch, Buckets: buckets,
+		MaxBatch:    maxBatch,
 		BusyTimeout: busyTO, TraceSample: traceSample, LockedReads: lockedReads,
 		// RESHARD grows past the booted pools by creating "<pool>.<i>"
 		// files with the same geometry.

@@ -14,7 +14,8 @@
 // durable image only changes at fences, so every crash point between two
 // fences yields the same surviving image, and recovery outcome is a pure
 // function of that image. Each unique image is recovered and verified
-// once; repeats are counted as pruned. The pruning is sound because a
+// once, with the most nested recovery cuts any path reaches it with;
+// repeats are counted as pruned. The pruning is sound because a
 // completed (acked) step's commit record is durable by definition, so a
 // given durable image can only ever be paired with one acknowledged step
 // count consistent with its recovery outcome.
@@ -33,7 +34,8 @@ import (
 // Config parameterizes one exploration run.
 type Config struct {
 	// Workload selects the structure under test: "kvstore" (alias
-	// "hashmap"), "bst", or "btree".
+	// "hashmap"), "bst", or "btree"; "allocheavy" and "kvgrow" run the
+	// kvstore under the allocator-churn and directory-growth scripts.
 	Workload string
 	// Steps is the number of script mutations (default 8). Total crash
 	// points grow roughly linearly with Steps.

@@ -316,7 +316,7 @@ func (fr *faultsRun) tornSchedules(mc *machine, m uint64, acked int) bool {
 // plain crash.
 func (fr *faultsRun) verifyTorn(mc *machine, m uint64, acked int, sched int64) {
 	fr.fst.TornSchedules.Add(1)
-	if !fr.s.firstSeen(mc) {
+	if fr.s.claim(mc, 0) == nil {
 		fr.fst.TornPruned.Add(1)
 		return
 	}

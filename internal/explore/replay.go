@@ -147,7 +147,7 @@ type sweep[S any] struct {
 	total  uint64   // census: the crash-point universe
 	fences []uint64 // census: op index of every fence
 
-	seen  sync.Map // combined durable-image hash -> struct{}
+	seen  sync.Map // combined durable-image hash -> *node
 	mu    sync.Mutex
 	viols []Violation
 	stop  atomic.Bool
@@ -239,6 +239,7 @@ func (s *sweep[S]) finish() ([]Violation, error) {
 	if got := s.stats.CrashPoints.Load(); got != s.points() {
 		return nil, fmt.Errorf("explore: processed %d of %d crash points", got, s.points())
 	}
+	s.census()
 	for i, n := range intervalPoints(s.total, s.fences) {
 		if n == 0 {
 			return nil, fmt.Errorf("explore: fence interval %d got zero crash points — enumeration is not exhaustive", i)
@@ -280,16 +281,18 @@ func (s *sweep[S]) point(mc *machine, n uint64) {
 			return
 		}
 		mc.crash(seed)
+		depth := s.depth
 		if seed > 0 {
 			s.stats.Evictions.Add(1)
+			depth = 0
 		}
-		switch {
-		case !s.firstSeen(mc):
+		switch nd := s.claim(mc, depth); {
+		case nd == nil:
 			s.stats.Pruned.Add(1)
 		case seed > 0:
 			s.check(mc, mc.snapshot(), v)
 		default:
-			s.recoverFrom(mc, mc.snapshot(), v)
+			s.recoverFrom(mc, nd, mc.snapshot(), v)
 		}
 	}
 }
@@ -311,14 +314,21 @@ func (s *sweep[S]) replay(mc *machine, n uint64) (acked int, cut bool, err error
 }
 
 // recoverFrom verifies the clean reboot of imgs and then, while the trail
-// is shorter than the depth, cuts power at every op of that reboot in
-// turn and recurses into each surviving image not seen before. It is the
-// one enumeration of nested recovery cuts.
-func (s *sweep[S]) recoverFrom(mc *machine, imgs [][]byte, v Violation) {
+// is shorter than the depth, cuts power during that reboot and recurses
+// into each surviving image that calls for it (see claim). A plain cut
+// leaves the images as of the last fence, so cutting at the reboot's
+// first op and just after each of its fences reaches every image a cut at
+// any op would. It is the one enumeration of nested recovery cuts.
+func (s *sweep[S]) recoverFrom(mc *machine, nd *node, imgs [][]byte, v Violation) {
 	if !s.check(mc, imgs, v) || len(v.Trail) >= s.depth {
 		return
 	}
-	for r := uint64(1); !s.stop.Load(); r++ {
+	cuts := s.rebootCuts(mc, imgs)
+	nd.cuts.Store(uint64(len(cuts)))
+	for _, r := range cuts {
+		if s.stop.Load() {
+			return
+		}
 		mc.restore(imgs)
 		mc.arm(r, nil)
 		var err error
@@ -326,21 +336,38 @@ func (s *sweep[S]) recoverFrom(mc *machine, imgs [][]byte, v Violation) {
 		mc.disarm()
 		sub := v
 		sub.Trail = append(append([]uint64(nil), v.Trail...), r)
+		if err == nil && !cut {
+			err = fmt.Errorf("cut %d never fired (the reboot is not deterministic?)", r)
+		}
 		if err != nil {
 			s.fail(mc, sub, fmt.Errorf("recovery error: %w", err))
 			return
 		}
-		if !cut {
-			return // the reboot finished in fewer than r ops: level exhausted
-		}
 		s.stats.RecoveryCrashes.Add(1)
 		mc.crash(0)
-		if !s.firstSeen(mc) {
+		child := s.claim(mc, s.depth-len(sub.Trail))
+		if child == nil {
 			s.stats.Pruned.Add(1)
 			continue
 		}
-		s.recoverFrom(mc, mc.snapshot(), sub)
+		s.recoverFrom(mc, child, mc.snapshot(), sub)
 	}
+}
+
+// rebootCuts runs the reboot of imgs once, uncut, and returns the cut
+// points that each leave a different image: its first op, and the op
+// after each of its fences.
+func (s *sweep[S]) rebootCuts(mc *machine, imgs [][]byte) []uint64 {
+	mc.restore(imgs)
+	cuts := []uint64{1}
+	mc.arm(0, func(i uint64) { cuts = append(cuts, i+1) })
+	s.sc.reboot(mc) // check has already vetted this reboot
+	ops := mc.ops.Load()
+	mc.disarm()
+	for len(cuts) > 0 && cuts[len(cuts)-1] > ops {
+		cuts = cuts[:len(cuts)-1]
+	}
+	return cuts
 }
 
 // check reboots imgs uninterrupted — fsck of every device, reboot, then
@@ -367,11 +394,59 @@ func (s *sweep[S]) check(mc *machine, imgs [][]byte, v Violation) bool {
 	return true
 }
 
-// firstSeen records the machine's durable images, reporting whether they
-// were new.
-func (s *sweep[S]) firstSeen(mc *machine) bool {
-	_, loaded := s.seen.LoadOrStore(mc.hash(), struct{}{})
-	return !loaded
+// node is one durable image the sweep has reached: the most nested
+// recovery cuts still to explore any path reached it with, and how many
+// cuts its reboot offers.
+type node struct {
+	depth atomic.Int64
+	cuts  atomic.Uint64
+}
+
+// claim records that the machine's durable images were reached with depth
+// nested cuts still to explore, and returns their node when that calls for
+// exploring them — the images are new, or every earlier visit had fewer
+// cuts left — or nil. Each image thus ends up explored with the most cuts
+// any path reaches it with, whichever worker gets there first.
+func (s *sweep[S]) claim(mc *machine, depth int) *node {
+	h := mc.hash()
+	v, ok := s.seen.Load(h)
+	if !ok {
+		nd := &node{}
+		nd.depth.Store(int64(depth))
+		if v, ok = s.seen.LoadOrStore(h, nd); !ok {
+			return nd
+		}
+	}
+	nd := v.(*node)
+	for {
+		d := nd.depth.Load()
+		if d >= int64(depth) {
+			return nil
+		}
+		if nd.depth.CompareAndSwap(d, int64(depth)) {
+			return nd
+		}
+	}
+}
+
+// census replaces the live progress counters with the exact counts of a
+// completed sweep: every image explored once, with the most cuts any path
+// reaches it with. Workers racing to an image can explore it twice (first
+// with fewer cuts), so the live counters vary run to run; these do not.
+func (s *sweep[S]) census() {
+	var images, nested uint64
+	s.seen.Range(func(_, v any) bool {
+		nd := v.(*node)
+		images++
+		if nd.depth.Load() > 0 {
+			nested += nd.cuts.Load()
+		}
+		return true
+	})
+	visits := s.points()*uint64(1+s.evictions) + nested
+	s.stats.Explored.Store(images)
+	s.stats.RecoveryCrashes.Store(nested)
+	s.stats.Pruned.Store(visits - images)
 }
 
 func (s *sweep[S]) fail(mc *machine, v Violation, err error) {

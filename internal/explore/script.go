@@ -16,6 +16,17 @@ package explore
 type scriptOp struct {
 	del      bool
 	key, val uint64
+	// batch, when set, makes the step one failure-atomic batch of these
+	// ops (KVStore.Apply) instead of a single mutation.
+	batch []scriptOp
+}
+
+// ops lists the mutations the step applies, in order.
+func (op scriptOp) ops() []scriptOp {
+	if op.batch != nil {
+		return op.batch
+	}
+	return []scriptOp{op}
 }
 
 // buildScript returns the step sequence and models[0..steps], where
@@ -69,11 +80,60 @@ func buildChurnScript(steps int) ([]scriptOp, []map[uint64]uint64) {
 	return ops, foldModels(ops)
 }
 
+// buildGrowScript is the growth campaign's script over a base-8 store
+// (workload "kvgrow"): steps of {deletes, overwrites, fresh puts} sized so
+// the default 8 steps cross two levels (8 → 16 → 32 buckets), allocate
+// three segments and move the segment table once. Batches fill the
+// directory to exactly one key per bucket; each split then rides a
+// single Put, which keeps the largest transaction — and so the deepest
+// rollback every nested recovery cut replays — small. Every third fresh
+// key shares all 40 low bits with key 1, so that chain always moves whole
+// while the others split and relink.
+func buildGrowScript(steps int) ([]scriptOp, []map[uint64]uint64) {
+	shape := [8]struct{ del, over, put int }{
+		{0, 0, 8}, {0, 0, 1}, {1, 1, 7}, {0, 0, 1}, {0, 0, 1}, {0, 0, 7}, {0, 0, 1}, {1, 0, 0},
+	}
+	var live []uint64 // oldest first
+	fresh := uint64(0)
+	ops := make([]scriptOp, steps)
+	for i := range ops {
+		sh := shape[i%len(shape)]
+		val := uint64(i+1) * 1000
+		var batch []scriptOp
+		for range sh.del {
+			batch = append(batch, scriptOp{del: true, key: live[0]})
+			live = live[1:]
+		}
+		for range sh.over {
+			batch = append(batch, scriptOp{key: live[len(live)-1], val: val + 500})
+		}
+		for j := range sh.put {
+			fresh++
+			k := fresh
+			if fresh%3 == 0 {
+				k = fresh<<40 | 1
+			}
+			batch = append(batch, scriptOp{key: k, val: val + uint64(j)})
+			live = append(live, k)
+		}
+		if len(batch) == 1 {
+			ops[i] = batch[0]
+		} else {
+			ops[i] = scriptOp{batch: batch}
+		}
+	}
+	return ops, foldModels(ops)
+}
+
 // scriptFor selects the step sequence for a workload name: the
-// "allocheavy" alias runs the kvstore structure under the churn script.
+// "allocheavy" alias runs the kvstore structure under the churn script,
+// and "kvgrow" runs it under the growth script.
 func scriptFor(workload string, steps int) ([]scriptOp, []map[uint64]uint64) {
-	if workload == "allocheavy" {
+	switch workload {
+	case "allocheavy":
 		return buildChurnScript(steps)
+	case "kvgrow":
+		return buildGrowScript(steps)
 	}
 	return buildScript(steps)
 }
@@ -88,10 +148,12 @@ func foldModels(ops []scriptOp) []map[uint64]uint64 {
 		for k, v := range models[i] {
 			m[k] = v
 		}
-		if op.del {
-			delete(m, op.key)
-		} else {
-			m[op.key] = op.val
+		for _, o := range op.ops() {
+			if o.del {
+				delete(m, o.key)
+			} else {
+				m[o.key] = o.val
+			}
 		}
 		models[i+1] = m
 	}

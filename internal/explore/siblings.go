@@ -66,6 +66,14 @@ func StartSiblings(n int) (*Siblings, error) {
 
 func siblingVal(key, gen uint64) uint64 { return key*0x9E3779B97F4A7C15 + gen + 1 }
 
+// siblingKeys bounds each sibling's keyspace: op seq works on key seq mod
+// siblingKeys, so inserts turn into overwrites and re-inserts after the
+// first lap, and a sibling's pool never fills however long the campaign
+// runs.
+const siblingKeys = 1 << 12
+
+func siblingKey(i int, seq uint64) uint64 { return uint64(i+1)<<40 | seq%siblingKeys }
+
 // serve applies an endless deterministic mix to one sibling: inserts,
 // periodic overwrites, periodic deletes, and read-back checks of keys
 // already acknowledged. A mismatch observed here means the campaign
@@ -81,10 +89,10 @@ func (s *Siblings) serve(i int) {
 			return
 		default:
 		}
-		key := uint64(i+1)<<40 | seq
+		key := siblingKey(i, seq)
 		switch {
 		case seq%7 == 3 && seq > 8: // overwrite an older key
-			old := uint64(i+1)<<40 | (seq - 8)
+			old := siblingKey(i, seq-8)
 			if _, ok := exp[old]; ok {
 				if err := kv.Put(old, siblingVal(old, seq)); err != nil {
 					s.fail(i, fmt.Errorf("overwrite %#x: %w", old, err))
@@ -94,7 +102,7 @@ func (s *Siblings) serve(i int) {
 				s.ops[i]++
 			}
 		case seq%13 == 5 && seq > 16: // delete an older key
-			old := uint64(i+1)<<40 | (seq - 16)
+			old := siblingKey(i, seq-16)
 			if _, ok := exp[old]; ok {
 				if _, err := kv.Delete(old); err != nil {
 					s.fail(i, fmt.Errorf("delete %#x: %w", old, err))
@@ -112,7 +120,7 @@ func (s *Siblings) serve(i int) {
 			s.ops[i]++
 		}
 		if seq%5 == 4 && seq > 4 { // read back a recent acknowledged key
-			probe := uint64(i+1)<<40 | (seq - 4)
+			probe := siblingKey(i, seq-4)
 			if want, ok := exp[probe]; ok {
 				got, found, err := kv.Get(probe)
 				if err != nil {

@@ -31,9 +31,10 @@ type workloadDef struct {
 
 func workloadFor(name string) (workloadDef, error) {
 	switch name {
-	case "kvstore", "hashmap", "allocheavy":
-		// "allocheavy" is the kvstore structure under the allocator-churn
-		// script (see buildChurnScript); scriptFor makes the swap.
+	case "kvstore", "hashmap", "allocheavy", "kvgrow":
+		// "allocheavy" and "kvgrow" are the kvstore structure under the
+		// allocator-churn and growth scripts (buildChurnScript,
+		// buildGrowScript); scriptFor makes the swap.
 		return workloadDef{
 			setup: func(p engine.Pool) (structure, error) {
 				kv, err := workloads.NewKVStore(p, 8)
@@ -65,12 +66,20 @@ func workloadFor(name string) (workloadDef, error) {
 			},
 		}, nil
 	}
-	return workloadDef{}, fmt.Errorf("explore: unknown workload %q (want kvstore, allocheavy, bst, or btree)", name)
+	return workloadDef{}, fmt.Errorf("explore: unknown workload %q (want kvstore, allocheavy, kvgrow, bst, or btree)", name)
 }
 
 type kvStructure struct{ kv *workloads.KVStore }
 
 func (s kvStructure) step(op scriptOp) error {
+	if op.batch != nil {
+		ops := make([]workloads.Op, len(op.batch))
+		for i, o := range op.batch {
+			ops[i] = workloads.Op{Del: o.del, Key: o.key, Val: o.val}
+		}
+		_, err := s.kv.Apply(ops)
+		return err
+	}
 	if op.del {
 		_, err := s.kv.Delete(op.key)
 		return err
@@ -88,20 +97,10 @@ func (s kvStructure) verify(model map[uint64]uint64) error {
 
 func (s kvStructure) get(key uint64) (uint64, bool, error) { return s.kv.Get(key) }
 
-func (s kvStructure) check() error {
-	n, err := s.kv.Len()
-	if err != nil {
-		return err
-	}
-	seen := 0
-	if err := s.kv.Scan(func(k, v uint64) bool { seen++; return true }); err != nil {
-		return err
-	}
-	if n != seen {
-		return fmt.Errorf("kvstore: Len=%d but Scan visited %d", n, seen)
-	}
-	return nil
-}
+// check holds the store to its full integrity walk: every checksum, every
+// key in the physical bucket its hash names (so no key is reachable
+// twice), every group's key count.
+func (s kvStructure) check() error { return s.kv.VerifyIntegrity() }
 
 type bstStructure struct{ b *workloads.BST }
 

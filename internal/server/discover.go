@@ -62,7 +62,9 @@ func shard0Path(base string) string {
 // -shards value, used only when the disk holds no committed config.
 // Discovery is read-only with respect to the keyspace; the open runs
 // crash recovery exactly as the real open will, so the subsequent
-// OpenShards sees a clean image.
+// OpenShards sees a clean image. Attaching shard 0's store upgrades a v1
+// store directory to v2, the one-transaction upgrade any writable attach
+// makes.
 func DiscoverLayout(base string, flagN int, mem pmem.Options) (Layout, error) {
 	if flagN < 1 {
 		return Layout{}, fmt.Errorf("discover: -shards %d: need at least one", flagN)

@@ -236,6 +236,10 @@ func (m *serverMetrics) registerShardGauges(sh *shard) {
 			}
 			return 0
 		})
+	m.reg.GaugeFunc("server_store_keys", "live keys in this shard's store (0 on a v1 store served at base geometry)", lbl,
+		func() float64 { keys, _ := sh.shape(); return float64(keys) })
+	m.reg.GaugeFunc("server_store_buckets", "physical buckets in this shard's store directory", lbl,
+		func() float64 { _, buckets := sh.shape(); return float64(buckets) })
 }
 
 // Registry exposes the server's metrics registry (tests, embedding).

@@ -3,6 +3,7 @@ package server_test
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -64,14 +65,18 @@ func (h *committedHistory) committed(key, val uint64) bool {
 // makes stale chain pointers dangerous). Every value any reader
 // observes must have been committed by some batch — a torn, phantom, or
 // uncommitted value fails the run. Both read paths are exercised: the
-// lock-free seqlock path and the RLock fallback (LockedReads). Run with
-// -race in CI, where the atomic discipline of the device word stores is
-// also what is under test.
+// lock-free seqlock path and the RLock fallback (LockedReads). The -grow
+// variants start the store at a base of 8 buckets, so the same churn
+// drives its directory through several levels of splits while readers
+// also chase the fresh keys being split. Run with -race in CI, where the
+// atomic discipline of the device word stores is also what is under
+// test.
 func TestReadPathHammer(t *testing.T) {
 	for _, mode := range []struct {
-		name   string
-		locked bool
-	}{{"lockfree", false}, {"locked", true}} {
+		name    string
+		locked  bool
+		buckets int
+	}{{"lockfree", false, 0}, {"locked", true, 0}, {"lockfree-grow", false, 8}, {"locked-grow", true, 8}} {
 		t.Run(mode.name, func(t *testing.T) {
 			p, err := pool.Create("", pool.Config{
 				Size: 64 << 20, Journals: 8,
@@ -82,7 +87,7 @@ func TestReadPathHammer(t *testing.T) {
 			}
 			defer p.Close()
 			srv, addr := startServer(t, p, server.Options{
-				MaxBatch: 32, LockedReads: mode.locked,
+				MaxBatch: 32, LockedReads: mode.locked, Buckets: mode.buckets,
 			})
 			defer srv.Close()
 
@@ -169,6 +174,9 @@ func TestReadPathHammer(t *testing.T) {
 							continue
 						}
 						k := uint64(rng.Intn(hotKeys))
+						if mode.buckets != 0 && i%2 == 1 {
+							k = 1<<20 + uint64(rng.Intn(rounds*16))
+						}
 						reply, err := rcl.cmd(fmt.Sprintf("GET %d", k))
 						if err != nil {
 							t.Errorf("GET %d: %v", k, err)
@@ -197,6 +205,13 @@ func TestReadPathHammer(t *testing.T) {
 			}
 			if mode.locked && lockFree != 0 {
 				t.Fatal("locked mode served reads through the seqlock path")
+			}
+			if mode.buckets != 0 {
+				cl := dial(t, addr)
+				defer cl.close()
+				if b, _ := strconv.Atoi(parseKV(t, mustCmd(t, cl, "STATS"))["store_buckets"]); b < 8<<3 {
+					t.Fatalf("the store grew to %d buckets, want three levels past its base of 8", b)
+				}
 			}
 		})
 	}

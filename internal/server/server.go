@@ -24,8 +24,11 @@ type Options struct {
 	// MaxBatch is the most SET/DEL operations folded into one group-commit
 	// transaction (default 64).
 	MaxBatch int
-	// Buckets sizes the KVStore's bucket directory when the pool has no
-	// store yet (default 4096). Ignored when attaching to an existing store.
+	// Buckets is a new store's base directory size (default 4096): the
+	// coordinate system migration cursors and backup chunks count in, and
+	// where its directory starts before growing with its keys. Tests set it
+	// small to exercise growth and migration windows. Ignored when
+	// attaching to an existing store.
 	Buckets int
 	// BusyTimeout bounds how long a request waits for a free journal slot
 	// before the server answers -BUSY, a retryable backpressure signal,
@@ -52,8 +55,8 @@ type Options struct {
 	// trades completion time for serving throughput (default 0: as fast
 	// as the batches commit).
 	MigrationThrottle time.Duration
-	// MigrateBatchBuckets is how many directory buckets one crash-atomic
-	// migration batch covers (default 64). Smaller batches mean finer
+	// MigrateBatchBuckets is how many base directory buckets one
+	// crash-atomic migration batch covers (default 64). Smaller batches mean finer
 	// fence windows (less -MOVED churn per batch) and more manifest
 	// writes.
 	MigrateBatchBuckets int
@@ -1073,7 +1076,7 @@ func (s *Server) renderInfo() string {
 		s.halted.Load(),
 		degraded,
 		quarantined,
-	) + recoveryLines + migLines + replLines + perShard
+	) + recoveryLines + migLines + replLines + s.renderStoreShape() + perShard
 }
 
 // renderInfoRepl is INFO's replication block: role, lag, link health.
@@ -1168,7 +1171,24 @@ func (s *Server) renderStats() string {
 	}
 	lag := s.ReplLag()
 	out += formatLag(lag)
-	return out + perShard
+	return out + s.renderStoreShape() + perShard
+}
+
+// renderStoreShape is the STATS and INFO block on store shape: live keys
+// and physical directory buckets, totals then per shard when sharded.
+// Both are read from each store's published geometry, without a lock.
+func (s *Server) renderStoreShape() string {
+	st := s.st()
+	var keys, buckets uint64
+	var perShard string
+	for _, sh := range st.shards {
+		k, b := sh.shape()
+		keys, buckets = keys+k, buckets+b
+		if len(st.shards) > 1 {
+			perShard += fmt.Sprintf("shard%d_store_keys: %d\nshard%d_store_buckets: %d\n", sh.id, k, sh.id, b)
+		}
+	}
+	return fmt.Sprintf("store_keys: %d\nstore_buckets: %d\n", keys, buckets) + perShard
 }
 
 // Tracer exposes the server's op tracer (tests, embedding).

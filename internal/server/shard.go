@@ -85,6 +85,15 @@ func (sh *shard) writable() error {
 	return sh.pool.Writable()
 }
 
+// shape reports the shard store's live keys and physical buckets (zero
+// when the store never attached).
+func (sh *shard) shape() (keys, buckets uint64) {
+	if sh.kv == nil {
+		return 0, 0
+	}
+	return sh.kv.Shape()
+}
+
 // degraded reports whether this shard serves less than full service:
 // read-only over a degraded pool, or nothing at all (down).
 func (sh *shard) degraded() bool {

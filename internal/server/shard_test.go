@@ -185,6 +185,13 @@ func TestStatsInfoRoundTripSharded(t *testing.T) {
 	sum("shard%d_batches_committed", "batches_committed")
 	sum("shard%d_batched_ops", "batched_ops")
 	sum("shard%d_pmem_fences", "pmem_fences")
+	// Store shape: 64 keys spread over four 64-bucket base directories,
+	// none of which has outgrown its base.
+	sum("shard%d_store_keys", "store_keys")
+	sum("shard%d_store_buckets", "store_buckets")
+	if stats["store_keys"] != "64" || stats["store_buckets"] != strconv.Itoa(64*n) {
+		t.Errorf("STATS store_keys = %s, store_buckets = %s; want 64, %d", stats["store_keys"], stats["store_buckets"], 64*n)
+	}
 
 	info := parseKV(t, mustCmd(t, cl, "INFO"))
 	if info["shards"] != strconv.Itoa(n) {
@@ -202,6 +209,8 @@ func TestStatsInfoRoundTripSharded(t *testing.T) {
 			fmt.Sprintf("shard%d_generation", i),
 			fmt.Sprintf("shard%d_root_offset", i),
 			fmt.Sprintf("shard%d_degraded", i),
+			fmt.Sprintf("shard%d_store_keys", i),
+			fmt.Sprintf("shard%d_store_buckets", i),
 		} {
 			if _, ok := info[k]; !ok {
 				t.Errorf("INFO missing per-shard key %q", k)
@@ -221,6 +230,7 @@ func TestStatsInfoRoundTripSharded(t *testing.T) {
 		`pmem_fences_total{scope="journal",shard="3"}`,
 		`server_shard_degraded{shard="0"} 0`,
 		`server_shard_down{shard="2"} 0`,
+		`server_store_buckets{shard="1"} 64`,
 		"server_shards 4",
 	} {
 		if !strings.Contains(text, want) {

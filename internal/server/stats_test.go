@@ -68,6 +68,7 @@ func TestStatsInfoRoundTrip(t *testing.T) {
 		"pmem_writes", "pmem_flushes", "pmem_fences",
 		"pmem_fences_user_data", "pmem_fences_journal",
 		"pmem_fences_alloc_redo", "pmem_fences_recovery",
+		"store_keys", "store_buckets",
 	}
 	for _, k := range intKeys {
 		v, ok := stats[k]
@@ -109,6 +110,10 @@ func TestStatsInfoRoundTrip(t *testing.T) {
 	if total == 0 || byScope != total {
 		t.Errorf("per-scope fences sum to %d, want pmem_fences = %d", byScope, total)
 	}
+	// The one key was set and deleted again; the directory is its base.
+	if stats["store_keys"] != "0" || stats["store_buckets"] != "4096" {
+		t.Errorf("STATS store_keys = %s, store_buckets = %s; want 0, 4096", stats["store_keys"], stats["store_buckets"])
+	}
 
 	infoText, err := cl.cmd("INFO")
 	if err != nil {
@@ -120,6 +125,7 @@ func TestStatsInfoRoundTrip(t *testing.T) {
 		"pool_root_offset", "journals", "journals_in_use",
 		"recovery_rolled_back", "recovery_rolled_forward",
 		"heap_in_use_bytes", "heap_free_bytes", "halted",
+		"store_keys", "store_buckets",
 	} {
 		if _, ok := info[k]; !ok {
 			t.Errorf("INFO missing key %q", k)
@@ -173,6 +179,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"pool_slab_hits_total",
 		"pool_slab_cached_blocks",
 		"# TYPE pmem_fences_total counter",
+		`server_store_keys{shard="0"} 10`,
+		`server_store_buckets{shard="0"} 4096`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

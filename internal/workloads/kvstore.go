@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"corundum/internal/baselines/engine"
 )
@@ -15,8 +18,9 @@ import (
 var ErrDataCorrupt = errors.New("workloads: data corruption detected")
 
 // KVStore is the paper's "simple Key-Value store data structure using hash
-// map": a fixed bucket directory with chained entries, hardened against
-// at-rest media faults with checksums on every structure.
+// map": chained buckets under a linear-hashing directory that grows with
+// its keys (kvstore_grow.go), hardened against at-rest media faults with
+// checksums on every structure.
 //
 // Entry layout: [key][next][val][crc], 32 bytes (the allocator minimum
 // anyway). crc is a CRC32 (widened to a word) over key/next/val. val and
@@ -32,37 +36,110 @@ const (
 	kvEntry = 32
 )
 
-// Directory layout:
+// Directory layout (segment 0, the block the root points at):
 //
-//	[nBuckets][dirCRC][slots n×8][groupCRCs ⌈n/8⌉×8]
-//	[cfg][cfgCRC][mani][maniCRC][replEpoch][replSeq][replCRC][reserved]
+//	[n0][dirCRC][slots n0×8][groupWords ⌈n0/8⌉×8]
+//	[cfg][cfgCRC][mani][maniCRC][replEpoch][replSeq][replCRC][geo]
 //
-// dirCRC covers the nBuckets word; groupCRC i covers slots [8i, 8i+8).
-// The trailing meta words anchor the sharding and replication machinery:
-// cfg packs the cluster config (epoch<<32 | shard count, 0 when never
-// written), mani points at the migration/restore manifest block (0 when
-// no manifest is pending), and the repl pair is the durable replication
-// cursor {epoch, seq} — on a replica, the last frame applied; on a
-// primary, the last sequence this shard committed (see ApplyWithCursor).
-// Each slot carries its own checksum so a media fault in any of them is
-// a loud ErrDataCorrupt, never silent misrouting or silent re-apply.
+// n0 is the base bucket count: keys are coordinated (Bucket, ScanRange,
+// migration cursors) by h & (n0-1) forever, whatever the physical
+// directory has grown to. geo links the geometry record (0 on a v1 image,
+// which predates growth), and dirCRC covers n0 and geo: wordsCRC(n0) on a
+// v1 image, wordsCRC(n0, geo) on v2, so a binary that predates growth
+// refuses a v2 image at its directory header rather than misreading it.
+//
+// Group word i covers slots [8i, 8i+8): its high half is the number of
+// keys chained from those slots, its low half the slots' CRC32 XOR
+// count·countMix. A zero count leaves the plain CRC32, so every group of
+// a v1 image is a valid group of count zero.
+//
+// The remaining meta words anchor the sharding and replication
+// machinery: cfg packs the cluster config (epoch<<32 | shard count, 0
+// when never written), mani points at the migration/restore manifest
+// block (0 when no manifest is pending), and the repl pair is the durable
+// replication cursor {epoch, seq} — on a replica, the last frame applied;
+// on a primary, the last sequence this shard committed (see
+// ApplyWithCursor). Each carries its own checksum so a media fault in any
+// of them is a loud ErrDataCorrupt, never silent misrouting or re-apply.
 const (
-	slotGroup = 8
-	kvMetaLen = 64 // [cfg][cfgCRC][mani][maniCRC][replEpoch][replSeq][replCRC][reserved]
+	slotGroup  = 8
+	groupBytes = 8 + slotGroup*8 // a grown segment's group: its word, then its slots
+	kvMetaLen  = 64              // [cfg][cfgCRC][mani][maniCRC][replEpoch][replSeq][replCRC][geo]
 
 	kvMetaCfg  = 0  // offset of the config word within the meta area
 	kvMetaMani = 16 // offset of the manifest-pointer word within the meta area
 	kvMetaRepl = 32 // offset of the replication cursor pair within the meta area
+	kvMetaGeo  = 56 // offset of the geometry-record link within the meta area
+
+	// countMix folds a group's key count into its checksum. It is odd, so
+	// count·countMix is a bijection mod 2^32 and any change to the count
+	// changes the check.
+	countMix = 0x9E3779B1
+
+	fib = 0x9E3779B97F4A7C15 // Fibonacci hashing multiplier
 )
 
-// KVStore is a persistent hash map over one engine pool.
+// KVStore is a persistent hash map over one engine pool. Mutations must
+// be serialized by the caller (the server's store lock); reads may run
+// concurrently with each other, and the View reads with a mutation.
 type KVStore struct {
-	pool     engine.Pool
-	dir      uint64 // offset of the directory block
-	buckets  uint64 // offset of the slot array
-	groupCRC uint64 // offset of the slot-group checksum array
-	meta     uint64 // offset of the config/manifest meta words
-	nBuckets uint64
+	pool engine.Pool
+	dir  uint64 // offset of the directory block
+	meta uint64 // offset of the config/manifest/cursor meta words
+	geo  atomic.Pointer[geometry]
+}
+
+// geometry is the store's physical shape as of one commit: how many
+// buckets exist, which one a key lives in, and where its slot is.
+// Committers publish a fresh one after every transaction that changes it
+// (inside the store lock's odd window, so lock-free readers that loaded
+// the old one fail their bracket); readers load it once per walk.
+type geometry struct {
+	n0, shift uint64   // base bucket count (a power of two) and its log2
+	gsz       uint64   // buckets per slot group: min(slotGroup, n0)
+	level     uint64   // completed doublings: buckets [0, n0<<level) form a full level
+	split     uint64   // next bucket to split this level; those below it already have
+	keys      uint64   // live keys; not maintained on a v1 image
+	segs      []uint64 // slot-array offset of each n0-bucket segment; segs[0] is the base directory's
+
+	rec      uint64 // geometry record; 0 on a v1 image served at base geometry
+	table    uint64 // segment-table block (segments 1..), 0 before the first
+	tableCap uint64 // entries the table block holds
+	tableCRC uint64 // wordsCRC over segs[1:]
+}
+
+// v2 reports whether the image carries a geometry record, and with it
+// key counts and growth.
+func (g *geometry) v2() bool { return g.rec != 0 }
+
+// buckets is the physical bucket count.
+func (g *geometry) buckets() uint64 { return g.n0<<g.level + g.split }
+
+// phys is the physical bucket key lives in: linear hashing over the low
+// bits of its Fibonacci hash, one more bit for buckets already split this
+// level. Its low log2(n0) bits are always the key's base coordinate.
+func (g *geometry) phys(key uint64) uint64 {
+	h := key * fib
+	b := h & (g.n0<<g.level - 1)
+	if b < g.split {
+		b = h & (g.n0<<(g.level+1) - 1)
+	}
+	return b
+}
+
+// group locates the slot group holding physical bucket b: the offset of
+// its first slot and of its group word. Segment 0 keeps the v1 layout, a
+// slot array then a word array; a grown segment stores each group's word
+// right before its slots, so one store writes both. (Not after them: an
+// undo payload that ends in a CRC32 of the words before it has a journal
+// checksum that cannot tell those words apart — see DESIGN §6.10.)
+func (g *geometry) group(b uint64) (slots, word uint64) {
+	if b < g.n0 {
+		i := b &^ (g.gsz - 1)
+		return g.segs[0] + i*8, g.segs[0] + g.n0*8 + i/slotGroup*8
+	}
+	word = g.segs[b>>g.shift] + (b&(g.n0-1))/slotGroup*groupBytes
+	return word + 8, word
 }
 
 // crcTab holds the slicing-by-8 tables for CRC-32/IEEE: crcTab[0] is the
@@ -96,38 +173,51 @@ func wordsCRC(words ...uint64) uint64 {
 
 func entryCRC(key, next, val uint64) uint64 { return wordsCRC(key, next, val) }
 
+// groupWord packs a slot group's key count with its checksum.
+func groupWord(slots []uint64, count uint64) uint64 {
+	return count<<32 | (wordsCRC(slots...) ^ uint64(uint32(count*countMix)))
+}
+
 func groups(n uint64) uint64 { return (n + slotGroup - 1) / slotGroup }
 
-// NewKVStore initializes a store with nBuckets chains (rounded up to a
-// power of two).
+// segBytes is the size of one segment's slot and group-word arrays.
+func segBytes(n0 uint64) uint64 { return n0*8 + groups(n0)*8 }
+
+// NewKVStore initializes a store whose base directory has nBuckets chains
+// (rounded up to a power of two). The physical directory starts there and
+// grows with the keys.
 func NewKVStore(p engine.Pool, nBuckets int) (*KVStore, error) {
 	n := uint64(1)
 	for n < uint64(nBuckets) {
 		n <<= 1
 	}
-	kv := &KVStore{pool: p, nBuckets: n}
+	kv := &KVStore{pool: p}
+	var g *geometry
 	err := p.Tx(func(tx engine.Tx) error {
-		dir, err := tx.Alloc(16 + n*8 + groups(n)*8 + kvMetaLen)
+		dir, err := tx.Alloc(16 + segBytes(n) + kvMetaLen)
 		if err != nil {
 			return err
 		}
-		kv.dir = dir
-		kv.buckets = dir + 16
-		kv.groupCRC = kv.buckets + n*8
-		kv.meta = kv.groupCRC + groups(n)*8
+		rec, err := tx.Alloc(recordLen)
+		if err != nil {
+			return err
+		}
+		kv.dir, kv.meta = dir, dir+16+segBytes(n)
+		g = baseGeometry(dir, n)
+		g.rec = rec
 		if err := tx.Store(dir, n); err != nil {
 			return err
 		}
-		if err := tx.Store(dir+8, wordsCRC(n)); err != nil {
+		if err := tx.Store(dir+8, wordsCRC(n, rec)); err != nil {
 			return err
 		}
-		zero := make([]byte, n*8)
-		if err := tx.StoreBytes(kv.buckets, zero); err != nil {
+		if err := tx.StoreBytes(dir+16, make([]byte, n*8)); err != nil {
 			return err
 		}
-		for g := uint64(0); g < groups(n); g++ {
-			lo, hi := g*slotGroup, min((g+1)*slotGroup, n)
-			if err := tx.Store(kv.groupCRC+g*8, wordsCRC(make([]uint64, hi-lo)...)); err != nil {
+		var zero [slotGroup]uint64
+		for b := uint64(0); b < n; b += g.gsz {
+			_, w := g.group(b)
+			if err := tx.Store(w, groupWord(zero[:g.gsz], 0)); err != nil {
 				return err
 			}
 		}
@@ -145,79 +235,116 @@ func NewKVStore(p engine.Pool, nBuckets int) (*KVStore, error) {
 		if err := kv.writeReplCursorTx(tx, 0, 0); err != nil {
 			return err
 		}
+		if err := writeRecord(tx, g); err != nil {
+			return err
+		}
+		if err := tx.Store(kv.meta+kvMetaGeo, rec); err != nil {
+			return err
+		}
 		return tx.SetRoot(dir)
 	})
 	if err != nil {
 		return nil, err
 	}
+	kv.geo.Store(g)
 	return kv, nil
 }
 
+// baseGeometry is an unsplit directory of n0 buckets rooted at dir.
+func baseGeometry(dir, n0 uint64) *geometry {
+	return &geometry{
+		n0: n0, shift: uint64(bits.TrailingZeros64(n0)), gsz: min(slotGroup, n0),
+		segs: []uint64{dir + 16},
+	}
+}
+
 // AttachKVStore reconnects to a store previously created in the pool,
-// verifying the directory header's checksum and the config/manifest meta
-// slots first: a store whose routing metadata cannot be trusted must not
-// serve at all, because a wrong shard count silently misroutes every key.
+// verifying the directory header's checksum, the geometry record and the
+// config/manifest meta slots first: a store whose routing metadata cannot
+// be trusted must not serve at all, because a wrong shard count silently
+// misroutes every key. A v1 image (no geometry record) is upgraded to v2
+// in one transaction; a pool that cannot take the write (read-only,
+// degraded, out of space) serves it at base geometry, without growth.
 func AttachKVStore(p engine.Pool) (*KVStore, error) {
 	dir := p.Root()
-	kv := &KVStore{pool: p, dir: dir, buckets: dir + 16}
+	kv := &KVStore{pool: p, dir: dir}
+	var g *geometry
+	size := uint64(p.Device().Size())
 	err := p.Tx(func(tx engine.Tx) error {
 		n := tx.Load(dir)
-		if tx.Load(dir+8) != wordsCRC(n) {
+		if n == 0 || n&(n-1) != 0 || n > size/16 || dir+16+segBytes(n)+kvMetaLen > size {
 			return fmt.Errorf("%w: directory header", ErrDataCorrupt)
 		}
-		kv.nBuckets = n
-		kv.groupCRC = kv.buckets + n*8
-		kv.meta = kv.groupCRC + groups(n)*8
-		for _, m := range []struct {
-			off  uint64
-			name string
-		}{{kvMetaCfg, "config"}, {kvMetaMani, "manifest pointer"}} {
-			w := tx.Load(kv.meta + m.off)
-			if tx.Load(kv.meta+m.off+8) != wordsCRC(w) {
-				return fmt.Errorf("%w: %s meta slot", ErrDataCorrupt, m.name)
-			}
+		kv.meta = dir + 16 + segBytes(n)
+		rec := tx.Load(kv.meta + kvMetaGeo)
+		want := wordsCRC(n)
+		if rec != 0 {
+			want = wordsCRC(n, rec)
 		}
-		return kv.verifyReplCursorTx(tx)
+		if tx.Load(dir+8) != want {
+			return fmt.Errorf("%w: directory header", ErrDataCorrupt)
+		}
+		if err := kv.verifyMetaTx(tx); err != nil {
+			return err
+		}
+		g = baseGeometry(dir, n)
+		if rec == 0 {
+			return nil
+		}
+		if err := loadRecord(tx, g, rec, size); err != nil {
+			return err
+		}
+		for lo := uint64(0); lo < g.buckets(); lo += g.gsz {
+			_, w := g.group(lo)
+			g.keys += tx.Load(w) >> 32
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	if !g.v2() {
+		if up, err := kv.upgrade(g); err == nil {
+			g = up
+		}
+	}
+	kv.geo.Store(g)
 	return kv, nil
 }
 
-// fibHash spreads keys across buckets (Fibonacci hashing).
-func (kv *KVStore) bucket(key uint64) uint64 {
-	h := key * 0x9E3779B97F4A7C15
-	return h & (kv.nBuckets - 1)
+// verifyMetaTx checks the config, manifest-pointer and replication-cursor
+// slots' checksums.
+func (kv *KVStore) verifyMetaTx(tx engine.Tx) error {
+	for _, m := range []struct {
+		off  uint64
+		name string
+	}{{kvMetaCfg, "config"}, {kvMetaMani, "manifest pointer"}} {
+		w := tx.Load(kv.meta + m.off)
+		if tx.Load(kv.meta+m.off+8) != wordsCRC(w) {
+			return fmt.Errorf("%w: %s meta slot", ErrDataCorrupt, m.name)
+		}
+	}
+	return kv.verifyReplCursorTx(tx)
 }
 
-// loadSlot reads bucket slot b after verifying its group checksum.
-func (kv *KVStore) loadSlot(tx engine.Tx, b uint64) (uint64, error) {
-	g := b / slotGroup
-	lo, hi := g*slotGroup, min((g+1)*slotGroup, kv.nBuckets)
-	words := make([]uint64, 0, slotGroup)
-	for i := lo; i < hi; i++ {
-		words = append(words, tx.Load(kv.buckets+i*8))
+// loadGroup reads and verifies the slot group holding physical bucket b:
+// its slots (the first gsz of the array) and their key count.
+func loadGroup(tx engine.Tx, g *geometry, b uint64) (slots [slotGroup]uint64, count uint64, err error) {
+	first, word := g.group(b)
+	for i := range g.gsz {
+		slots[i] = tx.Load(first + 8*i)
 	}
-	if tx.Load(kv.groupCRC+g*8) != wordsCRC(words...) {
-		return 0, fmt.Errorf("%w: bucket group %d", ErrDataCorrupt, g)
+	w := tx.Load(word)
+	if w != groupWord(slots[:g.gsz], w>>32) {
+		return slots, 0, fmt.Errorf("%w: bucket group %d", ErrDataCorrupt, b/slotGroup)
 	}
-	return words[b-lo], nil
+	return slots, w >> 32, nil
 }
 
-// storeSlot writes bucket slot b and refreshes its group checksum in the
-// same transaction.
-func (kv *KVStore) storeSlot(tx engine.Tx, b, val uint64) error {
-	if err := tx.Store(kv.buckets+b*8, val); err != nil {
-		return err
-	}
-	g := b / slotGroup
-	lo, hi := g*slotGroup, min((g+1)*slotGroup, kv.nBuckets)
-	words := make([]uint64, 0, slotGroup)
-	for i := lo; i < hi; i++ {
-		words = append(words, tx.Load(kv.buckets+i*8))
-	}
-	return tx.Store(kv.groupCRC+g*8, wordsCRC(words...))
+// loadSlot reads physical bucket slot b after verifying its group.
+func loadSlot(tx engine.Tx, g *geometry, b uint64) (uint64, error) {
+	slots, _, err := loadGroup(tx, g, b)
+	return slots[b&(g.gsz-1)], err
 }
 
 // loadEntry reads and verifies one chain entry.
@@ -229,25 +356,126 @@ func loadEntry(tx engine.Tx, e uint64) (key, next, val uint64, err error) {
 	return key, next, val, nil
 }
 
-// storeValCRC overwrites an entry's value and checksum with one
-// contiguous store (they are adjacent by layout).
-func storeValCRC(tx engine.Tx, e, key, next, val uint64) error {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:], val)
-	binary.LittleEndian.PutUint64(buf[8:], entryCRC(key, next, val))
-	return tx.StoreBytes(e+kvVal, buf[:])
+// batch is one mutating transaction's working state: the geometry it
+// grows, and how many keys its ops inserted and deleted.
+type batch struct {
+	g                 geometry
+	inserted, deleted uint64
+	scratch           []chainEntry // one split's walk, reused across splits
+	buf               [groupBytes]byte
+
+	// after holds writes a planted split bug defers to a follow-up
+	// transaction (export_test.go); always empty otherwise.
+	after []func(engine.Tx) error
 }
 
-// Put inserts or updates key (the paper's PUT).
-func (kv *KVStore) Put(key, val uint64) error {
+// batches recycles batch state — a split's scratch and the store buffer —
+// across transactions, so a commit leaves no garbage behind for them.
+var batches = sync.Pool{New: func() any { return new(batch) }}
+
+// mutate runs body and the growth it calls for in one failure-atomic
+// transaction, then publishes the resulting geometry. Every mutation of
+// the keyspace goes through here.
+func (kv *KVStore) mutate(body func(tx engine.Tx, m *batch) error) error {
+	cur := kv.geo.Load()
+	m := batches.Get().(*batch)
+	defer batches.Put(m)
+	err := kv.pool.Tx(func(tx engine.Tx) error {
+		m.g, m.inserted, m.deleted, m.after = *cur, 0, 0, nil
+		if err := body(tx, m); err != nil {
+			return err
+		}
+		return m.grow(tx)
+	})
+	if err != nil {
+		return err
+	}
+	if m.g.keys != cur.keys || m.g.buckets() != cur.buckets() {
+		g := m.g
+		kv.geo.Store(&g)
+	}
+	if len(m.after) == 0 {
+		return nil
+	}
 	return kv.pool.Tx(func(tx engine.Tx) error {
-		return kv.putTx(tx, key, val)
+		for _, f := range m.after {
+			if err := f(tx); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 
-func (kv *KVStore) putTx(tx engine.Tx, key, val uint64) error {
-	b := kv.bucket(key)
-	head, err := kv.loadSlot(tx, b)
+// store writes words to off in one contiguous store: one undo entry. It
+// encodes them into the batch's buffer, so the write path allocates
+// nothing per store.
+func (m *batch) store(tx engine.Tx, off uint64, words ...uint64) error {
+	for i, w := range words {
+		binary.LittleEndian.PutUint64(m.buf[8*i:], w)
+	}
+	return tx.StoreBytes(off, m.buf[:8*len(words)])
+}
+
+// storeGroup writes the group holding physical bucket b: its word over
+// slots with count (zero on a v1 image), and its slots when they changed.
+// A grown segment's group always goes in one store, word and slots
+// together. Every write keeps one granularity per offset — a group's
+// slots whole, a grown group whole — which the journal's first-touch
+// deduplication relies on, and costs one undo entry per group per
+// transaction however many of its buckets the transaction touches.
+func (m *batch) storeGroup(tx engine.Tx, b uint64, slots *[slotGroup]uint64, count uint64, slotsChanged bool) error {
+	g := &m.g
+	if !g.v2() {
+		count = 0
+	}
+	first, word := g.group(b)
+	w := groupWord(slots[:g.gsz], count)
+	if word+8 == first {
+		var ws [1 + slotGroup]uint64
+		ws[0] = w
+		copy(ws[1:], slots[:])
+		return m.store(tx, word, ws[:]...)
+	}
+	if slotsChanged {
+		if err := m.store(tx, first, slots[:g.gsz]...); err != nil {
+			return err
+		}
+	}
+	return tx.Store(word, w)
+}
+
+// storeSlot points physical bucket b at head and moves its group's key
+// count by delta. The batch has verified the group earlier in the
+// transaction.
+func (m *batch) storeSlot(tx engine.Tx, b, head uint64, delta int64) error {
+	g := &m.g
+	var slots [slotGroup]uint64
+	first, w := g.group(b)
+	for i := range g.gsz {
+		slots[i] = tx.Load(first + 8*i)
+	}
+	slots[b&(g.gsz-1)] = head
+	return m.storeGroup(tx, b, &slots, uint64(int64(tx.Load(w)>>32)+delta), true)
+}
+
+// relink points entry e at next and rewrites its checksum, as two word
+// stores: one [next][val][crc] store would end its undo payload in the
+// CRC of the words before it (see group).
+func relink(tx engine.Tx, e, key, next, val uint64) error {
+	if err := tx.Store(e+kvNext, next); err != nil {
+		return err
+	}
+	return tx.Store(e+kvCRC, entryCRC(key, next, val))
+}
+
+// put inserts or updates key. An overwrite rewrites the entry's value and
+// checksum, which are adjacent, in one store: the hot path's single undo
+// entry.
+func (m *batch) put(tx engine.Tx, key, val uint64) error {
+	g := &m.g
+	b := g.phys(key)
+	head, err := loadSlot(tx, g, b)
 	if err != nil {
 		return err
 	}
@@ -257,7 +485,7 @@ func (kv *KVStore) putTx(tx engine.Tx, key, val uint64) error {
 			return err
 		}
 		if k == key {
-			return storeValCRC(tx, e, key, next, val)
+			return m.store(tx, e+kvVal, val, entryCRC(key, next, val))
 		}
 		e = next
 	}
@@ -265,23 +493,77 @@ func (kv *KVStore) putTx(tx engine.Tx, key, val uint64) error {
 	if err != nil {
 		return err
 	}
-	var buf [kvEntry]byte
-	binary.LittleEndian.PutUint64(buf[kvKey:], key)
-	binary.LittleEndian.PutUint64(buf[kvNext:], head)
-	binary.LittleEndian.PutUint64(buf[kvVal:], val)
-	binary.LittleEndian.PutUint64(buf[kvCRC:], entryCRC(key, head, val))
-	if err := tx.StoreBytes(e, buf[:]); err != nil {
+	if err := m.store(tx, e, key, head, val, entryCRC(key, head, val)); err != nil {
 		return err
 	}
-	return kv.storeSlot(tx, b, e)
+	m.inserted++
+	return m.storeSlot(tx, b, e, 1)
+}
+
+// del removes key and reclaims its entry, reporting whether it existed.
+func (m *batch) del(tx engine.Tx, key uint64) (bool, error) {
+	g := &m.g
+	b := g.phys(key)
+	head, err := loadSlot(tx, g, b)
+	if err != nil {
+		return false, err
+	}
+	var prevE, prevKey, prevVal uint64
+	for e := head; e != 0; {
+		k, next, v, err := loadEntry(tx, e)
+		if err != nil {
+			return false, err
+		}
+		if k == key {
+			if prevE == 0 {
+				err = m.storeSlot(tx, b, next, -1)
+			} else if err = relink(tx, prevE, prevKey, next, prevVal); err == nil && g.v2() {
+				slots, count, _ := loadGroup(tx, g, b)
+				err = m.storeGroup(tx, b, &slots, count-1, false)
+			}
+			if err != nil {
+				return false, err
+			}
+			m.deleted++
+			return true, tx.Free(e, kvEntry)
+		}
+		prevE, prevKey, prevVal = e, k, v
+		e = next
+	}
+	return false, nil
+}
+
+// apply runs ops in order, recording each one's result in res.
+func (m *batch) apply(tx engine.Tx, ops []Op, res []bool) error {
+	for i, op := range ops {
+		if op.Del {
+			removed, err := m.del(tx, op.Key)
+			if err != nil {
+				return err
+			}
+			res[i] = removed
+		} else {
+			if err := m.put(tx, op.Key, op.Val); err != nil {
+				return err
+			}
+			res[i] = true
+		}
+	}
+	return nil
+}
+
+// Put inserts or updates key (the paper's PUT).
+func (kv *KVStore) Put(key, val uint64) error {
+	return kv.mutate(func(tx engine.Tx, m *batch) error { return m.put(tx, key, val) })
 }
 
 // Get looks up key (the paper's GET). Every entry touched on the way is
 // checksum-verified; a mismatch returns ErrDataCorrupt rather than a
 // possibly-wrong value.
 func (kv *KVStore) Get(key uint64) (val uint64, found bool, err error) {
+	g := kv.geo.Load()
 	err = kv.pool.Tx(func(tx engine.Tx) error {
-		e, err := kv.loadSlot(tx, kv.bucket(key))
+		e, err := loadSlot(tx, g, g.phys(key))
 		if err != nil {
 			return err
 		}
@@ -303,44 +585,11 @@ func (kv *KVStore) Get(key uint64) (val uint64, found bool, err error) {
 
 // Delete removes key and reclaims its entry.
 func (kv *KVStore) Delete(key uint64) (removed bool, err error) {
-	err = kv.pool.Tx(func(tx engine.Tx) error {
-		removed, err = kv.deleteTx(tx, key)
+	err = kv.mutate(func(tx engine.Tx, m *batch) error {
+		removed, err = m.del(tx, key)
 		return err
 	})
 	return removed, err
-}
-
-func (kv *KVStore) deleteTx(tx engine.Tx, key uint64) (bool, error) {
-	b := kv.bucket(key)
-	head, err := kv.loadSlot(tx, b)
-	if err != nil {
-		return false, err
-	}
-	var prevE, prevKey, prevVal uint64
-	for e := head; e != 0; {
-		k, next, v, err := loadEntry(tx, e)
-		if err != nil {
-			return false, err
-		}
-		if k == key {
-			if prevE == 0 {
-				if err := kv.storeSlot(tx, b, next); err != nil {
-					return false, err
-				}
-			} else {
-				if err := tx.Store(prevE+kvNext, next); err != nil {
-					return false, err
-				}
-				if err := tx.Store(prevE+kvCRC, entryCRC(prevKey, next, prevVal)); err != nil {
-					return false, err
-				}
-			}
-			return true, tx.Free(e, kvEntry)
-		}
-		prevE, prevKey, prevVal = e, k, v
-		e = next
-	}
-	return false, nil
 }
 
 // Op is one mutation in a batched transaction: a PUT of Key=Val, or (when
@@ -361,91 +610,69 @@ func (kv *KVStore) Apply(ops []Op) ([]bool, error) {
 	if len(ops) == 0 {
 		return res, nil
 	}
-	err := kv.pool.Tx(func(tx engine.Tx) error {
-		for i, op := range ops {
-			if op.Del {
-				removed, err := kv.deleteTx(tx, op.Key)
-				if err != nil {
-					return err
-				}
-				res[i] = removed
-			} else {
-				if err := kv.putTx(tx, op.Key, op.Val); err != nil {
-					return err
-				}
-				res[i] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := kv.mutate(func(tx engine.Tx, m *batch) error { return m.apply(tx, ops, res) }); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// Scan visits every key/value pair (in bucket order, not key order) until
-// fn returns false. It runs as a read-only transaction with the same
-// verified-read discipline as Get.
+// Scan visits every key/value pair (in base-coordinate order, not key
+// order) until fn returns false. It runs as a read-only transaction with
+// the same verified-read discipline as Get.
 func (kv *KVStore) Scan(fn func(key, val uint64) bool) error {
-	return kv.pool.Tx(func(tx engine.Tx) error {
-		for b := uint64(0); b < kv.nBuckets; b++ {
-			e, err := kv.loadSlot(tx, b)
-			if err != nil {
-				return err
-			}
-			for e != 0 {
-				k, next, v, err := loadEntry(tx, e)
-				if err != nil {
-					return err
-				}
-				if !fn(k, v) {
-					return nil
-				}
-				e = next
-			}
-		}
-		return nil
-	})
+	return kv.ScanRange(0, kv.Buckets(), fn)
 }
 
-// ScanRange visits every key/value pair whose key hashes into a bucket in
-// [lo, hi) until fn returns false. Migration moves keys in bucket-index
-// windows, so "which keys does this batch cover" and "which keys has the
-// cursor passed" are both bucket-range questions; ScanRange is the verified
-// walk both use.
+// ScanRange visits every key/value pair whose base coordinate (Bucket)
+// lies in [lo, hi) until fn returns false. Migration moves keys in
+// bucket-index windows, so "which keys does this batch cover" and "which
+// keys has the cursor passed" are both bucket-range questions; ScanRange
+// is the verified walk both use. Base coordinate c is every physical
+// bucket congruent to c mod n0, visited in ascending order.
 func (kv *KVStore) ScanRange(lo, hi uint64, fn func(key, val uint64) bool) error {
-	if hi > kv.nBuckets {
-		hi = kv.nBuckets
-	}
+	g := kv.geo.Load()
+	hi = min(hi, g.n0)
 	return kv.pool.Tx(func(tx engine.Tx) error {
-		for b := lo; b < hi; b++ {
-			e, err := kv.loadSlot(tx, b)
-			if err != nil {
-				return err
-			}
-			for e != 0 {
-				k, next, v, err := loadEntry(tx, e)
+		for c := lo; c < hi; c++ {
+			for b := c; b < g.buckets(); b += g.n0 {
+				e, err := loadSlot(tx, g, b)
 				if err != nil {
 					return err
 				}
-				if !fn(k, v) {
-					return nil
+				for e != 0 {
+					k, next, v, err := loadEntry(tx, e)
+					if err != nil {
+						return err
+					}
+					if !fn(k, v) {
+						return nil
+					}
+					e = next
 				}
-				e = next
 			}
 		}
 		return nil
 	})
 }
 
-// Buckets reports the directory size. Migration cursors count buckets, so
-// callers need the bound; Bucket reports where a key hashes, which is the
-// coordinate system those cursors are compared in.
-func (kv *KVStore) Buckets() uint64 { return kv.nBuckets }
+// Buckets reports the base directory size: the bound of the coordinate
+// system Bucket answers in, which migration cursors count. The physical
+// directory (Shape) grows past it; coordinates never change.
+func (kv *KVStore) Buckets() uint64 { return kv.geo.Load().n0 }
 
-// Bucket reports the directory index key hashes to in this store.
-func (kv *KVStore) Bucket(key uint64) uint64 { return kv.bucket(key) }
+// Bucket reports key's base coordinate: h & (n0-1) of its hash, congruent
+// mod n0 to whichever physical bucket holds it.
+func (kv *KVStore) Bucket(key uint64) uint64 {
+	return key * fib & (kv.geo.Load().n0 - 1)
+}
+
+// Shape reports the live key count and the physical bucket count, read
+// from the published geometry (O(1), safe against a concurrent commit).
+// keys is 0 on a v1 image served at base geometry.
+func (kv *KVStore) Shape() (keys, buckets uint64) {
+	g := kv.geo.Load()
+	return g.keys, g.buckets()
+}
 
 // Len counts entries (test helper).
 func (kv *KVStore) Len() (int, error) {
@@ -454,43 +681,68 @@ func (kv *KVStore) Len() (int, error) {
 	return n, err
 }
 
-// VerifyIntegrity walks the whole store — directory header, every slot
-// group, every chain entry — verifying each checksum. It returns nil when
+// VerifyIntegrity walks the whole store — directory header, geometry
+// record, every slot group, every chain entry — verifying each checksum,
+// that every key sits in the physical bucket its hash names, and that
+// every group's key count matches its chains. It returns nil when
 // everything checks out and an ErrDataCorrupt-wrapped diagnosis naming
 // the first damaged structure otherwise. Servers run it at startup and on
 // demand (SCRUB).
 func (kv *KVStore) VerifyIntegrity() error {
+	g := kv.geo.Load()
 	return kv.pool.Tx(func(tx engine.Tx) error {
-		n := tx.Load(kv.dir)
-		if tx.Load(kv.dir+8) != wordsCRC(n) {
+		n, rec := tx.Load(kv.dir), tx.Load(kv.meta+kvMetaGeo)
+		want := wordsCRC(n)
+		if rec != 0 {
+			want = wordsCRC(n, rec)
+		}
+		if tx.Load(kv.dir+8) != want {
 			return fmt.Errorf("%w: directory header", ErrDataCorrupt)
 		}
-		if n != kv.nBuckets {
-			return fmt.Errorf("%w: directory claims %d buckets, attached with %d", ErrDataCorrupt, n, kv.nBuckets)
+		if n != g.n0 || rec != g.rec {
+			return fmt.Errorf("%w: directory claims %d buckets and record %#x, attached with %d and %#x",
+				ErrDataCorrupt, n, rec, g.n0, g.rec)
 		}
-		for b := uint64(0); b < kv.nBuckets; b++ {
-			e, err := kv.loadSlot(tx, b)
+		if g.v2() {
+			disk := baseGeometry(kv.dir, n)
+			if err := loadRecord(tx, disk, rec, uint64(kv.pool.Device().Size())); err != nil {
+				return err
+			}
+			if disk.level != g.level || disk.split != g.split || len(disk.segs) != len(g.segs) {
+				return fmt.Errorf("%w: geometry record disagrees with the attached geometry", ErrDataCorrupt)
+			}
+		}
+		var keys uint64
+		for lo := uint64(0); lo < g.buckets(); lo += g.gsz {
+			slots, count, err := loadGroup(tx, g, lo)
 			if err != nil {
 				return err
 			}
-			for e != 0 {
-				_, next, _, err := loadEntry(tx, e)
-				if err != nil {
-					return err
+			chained := uint64(0)
+			for i, e := range slots[:g.gsz] {
+				for ; e != 0; chained++ {
+					if g.v2() && chained == count {
+						return fmt.Errorf("%w: bucket group %d chains more than its %d keys", ErrDataCorrupt, lo/slotGroup, count)
+					}
+					k, next, _, err := loadEntry(tx, e)
+					if err != nil {
+						return err
+					}
+					if b := g.phys(k); b != lo+uint64(i) {
+						return fmt.Errorf("%w: key %d chained from bucket %d, hashes to %d", ErrDataCorrupt, k, lo+uint64(i), b)
+					}
+					e = next
 				}
-				e = next
 			}
-		}
-		for _, m := range []struct {
-			off  uint64
-			name string
-		}{{kvMetaCfg, "config"}, {kvMetaMani, "manifest pointer"}} {
-			w := tx.Load(kv.meta + m.off)
-			if tx.Load(kv.meta+m.off+8) != wordsCRC(w) {
-				return fmt.Errorf("%w: %s meta slot", ErrDataCorrupt, m.name)
+			if g.v2() && chained != count {
+				return fmt.Errorf("%w: bucket group %d counts %d keys, chains hold %d", ErrDataCorrupt, lo/slotGroup, count, chained)
 			}
+			keys += chained
 		}
-		if err := kv.verifyReplCursorTx(tx); err != nil {
+		if g.v2() && keys != g.keys {
+			return fmt.Errorf("%w: store holds %d keys, geometry counts %d", ErrDataCorrupt, keys, g.keys)
+		}
+		if err := kv.verifyMetaTx(tx); err != nil {
 			return err
 		}
 		if mani := tx.Load(kv.meta + kvMetaMani); mani != 0 {

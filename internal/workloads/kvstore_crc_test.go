@@ -60,11 +60,14 @@ func FuzzWordsCRC(f *testing.F) {
 	})
 }
 
-// TestAttachParentWrittenImage opens a pool image written by the commit
-// before wordsCRC was re-implemented (e0566fa; 48 tenant-prefixed keys
-// over 16 buckets, then head/middle deletes and overwrites, a config
+// TestAttachParentWrittenImage opens a v1 pool image written by the
+// commit before wordsCRC was re-implemented (e0566fa; 48 tenant-prefixed
+// keys over 16 buckets, then head/middle deletes and overwrites, a config
 // word and a replication cursor). Every checksum in it came from
-// crc32.ChecksumIEEE; it must attach, verify, and read back exactly.
+// crc32.ChecksumIEEE. It must attach, upgrading to v2 in one transaction
+// (38 live keys counted, the directory still at its 16 base buckets),
+// verify, and read back exactly; then grow past one level and do it all
+// again, through a fresh attach of the upgraded image too.
 func TestAttachParentWrittenImage(t *testing.T) {
 	img, err := os.ReadFile("testdata/kvstore_e0566fa.img")
 	if err != nil {
@@ -81,33 +84,103 @@ func TestAttachParentWrittenImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := kv.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
+	if !kv.geo.Load().v2() {
+		t.Fatal("attach did not upgrade the v1 image")
 	}
-	view, err := p.ReadView()
-	if err != nil {
-		t.Fatal(err)
+	if keys, buckets := kv.Shape(); keys != 38 || buckets != 16 {
+		t.Fatalf("upgraded Shape = (%d keys, %d buckets), want (38, 16)", keys, buckets)
 	}
+	model := map[uint64]uint64{}
 	for i := uint64(1); i <= 48; i++ {
-		key := i<<40 | i
-		want, present := i*1000003, i%5 != 1
+		want := i * 1000003
 		if i%5 == 2 {
 			want = i * 7
 		}
-		val, found, err := kv.Get(key)
-		if err != nil || found != present || (present && val != want) {
-			t.Errorf("Get(%#x) = (%d, %v, %v), want (%d, %v, nil)", key, val, found, err, want, present)
-		}
-		val, found, err = kv.GetView(view, key)
-		if err != nil || found != present || (present && val != want) {
-			t.Errorf("GetView(%#x) = (%d, %v, %v), want (%d, %v, nil)", key, val, found, err, want, present)
+		if i%5 != 1 {
+			model[i<<40|i] = want
 		}
 	}
-	if shards, epoch, err := kv.ReadConfig(); err != nil || shards != 1 || epoch != 3 {
-		t.Errorf("ReadConfig = (%d, %d, %v), want (1, 3, nil)", shards, epoch, err)
+	check := func(kv *KVStore) {
+		t.Helper()
+		checkContents(t, p, kv, model)
+		for i := uint64(1); i <= 48; i++ {
+			if _, found, err := kv.Get(i<<40 | i); err != nil || (i%5 == 1) == found {
+				t.Errorf("Get(%#x) = (found %v, %v); deleted keys must stay gone", i<<40|i, found, err)
+			}
+		}
+		if shards, epoch, err := kv.ReadConfig(); err != nil || shards != 1 || epoch != 3 {
+			t.Errorf("ReadConfig = (%d, %d, %v), want (1, 3, nil)", shards, epoch, err)
+		}
+		if epoch, seq, err := kv.ReadReplCursor(); err != nil || epoch != 2 || seq != 77 {
+			t.Errorf("ReadReplCursor = (%d, %d, %v), want (2, 77, nil)", epoch, seq, err)
+		}
 	}
-	if epoch, seq, err := kv.ReadReplCursor(); err != nil || epoch != 2 || seq != 77 {
-		t.Errorf("ReadReplCursor = (%d, %d, %v), want (2, 77, nil)", epoch, seq, err)
+	check(kv)
+
+	for i := uint64(100); i < 120; i++ {
+		if err := kv.Put(i<<40|i, i); err != nil {
+			t.Fatal(err)
+		}
+		model[i<<40|i] = i
+	}
+	if g := kv.geo.Load(); g.level < 1 || g.buckets() <= 32 {
+		t.Fatalf("58 keys over base 16 grew only to level %d, %d buckets", g.level, g.buckets())
+	}
+	check(kv)
+	again, err := AttachKVStore(corundumeng.Wrap(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(again)
+}
+
+// TestV1ImageServedAtBaseGeometry: a pool that cannot take the upgrade's
+// write serves a v1 image as it is, and leaves it v1 for a later
+// writable attach; and a v2 image's directory header no longer carries
+// the v1 checksum, so a binary that predates growth refuses it.
+func TestV1ImageServedAtBaseGeometry(t *testing.T) {
+	img, err := os.ReadFile("testdata/kvstore_e0566fa.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := pmem.New(len(img), pmem.Options{})
+	copy(dev.Bytes(), img)
+	p, err := pool.Attach(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ep := corundumeng.Wrap(p)
+	kv, err := AttachKVStore(starvedPool{ep, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kv.geo.Load().v2() {
+		t.Fatal("upgrade succeeded without an allocation")
+	}
+	if keys, buckets := kv.Shape(); keys != 0 || buckets != 16 {
+		t.Fatalf("v1 Shape = (%d, %d), want (0, 16)", keys, buckets)
+	}
+	if v, found, err := kv.Get(2<<40 | 2); err != nil || !found || v != 14 {
+		t.Fatalf("Get on the v1 image = (%d, %v, %v)", v, found, err)
+	}
+	if err := kv.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	n := binary.LittleEndian.Uint64(dev.Bytes()[kv.dir:])
+	if binary.LittleEndian.Uint64(dev.Bytes()[kv.dir+8:]) != wordsCRC(n) {
+		t.Fatal("the failed upgrade left the v1 header changed")
+	}
+
+	up, err := AttachKVStore(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !up.geo.Load().v2() {
+		t.Fatal("a writable attach did not upgrade")
+	}
+	if binary.LittleEndian.Uint64(dev.Bytes()[kv.dir+8:]) == wordsCRC(n) {
+		t.Fatal("a v2 header still passes the v1 check")
 	}
 }
 
@@ -146,8 +219,9 @@ func TestReadHopsDoNotAllocate(t *testing.T) {
 		t.Errorf("GetView allocates %.1f times per call, want 0", allocs)
 	}
 
+	g := kv.geo.Load()
 	err = ep.Tx(func(tx engine.Tx) error {
-		head, err := kv.loadSlot(tx, kv.bucket(1))
+		head, err := loadSlot(tx, g, g.phys(1))
 		if err != nil {
 			return err
 		}

@@ -33,8 +33,9 @@ func openKV(t *testing.T, n int) (engine.Pool, *KVStore) {
 func entryOf(t *testing.T, p engine.Pool, kv *KVStore, key uint64) uint64 {
 	t.Helper()
 	var found uint64
+	g := kv.geo.Load()
 	err := p.Tx(func(tx engine.Tx) error {
-		for e := tx.Load(kv.buckets + kv.bucket(key)*8); e != 0; e = tx.Load(e + kvNext) {
+		for e := tx.Load(g.slot(g.phys(key))); e != 0; e = tx.Load(e + kvNext) {
 			if tx.Load(e+kvKey) == key {
 				found = e
 				return nil
@@ -63,9 +64,9 @@ func TestKVStoreDetectsEntryCorruption(t *testing.T) {
 		t.Fatalf("VerifyIntegrity = %v, want ErrDataCorrupt", err)
 	}
 	// Keys hashing to other buckets are unaffected.
-	other := uint64(0)
+	other, g := uint64(0), kv.geo.Load()
 	for k := uint64(1); k <= 32; k++ {
-		if kv.bucket(k) != kv.bucket(7) {
+		if g.phys(k) != g.phys(7) {
 			other = k
 			break
 		}
@@ -77,8 +78,8 @@ func TestKVStoreDetectsEntryCorruption(t *testing.T) {
 
 func TestKVStoreDetectsBucketSlotCorruption(t *testing.T) {
 	p, kv := openKV(t, 32)
-	b := kv.bucket(7)
-	p.Device().InjectBitFlip(kv.buckets+b*8, 3)
+	g := kv.geo.Load()
+	p.Device().InjectBitFlip(g.slot(g.phys(7)), 3)
 
 	if _, _, err := kv.Get(7); !errors.Is(err, ErrDataCorrupt) {
 		t.Fatalf("Get over flipped slot = %v, want ErrDataCorrupt", err)

@@ -26,7 +26,9 @@ import "errors"
 // Values that pass both the CRC and the sequence re-check are committed
 // state: the sequence bracket proves no commit overlapped the walk, and
 // the checksum proves the media bytes are exactly what some committed
-// transaction wrote.
+// transaction wrote. The same holds for the geometry each walk loads
+// first: committers publish a grown one inside their critical section, so
+// a walk that used the old one across a split fails its bracket.
 
 // ErrReadConflict reports that a lock-free walk observed state that may
 // be a concurrent mutation (or media damage — the locked fallback path
@@ -46,25 +48,22 @@ type ReadView interface {
 }
 
 // loadSlotView is loadSlot against a view: verifies the slot's group
-// checksum, returning the chain head or a conflict.
-func (kv *KVStore) loadSlotView(v ReadView, b uint64) (uint64, error) {
-	g := b / slotGroup
-	lo, hi := g*slotGroup, min((g+1)*slotGroup, kv.nBuckets)
-	var words [slotGroup]uint64
-	n := 0
-	for i := lo; i < hi; i++ {
-		w, ok := v.Load(kv.buckets + i*8)
+// word, returning the chain head or a conflict.
+func loadSlotView(v ReadView, g *geometry, b uint64) (uint64, error) {
+	first, word := g.group(b)
+	var slots [slotGroup]uint64
+	for i := range g.gsz {
+		w, ok := v.Load(first + 8*i)
 		if !ok {
 			return 0, ErrReadConflict
 		}
-		words[n] = w
-		n++
+		slots[i] = w
 	}
-	crc, ok := v.Load(kv.groupCRC + g*8)
-	if !ok || crc != wordsCRC(words[:n]...) {
+	w, ok := v.Load(word)
+	if !ok || w != groupWord(slots[:g.gsz], w>>32) {
 		return 0, ErrReadConflict
 	}
-	return words[b-lo], nil
+	return slots[b&(g.gsz-1)], nil
 }
 
 // loadEntryView is loadEntry against a view: reads and CRC-verifies one
@@ -84,7 +83,8 @@ func loadEntryView(v ReadView, e uint64) (key, next, val uint64, err error) {
 // must re-check its sequence bracket and retry or fall back; a nil error
 // plus a clean bracket means val/found are committed state.
 func (kv *KVStore) GetView(v ReadView, key uint64) (val uint64, found bool, err error) {
-	e, err := kv.loadSlotView(v, kv.bucket(key))
+	g := kv.geo.Load()
+	e, err := loadSlotView(v, g, g.phys(key))
 	if err != nil {
 		return 0, false, err
 	}
@@ -104,37 +104,37 @@ func (kv *KVStore) GetView(v ReadView, key uint64) (val uint64, found bool, err 
 	return 0, false, nil
 }
 
-// ScanView is Scan through a lock-free view (bucket order). fn must be
-// side-effect-free until the caller's sequence bracket validates: on
-// conflict the caller discards and re-runs, so fn may observe pairs from
-// an abandoned attempt.
+// ScanView is Scan through a lock-free view (base-coordinate order). fn
+// must be side-effect-free until the caller's sequence bracket validates:
+// on conflict the caller discards and re-runs, so fn may observe pairs
+// from an abandoned attempt.
 func (kv *KVStore) ScanView(v ReadView, fn func(key, val uint64) bool) error {
-	return kv.ScanRangeView(v, 0, kv.nBuckets, fn)
+	return kv.ScanRangeView(v, 0, kv.Buckets(), fn)
 }
 
 // ScanRangeView is ScanRange through a lock-free view: visits pairs
-// whose keys hash into buckets [lo, hi) until fn returns false.
+// whose base coordinates lie in [lo, hi) until fn returns false.
 func (kv *KVStore) ScanRangeView(v ReadView, lo, hi uint64, fn func(key, val uint64) bool) error {
-	if hi > kv.nBuckets {
-		hi = kv.nBuckets
-	}
-	for b := lo; b < hi; b++ {
-		e, err := kv.loadSlotView(v, b)
-		if err != nil {
-			return err
-		}
-		for steps := 0; e != 0; steps++ {
-			if steps >= maxChainSteps {
-				return ErrReadConflict
-			}
-			k, next, vv, err := loadEntryView(v, e)
+	g := kv.geo.Load()
+	for c := lo; c < min(hi, g.n0); c++ {
+		for b := c; b < g.buckets(); b += g.n0 {
+			e, err := loadSlotView(v, g, b)
 			if err != nil {
 				return err
 			}
-			if !fn(k, vv) {
-				return nil
+			for steps := 0; e != 0; steps++ {
+				if steps >= maxChainSteps {
+					return ErrReadConflict
+				}
+				k, next, vv, err := loadEntryView(v, e)
+				if err != nil {
+					return err
+				}
+				if !fn(k, vv) {
+					return nil
+				}
+				e = next
 			}
-			e = next
 		}
 	}
 	return nil

@@ -235,20 +235,9 @@ func (kv *KVStore) writeManifestTx(tx engine.Tx, m *Manifest) error {
 // or duplicate them (cursor advanced but keys still present).
 func (kv *KVStore) ApplyWithManifest(ops []Op, m *Manifest) ([]bool, error) {
 	res := make([]bool, len(ops))
-	err := kv.pool.Tx(func(tx engine.Tx) error {
-		for i, op := range ops {
-			if op.Del {
-				removed, err := kv.deleteTx(tx, op.Key)
-				if err != nil {
-					return err
-				}
-				res[i] = removed
-			} else {
-				if err := kv.putTx(tx, op.Key, op.Val); err != nil {
-					return err
-				}
-				res[i] = true
-			}
+	err := kv.mutate(func(tx engine.Tx, b *batch) error {
+		if err := b.apply(tx, ops, res); err != nil {
+			return err
 		}
 		return kv.writeManifestTx(tx, m)
 	})

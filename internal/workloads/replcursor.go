@@ -78,20 +78,9 @@ func (kv *KVStore) verifyReplCursorTx(tx engine.Tx) error {
 // acknowledging a frame none of whose keys land on this shard).
 func (kv *KVStore) ApplyWithCursor(ops []Op, epoch, seq uint64) ([]bool, error) {
 	res := make([]bool, len(ops))
-	err := kv.pool.Tx(func(tx engine.Tx) error {
-		for i, op := range ops {
-			if op.Del {
-				removed, err := kv.deleteTx(tx, op.Key)
-				if err != nil {
-					return err
-				}
-				res[i] = removed
-			} else {
-				if err := kv.putTx(tx, op.Key, op.Val); err != nil {
-					return err
-				}
-				res[i] = true
-			}
+	err := kv.mutate(func(tx engine.Tx, m *batch) error {
+		if err := m.apply(tx, ops, res); err != nil {
+			return err
 		}
 		return kv.writeReplCursorTx(tx, epoch, seq)
 	})
