@@ -115,16 +115,15 @@ func main() {
 		traceSmp = flag.Int("trace-sample", 1, "op-trace sampling: 1 traces every op, N every Nth, -1 disables tracing")
 		replLn   = flag.String("repl-listen", "", "serve the replication stream to replicas on this address, e.g. :6381")
 		replOf   = flag.String("replica-of", "", "start as a read-only replica of a primary's -repl-listen address")
-		lockedRd = flag.Bool("locked-reads", false, "ablation: serve GET/SCAN through the store RLock instead of the seqlock read path")
 	)
 	flag.Parse()
-	if err := run(*addr, *path, *shards, *size, *journals, *maxBatch, *busyTO, *traceSmp, *profile, *metrics, *replLn, *replOf, *lockedRd); err != nil {
+	if err := run(*addr, *path, *shards, *size, *journals, *maxBatch, *busyTO, *traceSmp, *profile, *metrics, *replLn, *replOf); err != nil {
 		fmt.Fprintln(os.Stderr, "corundum-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, path string, shards, size, journals, maxBatch int, busyTO time.Duration, traceSample int, profName, metricsAddr, replListen, replicaOf string, lockedReads bool) error {
+func run(addr, path string, shards, size, journals, maxBatch int, busyTO time.Duration, traceSample int, profName, metricsAddr, replListen, replicaOf string) error {
 	var prof pmem.Profile
 	switch profName {
 	case "OptaneDC":
@@ -221,7 +220,7 @@ func run(addr, path string, shards, size, journals, maxBatch int, busyTO time.Du
 	}
 	srv, err := server.NewSharded(pools, server.Options{
 		MaxBatch:    maxBatch,
-		BusyTimeout: busyTO, TraceSample: traceSample, LockedReads: lockedReads,
+		BusyTimeout: busyTO, TraceSample: traceSample,
 		// RESHARD grows past the booted pools by creating "<pool>.<i>"
 		// files with the same geometry.
 		ShardOpener: server.FileShardOpener(path, cfg),

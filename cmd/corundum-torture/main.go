@@ -66,7 +66,7 @@
 // server must serve lock-free reads again:
 //
 //	corundum-torture -mode readers [-reader-rounds N] [-reader-writes N]
-//	                 [-reader-clients N] [-reader-seed S] [-locked-reads]
+//	                 [-reader-clients N] [-reader-seed S]
 //
 // In exhaust and faults modes, -shards N emulates an N-shard deployment:
 // the campaign crashes shard 0 over and over while shards 1..N-1 serve
@@ -118,7 +118,6 @@ func main() {
 	readerWrites := flag.Int("reader-writes", 400, "readers mode: churn writes per round")
 	readerClients := flag.Int("reader-clients", 8, "readers mode: concurrent reader connections")
 	readerSeed := flag.Int64("reader-seed", 1, "readers mode: campaign randomness seed")
-	lockedReads := flag.Bool("locked-reads", false, "readers mode: run the campaign through the RLock fallback path (A/B control)")
 	shards := flag.Int("shards", 1, "exhaust/faults mode: run the campaign on shard 0 of an N-shard deployment; shards 1..N-1 serve live traffic throughout and are verified at the end")
 	flag.Parse()
 
@@ -142,7 +141,7 @@ func main() {
 	case "repl":
 		runRepl(*replRounds, *replWrites, *replSeed)
 	case "readers":
-		runReaders(*readerRounds, *readerWrites, *readerClients, *readerSeed, *lockedReads)
+		runReaders(*readerRounds, *readerWrites, *readerClients, *readerSeed)
 	default:
 		fmt.Fprintf(os.Stderr, "corundum-torture: unknown -mode %q (want random, exhaust, faults, migrate, repl, or readers)\n", *mode)
 		os.Exit(2)
@@ -330,14 +329,13 @@ func runRepl(rounds, writes int, seed int64) {
 	fmt.Printf("OK: every round converged byte-exact with zero acked-write loss on the surviving epoch\n")
 }
 
-func runReaders(rounds, writes, clients int, seed int64, locked bool) {
+func runReaders(rounds, writes, clients int, seed int64) {
 	st := &explore.ReadersStats{}
 	start := time.Now()
 	res, err := explore.RunReaders(explore.ReadersConfig{
 		Rounds:         rounds,
 		WritesPerRound: writes,
 		Readers:        clients,
-		LockedReads:    locked,
 		Seed:           seed,
 		Stats:          st,
 		Log: func(format string, args ...any) {
@@ -345,12 +343,8 @@ func runReaders(rounds, writes, clients int, seed int64, locked bool) {
 		},
 	})
 	exitOnError("readers", err)
-	path := "seqlock"
-	if locked {
-		path = "locked"
-	}
-	fmt.Printf("reader-vs-crash (%s path): %d rounds, %d writes acked; %d GETs + %d SCAN pairs verified, %d power cuts, %d reboots, %d lock-free reads, %d retries, %d fallbacks (%.1fs)\n",
-		path, res.Rounds, st.Acked.Load(), st.Reads.Load(), st.ScanPairs.Load(),
+	fmt.Printf("reader-vs-crash: %d rounds, %d writes acked; %d GETs + %d SCAN pairs verified, %d power cuts, %d reboots, %d lock-free reads, %d retries, %d fallbacks (%.1fs)\n",
+		res.Rounds, st.Acked.Load(), st.Reads.Load(), st.ScanPairs.Load(),
 		st.Crashes.Load(), st.Reboots.Load(), st.LockFreeReads.Load(),
 		st.ReadRetries.Load(), st.Fallbacks.Load(), time.Since(start).Seconds())
 	exitOnViolations("readers", " — a reader observed torn, phantom, or uncommitted state, or an acked write was lost", res.Violations, "")

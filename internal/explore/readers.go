@@ -56,9 +56,6 @@ type ReadersConfig struct {
 	Buckets int
 	// PoolSize is the shard pool size (default 16 MiB).
 	PoolSize int
-	// LockedReads, when set, runs the whole campaign through the RLock
-	// fallback path instead of the seqlock path — the A/B control.
-	LockedReads bool
 	// Seed drives all randomness; equal seeds replay equal campaigns
 	// up to goroutine scheduling (default 1).
 	Seed int64
@@ -135,7 +132,7 @@ func registerReadersMetrics(reg *obs.Registry, st *ReadersStats) {
 	reg.CounterFunc("reader_chaos_scan_pairs_total", "SCAN pairs verified.", nil, st.ScanPairs.Load)
 	reg.CounterFunc("reader_chaos_crashes_total", "Power cuts injected.", nil, st.Crashes.Load)
 	reg.CounterFunc("reader_chaos_reboots_total", "Crash/reattach/reserve cycles.", nil, st.Reboots.Load)
-	reg.CounterFunc("reader_chaos_lockfree_reads_total", "Reads served through the seqlock path.", nil, st.LockFreeReads.Load)
+	reg.CounterFunc("reader_chaos_lockfree_reads_total", "Reads served inside a seqlock bracket.", nil, st.LockFreeReads.Load)
 	reg.CounterFunc("reader_chaos_read_retries_total", "Seqlock bracket conflicts retried.", nil, st.ReadRetries.Load)
 	reg.CounterFunc("reader_chaos_fallbacks_total", "Reads that fell back to the locked path.", nil, st.Fallbacks.Load)
 	reg.CounterFunc("reader_chaos_violations_total", "Read-contract violations.", nil, st.Violations.Load)
@@ -269,9 +266,8 @@ func (c *readersCampaign) fail(round int, scen string, err error) {
 
 func (c *readersCampaign) opts() server.Options {
 	return server.Options{
-		Buckets:     c.cfg.Buckets,
-		MaxBatch:    16,
-		LockedReads: c.cfg.LockedReads,
+		Buckets:  c.cfg.Buckets,
+		MaxBatch: 16,
 	}
 }
 
@@ -480,7 +476,7 @@ func (c *readersCampaign) reader(round int, scen, addr string, seed int64, stop 
 // value is its last acked value or the single in-flight operation's,
 // absence only where the last relevant operation was a delete (or the
 // key was never acked), and the recovered server serves reads again,
-// lock-free when the campaign runs the seqlock path.
+// lock-free.
 func (c *readersCampaign) verifyRecovered(round int, scen string, dev *pmem.Device, model map[uint64]uint64, pending *mutation, deadline time.Time) error {
 	p, err := pool.Attach(dev)
 	if err != nil {
@@ -548,7 +544,7 @@ func (c *readersCampaign) verifyRecovered(round int, scen string, dev *pmem.Devi
 			c.fail(round, scen, fmt.Errorf("recovered server GET %d = (%d, found=%v), want %d (present=%v)", k, v, found, want, present))
 		}
 	}
-	if lf, _, _ := srv.ReadPathStats(); !c.cfg.LockedReads && lf == 0 {
+	if lf, _, _ := srv.ReadPathStats(); lf == 0 {
 		c.fail(round, scen, fmt.Errorf("recovered server served no lock-free reads"))
 	}
 	return nil

@@ -48,31 +48,3 @@ func TestReaderCrashCampaign(t *testing.T) {
 		st.Crashes.Load(), st.Reboots.Load(), st.LockFreeReads.Load(),
 		st.ReadRetries.Load(), st.Fallbacks.Load())
 }
-
-// TestReaderCrashCampaignLockedReads runs one crash round through the
-// RLock fallback path — the A/B control proving the contract holds (and
-// the harness is sound) independent of the seqlock.
-func TestReaderCrashCampaignLockedReads(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short: the lock-free rotation covers the contract")
-	}
-	res, err := RunReaders(ReadersConfig{
-		Rounds:         1, // crash-mid
-		WritesPerRound: 200,
-		LockedReads:    true,
-		Seed:           7,
-		Log:            t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("violation: %v", v)
-	}
-	if res.Stats.LockFreeReads.Load() != 0 {
-		t.Fatalf("locked campaign served %d seqlock reads", res.Stats.LockFreeReads.Load())
-	}
-	if res.Stats.Crashes.Load() == 0 {
-		t.Fatal("crash never fired")
-	}
-}

@@ -627,3 +627,26 @@ func TestDroppedBlockNotReallocatedBeforeIdle(t *testing.T) {
 		t.Fatalf("block %#x lost J2's committed contents", got.off)
 	}
 }
+
+// TestReadViewRejectsWildOffsets: a damaged pointer is !ok, never a
+// panic, however far out of range it points — including offsets whose
+// word end wraps past 2^64.
+func TestReadViewRejectsWildOffsets(t *testing.T) {
+	p, err := Create("", testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	v, err := p.ReadView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []uint64{v.Size(), v.Size() - 4, 3, ^uint64(7), ^uint64(0)} {
+		if _, ok := v.Load(off); ok {
+			t.Errorf("Load(%#x) on a %d-byte view = ok", off, v.Size())
+		}
+	}
+	if _, ok := v.Load(v.Size() - 8); !ok {
+		t.Error("the last word of the view is not readable")
+	}
+}

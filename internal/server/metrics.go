@@ -54,11 +54,10 @@ type serverMetrics struct {
 	movedRejects    *obs.Counter
 	batchSizes      *obs.Histogram
 
-	// Seqlock read-path accounting: reads served without the store lock,
-	// bracket conflicts that retried, and reads that gave up on the
-	// optimistic path and took the RLock fallback (spin budget exhausted
-	// under write pressure, no view, or an anomaly needing the locked
-	// verified read to adjudicate).
+	// Read-path accounting (readpath.go): walks served inside a bracket,
+	// without the store lock; bracket conflicts that retried; and walks
+	// that ran under the read lock instead (spin budget exhausted under
+	// write pressure, or an anomaly only the locked walk can judge).
 	readsLockFree *obs.Counter
 	readRetries   *obs.Counter
 	readFallbacks *obs.Counter
@@ -110,11 +109,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 		movedRejects: reg.Counter("server_moved_rejected_total",
 			"ops answered -MOVED because their key range was mid-migration", nil),
 		readsLockFree: reg.Counter("server_reads_lockfree_total",
-			"GET/SCAN served by the seqlock read path, no store lock taken", nil),
+			"read walks served inside a seqlock bracket, no store lock taken", nil),
 		readRetries: reg.Counter("server_read_retries_total",
 			"lock-free read bracket conflicts that retried (a commit overlapped the walk)", nil),
 		readFallbacks: reg.Counter("server_read_fallback_total",
-			"reads that abandoned the lock-free path for the RLock fallback", nil),
+			"read walks that ran under the shard read lock instead of a bracket", nil),
 		connsTotal: reg.Counter("server_connections_total",
 			"client connections accepted", nil),
 		connPanics: reg.Counter("server_conn_panics_total",

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -64,8 +65,8 @@ func (h *committedHistory) committed(key, val uint64) bool {
 // fresh keys (entry allocation + freeing recycles blocks, which is what
 // makes stale chain pointers dangerous). Every value any reader
 // observes must have been committed by some batch — a torn, phantom, or
-// uncommitted value fails the run. Both read paths are exercised: the
-// lock-free seqlock path and the RLock fallback (LockedReads). The -grow
+// uncommitted value fails the run. Both modes of the read walk are
+// exercised: bracketed, and under the read lock (ForceLockedMode). The -grow
 // variants start the store at a base of 8 buckets, so the same churn
 // drives its directory through several levels of splits while readers
 // also chase the fresh keys being split. Run with -race in CI, where the
@@ -86,10 +87,11 @@ func TestReadPathHammer(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer p.Close()
-			srv, addr := startServer(t, p, server.Options{
-				MaxBatch: 32, LockedReads: mode.locked, Buckets: mode.buckets,
-			})
+			srv, addr := startServer(t, p, server.Options{MaxBatch: 32, Buckets: mode.buckets})
 			defer srv.Close()
+			if mode.locked {
+				srv.ForceLockedMode()
+			}
 
 			hist := newCommittedHistory(srv.SubscribeStream())
 
@@ -217,11 +219,12 @@ func TestReadPathHammer(t *testing.T) {
 	}
 }
 
-// TestLockFreeReadNeedsNoJournalSlot pins the seqlock path's resource
-// contract: a GET serves normally while every journal slot is occupied,
-// because the lock-free walk takes no transaction at all. (The locked
-// fallback competes for slots and answers -BUSY — see
-// TestServerBusyBackpressure.)
+// TestLockFreeReadNeedsNoJournalSlot pins the read path's resource
+// contract: no read takes a journal slot. With every slot held, GET and
+// SCAN serve from their brackets. With the shard's writer lock held as
+// well, no bracket can validate: both reads wait for the read lock and
+// then serve committed values from the locked walk — never -BUSY, which
+// is what a read that opened a transaction would answer.
 func TestLockFreeReadNeedsNoJournalSlot(t *testing.T) {
 	p, err := pool.Create("", pool.Config{Size: 8 << 20, Journals: 1})
 	if err != nil {
@@ -255,4 +258,96 @@ func TestLockFreeReadNeedsNoJournalSlot(t *testing.T) {
 	if got := p.Device().Stats().Fences - fences; got != 0 {
 		t.Fatalf("three reads cost %d device fences, want 0", got)
 	}
+
+	_, _, fallbacks := srv.ReadPathStats()
+	release := srv.HoldShardLock(0)
+	reads := []struct {
+		cl        *conn
+		cmd, want string
+	}{{dial(t, addr), "GET 7", ":42"}, {dial(t, addr), "SCAN", "*1\n7 42"}}
+	for _, r := range reads {
+		defer r.cl.close()
+		if err := r.cl.Send(r.cmd); err != nil {
+			release()
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, _, fb := srv.ReadPathStats(); fb >= fallbacks+2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			release()
+			t.Fatal("reads never fell back from their brackets while the writer lock was held")
+		}
+	}
+	release()
+	for _, r := range reads {
+		rep, err := r.cl.Recv()
+		if err != nil {
+			t.Fatalf("%s: %v", r.cmd, err)
+		}
+		if got := rep.String(); got != r.want {
+			t.Fatalf("%s through the locked walk, every journal slot held = %q, want %q", r.cmd, got, r.want)
+		}
+	}
+}
+
+// TestCorruptEntryAnswersDataCorrupt flips one bit of a chain entry's
+// value word in a live server's pool. The bracketed walk sees a checksum
+// mismatch in a stable bracket, so it walks again under the read lock,
+// where the mismatch is damage: GET of that key and SCAN both answer
+// -ERR naming data corruption, never a wrong value, and the server counts
+// each in server_corruption_errors_total.
+func TestCorruptEntryAnswersDataCorrupt(t *testing.T) {
+	p, err := pool.Create("", pool.Config{Size: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	srv, addr := startServer(t, p, server.Options{})
+	defer srv.Close()
+	cl := dial(t, addr)
+	defer cl.close()
+
+	const key, val, other = 0x0123456789ABCDEF, 0x5EEDC0DE00000042, 9
+	mustReply(t, cl, fmt.Sprintf("SET %d %d", uint64(key), uint64(val)), "+OK")
+	mustReply(t, cl, fmt.Sprintf("SET %d 1", other), "+OK")
+
+	// The entry is [key][next][val][crc], 32-byte aligned: find it by its
+	// key and value words.
+	buf := p.Device().Bytes()
+	var entries []uint64
+	for e := uint64(0); e+32 <= uint64(len(buf)); e += 32 {
+		if binary.LittleEndian.Uint64(buf[e:]) == key && binary.LittleEndian.Uint64(buf[e+16:]) == val {
+			entries = append(entries, e)
+		}
+	}
+	if len(entries) != 1 {
+		t.Fatalf("found %d entries holding key %#x, want 1", len(entries), uint64(key))
+	}
+	p.Device().InjectBitFlip(entries[0]+16, 5)
+
+	_, _, fallbacks := srv.ReadPathStats()
+	for _, cmd := range []string{fmt.Sprintf("GET %d", uint64(key)), "SCAN"} {
+		reply, err := cl.cmd(cmd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(reply, "-ERR") || !strings.Contains(reply, "data corrupt") {
+			t.Fatalf("%s over a flipped entry = %q, want -ERR naming data corruption", cmd, reply)
+		}
+	}
+	if _, _, fb := srv.ReadPathStats(); fb != fallbacks+2 {
+		t.Fatalf("read fallbacks rose by %d, want 2: each damaged read is judged by the locked walk", fb-fallbacks)
+	}
+	var sb strings.Builder
+	if err := srv.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "server_corruption_errors_total 2\n") {
+		t.Fatalf("server_corruption_errors_total is not 2:\n%s", sb.String())
+	}
+	// A key in another chain still reads back.
+	mustReply(t, cl, fmt.Sprintf("GET %d", other), ":1")
 }

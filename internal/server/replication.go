@@ -88,7 +88,7 @@ func (s *Server) startSourceLocked(ln net.Listener) error {
 		return err
 	}
 	s.replEpoch.Store(epoch)
-	log := repl.NewLog(lastSeq, s.opts.ReplLogFrames, s.opts.ReplLogBytes)
+	log := repl.NewLog(lastSeq, s.opts.ReplLogFrames, replLogBytes)
 	s.setStreamLocked(log, true)
 	s.repl.primary = repl.NewPrimary(ln, repl.PrimaryConfig{
 		Log:       log,
@@ -181,7 +181,7 @@ func (s *Server) setStreamLocked(log *repl.Log, durable bool) {
 // again) when nothing else feeds one. Caller holds replMu.
 func (s *Server) subscribeLocked() (log *repl.Log, own bool) {
 	if own = s.repl.log == nil; own {
-		s.setStreamLocked(repl.NewLog(0, s.opts.ReplLogFrames, s.opts.ReplLogBytes), false)
+		s.setStreamLocked(repl.NewLog(0, s.opts.ReplLogFrames, replLogBytes), false)
 	}
 	return s.repl.log, own
 }
@@ -216,14 +216,16 @@ func (s *Server) allShards() []*shard {
 // frame at or below the pin was published, so committed, before the
 // walk began and is in the stores it reads. A batch reserves its
 // sequence inside the shard lock before it touches the store, so any
-// batch a walk window could see — wholly, the window holds the read
-// lock — has a sequence no higher than the one read after the walk; and
+// batch a walk window could see — wholly: the window is read under the
+// read lock, or inside a seqlock bracket no writer crossed, which is the
+// same — has a sequence no higher than the one read after the walk; and
 // per shard, so per key, sequence order is commit order, so replaying
 // those frames over the base in stream order (idempotent sets and
 // deletes) lands every key on its value at that sequence. The walk
-// takes no lock beyond each window's read lock. A replica keeps
-// replaying past that sequence, which only moves it forward; BACKUP
-// waits for the frames up to it (Pin.Through) and stops there.
+// takes no lock beyond each window's read lock, and no journal slot. A
+// replica keeps replaying past that sequence, which only moves it
+// forward; BACKUP waits for the frames up to it (Pin.Through) and stops
+// there.
 type snapshot struct {
 	s       *Server
 	what    string // error prefix
@@ -306,14 +308,15 @@ func (sn *snapshot) walk(chunk func(shard int, pairs []uint64) error) (keys uint
 	return keys, nil
 }
 
-// scan reads one bucket window under the shard's read lock.
+// scan reads one bucket window of sh, inside a bracket no writer crossed
+// or under the read lock (read).
 func (sn *snapshot) scan(sh *shard, lo, hi uint64) (pairs []uint64, err error) {
-	defer sn.s.recoverShardFailure(sh, &err)
-	sh.lock.RLock()
-	defer sh.lock.RUnlock()
-	err = sh.kv.ScanRange(lo, hi, func(k, v uint64) bool {
-		pairs = append(pairs, k, v)
-		return true
+	err = sn.s.read(sh, func() error {
+		pairs = pairs[:0]
+		return sh.kv.ScanRangeView(sh.view, lo, hi, func(k, v uint64) bool {
+			pairs = append(pairs, k, v)
+			return true
+		})
 	})
 	return pairs, err
 }
@@ -520,7 +523,7 @@ func (s *Server) closeReplication() {
 		rep.Stop()
 	}
 	if prim != nil {
-		prim.Drain(s.opts.ReplDrainTimeout)
+		prim.Drain(replDrainTimeout)
 		prim.Close()
 	}
 	if log != nil {
@@ -691,7 +694,7 @@ func (s *Server) applyOnShard(sh *shard, ops []workloads.Op) error {
 
 // applyOpsOwned routes each op by the current (migration-refined) owner
 // and re-checks ownership under the owning shard's write lock — the
-// write-side analogue of getOnShard's stability loop. Ops whose bucket
+// write-side analogue of get's re-routing loop. Ops whose bucket
 // moved between routing and locking are re-routed; cursors only
 // advance, so this terminates.
 func (s *Server) applyOpsOwned(ops []workloads.Op) error {

@@ -64,21 +64,20 @@ type Options struct {
 	// 500ms); read/write deadlines and reconnect timing derive from it.
 	// Tests shrink it to tens of milliseconds.
 	ReplHeartbeat time.Duration
-	// ReplLogFrames / ReplLogBytes bound the primary's in-memory
-	// replication window (defaults 4096 frames / 8 MiB). A replica that
+	// ReplLogFrames bounds the primary's in-memory replication window
+	// (default 4096 frames; replLogBytes bounds its bytes). A replica that
 	// falls out of the window is degraded to a full resync instead of
 	// stalling commits.
 	ReplLogFrames int
-	ReplLogBytes  int
-	// ReplDrainTimeout bounds how long a graceful Close waits for
-	// connected replicas to acknowledge the full stream (default 5s).
-	ReplDrainTimeout time.Duration
-	// LockedReads disables the seqlock lock-free read path, forcing
-	// every GET/SCAN through the store RLock + transaction — the
-	// pre-seqlock behaviour, kept for A/B benchmarking and as an
-	// operational escape hatch. Default false: reads are lock-free.
-	LockedReads bool
 }
+
+const (
+	// replLogBytes bounds the bytes of the primary's replication window.
+	replLogBytes = 8 << 20
+	// replDrainTimeout bounds how long a graceful Close waits for
+	// connected replicas to acknowledge the full stream.
+	replDrainTimeout = 5 * time.Second
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
@@ -107,12 +106,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReplLogFrames <= 0 {
 		o.ReplLogFrames = 4096
-	}
-	if o.ReplLogBytes <= 0 {
-		o.ReplLogBytes = 8 << 20
-	}
-	if o.ReplDrainTimeout <= 0 {
-		o.ReplDrainTimeout = 5 * time.Second
 	}
 	return o
 }
@@ -171,6 +164,10 @@ type Server struct {
 	// restoreWiped records that boot found a crashed RESTORE's marker and
 	// wiped the pools back to empty (surfaced in INFO).
 	restoreWiped atomic.Bool
+
+	// lockedMode makes every read skip its bracket and walk under the
+	// shard's read lock. Only tests set it (export_test.go).
+	lockedMode atomic.Bool
 
 	// Replication (see replication.go). replMu guards repl; the atomics
 	// are the hot-path gates: primaryAddr (non-nil ⇒ replica role ⇒
@@ -768,13 +765,7 @@ func (s *Server) recordRead(name string, key uint64, startNS, readNS int64) {
 	})
 }
 
-// get and scan serve reads. The primary path is the seqlock lock-free
-// read (readpath.go): walk through the pool's read view bracketed by
-// the shard's commit sequence, no locks held. Bounded conflict retries
-// fall back to the read-only transaction under the owning shard's
-// reader lock — also the adjudicator for any anomaly the lock-free walk
-// cannot classify. A panic out of a device (injected crash) fences that
-// shard, like a failed commit; any other panic is a bug and propagates.
+// get and scan serve reads, each shard's walk through read (readpath.go).
 func (s *Server) get(key uint64) (val uint64, found bool, err error) {
 	for {
 		st := s.st()
@@ -783,42 +774,24 @@ func (s *Server) get(key uint64) (val uint64, found bool, err error) {
 		if err = sh.down(); err != nil {
 			return 0, false, err
 		}
-		if !s.opts.LockedReads {
-			served, rerouted, val, found := s.viewGet(sh, o, key)
-			if served {
-				s.m.readsLockFree.Inc()
-				return val, found, nil
+		err = s.read(sh, func() (err error) {
+			// Migration cursors advance only under the source shard's writer
+			// lock, so an owner confirmed inside a stable bracket, or under
+			// the read lock, holds for the whole walk.
+			if s.st().owner(key) != o {
+				return errMoved
 			}
-			if rerouted {
-				continue
-			}
-			s.m.readFallbacks.Inc()
-		}
-		stable, val, found, err := s.getOnShard(sh, o, key)
-		if stable {
+			val, found, err = sh.kv.GetView(sh.view, key)
+			return err
+		})
+		if err != errMoved {
 			return val, found, err
 		}
-		// Ownership moved between the route decision and the lock (a
+		// Ownership moved between the route decision and the walk (a
 		// migration batch handed this key's bucket over, or the migration
 		// committed). Re-route: the cursor only advances, so this loop
 		// takes at most a couple of iterations.
 	}
-}
-
-// getOnShard reads key on sh under its reader lock, first re-checking
-// ownership INSIDE the lock: migration cursors advance only under the
-// source shard's writer lock, so an ownership answer confirmed under the
-// reader lock cannot change until the read is done — reads are never
-// wrong mid-migration, they are re-routed.
-func (s *Server) getOnShard(sh *shard, o int, key uint64) (stable bool, val uint64, found bool, err error) {
-	defer s.recoverShardFailure(sh, &err)
-	sh.lock.RLock()
-	defer sh.lock.RUnlock()
-	if s.st().owner(key) != o {
-		return false, 0, false, nil
-	}
-	val, found, err = sh.kv.Get(key)
-	return true, val, found, err
 }
 
 // scan walks every shard in shard order. A down shard fails the scan —
@@ -840,34 +813,24 @@ func (s *Server) scan(limit int) (pairs []uint64, err error) {
 	return pairs, nil
 }
 
-func (s *Server) scanShard(st *routeState, sh *shard, limit int, pairs []uint64) (out []uint64, err error) {
-	if !s.opts.LockedReads {
-		served, out := s.viewScan(st, sh, limit, pairs)
-		if served {
-			s.m.readsLockFree.Inc()
-			return out, nil
-		}
-		s.m.readFallbacks.Inc()
-	}
-	out = pairs
-	defer s.recoverShardFailure(sh, &err)
-	sh.lock.RLock()
-	defer sh.lock.RUnlock()
-	scanErr := sh.kv.Scan(func(k, v uint64) bool {
-		// Mid-migration a key can transiently exist at both its source and
-		// its target (between the target insert and the source delete of
-		// its batch). Ownership picks exactly one copy, so the scan never
-		// shows duplicates or keys it should not.
-		if st.rs != nil && st.owner(k) != sh.id {
-			return true
-		}
-		out = append(out, k, v)
-		return limit == 0 || len(out)/2 < limit
+// scanShard appends sh's pairs to pairs, up to limit in all.
+func (s *Server) scanShard(st *routeState, sh *shard, limit int, pairs []uint64) ([]uint64, error) {
+	base := len(pairs)
+	err := s.read(sh, func() error {
+		pairs = pairs[:base]
+		return sh.kv.ScanRangeView(sh.view, 0, sh.kv.Buckets(), func(k, v uint64) bool {
+			// Mid-migration a key can transiently exist at both its source
+			// and its target (between the target insert and the source
+			// delete of its batch). Ownership picks exactly one copy, so the
+			// scan never shows duplicates or keys it should not.
+			if st.rs != nil && st.owner(k) != sh.id {
+				return true
+			}
+			pairs = append(pairs, k, v)
+			return limit == 0 || len(pairs)/2 < limit
+		})
 	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	return out, nil
+	return pairs, err
 }
 
 // runScrub runs one online media-scrub pass over every live shard —

@@ -28,17 +28,15 @@ type shard struct {
 	b    *Batcher           // nil when down from the start
 
 	// lock is this shard's store-level reader/writer lock: the shard's
-	// committer applies batches under Lock, and the fallback read path
-	// runs GET/SCAN under RLock. The fused commit sequence (storeLock)
-	// lets the primary read path skip the lock entirely: lock-free
-	// readers validate against the sequence instead of holding RLock
-	// (see readpath.go). The KVStore itself is not internally
-	// synchronized.
+	// committer applies batches under Lock, and a read that no bracket
+	// validates walks under RLock. The fused commit sequence (storeLock)
+	// lets a read skip the lock entirely: it validates against the
+	// sequence instead of holding RLock (see readpath.go). The KVStore
+	// itself is not internally synchronized.
 	lock storeLock
 
-	// view is the pool's lock-free read window for the seqlock read
-	// path; nil when the pool never opened (reads then always take the
-	// locked fallback).
+	// view is the pool's lock-free read window every read walks through;
+	// nil only when the pool never opened.
 	view *pool.ReadView
 
 	downMu  sync.Mutex
@@ -215,9 +213,11 @@ func (s *Server) initShard(sh *shard) error {
 	sh.b = newBatcher(sh.kv, &sh.lock, p.Device(), s.opts.MaxBatch,
 		func(err error) { s.onShardFailure(sh, err) })
 	s.installOwnershipVet(sh)
-	if v, err := p.ReadView(); err == nil {
-		sh.view = v
+	v, err := p.ReadView()
+	if err != nil {
+		return err
 	}
+	sh.view = v
 	// Store setup above needed a journal slot unconditionally; only live
 	// traffic gets the bounded wait.
 	if s.opts.BusyTimeout > 0 {

@@ -386,7 +386,6 @@ func TestShardedCrashRecovery(t *testing.T) {
 		}
 		stores[i] = kv
 	}
-	skv := workloads.NewShardedKV(stores)
 
 	// Per-shard ack-survival: every acknowledged SET is present with its
 	// exact value on the shard that owns it.
@@ -400,7 +399,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 			if !a.acked {
 				continue
 			}
-			got, found, err := skv.Get(a.key)
+			got, found, err := stores[workloads.ShardFor(a.key, n)].Get(a.key)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -417,20 +416,22 @@ func TestShardedCrashRecovery(t *testing.T) {
 	// we sent, holding exactly the value we sent (unacknowledged writes
 	// are present-or-absent, never partial).
 	scanned := 0
-	scanErr := skv.Scan(func(k, v uint64) bool {
-		scanned++
-		if !valid[k] {
-			t.Errorf("phantom key %d after recovery", k)
-			return false
+	for i, kv := range stores {
+		err := kv.Scan(func(k, v uint64) bool {
+			scanned++
+			if !valid[k] {
+				t.Errorf("phantom key %d after recovery", k)
+				return false
+			}
+			if v != valFor(k) {
+				t.Errorf("torn value for key %d: %d, want %d", k, v, valFor(k))
+				return false
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
 		}
-		if v != valFor(k) {
-			t.Errorf("torn value for key %d: %d, want %d", k, v, valFor(k))
-			return false
-		}
-		return true
-	})
-	if scanErr != nil {
-		t.Fatal(scanErr)
 	}
 	if scanned < ackedTotal {
 		t.Fatalf("scan saw %d keys, fewer than %d acknowledged", scanned, ackedTotal)

@@ -18,18 +18,16 @@ import (
 )
 
 // TestServerBusyBackpressure exhausts the pool's only journal slot and
-// asserts the server answers -BUSY (a retryable signal) instead of
+// asserts a SET is answered -BUSY (a retryable signal) instead of
 // blocking the connection forever, and that client.Retry rides out the
-// exhaustion once the slot frees. Reads are the exception: the seqlock
-// read path holds no journal slot at all, so GET serves normally while
-// every slot is taken — only the locked fallback (exercised here via
-// Options.LockedReads) competes for slots and must answer -BUSY.
+// exhaustion once the slot frees. Reads take no journal slot, so GET
+// serves normally all the while.
 func TestServerBusyBackpressure(t *testing.T) {
 	p, err := pool.Create("", pool.Config{Size: 8 << 20, Journals: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, addr := startServer(t, p, server.Options{BusyTimeout: 20 * time.Millisecond, LockedReads: true})
+	srv, addr := startServer(t, p, server.Options{BusyTimeout: 20 * time.Millisecond})
 	defer srv.Close()
 
 	// Occupy the only journal slot from outside the server.
@@ -46,16 +44,17 @@ func TestServerBusyBackpressure(t *testing.T) {
 
 	cl := dial(t, addr)
 	defer cl.close()
-	reply, err := cl.cmd("GET 7")
+	reply, err := cl.cmd("SET 7 70")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !client.IsBusyReply(reply) {
-		t.Fatalf("locked GET under journal exhaustion = %q, want -BUSY", reply)
+		t.Fatalf("SET under journal exhaustion = %q, want -BUSY", reply)
 	}
-	if !srv.Halted() == false {
+	if srv.Halted() {
 		t.Fatal("server halted on BUSY")
 	}
+	mustReply(t, cl, "GET 7", "$-1")
 
 	// Release the slot shortly; the backoff helper must converge.
 	go func() {
@@ -63,17 +62,15 @@ func TestServerBusyBackpressure(t *testing.T) {
 		close(hold)
 	}()
 	reply, err = client.Retry(context.Background(), 20, time.Millisecond, 20*time.Millisecond, client.IsBusyReply, func() (string, error) {
-		return cl.cmd("GET 7")
+		return cl.cmd("SET 7 70")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if client.IsBusyReply(reply) {
-		t.Fatalf("still busy after release: %q", reply)
+	if reply != "+OK" {
+		t.Fatalf("SET 7 after release = %q, want +OK", reply)
 	}
-	if reply != "$-1" {
-		t.Fatalf("GET 7 = %q, want nil", reply)
-	}
+	mustReply(t, cl, "GET 7", ":70")
 }
 
 // TestServerGracefulShutdownDurability models the SIGTERM path: a client

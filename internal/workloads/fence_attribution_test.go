@@ -113,21 +113,23 @@ func TestInsertFenceBudget(t *testing.T) {
 // TestSetFenceAttributionConcurrent holds the same 2:1 journal:user-data
 // ratio in aggregate when many goroutines overwrite disjoint keys —
 // attribution must not bleed across concurrent transactions sharing the
-// device's per-scope counters. Run under -race in CI.
+// device's per-scope counters. Each goroutine owns a store on the one
+// shared pool: a KVStore's mutations must be serialized by its caller.
+// Run under -race in CI.
 func TestSetFenceAttributionConcurrent(t *testing.T) {
 	p, err := corundumeng.Lib{}.Open(engine.Config{Size: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	kv, err := NewKVStore(p, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const workers, perWorker = 8, 50
-	for w := 0; w < workers; w++ {
+	stores := make([]*KVStore, workers)
+	for w := range stores {
+		if stores[w], err = NewKVStore(p, 256); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < perWorker; i++ {
-			if err := kv.Put(uint64(w)<<32|uint64(i), 0); err != nil {
+			if err := stores[w].Put(uint64(w)<<32|uint64(i), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -142,7 +144,7 @@ func TestSetFenceAttributionConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if err := kv.Put(uint64(w)<<32|uint64(i), uint64(i)+1); err != nil {
+				if err := stores[w].Put(uint64(w)<<32|uint64(i), uint64(i)+1); err != nil {
 					errs <- fmt.Errorf("worker %d: %w", w, err)
 					return
 				}

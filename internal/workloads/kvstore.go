@@ -86,6 +86,7 @@ type KVStore struct {
 	pool engine.Pool
 	dir  uint64 // offset of the directory block
 	meta uint64 // offset of the config/manifest/cursor meta words
+	size uint64 // the pool's size, which bounds every offset a walk reads
 	geo  atomic.Pointer[geometry]
 }
 
@@ -191,7 +192,7 @@ func NewKVStore(p engine.Pool, nBuckets int) (*KVStore, error) {
 	for n < uint64(nBuckets) {
 		n <<= 1
 	}
-	kv := &KVStore{pool: p}
+	kv := &KVStore{pool: p, size: uint64(p.Device().Size())}
 	var g *geometry
 	err := p.Tx(func(tx engine.Tx) error {
 		dir, err := tx.Alloc(16 + segBytes(n) + kvMetaLen)
@@ -267,9 +268,9 @@ func baseGeometry(dir, n0 uint64) *geometry {
 // degraded, out of space) serves it at base geometry, without growth.
 func AttachKVStore(p engine.Pool) (*KVStore, error) {
 	dir := p.Root()
-	kv := &KVStore{pool: p, dir: dir}
-	var g *geometry
 	size := uint64(p.Device().Size())
+	kv := &KVStore{pool: p, dir: dir, size: size}
+	var g *geometry
 	err := p.Tx(func(tx engine.Tx) error {
 		n := tx.Load(dir)
 		if n == 0 || n&(n-1) != 0 || n > size/16 || dir+16+segBytes(n)+kvMetaLen > size {
@@ -327,38 +328,10 @@ func (kv *KVStore) verifyMetaTx(tx engine.Tx) error {
 	return kv.verifyReplCursorTx(tx)
 }
 
-// loadGroup reads and verifies the slot group holding physical bucket b:
-// its slots (the first gsz of the array) and their key count.
-func loadGroup(tx engine.Tx, g *geometry, b uint64) (slots [slotGroup]uint64, count uint64, err error) {
-	first, word := g.group(b)
-	for i := range g.gsz {
-		slots[i] = tx.Load(first + 8*i)
-	}
-	w := tx.Load(word)
-	if w != groupWord(slots[:g.gsz], w>>32) {
-		return slots, 0, fmt.Errorf("%w: bucket group %d", ErrDataCorrupt, b/slotGroup)
-	}
-	return slots, w >> 32, nil
-}
-
-// loadSlot reads physical bucket slot b after verifying its group.
-func loadSlot(tx engine.Tx, g *geometry, b uint64) (uint64, error) {
-	slots, _, err := loadGroup(tx, g, b)
-	return slots[b&(g.gsz-1)], err
-}
-
-// loadEntry reads and verifies one chain entry.
-func loadEntry(tx engine.Tx, e uint64) (key, next, val uint64, err error) {
-	key, next, val = tx.Load(e+kvKey), tx.Load(e+kvNext), tx.Load(e+kvVal)
-	if tx.Load(e+kvCRC) != entryCRC(key, next, val) {
-		return 0, 0, 0, fmt.Errorf("%w: entry %#x", ErrDataCorrupt, e)
-	}
-	return key, next, val, nil
-}
-
 // batch is one mutating transaction's working state: the geometry it
 // grows, and how many keys its ops inserted and deleted.
 type batch struct {
+	r                 wordReader // the transaction's reads
 	g                 geometry
 	inserted, deleted uint64
 	scratch           []chainEntry // one split's walk, reused across splits
@@ -381,7 +354,7 @@ func (kv *KVStore) mutate(body func(tx engine.Tx, m *batch) error) error {
 	m := batches.Get().(*batch)
 	defer batches.Put(m)
 	err := kv.pool.Tx(func(tx engine.Tx) error {
-		m.g, m.inserted, m.deleted, m.after = *cur, 0, 0, nil
+		m.r, m.g, m.inserted, m.deleted, m.after = kv.txReader(tx), *cur, 0, 0, nil
 		if err := body(tx, m); err != nil {
 			return err
 		}
@@ -475,12 +448,12 @@ func relink(tx engine.Tx, e, key, next, val uint64) error {
 func (m *batch) put(tx engine.Tx, key, val uint64) error {
 	g := &m.g
 	b := g.phys(key)
-	head, err := loadSlot(tx, g, b)
+	head, err := loadSlot(&m.r, g, b)
 	if err != nil {
 		return err
 	}
 	for e := head; e != 0; {
-		k, next, _, err := loadEntry(tx, e)
+		k, next, _, err := loadEntry(&m.r, e)
 		if err != nil {
 			return err
 		}
@@ -504,13 +477,13 @@ func (m *batch) put(tx engine.Tx, key, val uint64) error {
 func (m *batch) del(tx engine.Tx, key uint64) (bool, error) {
 	g := &m.g
 	b := g.phys(key)
-	head, err := loadSlot(tx, g, b)
+	head, err := loadSlot(&m.r, g, b)
 	if err != nil {
 		return false, err
 	}
 	var prevE, prevKey, prevVal uint64
 	for e := head; e != 0; {
-		k, next, v, err := loadEntry(tx, e)
+		k, next, v, err := loadEntry(&m.r, e)
 		if err != nil {
 			return false, err
 		}
@@ -518,7 +491,7 @@ func (m *batch) del(tx engine.Tx, key uint64) (bool, error) {
 			if prevE == 0 {
 				err = m.storeSlot(tx, b, next, -1)
 			} else if err = relink(tx, prevE, prevKey, next, prevVal); err == nil && g.v2() {
-				slots, count, _ := loadGroup(tx, g, b)
+				slots, count, _ := loadGroup(&m.r, g, b)
 				err = m.storeGroup(tx, b, &slots, count-1, false)
 			}
 			if err != nil {
@@ -557,32 +530,6 @@ func (kv *KVStore) Put(key, val uint64) error {
 	return kv.mutate(func(tx engine.Tx, m *batch) error { return m.put(tx, key, val) })
 }
 
-// Get looks up key (the paper's GET). Every entry touched on the way is
-// checksum-verified; a mismatch returns ErrDataCorrupt rather than a
-// possibly-wrong value.
-func (kv *KVStore) Get(key uint64) (val uint64, found bool, err error) {
-	g := kv.geo.Load()
-	err = kv.pool.Tx(func(tx engine.Tx) error {
-		e, err := loadSlot(tx, g, g.phys(key))
-		if err != nil {
-			return err
-		}
-		for e != 0 {
-			k, next, v, err := loadEntry(tx, e)
-			if err != nil {
-				return err
-			}
-			if k == key {
-				val, found = v, true
-				return nil
-			}
-			e = next
-		}
-		return nil
-	})
-	return val, found, err
-}
-
 // Delete removes key and reclaims its entry.
 func (kv *KVStore) Delete(key uint64) (removed bool, err error) {
 	err = kv.mutate(func(tx engine.Tx, m *batch) error {
@@ -614,45 +561,6 @@ func (kv *KVStore) Apply(ops []Op) ([]bool, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// Scan visits every key/value pair (in base-coordinate order, not key
-// order) until fn returns false. It runs as a read-only transaction with
-// the same verified-read discipline as Get.
-func (kv *KVStore) Scan(fn func(key, val uint64) bool) error {
-	return kv.ScanRange(0, kv.Buckets(), fn)
-}
-
-// ScanRange visits every key/value pair whose base coordinate (Bucket)
-// lies in [lo, hi) until fn returns false. Migration moves keys in
-// bucket-index windows, so "which keys does this batch cover" and "which
-// keys has the cursor passed" are both bucket-range questions; ScanRange
-// is the verified walk both use. Base coordinate c is every physical
-// bucket congruent to c mod n0, visited in ascending order.
-func (kv *KVStore) ScanRange(lo, hi uint64, fn func(key, val uint64) bool) error {
-	g := kv.geo.Load()
-	hi = min(hi, g.n0)
-	return kv.pool.Tx(func(tx engine.Tx) error {
-		for c := lo; c < hi; c++ {
-			for b := c; b < g.buckets(); b += g.n0 {
-				e, err := loadSlot(tx, g, b)
-				if err != nil {
-					return err
-				}
-				for e != 0 {
-					k, next, v, err := loadEntry(tx, e)
-					if err != nil {
-						return err
-					}
-					if !fn(k, v) {
-						return nil
-					}
-					e = next
-				}
-			}
-		}
-		return nil
-	})
 }
 
 // Buckets reports the base directory size: the bound of the coordinate
@@ -705,18 +613,19 @@ func (kv *KVStore) VerifyIntegrity() error {
 		}
 		if g.v2() {
 			disk := baseGeometry(kv.dir, n)
-			if err := loadRecord(tx, disk, rec, uint64(kv.pool.Device().Size())); err != nil {
+			if err := loadRecord(tx, disk, rec, kv.size); err != nil {
 				return err
 			}
 			if disk.level != g.level || disk.split != g.split || len(disk.segs) != len(g.segs) {
 				return fmt.Errorf("%w: geometry record disagrees with the attached geometry", ErrDataCorrupt)
 			}
 		}
+		r := kv.txReader(tx)
 		var keys uint64
 		for lo := uint64(0); lo < g.buckets(); lo += g.gsz {
-			slots, count, err := loadGroup(tx, g, lo)
+			slots, count, err := loadGroup(&r, g, lo)
 			if err != nil {
-				return err
+				return fmt.Errorf("bucket group %d: %w", lo/slotGroup, err)
 			}
 			chained := uint64(0)
 			for i, e := range slots[:g.gsz] {
@@ -724,9 +633,9 @@ func (kv *KVStore) VerifyIntegrity() error {
 					if g.v2() && chained == count {
 						return fmt.Errorf("%w: bucket group %d chains more than its %d keys", ErrDataCorrupt, lo/slotGroup, count)
 					}
-					k, next, _, err := loadEntry(tx, e)
+					k, next, _, err := loadEntry(&r, e)
 					if err != nil {
-						return err
+						return fmt.Errorf("bucket %d, entry %#x: %w", lo+uint64(i), e, err)
 					}
 					if b := g.phys(k); b != lo+uint64(i) {
 						return fmt.Errorf("%w: key %d chained from bucket %d, hashes to %d", ErrDataCorrupt, k, lo+uint64(i), b)

@@ -221,13 +221,14 @@ func TestReadHopsDoNotAllocate(t *testing.T) {
 
 	g := kv.geo.Load()
 	err = ep.Tx(func(tx engine.Tx) error {
-		head, err := loadSlot(tx, g, g.phys(1))
+		r := kv.txReader(tx)
+		head, err := loadSlot(&r, g, g.phys(1))
 		if err != nil {
 			return err
 		}
 		if allocs := testing.AllocsPerRun(500, func() {
 			for e := head; e != 0; {
-				_, next, _, err := loadEntry(tx, e)
+				_, next, _, err := loadEntry(&r, e)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -92,7 +92,7 @@ func (m *batch) splitGroup(tx engine.Tx) (bool, error) {
 	g := &m.g
 	half := g.n0 << g.level
 	lo, hi := g.split, g.split+half
-	slots, count, err := loadGroup(tx, g, lo)
+	slots, count, err := loadGroup(&m.r, g, lo)
 	if err != nil {
 		return false, nil
 	}
@@ -102,7 +102,7 @@ func (m *batch) splitGroup(tx engine.Tx) (bool, error) {
 	for i := range slotGroup {
 		lastKeep, lastMove := -1, -1
 		for e := slots[i]; e != 0; {
-			k, next, v, err := loadEntry(tx, e)
+			k, next, v, err := loadEntry(&m.r, e)
 			if err != nil || uint64(len(m.scratch)) == count {
 				return false, nil // damaged, or longer than the verified count
 			}
@@ -316,13 +316,14 @@ func loadRecord(tx engine.Tx, g *geometry, rec, size uint64) error {
 func (kv *KVStore) upgrade(base *geometry) (*geometry, error) {
 	g := *base
 	err := kv.pool.Tx(func(tx engine.Tx) error {
+		r := kv.txReader(tx)
 		rec, err := tx.Alloc(recordLen)
 		if err != nil {
 			return err
 		}
 		g.rec, g.keys = rec, 0
 		for lo := uint64(0); lo < g.n0; lo += g.gsz {
-			slots, _, err := loadGroup(tx, base, lo)
+			slots, _, err := loadGroup(&r, base, lo)
 			if err != nil {
 				return err
 			}
@@ -332,7 +333,7 @@ func (kv *KVStore) upgrade(base *geometry) (*geometry, error) {
 					if count == maxChainSteps {
 						return fmt.Errorf("%w: chain cycle in bucket group %d", ErrDataCorrupt, lo/slotGroup)
 					}
-					if _, e, _, err = loadEntry(tx, e); err != nil {
+					if _, e, _, err = loadEntry(&r, e); err != nil {
 						return err
 					}
 				}

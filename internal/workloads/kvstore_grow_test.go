@@ -145,10 +145,11 @@ func meanChainPosition(t *testing.T, kv *KVStore) float64 {
 	g := kv.geo.Load()
 	var sum, keys uint64
 	err := kv.pool.Tx(func(tx engine.Tx) error {
+		r := kv.txReader(tx)
 		for b := uint64(0); b < g.buckets(); b++ {
-			e, err := loadSlot(tx, g, b)
+			e, err := loadSlot(&r, g, b)
 			for n := uint64(1); e != 0 && err == nil; n++ {
-				_, e, _, err = loadEntry(tx, e)
+				_, e, _, err = loadEntry(&r, e)
 				sum, keys = sum+n, keys+1
 			}
 			if err != nil {

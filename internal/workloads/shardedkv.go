@@ -1,10 +1,8 @@
 package workloads
 
-import "fmt"
-
 // Sharded key-value layer: the paper's multi-pool scalability argument
 // (Fig. 10–11 runs independent pools in parallel) applied to the KV
-// store. A ShardedKV partitions the keyspace by hash across N KVStores,
+// store. The server partitions the keyspace by hash across N KVStores,
 // each living in its own pool with its own journals and arenas, so
 // transactions on different shards share no persistent state and commit
 // in parallel. Atomicity is per shard: a batched run that spans shards
@@ -26,92 +24,4 @@ func ShardFor(key uint64, n int) int {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return int(x % uint64(n))
-}
-
-// ShardedKV aggregates N per-pool KVStores behind hash routing.
-// It adds no synchronization: callers that serve shards concurrently
-// (the server) lock per shard around the Store they route to.
-type ShardedKV struct {
-	stores []*KVStore
-}
-
-// NewShardedKV builds the routing layer over already-open stores, one
-// per shard, in shard order.
-func NewShardedKV(stores []*KVStore) *ShardedKV {
-	if len(stores) == 0 {
-		panic("workloads: ShardedKV needs at least one store")
-	}
-	return &ShardedKV{stores: stores}
-}
-
-// Shards reports the shard count.
-func (s *ShardedKV) Shards() int { return len(s.stores) }
-
-// Store returns shard i's KVStore.
-func (s *ShardedKV) Store(i int) *KVStore { return s.stores[i] }
-
-// ShardFor routes a key to its shard.
-func (s *ShardedKV) ShardFor(key uint64) int { return ShardFor(key, len(s.stores)) }
-
-// Get routes a lookup to the owning shard.
-func (s *ShardedKV) Get(key uint64) (uint64, bool, error) {
-	return s.stores[s.ShardFor(key)].Get(key)
-}
-
-// Put routes an upsert to the owning shard.
-func (s *ShardedKV) Put(key, val uint64) error {
-	return s.stores[s.ShardFor(key)].Put(key, val)
-}
-
-// Delete routes a removal to the owning shard.
-func (s *ShardedKV) Delete(key uint64) (bool, error) {
-	return s.stores[s.ShardFor(key)].Delete(key)
-}
-
-// Scan walks every shard in order, calling fn until it returns false.
-// Within a shard the order is the store's bucket order; across shards it
-// is shard order — like the single-store Scan, no key order is promised.
-func (s *ShardedKV) Scan(fn func(k, v uint64) bool) error {
-	stop := false
-	for i, kv := range s.stores {
-		err := kv.Scan(func(k, v uint64) bool {
-			if !fn(k, v) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		if stop {
-			return nil
-		}
-	}
-	return nil
-}
-
-// VerifyIntegrity runs every shard's verified walk, naming the shard a
-// failure came from.
-func (s *ShardedKV) VerifyIntegrity() error {
-	for i, kv := range s.stores {
-		if err := kv.VerifyIntegrity(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// PartitionOps splits a batched run across n shards, preserving each
-// shard's relative order, and returns alongside each shard's ops the
-// original indexes so replies can be reassembled in submission order.
-func PartitionOps(ops []Op, n int) (byShard [][]Op, idx [][]int) {
-	byShard = make([][]Op, n)
-	idx = make([][]int, n)
-	for i, op := range ops {
-		s := ShardFor(op.Key, n)
-		byShard[s] = append(byShard[s], op)
-		idx[s] = append(idx[s], i)
-	}
-	return byShard, idx
 }
