@@ -8,15 +8,22 @@ import (
 	"sync/atomic"
 )
 
-// Histogram is a fixed-bucket histogram: cumulative bucket counts plus a
-// running sum, all atomics, so Observe never takes a lock. Bucket bounds
-// are chosen at registration and never change, which is what keeps the
-// hot path to one compare-loop and one atomic add.
+// Histogram is a fixed-bucket histogram: bucket counts plus a running
+// sum, all atomics, so Observe never takes a lock. Bucket bounds are
+// chosen at registration and never change, which is what keeps the hot
+// path to one compare-loop, one atomic add and one uncontended CAS.
+//
+// Like Counter, the cells are sharded by the shardFor stack hint: each
+// shard holds a full set of bucket counts and its own sum on cache lines
+// of its own, so connection goroutines observing the same histogram do
+// not serialize on one word. Readers add the shards up.
 type Histogram struct {
-	bounds []float64       // upper bounds, ascending; +Inf implicit
-	counts []atomic.Uint64 // len(bounds)+1, last is the +Inf bucket
-	sum    atomic.Uint64   // float64 bits, CAS-accumulated
-	count  atomic.Uint64
+	bounds []float64 // upper bounds, ascending; +Inf implicit
+	// cells is counterShards runs of stride words: len(bounds)+1 bucket
+	// counts (the last is the +Inf bucket), then the shard's sum as
+	// float64 bits, padded to whole cache lines.
+	cells  []atomic.Uint64
+	stride int
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -29,9 +36,12 @@ func newHistogram(bounds []float64) *Histogram {
 	for len(bounds) > 0 && math.IsInf(bounds[len(bounds)-1], +1) {
 		bounds = bounds[:len(bounds)-1]
 	}
+	const lineWords = 8
+	stride := (len(bounds) + 2 + lineWords - 1) / lineWords * lineWords
 	return &Histogram{
 		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
+		cells:  make([]atomic.Uint64, counterShards*stride),
+		stride: stride,
 	}
 }
 
@@ -41,22 +51,43 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	shard := h.cells[shardFor()*h.stride:]
+	shard[i].Add(1)
+	sum := &shard[len(h.bounds)+1]
 	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
+		old := sum.Load()
+		if sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}
 }
 
+// bucket returns bucket i's count, summed over the shards.
+func (h *Histogram) bucket(i int) uint64 {
+	var n uint64
+	for s := 0; s < counterShards; s++ {
+		n += h.cells[s*h.stride+i].Load()
+	}
+	return n
+}
+
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := 0; i <= len(h.bounds); i++ {
+		n += h.bucket(i)
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+func (h *Histogram) Sum() float64 {
+	var sum float64
+	for s := 0; s < counterShards; s++ {
+		sum += math.Float64frombits(h.cells[s*h.stride+len(h.bounds)+1].Load())
+	}
+	return sum
+}
 
 // Mean returns the average observed value, or 0 with no observations.
 func (h *Histogram) Mean() float64 {
@@ -73,7 +104,7 @@ func (h *Histogram) Mean() float64 {
 // observations. A rank landing in the +Inf bucket returns the highest
 // finite bound (the estimate is a floor, not an extrapolation).
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+	total := h.Count()
 	if total == 0 {
 		return 0
 	}
@@ -86,7 +117,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	rank := q * float64(total)
 	var cum uint64
 	for i, b := range h.bounds {
-		c := h.counts[i].Load()
+		c := h.bucket(i)
 		if float64(cum+c) >= rank {
 			lo := 0.0
 			if i > 0 {
@@ -120,13 +151,13 @@ func (h *Histogram) writeTo(w io.Writer, name, labels string) {
 	}
 	var cum uint64
 	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
+		cum += h.bucket(i)
 		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, inner, formatFloat(b), cum)
 	}
-	cum += h.counts[len(h.bounds)].Load()
+	cum += h.bucket(len(h.bounds))
 	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, inner, cum)
 	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.Count())
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, cum)
 }
 
 // LatencyBuckets is the default bucket ladder for operation latencies in

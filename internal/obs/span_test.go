@@ -35,6 +35,12 @@ func TestTracerSampling(t *testing.T) {
 	}
 }
 
+// ringShards is the retention slack TestTracerRingBounded grants over the
+// requested capacity. The old ring kept capacity/8 per shard across 8
+// mutex shards and could hold up to 8 more; the slot ring keeps exactly
+// its (power-of-two) capacity, so the slack is now zero.
+const ringShards = 0
+
 func TestTracerRingBounded(t *testing.T) {
 	tr := NewTracer(32, 1)
 	for i := 0; i < 1000; i++ {
@@ -70,25 +76,74 @@ func TestTracerRingBounded(t *testing.T) {
 	}
 }
 
+// TestTracerConcurrentRecord records from many goroutines into a ring
+// far smaller than the traffic, so writers lap each other constantly,
+// while readers snapshot it. Half the writers record one trace at a
+// time, half stage runs in a TraceBuffer. Every field and phase of a
+// trace derives from one value, so a torn copy — fields of two traces in
+// one record — shows as a mismatch.
 func TestTracerConcurrentRecord(t *testing.T) {
-	tr := NewTracer(256, 1)
+	tr := NewTracer(16, 1)
+	names := []string{"SET", "GET", "DEL"}
+	phaseNames := []string{"queue", "journal", "fence", "apply", "ack"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
+			record := tr.Record
+			if g%2 == 1 {
+				buf := tr.Buffer()
+				defer buf.Flush()
+				record = buf.Record
+			}
 			for i := 0; i < 500; i++ {
+				v := int64(g*1000 + i + 1)
 				if tr.Sampled() {
-					tr.Record(OpTrace{Name: "SET", Dur: int64(i), Phases: []PhaseNS{{Name: "queue", Dur: 1}}})
+					var ph [5]PhaseNS
+					n := 1 + int(v%5)
+					for k := 0; k < n; k++ {
+						ph[k] = PhaseNS{Name: phaseNames[k], Start: int64(k) * v, Dur: v}
+					}
+					record(OpTrace{Name: names[v%3], Shard: int(v % 7), Key: uint64(v), Start: v, Dur: v * int64(n)}, ph[:n]...)
 				}
 				if i%50 == 0 {
 					tr.Snapshot()
 					tr.SetSample(1 + i%3)
 				}
 			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, x := range tr.Snapshot() {
+					v := x.Start
+					ok := x.Name == names[v%3] && x.Shard == int(v%7) && x.Key == uint64(v) &&
+						len(x.Phases) == 1+int(v%5) && x.Dur == v*int64(len(x.Phases))
+					for k, p := range x.Phases {
+						ok = ok && p.Name == phaseNames[k] && p.Start == int64(k)*v && p.Dur == v
+					}
+					if !ok {
+						t.Errorf("torn trace read back: %+v", x)
+						return
+					}
+				}
+			}
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	readers.Wait()
 	if len(tr.Snapshot()) == 0 {
 		t.Fatal("no traces retained")
 	}
@@ -208,19 +263,6 @@ func BenchmarkTracerSampledOff(b *testing.B) {
 		for pb.Next() {
 			if tr.Sampled() {
 				b.Fatal("sampled with sampling off")
-			}
-		}
-	})
-}
-
-// BenchmarkTracerSampledOn measures the full trace-record path.
-func BenchmarkTracerSampledOn(b *testing.B) {
-	tr := NewTracer(1024, 1)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if tr.Sampled() {
-				tr.Record(OpTrace{Name: "SET", Start: 1, Dur: 2,
-					Phases: []PhaseNS{{Name: "queue", Dur: 1}, {Name: "journal", Dur: 1}}})
 			}
 		}
 	})

@@ -75,17 +75,35 @@ type PhaseTimes struct {
 	DoneNS    int64
 }
 
-type reply struct {
-	removed bool
-	err     error
-	ph      PhaseTimes
+// run is one submission's completion: the committer writes each op's
+// result into out and counts remaining down, and the op that brings it to
+// zero signals done. One atomic add per op and one channel send per run
+// replace a reply channel per op, and a connection reuses its runs.
+type run struct {
+	out       []SubmitResult
+	remaining atomic.Int64
+	done      chan struct{} // buffered(1): the committer never blocks on it
+}
+
+// errUnanswered marks a result slot the committer has not filled.
+var errUnanswered = errors.New("unanswered")
+
+func newRun() *run { return &run{done: make(chan struct{}, 1)} }
+
+// complete answers op i of the run.
+func (ru *run) complete(i int, res SubmitResult) {
+	ru.out[i] = res
+	if ru.remaining.Add(-1) == 0 {
+		ru.done <- struct{}{}
+	}
 }
 
 type setReq struct {
 	op      workloads.Op
-	subNS   int64      // obs.NowNS at submission (parse time for server ops)
-	barrier bool       // not a mutation: ack once every prior req has committed
-	reply   chan reply // buffered(1): the committer never blocks on it
+	subNS   int64 // obs.NowNS at submission (the op's birth for server ops)
+	barrier bool  // not a mutation: ack once every prior req has committed
+	run     *run
+	i       int // this req's slot in run.out
 }
 
 // Batcher is the group-commit engine: mutations from all connections are
@@ -230,51 +248,89 @@ func (b *Batcher) SubmitMany(ops []workloads.Op) []SubmitResult {
 }
 
 // SubmitManyTimed is SubmitMany with per-op submission timestamps
-// (obs.NowNS values, e.g. each op's parse time) so queue wait is measured
+// (obs.NowNS values, e.g. each op's arrival) so queue wait is measured
 // from when the op actually arrived rather than from this call. A nil
-// startNS stamps every op with now.
+// startNS stamps every op with now. The whole run shares one completion:
+// the committer fills a results slice and the last answer wakes the
+// caller once.
 func (b *Batcher) SubmitManyTimed(ops []workloads.Op, startNS []int64) []SubmitResult {
-	out := make([]SubmitResult, len(ops))
-	reqs := make([]setReq, len(ops))
-	now := obs.NowNS()
-	enqueued := 0
-enqueue:
-	for ; enqueued < len(ops); enqueued++ {
+	ru := newRun()
+	b.enqueue(ru, ops, startNS)
+	b.wait(ru)
+	return ru.out
+}
+
+// enqueue hands ops to the committer as one run, answered in ru.out; wait
+// blocks until every answer is in. Splitting the two lets one connection
+// enqueue its runs to several shards before waiting on any of them.
+func (b *Batcher) enqueue(ru *run, ops []workloads.Op, startNS []int64) {
+	if cap(ru.out) < len(ops) {
+		ru.out = make([]SubmitResult, len(ops))
+	}
+	ru.out = ru.out[:len(ops)]
+	for i := range ru.out {
+		ru.out[i] = SubmitResult{Err: errUnanswered}
+	}
+	ru.remaining.Store(int64(len(ops)))
+	var now int64
+	if startNS == nil {
+		now = obs.NowNS()
+	}
+	for i, op := range ops {
 		sub := now
 		if startNS != nil {
-			sub = startNS[enqueued]
+			sub = startNS[i]
 		}
-		reqs[enqueued] = setReq{op: ops[enqueued], subNS: sub, reply: make(chan reply, 1)}
+		req := setReq{op: op, subNS: sub, run: ru, i: i}
 		select {
-		case b.reqs <- reqs[enqueued]:
-		case <-b.dead:
-			break enqueue
-		}
-	}
-	for i := 0; i < enqueued; i++ {
-		// Prefer a delivered reply over the dead signal: a reply races the
-		// committer's shutdown, and an op that did commit should be acked.
-		select {
-		case rep := <-reqs[i].reply:
-			out[i] = SubmitResult{Removed: rep.removed, Err: rep.err, Phases: rep.ph}
+		case b.reqs <- req: // the queue has room: no need to watch for death
 			continue
 		default:
 		}
 		select {
-		case rep := <-reqs[i].reply:
-			out[i] = SubmitResult{Removed: rep.removed, Err: rep.err, Phases: rep.ph}
+		case b.reqs <- req:
 		case <-b.dead:
-			// The committer died before this op committed: no ack. The op
-			// is either entirely absent or (crash after the commit point)
-			// entirely present — the all-or-nothing contract for
-			// unacknowledged writes.
-			out[i] = SubmitResult{Err: b.failure()}
+			// The rest never reach the committer: answer them here.
+			for j := i; j < len(ops); j++ {
+				ru.out[j] = SubmitResult{Err: b.failure()}
+			}
+			if ru.remaining.Add(int64(i-len(ops))) == 0 {
+				ru.done <- struct{}{}
+			}
+			return
 		}
 	}
-	for i := enqueued; i < len(ops); i++ {
-		out[i] = SubmitResult{Err: b.failure()}
+}
+
+func (b *Batcher) wait(ru *run) {
+	if len(ru.out) == 0 {
+		return
 	}
-	return out
+	select {
+	case <-ru.done:
+		return
+	case <-b.dead:
+	}
+	// The committer is dead or dying: it finishes the batch in hand and
+	// exits, and an op it never took is never answered. Any op of this run
+	// still unanswered is queued or in that batch, so the committer does
+	// exit. An op that did not commit gets no ack: it is either entirely
+	// absent or (crash after the commit point) entirely present — the
+	// all-or-nothing contract for unacknowledged writes.
+	select {
+	case <-ru.done:
+		return
+	case <-b.done:
+	}
+	select {
+	case <-ru.done: // a last answer raced the exit
+	default:
+	}
+	for i := range ru.out {
+		if ru.out[i].Err == errUnanswered {
+			ru.out[i] = SubmitResult{Err: b.failure()}
+		}
+	}
 }
 
 // Stats exposes the batch counters.
@@ -297,23 +353,16 @@ func (b *Batcher) SetFence(fn func(workloads.Op) error) {
 // engine barriers a shard after publishing a fence so that the batch
 // scan sees every pre-fence write.
 func (b *Batcher) Barrier() error {
-	req := setReq{barrier: true, subNS: obs.NowNS(), reply: make(chan reply, 1)}
+	ru := newRun()
+	ru.out = append(ru.out, SubmitResult{Err: errUnanswered})
+	ru.remaining.Store(1)
 	select {
-	case b.reqs <- req:
+	case b.reqs <- setReq{barrier: true, subNS: obs.NowNS(), run: ru}:
 	case <-b.dead:
 		return b.failure()
 	}
-	select {
-	case rep := <-req.reply:
-		return rep.err
-	case <-b.dead:
-		select {
-		case rep := <-req.reply:
-			return rep.err
-		default:
-		}
-		return b.failure()
-	}
+	b.wait(ru)
+	return ru.out[0].Err
 }
 
 // Stop shuts the committer down after draining queued requests. The
@@ -360,7 +409,7 @@ func (b *Batcher) fail(err error) {
 
 func (b *Batcher) run() {
 	defer close(b.done)
-	batch := make([]setReq, 0, b.maxBatch) // reused: every reply is sent before the next batch forms
+	batch := make([]setReq, 0, b.maxBatch) // reused: every op is answered before the next batch forms
 	for {
 		first, ok := <-b.reqs
 		if !ok {
@@ -370,7 +419,7 @@ func (b *Batcher) run() {
 			// FIFO means everything before this barrier was already
 			// assembled into earlier batches and committed (run() only
 			// returns to the channel after its commit completes).
-			first.reply <- reply{}
+			first.run.complete(first.i, SubmitResult{})
 			continue
 		}
 		// Natural batching: take what is already queued, never wait for
@@ -378,7 +427,7 @@ func (b *Batcher) run() {
 		// next one, so a busy committer fills its batches from the backlog
 		// and an idle one commits a lone op at once.
 		batch = append(batch[:0], first)
-		var barriers []chan reply
+		var barriers []setReq
 	collect:
 		for len(batch) < b.maxBatch {
 			select {
@@ -389,7 +438,7 @@ func (b *Batcher) run() {
 				if r.barrier {
 					// Commit what is collected, then ack: the barrier's
 					// contract is "everything before me is durable".
-					barriers = append(barriers, r.reply)
+					barriers = append(barriers, r)
 					break collect
 				}
 				batch = append(batch, r)
@@ -405,7 +454,7 @@ func (b *Batcher) run() {
 			kept := batch[:0]
 			for _, r := range batch {
 				if ferr := (*fp)(r.op); ferr != nil {
-					r.reply <- reply{err: ferr}
+					r.run.complete(r.i, SubmitResult{Err: ferr})
 					continue
 				}
 				kept = append(kept, r)
@@ -414,7 +463,7 @@ func (b *Batcher) run() {
 		}
 		if len(batch) == 0 {
 			for _, br := range barriers {
-				br <- reply{}
+				br.run.complete(br.i, SubmitResult{})
 			}
 			continue
 		}
@@ -457,19 +506,16 @@ func (b *Batcher) run() {
 			}
 		}
 		for i, r := range batch {
-			rep := reply{err: err}
+			rep := SubmitResult{Err: err}
 			if err == nil {
-				rep.removed = res[i]
-				rep.ph = ph
-				rep.ph.QueueNS = commitStart - r.subNS
-				if rep.ph.QueueNS < 0 {
-					rep.ph.QueueNS = 0
-				}
+				rep.Removed = res[i]
+				rep.Phases = ph
+				rep.Phases.QueueNS = max(0, commitStart-r.subNS)
 			}
-			r.reply <- rep
+			r.run.complete(r.i, rep)
 		}
 		for _, br := range barriers {
-			br <- reply{err: err}
+			br.run.complete(br.i, SubmitResult{Err: err})
 		}
 		select {
 		case <-b.dead:

@@ -63,9 +63,9 @@ type serverMetrics struct {
 	readFallbacks *obs.Counter
 
 	// Per-op latency decomposition (seconds). opSeconds* are end-to-end
-	// (parse to reply written); the phase histograms split a mutation's
-	// lifetime into batch-queue wait, durable journal writes, fence
-	// stalls, store apply, and reply serialization.
+	// (request arrival to reply written); the phase histograms split a
+	// mutation's lifetime into batch-queue wait, durable journal writes,
+	// fence stalls, store apply, and reply serialization.
 	opSecondsMut  *obs.Histogram
 	opSecondsRead *obs.Histogram
 	phaseQueue    *obs.Histogram
@@ -121,9 +121,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		batchSizes: reg.Histogram("server_batch_size",
 			"operations folded into one group-commit transaction", nil, batchSizeBuckets),
 		opSecondsMut: reg.Histogram("server_op_seconds",
-			"end-to-end op latency, parse to reply written", obs.Labels{"kind": "mutation"}, opLatencyBuckets),
+			"end-to-end op latency, request arrival to reply written", obs.Labels{"kind": "mutation"}, opLatencyBuckets),
 		opSecondsRead: reg.Histogram("server_op_seconds",
-			"end-to-end op latency, parse to reply written", obs.Labels{"kind": "read"}, opLatencyBuckets),
+			"end-to-end op latency, request arrival to reply written", obs.Labels{"kind": "read"}, opLatencyBuckets),
 		phaseQueue: reg.Histogram("server_op_phase_seconds",
 			"mutation latency by phase", obs.Labels{"phase": "queue"}, opLatencyBuckets),
 		phaseJournal: reg.Histogram("server_op_phase_seconds",

@@ -62,6 +62,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -113,7 +114,10 @@ type Command struct {
 
 // ParseCommand parses one request line (without its '\n'; a trailing '\r'
 // is accepted and stripped). It never panics, whatever the input: every
-// malformed line yields an error.
+// malformed line yields an error. A well-formed GET, SET or DEL allocates
+// nothing: the tokens are sub-slices of line held in a stack array, the
+// verb is matched as an upper-cased stack copy, and numbers are parsed by
+// hand (strconv runs only to word the error for a bad one).
 func ParseCommand(line []byte) (Command, error) {
 	if len(line) > 0 && line[len(line)-1] == '\r' {
 		line = line[:len(line)-1]
@@ -130,45 +134,64 @@ func ParseCommand(line []byte) (Command, error) {
 			return Command{}, ErrBinaryLine
 		}
 	}
-	fields := splitFields(line)
-	if len(fields) == 0 {
+	// Split on runs of spaces, keeping the first len(f) tokens and
+	// counting them all: no command takes more than three.
+	var f [4][]byte
+	n := 0
+	for i := 0; i < len(line); {
+		if line[i] == ' ' {
+			i++
+			continue
+		}
+		j := i
+		for j < len(line) && line[j] != ' ' {
+			j++
+		}
+		if n < len(f) {
+			f[n] = line[i:j]
+		}
+		n++
+		i = j
+	}
+	if n == 0 {
 		return Command{}, ErrEmptyCommand
 	}
-	verb := asciiUpper(fields[0])
-	switch verb {
+	var vb [len("REPLICAOF")]byte
+	verb := appendUpper(vb[:0], f[0])
+	switch string(verb) {
 	case "GET", "DEL":
-		if len(fields) != 2 {
-			return Command{}, fmt.Errorf("%s expects 1 argument, got %d", verb, len(fields)-1)
+		if n != 2 {
+			return Command{}, fmt.Errorf("%s expects 1 argument, got %d", string(verb), n-1)
 		}
-		key, err := parseU64(fields[1])
+		key, err := parseU64(f[1])
 		if err != nil {
 			return Command{}, fmt.Errorf("bad key: %v", err)
 		}
 		k := CmdGet
-		if verb == "DEL" {
+		if verb[0] == 'D' {
 			k = CmdDel
 		}
 		return Command{Kind: k, Key: key}, nil
 	case "SET":
-		if len(fields) != 3 {
-			return Command{}, fmt.Errorf("SET expects 2 arguments, got %d", len(fields)-1)
+		if n != 3 {
+			return Command{}, fmt.Errorf("SET expects 2 arguments, got %d", n-1)
 		}
-		key, err := parseU64(fields[1])
+		key, err := parseU64(f[1])
 		if err != nil {
 			return Command{}, fmt.Errorf("bad key: %v", err)
 		}
-		val, err := parseU64(fields[2])
+		val, err := parseU64(f[2])
 		if err != nil {
 			return Command{}, fmt.Errorf("bad value: %v", err)
 		}
 		return Command{Kind: CmdSet, Key: key, Val: val}, nil
 	case "SCAN":
-		if len(fields) > 2 {
-			return Command{}, fmt.Errorf("SCAN expects at most 1 argument, got %d", len(fields)-1)
+		if n > 2 {
+			return Command{}, fmt.Errorf("SCAN expects at most 1 argument, got %d", n-1)
 		}
 		cmd := Command{Kind: CmdScan}
-		if len(fields) == 2 {
-			limit, err := parseU64(fields[1])
+		if n == 2 {
+			limit, err := parseU64(f[1])
 			if err != nil {
 				return Command{}, fmt.Errorf("bad limit: %v", err)
 			}
@@ -179,58 +202,58 @@ func ParseCommand(line []byte) (Command, error) {
 		}
 		return cmd, nil
 	case "SLOWLOG":
-		if len(fields) > 2 {
-			return Command{}, fmt.Errorf("SLOWLOG expects at most 1 argument, got %d", len(fields)-1)
+		if n > 2 {
+			return Command{}, fmt.Errorf("SLOWLOG expects at most 1 argument, got %d", n-1)
 		}
 		cmd := Command{Kind: CmdSlowlog, Limit: 16}
-		if len(fields) == 2 {
-			n, err := parseU64(fields[1])
+		if n == 2 {
+			c, err := parseU64(f[1])
 			if err != nil {
 				return Command{}, fmt.Errorf("bad count: %v", err)
 			}
-			if n > 4096 {
-				return Command{}, fmt.Errorf("count %d too large", n)
+			if c > 4096 {
+				return Command{}, fmt.Errorf("count %d too large", c)
 			}
-			cmd.Limit = int(n)
+			cmd.Limit = int(c)
 		}
 		return cmd, nil
 	case "RESHARD":
-		if len(fields) != 2 {
-			return Command{}, fmt.Errorf("RESHARD expects 1 argument (shard count), got %d", len(fields)-1)
+		if n != 2 {
+			return Command{}, fmt.Errorf("RESHARD expects 1 argument (shard count), got %d", n-1)
 		}
-		n, err := parseU64(fields[1])
+		c, err := parseU64(f[1])
 		if err != nil {
 			return Command{}, fmt.Errorf("bad shard count: %v", err)
 		}
-		if n < 1 || n > 1024 {
-			return Command{}, fmt.Errorf("shard count %d out of range [1, 1024]", n)
+		if c < 1 || c > 1024 {
+			return Command{}, fmt.Errorf("shard count %d out of range [1, 1024]", c)
 		}
-		return Command{Kind: CmdReshard, Key: n}, nil
+		return Command{Kind: CmdReshard, Key: c}, nil
 	case "BACKUP", "RESTORE":
-		if len(fields) != 2 {
-			return Command{}, fmt.Errorf("%s expects 1 argument (file path), got %d", verb, len(fields)-1)
+		if n != 2 {
+			return Command{}, fmt.Errorf("%s expects 1 argument (file path), got %d", string(verb), n-1)
 		}
 		k := CmdBackup
-		if verb == "RESTORE" {
+		if verb[0] == 'R' {
 			k = CmdRestore
 		}
-		return Command{Kind: k, Path: string(fields[1])}, nil
+		return Command{Kind: k, Path: string(f[1])}, nil
 	case "REPLICAOF":
 		// REPLICAOF <host:port> | REPLICAOF NO ONE. The address rides the
 		// Path field; "NO ONE" parses to an empty Path, which ReplicaOf
 		// treats as PROMOTE.
-		if len(fields) == 3 && asciiUpper(fields[1]) == "NO" && asciiUpper(fields[2]) == "ONE" {
+		if n == 3 && upperIs(f[1], "NO") && upperIs(f[2], "ONE") {
 			return Command{Kind: CmdReplicaOf}, nil
 		}
-		if len(fields) != 2 {
+		if n != 2 {
 			return Command{}, fmt.Errorf("REPLICAOF expects <host:port> or NO ONE")
 		}
-		return Command{Kind: CmdReplicaOf, Path: string(fields[1])}, nil
+		return Command{Kind: CmdReplicaOf, Path: string(f[1])}, nil
 	case "INFO", "STATS", "SCRUB", "PING", "QUIT", "PROMOTE", "REPLINFO":
-		if len(fields) != 1 {
-			return Command{}, fmt.Errorf("%s takes no arguments", verb)
+		if n != 1 {
+			return Command{}, fmt.Errorf("%s takes no arguments", string(verb))
 		}
-		switch verb {
+		switch string(verb) {
 		case "INFO":
 			return Command{Kind: CmdInfo}, nil
 		case "STATS":
@@ -247,49 +270,62 @@ func ParseCommand(line []byte) (Command, error) {
 			return Command{Kind: CmdQuit}, nil
 		}
 	default:
-		return Command{}, fmt.Errorf("unknown command %q", clip(verb, 32))
+		return Command{}, fmt.Errorf("unknown command %q", clip(string(verb), 32))
 	}
 }
 
-// splitFields splits on runs of spaces, like strings.Fields restricted to
-// the one separator the protocol allows.
-func splitFields(line []byte) [][]byte {
-	var out [][]byte
-	start := -1
-	for i, b := range line {
-		if b == ' ' {
-			if start >= 0 {
-				out = append(out, line[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
+// appendUpper appends tok to dst with ASCII letters upper-cased; other
+// bytes, non-ASCII included, pass through and fail the verb switch.
+func appendUpper(dst, tok []byte) []byte {
+	for _, b := range tok {
+		if 'a' <= b && b <= 'z' {
+			b -= 'a' - 'A'
 		}
+		dst = append(dst, b)
 	}
-	if start >= 0 {
-		out = append(out, line[start:])
-	}
-	return out
+	return dst
 }
 
-// asciiUpper uppercases a short token without allocation surprises from
-// non-ASCII bytes (they pass through and fail the verb switch).
-func asciiUpper(tok []byte) string {
-	buf := make([]byte, len(tok))
+// upperIs reports whether tok, ASCII-upper-cased, equals want.
+func upperIs(tok []byte, want string) bool {
+	if len(tok) != len(want) {
+		return false
+	}
 	for i, b := range tok {
 		if 'a' <= b && b <= 'z' {
 			b -= 'a' - 'A'
 		}
-		buf[i] = b
+		if b != want[i] {
+			return false
+		}
 	}
-	return string(buf)
+	return true
 }
 
+// parseU64 parses a decimal uint64. It accepts exactly what
+// strconv.ParseUint(s, 10, 64) accepts, and returns its error.
 func parseU64(tok []byte) (uint64, error) {
 	if len(tok) > 20 { // max uint64 is 20 digits
 		return 0, fmt.Errorf("number %q too long", clip(string(tok), 32))
 	}
-	return strconv.ParseUint(string(tok), 10, 64)
+	if len(tok) == 0 {
+		return 0, numErr(tok)
+	}
+	var v uint64
+	for _, c := range tok {
+		d := uint64(c - '0')
+		if d > 9 || v > (math.MaxUint64-d)/10 {
+			return 0, numErr(tok)
+		}
+		v = v*10 + d
+	}
+	return v, nil
+}
+
+// numErr is strconv's own error for a token parseU64 refused.
+func numErr(tok []byte) error {
+	_, err := strconv.ParseUint(string(tok), 10, 64)
+	return err
 }
 
 func clip(s string, n int) string {

@@ -1,0 +1,8 @@
+//go:build race
+
+package server
+
+// raceEnabled lets allocation pins skip themselves under the race
+// detector, whose instrumentation allocates on paths that otherwise do
+// not.
+const raceEnabled = true

@@ -355,20 +355,16 @@ func (s *Server) handleConn(c net.Conn) {
 	// (~a dozen requests) no matter how deep the client pipelines, and
 	// sharded batchers would starve. Line length is still enforced, by
 	// readLine.
-	r := bufio.NewReaderSize(c, connReadBuf)
-	w := bufio.NewWriter(c)
-	// pending holds a run of consecutive SET/DEL commands this connection
-	// has pipelined. The run is submitted to the batchers as one group the
-	// moment the read buffer holds no further complete request (or the run
-	// reaches the cap, or a non-mutating command needs the run's effects).
-	// This is what lets a single pipelining connection fill a group-commit
-	// batch instead of trickling one op per round trip. The cap scales
-	// with the shard count because the run is split by key hash before
-	// submission: each shard's slice of a full run still averages
-	// MaxBatch ops.
+	cn := &conn{s: s, r: bufio.NewReaderSize(c, connReadBuf), w: bufio.NewWriter(c), traces: s.tracer.Buffer()}
+	defer cn.traces.Flush()
+	// The run cap scales with the shard count because the run is split by
+	// key hash before submission: each shard's slice of a full run still
+	// averages MaxBatch ops.
 	runCap := s.opts.MaxBatch * s.st().n
-	pending := make([]pendingMut, 0, runCap)
+	cn.pending = make([]pendingMut, 0, runCap)
+	r, w := cn.r, cn.w
 	for {
+		buffered := r.Buffered()
 		line, err := readLine(r)
 		switch {
 		case err == nil:
@@ -377,10 +373,11 @@ func (s *Server) handleConn(c net.Conn) {
 			// this request alone and keep the connection — the pipelined
 			// requests behind the oversized line are still valid. The
 			// pending run flushes first so replies stay in request order.
-			s.flushMutations(&pending, w)
+			cn.flushMutations()
 			writeErr(w, err)
+			cn.mark()
 			if r.Buffered() == 0 {
-				if w.Flush() != nil {
+				if cn.flush() != nil {
 					return
 				}
 			}
@@ -391,62 +388,141 @@ func (s *Server) handleConn(c net.Conn) {
 			// absent after the drop, which the protocol permits.
 			return
 		}
+		// The op's birth for latency purposes: a request that was whole in
+		// the buffer at the last op boundary has been waiting since that
+		// boundary's stamp; one that needed a read from the socket starts
+		// now. So a pipelined burst reads the clock once, not once per op.
+		cn.traced = s.tracer.SampleRate() > 0
+		if !cn.traced {
+			cn.lastNS = 0
+		} else if cn.lastNS == 0 || len(line)+1 > buffered {
+			cn.lastNS = obs.NowNS()
+		}
 		cmd, perr := ParseCommand(line)
 		switch {
 		case perr != nil:
-			s.flushMutations(&pending, w)
+			cn.flushMutations()
 			writeErr(w, perr)
+			cn.mark()
 			if errors.Is(perr, ErrBinaryLine) {
 				w.Flush()
 				return
 			}
 		case cmd.Kind == CmdSet || cmd.Kind == CmdDel:
-			// The parse timestamp is the op's birth for latency purposes:
-			// everything from here to the durable-commit ack is decomposed
-			// into phases.
-			pending = append(pending, pendingMut{cmd: cmd, startNS: obs.NowNS()})
-			if len(pending) < runCap && hasFullLine(r) {
+			// Everything from the op's birth to the durable-commit ack is
+			// decomposed into phases.
+			cn.pending = append(cn.pending, pendingMut{cmd: cmd, startNS: cn.lastNS})
+			if len(cn.pending) < runCap && hasFullLine(r) {
 				continue
 			}
-			s.flushMutations(&pending, w)
+			cn.flushMutations()
 		default:
-			s.flushMutations(&pending, w)
-			if quit := s.dispatch(cmd, w); quit {
+			cn.flushMutations()
+			if quit := cn.dispatch(cmd); quit {
 				w.Flush()
 				return
 			}
+			cn.recordRead(cn.mark())
 		}
 		// Flush only when no further request is already buffered: pipelined
 		// clients get their replies in one segment.
 		if r.Buffered() == 0 {
-			if w.Flush() != nil {
+			if cn.flush() != nil {
 				return
 			}
 		}
 	}
 }
 
+// conn is one client connection's serving state: its buffered reader and
+// writer, the run of pipelined mutations not yet submitted, the scratch
+// that submitting a run reuses, and the clock stamp of its last op
+// boundary. Only the connection's own goroutine touches it.
+type conn struct {
+	s *Server
+	r *bufio.Reader
+	w *bufio.Writer
+	// pending holds a run of consecutive SET/DEL commands this connection
+	// has pipelined. The run is submitted to the batchers as one group the
+	// moment the read buffer holds no further complete request (or the run
+	// reaches the cap, or a non-mutating command needs the run's effects).
+	// This is what lets a single pipelining connection fill a group-commit
+	// batch instead of trickling one op per round trip.
+	pending []pendingMut
+	parts   []shardRun     // per shard index: that shard's slice of a run
+	results []SubmitResult // per op of a run, in request order
+	// traced is whether the op being served is timed (the tracer's knob,
+	// read once per request); lastNS is the obs.NowNS stamp of the last op
+	// boundary, 0 while untraced.
+	traced bool
+	lastNS int64
+	// read is the timed read awaiting its reply stamp (startNS 0: none).
+	read pendingRead
+	// traces stages the connection's op traces until its burst ends.
+	traces *obs.TraceBuffer
+}
+
+// flush ends a burst: the replies go out in one segment and the burst's
+// traces reach the ring as one run.
+func (c *conn) flush() error {
+	c.traces.Flush()
+	return c.w.Flush()
+}
+
+// pendingRead is a served GET or SCAN whose latency is recorded once the
+// op boundary after its reply is stamped.
+type pendingRead struct {
+	name    string
+	key     uint64
+	startNS int64 // the op's birth
+	readNS  int64 // the store walk's end
+}
+
+// mark stamps an op boundary (a reply written) and returns the stamp, 0
+// when the op is untraced.
+func (c *conn) mark() int64 {
+	c.lastNS = 0
+	if c.traced {
+		c.lastNS = obs.NowNS()
+	}
+	return c.lastNS
+}
+
 // pendingMut is one pipelined mutation awaiting submission, stamped with
-// its parse time so queue wait is measured from when the op arrived.
+// its birth (0 when untraced) so queue wait is measured from when the op
+// arrived.
 type pendingMut struct {
 	cmd     Command
 	startNS int64
 }
 
+// shardRun is one shard's slice of a connection's mutation run: the ops,
+// their birth stamps and their positions in the run, plus the completion
+// the shard's committer answers them in. Reused from run to run.
+type shardRun struct {
+	ops []workloads.Op
+	ns  []int64
+	idx []int
+	b   *Batcher // the batcher the slice was enqueued to; nil if none
+	run *run
+}
+
 // flushMutations partitions the connection's pipelined run of mutations
-// by owning shard, submits each slice to that shard's batcher — all
-// shards concurrently — and writes the replies back in submission
-// order. Ack-after-commit holds per op: a reply is written only after
-// the shard transaction holding that op has durably committed. Each
-// successful op's latency is decomposed into queue / journal / fence /
-// apply / ack phases (see PhaseTimes) and recorded into the latency
-// histograms and — when sampled — the trace ring.
-func (s *Server) flushMutations(pending *[]pendingMut, w *bufio.Writer) {
-	cmds := *pending
+// by owning shard, enqueues each slice to that shard's batcher — every
+// shard's before waiting on any, so the shards commit concurrently — and
+// writes the replies back in submission order. Ack-after-commit holds per
+// op: a reply is written only after the shard transaction holding that op
+// has durably committed. Each successful op's latency is decomposed into
+// queue / journal / fence / apply / ack phases (see PhaseTimes) and
+// recorded into the latency histograms and — when sampled — the trace
+// ring.
+func (c *conn) flushMutations() {
+	cmds := c.pending
 	if len(cmds) == 0 {
 		return
 	}
-	*pending = cmds[:0]
+	c.pending = cmds[:0]
+	s, w := c.s, c.w
 	// A replica owns no write path: every mutation is redirected to the
 	// primary (-READONLY <addr>), never applied locally — local writes
 	// would silently diverge from the stream.
@@ -454,64 +530,66 @@ func (s *Server) flushMutations(pending *[]pendingMut, w *bufio.Writer) {
 		for range cmds {
 			s.writeReplyErr(w, err)
 		}
+		c.mark()
 		return
 	}
-	ops := make([]workloads.Op, len(cmds))
-	for i, pm := range cmds {
-		if pm.cmd.Kind == CmdDel {
-			ops[i] = workloads.Op{Del: true, Key: pm.cmd.Key}
-		} else {
-			ops[i] = workloads.Op{Key: pm.cmd.Key, Val: pm.cmd.Val}
-		}
-	}
-	results := make([]SubmitResult, len(cmds))
 	// Partition by current ownership: during a migration the Resharder's
 	// cursor refines the plain hash route, so an op lands at the shard
 	// that owns its key right now. The batcher's fence re-vets each op at
 	// commit time — an op that raced a cursor advance is answered -MOVED
 	// and retried by the client, never misapplied.
 	st := s.st()
-	byShard := make([][]workloads.Op, len(st.shards))
-	idx := make([][]int, len(st.shards))
-	for i, op := range ops {
-		si := st.owner(op.Key)
-		byShard[si] = append(byShard[si], op)
-		idx[si] = append(idx[si], i)
+	for len(c.parts) < len(st.shards) {
+		c.parts = append(c.parts, shardRun{run: newRun()})
 	}
-	var wg sync.WaitGroup
-	for si := range st.shards {
-		if len(byShard[si]) == 0 {
+	parts := c.parts[:len(st.shards)]
+	for i := range parts {
+		p := &parts[i]
+		p.ops, p.ns, p.idx, p.b = p.ops[:0], p.ns[:0], p.idx[:0], nil
+	}
+	c.results = c.results[:0]
+	for i, pm := range cmds {
+		op := workloads.Op{Del: pm.cmd.Kind == CmdDel, Key: pm.cmd.Key, Val: pm.cmd.Val}
+		p := &parts[st.owner(op.Key)]
+		p.ops = append(p.ops, op)
+		p.ns = append(p.ns, pm.startNS)
+		p.idx = append(p.idx, i)
+		c.results = append(c.results, SubmitResult{})
+	}
+	for si := range parts {
+		p := &parts[si]
+		if len(p.ops) == 0 {
 			continue
 		}
 		sh := st.shards[si]
 		if err := sh.writable(); err != nil {
-			for _, oi := range idx[si] {
-				results[oi] = SubmitResult{Err: err}
+			for _, i := range p.idx {
+				c.results[i] = SubmitResult{Err: err}
 			}
 			continue
 		}
-		for _, oi := range idx[si] {
-			if cmds[oi].cmd.Kind == CmdDel {
-				s.m.opsDel.Inc()
-			} else {
-				s.m.opsSet.Inc()
+		var dels uint64
+		for _, op := range p.ops {
+			if op.Del {
+				dels++
 			}
 		}
-		sNS := make([]int64, len(idx[si]))
-		for k, oi := range idx[si] {
-			sNS[k] = cmds[oi].startNS
-		}
-		wg.Add(1)
-		go func(sh *shard, sOps []workloads.Op, sNS []int64, sIdx []int) {
-			defer wg.Done()
-			for k, r := range sh.b.SubmitManyTimed(sOps, sNS) {
-				results[sIdx[k]] = r
-			}
-		}(sh, byShard[si], sNS, idx[si])
+		s.m.opsDel.Add(dels)
+		s.m.opsSet.Add(uint64(len(p.ops)) - dels)
+		p.b = sh.b
+		p.b.enqueue(p.run, p.ops, p.ns)
 	}
-	wg.Wait()
-	traceOn := s.tracer.SampleRate() > 0
-	for i, res := range results {
+	for si := range parts {
+		p := &parts[si]
+		if p.b == nil {
+			continue
+		}
+		p.b.wait(p.run)
+		for k, i := range p.idx {
+			c.results[i] = p.run.out[k]
+		}
+	}
+	for i, res := range c.results {
 		switch {
 		case res.Err != nil:
 			s.writeReplyErr(w, res.Err)
@@ -524,23 +602,26 @@ func (s *Server) flushMutations(pending *[]pendingMut, w *bufio.Writer) {
 		default:
 			writeOK(w)
 		}
-		if traceOn && res.Err == nil {
-			s.recordMutation(cmds[i], res.Phases)
+	}
+	// One stamp after the whole run's replies are written: they leave in
+	// one segment, so it is every op's reply time.
+	if repNS := c.mark(); repNS != 0 {
+		for i, res := range c.results {
+			if res.Err == nil && cmds[i].startNS != 0 {
+				c.recordMutation(cmds[i], res.Phases, repNS)
+			}
 		}
 	}
 }
 
 // recordMutation feeds one acked mutation's phase decomposition into the
 // latency histograms and, when this op is sampled, the trace ring. The
-// reply timestamp is taken here — after the reply bytes were written —
-// so the ack phase covers reply serialization and the five phases tile
-// the op's end-to-end latency exactly.
-func (s *Server) recordMutation(pm pendingMut, ph PhaseTimes) {
-	repNS := obs.NowNS()
-	ackNS := repNS - ph.DoneNS
-	if ackNS < 0 {
-		ackNS = 0
-	}
+// reply timestamp repNS is taken after the reply bytes were written, so
+// the ack phase covers reply serialization and the five phases tile the
+// op's end-to-end latency exactly.
+func (c *conn) recordMutation(pm pendingMut, ph PhaseTimes, repNS int64) {
+	s := c.s
+	ackNS := max(0, repNS-ph.DoneNS)
 	e2e := repNS - pm.startNS
 	m := s.m
 	m.opSecondsMut.Observe(float64(e2e) / 1e9)
@@ -556,26 +637,23 @@ func (s *Server) recordMutation(pm pendingMut, ph PhaseTimes) {
 	if pm.cmd.Kind == CmdDel {
 		name = "DEL"
 	}
-	off := int64(0)
-	phase := func(n string, dur int64) obs.PhaseNS {
-		p := obs.PhaseNS{Name: n, Start: off, Dur: dur}
-		off += dur
-		return p
+	phases := [...]obs.PhaseNS{
+		{Name: "queue", Dur: ph.QueueNS},
+		{Name: "journal", Dur: ph.JournalNS},
+		{Name: "fence", Dur: ph.FenceNS},
+		{Name: "apply", Dur: ph.ApplyNS},
+		{Name: "ack", Dur: ackNS},
 	}
-	s.tracer.Record(obs.OpTrace{
+	for i := 1; i < len(phases); i++ {
+		phases[i].Start = phases[i-1].Start + phases[i-1].Dur
+	}
+	c.traces.Record(obs.OpTrace{
 		Name:  name,
 		Shard: s.st().owner(pm.cmd.Key),
 		Key:   pm.cmd.Key,
 		Start: pm.startNS,
 		Dur:   e2e,
-		Phases: []obs.PhaseNS{
-			phase("queue", ph.QueueNS),
-			phase("journal", ph.JournalNS),
-			phase("fence", ph.FenceNS),
-			phase("apply", ph.ApplyNS),
-			phase("ack", ackNS),
-		},
-	})
+	}, phases[:]...)
 }
 
 // hasFullLine reports whether the reader's buffer already holds a
@@ -633,7 +711,8 @@ func readLine(r *bufio.Reader) ([]byte, error) {
 // dispatch executes one parsed non-mutating command and writes its reply
 // (SET/DEL go through flushMutations). It reports whether the connection
 // should close (QUIT).
-func (s *Server) dispatch(cmd Command, w *bufio.Writer) bool {
+func (c *conn) dispatch(cmd Command) (quit bool) {
+	s, w := c.s, c.w
 	if s.testHook != nil {
 		s.testHook(cmd)
 	}
@@ -651,9 +730,9 @@ func (s *Server) dispatch(cmd Command, w *bufio.Writer) bool {
 	switch cmd.Kind {
 	case CmdGet:
 		s.m.opsGet.Inc()
-		startNS := obs.NowNS()
+		startNS := c.lastNS
 		val, found, err := s.get(cmd.Key)
-		readNS := obs.NowNS() - startNS
+		readNS := c.stamp()
 		switch {
 		case err != nil:
 			s.writeReplyErr(w, err)
@@ -663,13 +742,13 @@ func (s *Server) dispatch(cmd Command, w *bufio.Writer) bool {
 			writeNil(w)
 		}
 		if err == nil {
-			s.recordRead("GET", cmd.Key, startNS, readNS)
+			c.read = pendingRead{name: "GET", key: cmd.Key, startNS: startNS, readNS: readNS}
 		}
 	case CmdScan:
 		s.m.opsScan.Inc()
-		startNS := obs.NowNS()
+		startNS := c.lastNS
 		pairs, err := s.scan(cmd.Limit)
-		readNS := obs.NowNS() - startNS
+		readNS := c.stamp()
 		if err != nil {
 			s.writeReplyErr(w, err)
 		} else {
@@ -677,7 +756,9 @@ func (s *Server) dispatch(cmd Command, w *bufio.Writer) bool {
 			for i := 0; i < len(pairs); i += 2 {
 				writePair(w, pairs[i], pairs[i+1])
 			}
-			s.recordRead("SCAN", 0, startNS, readNS)
+		}
+		if err == nil {
+			c.read = pendingRead{name: "SCAN", startNS: startNS, readNS: readNS}
 		}
 	case CmdInfo:
 		writeBulk(w, s.renderInfo())
@@ -687,6 +768,7 @@ func (s *Server) dispatch(cmd Command, w *bufio.Writer) bool {
 		s.m.opsScrub.Inc()
 		writeBulk(w, s.runScrub())
 	case CmdSlowlog:
+		c.traces.Flush() // this connection's own traces count too
 		writeBulk(w, obs.FormatSlowlog(s.tracer.Slowest(cmd.Limit)))
 	case CmdReshard:
 		if err := s.Reshard(int(cmd.Key)); err != nil {
@@ -735,34 +817,45 @@ func (s *Server) dispatch(cmd Command, w *bufio.Writer) bool {
 	return false
 }
 
-// recordRead feeds one successful read's latency into the read histogram
-// and, when sampled, the trace ring: a "read" phase (store access under
-// the shard reader lock) and an "ack" phase (reply serialization).
-func (s *Server) recordRead(name string, key uint64, startNS, readNS int64) {
-	if s.tracer.SampleRate() <= 0 {
+// stamp reads the clock mid-op when the op is traced.
+func (c *conn) stamp() int64 {
+	if c.lastNS == 0 {
+		return 0
+	}
+	return obs.NowNS()
+}
+
+// recordRead feeds the pending read, if any, into the read latency
+// histogram and, when sampled, the trace ring: a "read" phase (the store
+// walk, from the op's birth) and an "ack" phase (reply serialization, up
+// to repNS, the boundary stamped after the reply).
+func (c *conn) recordRead(repNS int64) {
+	rd := c.read
+	c.read = pendingRead{}
+	if rd.startNS == 0 || repNS == 0 {
 		return
 	}
-	repNS := obs.NowNS()
-	e2e := repNS - startNS
+	s := c.s
+	e2e := repNS - rd.startNS
 	s.m.opSecondsRead.Observe(float64(e2e) / 1e9)
 	if !s.tracer.Sampled() {
 		return
 	}
 	shardID := -1
-	if name == "GET" {
-		shardID = s.st().owner(key)
+	if rd.name == "GET" {
+		shardID = s.st().owner(rd.key)
 	}
-	s.tracer.Record(obs.OpTrace{
-		Name:  name,
+	phases := [...]obs.PhaseNS{
+		{Name: "read", Start: 0, Dur: rd.readNS - rd.startNS},
+		{Name: "ack", Start: rd.readNS - rd.startNS, Dur: repNS - rd.readNS},
+	}
+	c.traces.Record(obs.OpTrace{
+		Name:  rd.name,
 		Shard: shardID,
-		Key:   key,
-		Start: startNS,
+		Key:   rd.key,
+		Start: rd.startNS,
 		Dur:   e2e,
-		Phases: []obs.PhaseNS{
-			{Name: "read", Start: 0, Dur: readNS},
-			{Name: "ack", Start: readNS, Dur: e2e - readNS},
-		},
-	})
+	}, phases[:]...)
 }
 
 // get and scan serve reads, each shard's walk through read (readpath.go).
