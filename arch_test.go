@@ -1,8 +1,10 @@
 package corundum_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -63,5 +65,53 @@ func TestImportGraphLaws(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestUnsafeAddrOnlyInCore makes the one exception to the device's access
+// rule law. Every load and store of persistent memory is a pmem.Device
+// method, except through the address Device.UnsafeAddr returns, which the
+// typed layer in internal/core needs to hand out *T. Stores through that
+// address are invisible to the crash model, so no non-test file outside
+// internal/core may select UnsafeAddr.
+func TestUnsafeAddrOnlyInCore(t *testing.T) {
+	core := filepath.Join("internal", "core")
+	fset := token.NewFileSet()
+	files, coreCalls := 0, 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files++
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "UnsafeAddr" {
+				if filepath.Dir(path) == core {
+					coreCalls++
+				} else {
+					t.Errorf("%s selects UnsafeAddr: only internal/core may take an address into device memory; use the device's Load/Store methods", fset.Position(sel.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 || coreCalls == 0 {
+		t.Fatalf("parsed %d files and found %d UnsafeAddr calls in %s: the law is checking nothing", files, coreCalls, core)
 	}
 }

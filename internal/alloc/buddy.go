@@ -74,9 +74,10 @@ type Buddy struct {
 	heapSize  uint64
 	maxOrder  uint
 
-	inUse uint64     // volatile accounting of allocated bytes
-	batch *redoBatch // reusable staging buffer (guarded by mu)
-	slab  slabCache  // per-size-class free cache (guarded by mu)
+	inUse  uint64              // volatile accounting of allocated bytes
+	batch  *redoBatch          // reusable staging buffer (guarded by mu)
+	slab   slabCache           // per-size-class free cache (guarded by mu)
+	crcBuf [maxOrders * 8]byte // crcThrough's image of a region (guarded by mu)
 }
 
 // mapChunkSize is the order-map granularity of checksum protection: one
@@ -205,7 +206,7 @@ func Validate(dev *pmem.Device, metaOff, heapOff, heapSize uint64) error {
 // rawPush links a free block during Format, bypassing the redo log.
 func (b *Buddy) rawPush(order uint, off uint64) {
 	headOff := b.headsOff + uint64(order)*8
-	oldHead := binary.LittleEndian.Uint64(b.dev.Bytes()[headOff:])
+	oldHead := b.dev.Load8(headOff)
 	var w [8]byte
 	binary.LittleEndian.PutUint64(w[:], oldHead)
 	b.dev.Write(off, w[:]) // next
@@ -217,8 +218,7 @@ func (b *Buddy) rawPush(order uint, off uint64) {
 	}
 	binary.LittleEndian.PutUint64(w[:], off)
 	b.dev.Write(headOff, w[:])
-	b.dev.Bytes()[b.granuleMapOff(off)] = mapFreeFlag | byte(order)
-	b.dev.MarkDirty(b.granuleMapOff(off), 1)
+	b.dev.StoreBytes(b.granuleMapOff(off), []byte{mapFreeFlag | byte(order)})
 }
 
 func (b *Buddy) granuleMapOff(off uint64) uint64 {
@@ -301,10 +301,7 @@ func (b *Buddy) AllocEx(size uint64, payload []byte, extra func(off uint64) []Up
 		batch.stage8(off+8, binary.LittleEndian.Uint64(head[8:16]))
 		if len(payload) > 16 {
 			rest := payload[16:]
-			// Word-atomic: lock-free seqlock readers chasing a stale next
-			// pointer can land on these bytes mid-store.
-			pmem.StoreBytes(b.dev.Bytes(), off+16, rest)
-			b.dev.MarkDirty(off+16, uint64(len(rest)))
+			b.dev.StoreBytes(off+16, rest)
 			b.dev.Persist(off+16, uint64(len(rest)))
 		}
 	}
@@ -335,7 +332,7 @@ func (b *Buddy) IsAllocated(off, size uint64) bool {
 		// replay free them a second time.
 		return false
 	}
-	return b.dev.Bytes()[b.granuleMapOff(off)] == byte(orderFor(size))
+	return loadByte(b.dev, b.granuleMapOff(off)) == byte(orderFor(size))
 }
 
 // Owns reports whether off falls inside this arena's heap.
@@ -412,7 +409,7 @@ func (b *Buddy) Free(off, size uint64) error {
 	if _, parked := b.slab.cached[off]; parked {
 		return fmt.Errorf("%w: offset %#x already freed (parked)", ErrBadFree, off)
 	}
-	if got := b.dev.Bytes()[b.granuleMapOff(off)]; got != byte(order) {
+	if got := loadByte(b.dev, b.granuleMapOff(off)); got != byte(order) {
 		return fmt.Errorf("%w: offset %#x marked %#x, freeing order %d", ErrBadFree, off, got, order)
 	}
 	// Slab fast path: park the block instead of running a redo cycle.
@@ -514,7 +511,7 @@ func (b *Buddy) FreeSummary() FreeSummary {
 	var s FreeSummary
 	for o := uint(MinOrder); o <= b.maxOrder; o++ {
 		steps := 0
-		for off := binary.LittleEndian.Uint64(b.dev.Bytes()[b.headsOff+uint64(o)*8:]); off != 0; off = binary.LittleEndian.Uint64(b.dev.Bytes()[off:]) {
+		for off := b.dev.Load8(b.headsOff + uint64(o)*8); off != 0; off = b.dev.Load8(off) {
 			if !b.Owns(off) || steps > int(b.heapSize/Granule) {
 				break // corrupt list; CheckConsistency reports the details
 			}
@@ -533,7 +530,7 @@ func (b *Buddy) freeBytesLocked() uint64 {
 	var total uint64
 	for o := uint(MinOrder); o <= b.maxOrder; o++ {
 		steps := 0
-		for off := binary.LittleEndian.Uint64(b.dev.Bytes()[b.headsOff+uint64(o)*8:]); off != 0; off = binary.LittleEndian.Uint64(b.dev.Bytes()[off:]) {
+		for off := b.dev.Load8(b.headsOff + uint64(o)*8); off != 0; off = b.dev.Load8(off) {
 			if !b.Owns(off) || steps > int(b.heapSize/Granule) {
 				// Corrupt list; CheckConsistency reports the details.
 				break
@@ -562,7 +559,7 @@ func (b *Buddy) checkConsistencyLocked() error {
 		prev := uint64(0)
 		headOff := b.headsOff + uint64(o)*8
 		steps := 0
-		for off := binary.LittleEndian.Uint64(b.dev.Bytes()[headOff:]); off != 0; off = binary.LittleEndian.Uint64(b.dev.Bytes()[off:]) {
+		for off := b.dev.Load8(headOff); off != 0; off = b.dev.Load8(off) {
 			if off < b.heapOff || off >= b.heapOff+b.heapSize {
 				return fmt.Errorf("alloc: free list order %d contains wild pointer %#x", o, off)
 			}
@@ -576,10 +573,10 @@ func (b *Buddy) checkConsistencyLocked() error {
 			if rel%(uint64(1)<<o) != 0 {
 				return fmt.Errorf("alloc: free block %#x misaligned for order %d", off, o)
 			}
-			if got := b.dev.Bytes()[b.granuleMapOff(off)]; got != mapFreeFlag|byte(o) {
+			if got := loadByte(b.dev, b.granuleMapOff(off)); got != mapFreeFlag|byte(o) {
 				return fmt.Errorf("alloc: free block %#x order %d has map byte %#x", off, o, got)
 			}
-			if gotPrev := binary.LittleEndian.Uint64(b.dev.Bytes()[off+8:]); gotPrev != prev {
+			if gotPrev := b.dev.Load8(off + 8); gotPrev != prev {
 				return fmt.Errorf("alloc: block %#x prev %#x, want %#x", off, gotPrev, prev)
 			}
 			if _, dup := covered[rel]; dup {
@@ -608,12 +605,12 @@ func (b *Buddy) checkConsistencyLocked() error {
 	for ci := range b.slab.classes {
 		order := uint(ci + MinOrder)
 		for _, blk := range b.slab.classes[ci] {
-			if got := b.dev.Bytes()[b.granuleMapOff(blk.off)]; got != byte(order) {
+			if got := loadByte(b.dev, b.granuleMapOff(blk.off)); got != byte(order) {
 				return fmt.Errorf("alloc: parked block %#x order %d has map byte %#x", blk.off, order, got)
 			}
 			pos := b.slabSlotOff(blk.slot)
-			gotOff := binary.LittleEndian.Uint64(b.dev.Bytes()[pos:])
-			gotMeta := binary.LittleEndian.Uint64(b.dev.Bytes()[pos+8:])
+			gotOff := b.dev.Load8(pos)
+			gotMeta := b.dev.Load8(pos + 8)
 			if gotOff != blk.off || gotMeta != slabMeta(blk.off, order) {
 				return fmt.Errorf("alloc: parked block %#x order %d has stale ledger slot %d", blk.off, order, blk.slot)
 			}

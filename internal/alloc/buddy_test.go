@@ -177,7 +177,9 @@ func TestAtomicInitWritesPayload(t *testing.T) {
 	}
 	dev.Crash()
 	b2 := Open(dev, 0, MetaSize(testHeap), testHeap)
-	if got := string(dev.Bytes()[off : off+uint64(len(payload))]); got != string(payload) {
+	got := make([]byte, len(payload))
+	dev.LoadBytes(off, got)
+	if string(got) != string(payload) {
 		t.Fatalf("payload after crash = %q, want %q", got, payload)
 	}
 	if err := b2.CheckConsistency(); err != nil {
@@ -342,8 +344,8 @@ func TestSmallPayloadAllocFreeCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got0 := binary.LittleEndian.Uint64(dev.Bytes()[off:])
-		got1 := binary.LittleEndian.Uint64(dev.Bytes()[off+8:])
+		got0 := dev.Load8(off)
+		got1 := dev.Load8(off + 8)
 		if got0 != uint64(i)+1 || got1 != uint64(i)+1000000 {
 			t.Fatalf("iter %d: payload lost: %d %d", i, got0, got1)
 		}

@@ -63,29 +63,30 @@ func (b *Buddy) stageChecksums(batch *redoBatch) {
 		}
 	}
 	if headsTouched {
-		batch.stage8(b.headsCRCSlot(), uint64(b.crcThrough(batch, b.headsOff, headsEnd)))
+		batch.stage8(b.headsCRCSlot(), uint64(b.crcThrough(batch.entries, b.headsOff, headsEnd)))
 	}
 	for _, c := range chunks {
 		start, end := b.chunkSpan(c)
-		batch.stage8(b.chunkCRCSlot(c), uint64(b.crcThrough(batch, start, end)))
+		batch.stage8(b.chunkCRCSlot(c), uint64(b.crcThrough(batch.entries, start, end)))
 	}
 }
 
-// crcThrough hashes [start, end) as it will read after the batch applies.
-func (b *Buddy) crcThrough(batch *redoBatch, start, end uint64) uint32 {
-	h := crc32.NewIEEE()
-	var buf [mapChunkSize]byte
-	n := 0
-	for off := start; off < end; off++ {
-		buf[n] = batch.readAt(off)
-		n++
-		if n == len(buf) {
-			h.Write(buf[:n])
-			n = 0
+// crcThrough hashes [start, end) — the free heads or one map chunk — as
+// it will read once the staged entries apply: the live bytes, overlaid
+// with every entry that covers them (the earliest-staged wins where two
+// overlap). With no entries it hashes the live bytes.
+func (b *Buddy) crcThrough(staged []redoEntry, start, end uint64) uint32 {
+	img := b.crcBuf[:end-start] // the free heads fill it; a map chunk is smaller
+	b.dev.LoadBytes(start, img)
+	for k := len(staged) - 1; k >= 0; k-- {
+		e := staged[k]
+		for i := uint64(0); i < uint64(e.width); i++ {
+			if off := e.off + i; off >= start && off < end {
+				img[off-start] = byte(e.val >> (8 * i))
+			}
 		}
 	}
-	h.Write(buf[:n])
-	return h.Sum32()
+	return crc32.ChecksumIEEE(img)
 }
 
 // writeAllChecksums computes and writes every checksum slot from the live
@@ -97,10 +98,10 @@ func (b *Buddy) writeAllChecksums() {
 		binary.LittleEndian.PutUint64(w[:], uint64(crc))
 		b.dev.Write(slot, w[:])
 	}
-	put(b.headsCRCSlot(), crc32.ChecksumIEEE(b.dev.Bytes()[b.headsOff:b.headsOff+maxOrders*8]))
+	put(b.headsCRCSlot(), b.crcThrough(nil, b.headsOff, b.headsOff+maxOrders*8))
 	for c := uint64(0); c < mapChunks(b.mapBytes); c++ {
 		start, end := b.chunkSpan(c)
-		put(b.chunkCRCSlot(c), crc32.ChecksumIEEE(b.dev.Bytes()[start:end]))
+		put(b.chunkCRCSlot(c), b.crcThrough(nil, start, end))
 	}
 }
 
@@ -111,22 +112,20 @@ func (b *Buddy) writeAllChecksums() {
 // error naming the first mismatching region otherwise.
 func VerifyChecksums(dev *pmem.Device, metaOff, heapOff, heapSize uint64) error {
 	b := layout(dev, metaOff, heapOff, heapSize)
-	if binary.LittleEndian.Uint64(dev.Bytes()[b.logOff:]) != 0 {
+	if dev.Load8(b.logOff) != 0 {
 		return nil // committed-but-unapplied redo log; replay restores consistency
 	}
 	return b.verifyChecksumsLocked()
 }
 
 func (b *Buddy) verifyChecksumsLocked() error {
-	read := func(slot uint64) uint32 {
-		return uint32(binary.LittleEndian.Uint64(b.dev.Bytes()[slot:]))
-	}
-	if got, want := crc32.ChecksumIEEE(b.dev.Bytes()[b.headsOff:b.headsOff+maxOrders*8]), read(b.headsCRCSlot()); got != want {
+	read := func(slot uint64) uint32 { return uint32(b.dev.Load8(slot)) }
+	if got, want := b.crcThrough(nil, b.headsOff, b.headsOff+maxOrders*8), read(b.headsCRCSlot()); got != want {
 		return fmt.Errorf("alloc: free-heads checksum mismatch: computed %#x, stored %#x", got, want)
 	}
 	for c := uint64(0); c < mapChunks(b.mapBytes); c++ {
 		start, end := b.chunkSpan(c)
-		if got, want := crc32.ChecksumIEEE(b.dev.Bytes()[start:end]), read(b.chunkCRCSlot(c)); got != want {
+		if got, want := b.crcThrough(nil, start, end), read(b.chunkCRCSlot(c)); got != want {
 			return fmt.Errorf("alloc: order-map chunk %d [%#x,%#x) checksum mismatch: computed %#x, stored %#x", c, start, end, got, want)
 		}
 	}

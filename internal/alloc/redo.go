@@ -91,27 +91,21 @@ func (b *redoBatch) read8(off uint64) uint64 {
 	if e := b.find(off); e != nil && e.width == 8 {
 		return e.val
 	}
-	return binary.LittleEndian.Uint64(b.dev.Bytes()[off:])
+	return b.dev.Load8(off)
 }
 
 func (b *redoBatch) read1(off uint64) byte {
 	if e := b.find(off); e != nil && e.width == 1 {
 		return byte(e.val)
 	}
-	return b.dev.Bytes()[off]
+	return loadByte(b.dev.Device, off)
 }
 
-// readAt returns the byte at off as it will read once the batch applies,
-// regardless of the width of the entry covering it. Checksum staging uses
-// it to hash regions through the batch.
-func (b *redoBatch) readAt(off uint64) byte {
-	for i := range b.entries {
-		e := &b.entries[i]
-		if off >= e.off && off < e.off+uint64(e.width) {
-			return byte(e.val >> (8 * (off - e.off)))
-		}
-	}
-	return b.dev.Bytes()[off]
+// loadByte returns the byte at off.
+func loadByte(dev *pmem.Device, off uint64) byte {
+	var v [1]byte
+	dev.LoadBytes(off, v[:])
+	return v[0]
 }
 
 func encodeEntry(buf []byte, e redoEntry) {
@@ -190,7 +184,7 @@ func clearLogHeader(dev pmem.Handle, logOff uint64) {
 // A torn log (checksum mismatch) means the commit point was never reached:
 // the operation un-happened, and the log is discarded.
 func replayLog(dev pmem.Handle, logOff uint64) {
-	n := binary.LittleEndian.Uint64(dev.Bytes()[logOff:])
+	n := dev.Load8(logOff)
 	if n == 0 {
 		return
 	}
@@ -202,8 +196,9 @@ func replayLog(dev pmem.Handle, logOff uint64) {
 		clearLogHeader(dev, logOff)
 		return
 	}
-	wantCRC := binary.LittleEndian.Uint32(dev.Bytes()[logOff+8:])
-	raw := dev.Bytes()[logOff+logHeaderSize : logOff+logHeaderSize+n*entrySize]
+	wantCRC := uint32(dev.Load8(logOff + 8))
+	raw := make([]byte, n*entrySize)
+	dev.LoadBytes(logOff+logHeaderSize, raw)
 	if crc32.ChecksumIEEE(raw) != wantCRC {
 		clearLogHeader(dev, logOff)
 		return

@@ -3,8 +3,6 @@ package alloc
 import (
 	"encoding/binary"
 	"hash/crc32"
-
-	"corundum/internal/pmem"
 )
 
 // The slab layer kills the allocator's per-operation fence tax. Without
@@ -279,10 +277,7 @@ func (b *Buddy) AllocClaim(size uint64, payload []byte, journal int, epoch uint6
 		// The block is off every free list (its bytes are not live links),
 		// so the payload lands directly; flushed, unfenced, it becomes
 		// durable with the claim at the caller's next fence.
-		// Word-atomic: the block may become reachable to lock-free
-		// seqlock readers the moment the caller links it.
-		pmem.StoreBytes(b.dev.Bytes(), blk.off, payload)
-		b.dev.MarkDirty(blk.off, uint64(len(payload)))
+		b.dev.StoreBytes(blk.off, payload)
 		b.dev.Flush(blk.off, uint64(len(payload)))
 	}
 	b.slab.stats.Hits++
@@ -483,10 +478,9 @@ func (b *Buddy) replayLedger() {
 	}
 	var blocks []parked
 	seen := make(map[uint64]struct{})
-	img := b.dev.Bytes()
 	dirty := false
 	for i := 0; i < slabLedgerSlots; i++ {
-		if binary.LittleEndian.Uint64(img[b.slabSlotOff(i)+8:]) != 0 {
+		if b.dev.Load8(b.slabSlotOff(i)+8) != 0 {
 			dirty = true
 			break
 		}
@@ -504,16 +498,16 @@ func (b *Buddy) replayLedger() {
 	}
 	decode := func(i int) (off uint64, order uint, meta uint64, ok bool) {
 		pos := b.slabSlotOff(i)
-		meta = binary.LittleEndian.Uint64(img[pos+8:])
+		meta = b.dev.Load8(pos + 8)
 		if meta == 0 {
 			return 0, 0, 0, false
 		}
-		off = binary.LittleEndian.Uint64(img[pos:])
+		off = b.dev.Load8(pos)
 		order = uint(meta&0xFF) &^ slabClaimedFlag
 		ok = slabOrderIndex(order) >= 0 &&
 			off >= b.heapOff && off+(uint64(1)<<order) <= b.heapOff+b.heapSize &&
 			(off-b.heapOff)%(uint64(1)<<order) == 0 &&
-			img[b.granuleMapOff(off)] == byte(order)
+			loadByte(b.dev, b.granuleMapOff(off)) == byte(order)
 		return off, order, meta, ok
 	}
 	// Parked entries first: when a parked and a claimed entry name the same

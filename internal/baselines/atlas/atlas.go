@@ -91,14 +91,14 @@ func (t *tx) Free(off, size uint64) error {
 	return nil
 }
 
-func (t *tx) Load(off uint64) uint64 { return t.base.Load8(off) }
+func (t *tx) Load(off uint64) uint64 { return t.base.Dev.Load8(off) }
 
 func (t *tx) Store(off, val uint64) error {
 	pmem.Busy(storeBookkeeping)
 	if err := t.log.Log(off, 8); err != nil {
 		return err
 	}
-	t.base.Put8(off, val)
+	t.base.Dev.Store8(off, val)
 	t.log.DataWritten(off, 8)
 	return nil
 }
@@ -108,13 +108,13 @@ func (t *tx) StoreBytes(off uint64, data []byte) error {
 	if err := t.log.Log(off, uint64(len(data))); err != nil {
 		return err
 	}
-	copy(t.base.Dev.Bytes()[off:], data)
+	t.base.Dev.StoreBytes(off, data)
 	t.log.DataWritten(off, uint64(len(data)))
 	return nil
 }
 
 func (t *tx) ReadBytes(off uint64, out []byte) {
-	copy(out, t.base.Dev.Bytes()[off:])
+	t.base.Dev.LoadBytes(off, out)
 }
 
 func (t *tx) SetRoot(off uint64) error { return t.Store(t.base.RootSlot(), off) }

@@ -5,7 +5,6 @@
 package common
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -62,7 +61,7 @@ func OpenBase(cfg engine.Config, logCap uint64) (*BasePool, error) {
 
 // Root reads the root slot.
 func (p *BasePool) Root() uint64 {
-	return binary.LittleEndian.Uint64(p.Dev.Bytes()[rootOff:])
+	return p.Dev.Load8(rootOff)
 }
 
 // RootSlot returns the offset of the root slot so transactions can store
@@ -74,16 +73,3 @@ func (p *BasePool) Device() *pmem.Device { return p.Dev }
 
 // Close flushes and detaches.
 func (p *BasePool) Close() error { return p.Dev.Close() }
-
-// Word helpers shared by the models.
-
-// Load8 reads a word directly from the media (the undo-log read path).
-func (p *BasePool) Load8(off uint64) uint64 {
-	return binary.LittleEndian.Uint64(p.Dev.Bytes()[off:])
-}
-
-// Put8 writes a word directly (callers log first per their discipline).
-func (p *BasePool) Put8(off, val uint64) {
-	binary.LittleEndian.PutUint64(p.Dev.Bytes()[off:], val)
-	p.Dev.MarkDirty(off, 8)
-}

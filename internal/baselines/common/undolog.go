@@ -3,6 +3,7 @@ package common
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // UndoLog is a minimal persistent undo log the undo-based baseline models
@@ -25,6 +26,7 @@ type UndoLog struct {
 
 	tail   uint64
 	ranges []span
+	old    []byte // scratch for one snapshot
 }
 
 type span struct{ off, n uint64 }
@@ -56,7 +58,9 @@ func (l *UndoLog) Log(off, n uint64) error {
 	binary.LittleEndian.PutUint64(hdr[0:], off)
 	binary.LittleEndian.PutUint64(hdr[8:], n)
 	l.p.Dev.Write(l.tail, hdr[:])
-	l.p.Dev.Write(l.tail+16, l.p.Dev.Bytes()[off:off+n])
+	l.old = slices.Grow(l.old[:0], int(n))[:n]
+	l.p.Dev.LoadBytes(off, l.old)
+	l.p.Dev.Write(l.tail+16, l.old)
 	// The snapshot must be durable before the data write.
 	l.p.Dev.Persist(l.tail, 16+pad)
 	l.tail += 16 + pad
@@ -70,7 +74,6 @@ func (l *UndoLog) Log(off, n uint64) error {
 // DataWritten tells the log that [off, off+n) was just stored; eager
 // disciplines persist it immediately.
 func (l *UndoLog) DataWritten(off, n uint64) {
-	l.p.Dev.MarkDirty(off, n)
 	if l.eagerData {
 		l.p.Dev.Persist(off, n)
 	}
@@ -95,15 +98,14 @@ func (l *UndoLog) Abort() {
 	pos := l.p.LogOff
 	var entries []span // log positions
 	for pos < l.tail {
-		n := binary.LittleEndian.Uint64(l.p.Dev.Bytes()[pos+8:])
+		n := l.p.Dev.Load8(pos + 8)
 		entries = append(entries, span{pos, n})
 		pos += 16 + ((n + 7) &^ 7)
 	}
 	for i := len(entries) - 1; i >= 0; i-- {
 		e := entries[i]
-		off := binary.LittleEndian.Uint64(l.p.Dev.Bytes()[e.off:])
-		copy(l.p.Dev.Bytes()[off:off+e.n], l.p.Dev.Bytes()[e.off+16:])
-		l.p.Dev.MarkDirty(off, e.n)
+		off := l.p.Dev.Load8(e.off)
+		l.p.Dev.Copy(off, e.off+16, e.n)
 		l.p.Dev.Flush(off, e.n)
 	}
 	l.p.Dev.Fence()

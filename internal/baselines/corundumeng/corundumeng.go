@@ -5,8 +5,6 @@
 package corundumeng
 
 import (
-	"encoding/binary"
-
 	"corundum/internal/baselines/engine"
 	"corundum/internal/journal"
 	"corundum/internal/pmem"
@@ -91,7 +89,7 @@ func (t *tx) Free(off, size uint64) error {
 }
 
 func (t *tx) Load(off uint64) uint64 {
-	return binary.LittleEndian.Uint64(t.p.Device().Bytes()[off:])
+	return t.p.Device().Load8(off)
 }
 
 // Store and StoreBytes check pool writability here, not just in the
@@ -111,10 +109,7 @@ func (t *tx) Store(off, val uint64) error {
 	if err != nil {
 		return err
 	}
-	// Word-atomic: lock-free seqlock readers (pool.ReadView) may race
-	// this store; the seq re-check discards what they saw, but the store
-	// itself must not tear under the Go memory model.
-	pmem.StoreWord(t.p.Device().Bytes(), off, val)
+	t.p.Device().Store8(off, val)
 	return nil
 }
 
@@ -125,12 +120,12 @@ func (t *tx) StoreBytes(off uint64, data []byte) error {
 	if err := t.j.DataLog(off, uint64(len(data))); err != nil {
 		return err
 	}
-	pmem.StoreBytes(t.p.Device().Bytes(), off, data)
+	t.p.Device().StoreBytes(off, data)
 	return nil
 }
 
 func (t *tx) ReadBytes(off uint64, out []byte) {
-	copy(out, t.p.Device().Bytes()[off:])
+	t.p.Device().LoadBytes(off, out)
 }
 
 func (t *tx) SetRoot(off uint64) error { return t.p.SetRoot(t.j, off, 0) }

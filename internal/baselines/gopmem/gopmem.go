@@ -64,10 +64,9 @@ func (p *enginePool) Tx(body func(tx engine.Tx) error) error {
 // gcSweep models go-pmem's stop-the-world heap scan: it touches the whole
 // order map (time proportional to heap size) and then reclaims garbage.
 func (p *enginePool) gcSweep() {
-	var sum byte
-	mem := p.base.Dev.Bytes()
-	for _, b := range mem[:len(mem)/64] { // scan metadata-sized fraction
-		sum ^= b
+	var sum uint64
+	for off := uint64(0); off < uint64(p.base.Dev.Size()/64); off += 8 { // scan metadata-sized fraction
+		sum ^= p.base.Dev.Load8(off)
 	}
 	_ = sum
 	for _, g := range p.garbage {
@@ -100,14 +99,14 @@ func (t *tx) Free(off, size uint64) error {
 	return nil
 }
 
-func (t *tx) Load(off uint64) uint64 { return t.pool.base.Load8(off) }
+func (t *tx) Load(off uint64) uint64 { return t.pool.base.Dev.Load8(off) }
 
 func (t *tx) Store(off, val uint64) error {
 	pmem.Busy(storeBarrier)
 	if err := t.log.Log(off, 8); err != nil {
 		return err
 	}
-	t.pool.base.Put8(off, val)
+	t.pool.base.Dev.Store8(off, val)
 	t.log.DataWritten(off, 8)
 	return nil
 }
@@ -116,13 +115,13 @@ func (t *tx) StoreBytes(off uint64, data []byte) error {
 	if err := t.log.Log(off, uint64(len(data))); err != nil {
 		return err
 	}
-	copy(t.pool.base.Dev.Bytes()[off:], data)
+	t.pool.base.Dev.StoreBytes(off, data)
 	t.log.DataWritten(off, uint64(len(data)))
 	return nil
 }
 
 func (t *tx) ReadBytes(off uint64, out []byte) {
-	copy(out, t.pool.base.Dev.Bytes()[off:])
+	t.pool.base.Dev.LoadBytes(off, out)
 }
 
 func (t *tx) SetRoot(off uint64) error { return t.Store(t.pool.base.RootSlot(), off) }

@@ -100,7 +100,7 @@ func (t *tx) Load(off uint64) uint64 {
 	if v, ok := t.writeSet[off]; ok {
 		return v
 	}
-	return t.base.Load8(off)
+	return t.base.Dev.Load8(off)
 }
 
 // Store appends to the streaming redo log (flushed per entry, fenced at
@@ -165,7 +165,7 @@ func (t *tx) commit() {
 	t.base.Dev.Write(t.base.LogOff, n[:])
 	t.base.Dev.Persist(t.base.LogOff, 8) // commit point
 	for _, off := range t.order {
-		t.base.Put8(off, t.writeSet[off])
+		t.base.Dev.Store8(off, t.writeSet[off])
 		t.base.Dev.Flush(off, 8)
 	}
 	t.base.Dev.Fence()

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"corundum/internal/baselines/engine"
+	"corundum/internal/core"
 	"corundum/internal/pmem"
 )
 
@@ -58,6 +60,38 @@ func TestMicroSmall(t *testing.T) {
 	small, big := byOp["DropLog (8 B)"], byOp["DropLog (32 kB)"]
 	if big > 5*small+200 {
 		t.Errorf("DropLog should be size-independent: 8B=%.0fns 32kB=%.0fns", small, big)
+	}
+}
+
+// TestDataLogRowLogsItsPayload pins that Table 5's DataLog rows measure
+// an undo entry of the named size: the journal-scope bytes written per
+// DataLog grow with the payload and cover it.
+func TestDataLogRowLogsItsPayload(t *testing.T) {
+	cfg := core.Config{Size: 32 << 20, Journals: 2, JournalCap: 1 << 20, Mem: pmem.Options{Profile: pmem.NoDelay}}
+	if _, err := core.Open[microRoot, microTag]("", cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer core.ClosePool[microTag]()
+	var logged uint64
+	core.DeviceOf[microTag]().SetOpHook(func(op pmem.Op, sc pmem.Scope, n uint64) {
+		if op == pmem.OpWrite && sc == pmem.ScopeJournal {
+			logged += n
+		}
+	})
+	const ops = 64
+	prev := uint64(0)
+	for _, size := range []uint64{8, 1024, 4096} {
+		logged = 0
+		var total time.Duration
+		if err := dataLogBench(size, ops, &total); err != nil {
+			t.Fatal(err)
+		}
+		per := logged / ops
+		t.Logf("DataLog (%s): %d journal bytes written per op", sizeLabel(size), per)
+		if per < size || per <= prev {
+			t.Errorf("DataLog (%s) wrote %d journal bytes per op (previous size %d): the row does not log its payload", sizeLabel(size), per, prev)
+		}
+		prev = per
 	}
 }
 

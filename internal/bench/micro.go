@@ -184,8 +184,7 @@ func Micro(prof pmem.Profile, ops int) ([]MicroResult, error) {
 	}
 	add("TxNop", time.Since(start), ops)
 
-	// DataLog at the paper's sizes: fresh offsets each time so the
-	// first-touch dedup never hides the cost.
+	// DataLog at the paper's sizes.
 	for _, size := range []uint64{8, 1024, 4096} {
 		n := ops / 20
 		var total time.Duration
@@ -273,18 +272,36 @@ func allocDealloc(prof pmem.Profile, size uint64, n int) (allocNs, freeNs float6
 
 func dataLogBench(size uint64, n int, total *time.Duration) error {
 	const perTx = 16
-	return batchTx(n, perTx, func(j *core.Journal[microTag], cnt int) error {
-		// Fresh allocations give fresh offsets, so every DataLog pays.
-		for k := 0; k < cnt; k++ {
-			off, err := j.Inner().Alloc(size)
-			if err != nil {
+	// The blocks come from an earlier transaction. A block the logging
+	// transaction allocated itself needs no undo entry (the journal keeps
+	// a flush-only range for it), so logging it would time nothing.
+	blocks := make([]uint64, perTx)
+	if err := core.Transaction[microTag](func(j *core.Journal[microTag]) (err error) {
+		for k := range blocks {
+			if blocks[k], err = j.Inner().Alloc(size); err != nil {
 				return err
 			}
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	// Each transaction logs each block once, so first-touch dedup never
+	// hides the cost.
+	if err := batchTx(n, perTx, func(j *core.Journal[microTag], cnt int) error {
+		for _, off := range blocks[:cnt] {
 			t0 := time.Now()
 			if err := j.Inner().DataLog(off, size); err != nil {
 				return err
 			}
 			*total += time.Since(t0)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	return core.Transaction[microTag](func(j *core.Journal[microTag]) error {
+		for _, off := range blocks {
 			if err := j.Inner().DropLog(off, size); err != nil {
 				return err
 			}

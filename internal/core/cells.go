@@ -163,7 +163,7 @@ func (c *PRefCell[T, P]) Read() T {
 // the inverse of derefAt for interior-mutability cells embedded in
 // persistent structs.
 func (st *poolState) offsetOf(p unsafe.Pointer) uint64 {
-	base := uintptr(unsafe.Pointer(&st.dev.Bytes()[0]))
+	base := uintptr(st.dev.UnsafeAddr(0))
 	addr := uintptr(p)
 	if addr < base || addr >= base+uintptr(st.dev.Size()) {
 		panic("corundum: cell is not inside the pool; persistent wrappers must be embedded in pool-resident structs")

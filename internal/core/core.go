@@ -182,9 +182,7 @@ func Open[T any, P any](path string, cfg Config) (Root[T, P], error) {
 		if err != nil {
 			return err
 		}
-		zero := make([]byte, sizeOf[T]())
-		copy(st.dev.Bytes()[off:], zero)
-		st.dev.MarkDirty(off, sizeOf[T]())
+		st.dev.StoreBytes(off, make([]byte, sizeOf[T]()))
 		st.dev.Persist(off, sizeOf[T]())
 		rootOff = off
 		return p.SetRoot(j, off, wantHash)
@@ -272,11 +270,14 @@ func sizeOf[T any]() uint64 {
 
 // derefAt returns a typed pointer directly into the pool arena, the
 // DAX-style zero-copy access the paper measures at sub-nanosecond cost.
+// It and offsetOf are Device.UnsafeAddr's only users: stores through the
+// pointer are invisible to the device until the journal's commit marks
+// and flushes the range their DataLog named (Device.FlushUnsafe).
 func derefAt[T any](st *poolState, off uint64) *T {
 	if off == 0 {
 		panic("corundum: nil persistent pointer dereference")
 	}
-	return (*T)(unsafe.Pointer(&st.dev.Bytes()[off]))
+	return (*T)(st.dev.UnsafeAddr(off))
 }
 
 // bytesOf views v's memory as a byte slice for initializing allocations.

@@ -109,3 +109,67 @@ func TestEvictionCrashSweep(t *testing.T) {
 		}
 	}
 }
+
+type tagSibling struct{}
+
+type siblingRoot struct {
+	A PRefCell[int64, tagSibling]
+	B PCell[int64, tagSibling]
+}
+
+// TestTypedStoreSurvivesSiblingCommit guards the journal's commit-time
+// write-back of the typed path. A is stored through the pointer BorrowMut
+// hands out, which the device never sees. Between A's undo log and its
+// store, a transaction on a second journal commits B, a neighbouring word
+// of the same cache line, and its flush clears the line's dirty mark. A's
+// commit must still mark and flush A's logged range, or A's value lives
+// only in the cache and the crash loses it.
+func TestTypedStoreSurvivesSiblingCommit(t *testing.T) {
+	root := openMem[siblingRoot, tagSibling](t)
+	logged, siblingDone := make(chan struct{}), make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		errc <- Transaction[tagSibling](func(j *Journal[tagSibling]) error {
+			rm, err := root.Deref().A.BorrowMut(j)
+			if err != nil {
+				return err
+			}
+			close(logged)
+			<-siblingDone
+			*rm.Value() = 10
+			return nil
+		})
+	}()
+	select {
+	case <-logged:
+	case err := <-errc:
+		t.Fatalf("transaction A ended before its store: %v", err)
+	}
+	if err := Transaction[tagSibling](func(j *Journal[tagSibling]) error {
+		return root.Deref().B.Set(j, 20)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(siblingDone)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+
+	dev := DeviceOf[tagSibling]()
+	dev.Crash()
+	if err := ClosePool[tagSibling](); err != nil {
+		t.Fatal(err)
+	}
+	p, err := pool.Attach(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopted, err := Adopt[siblingRoot, tagSibling](p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := adopted.Deref()
+	if a, b := r.A.Read(), r.B.Get(); a != 10 || b != 20 {
+		t.Fatalf("after both commits and a crash A=%d B=%d, want A=10 B=20", a, b)
+	}
+}

@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // PString is a persistent string: a length and a pointer to pool-resident
 // bytes. Go strings are !PSafe (their data lives on the volatile heap);
 // PString is the persistent replacement, as PVec is for slices. The zero
@@ -29,8 +31,7 @@ func (s PString[P]) String() string {
 	if s.size == 0 {
 		return ""
 	}
-	st := mustState[P]()
-	return string(st.dev.Bytes()[s.data : s.data+s.size])
+	return string(unsafe.Slice(derefAt[byte](mustState[P](), s.data), s.size))
 }
 
 // StringJ is String using the transaction's pool handle.
@@ -38,7 +39,7 @@ func (s PString[P]) StringJ(j *Journal[P]) string {
 	if s.size == 0 {
 		return ""
 	}
-	return string(j.st.dev.Bytes()[s.data : s.data+s.size])
+	return string(unsafe.Slice(derefAt[byte](j.st, s.data), s.size))
 }
 
 // Equal compares against a volatile string without allocating.
@@ -49,8 +50,7 @@ func (s PString[P]) Equal(other string) bool {
 	if s.size == 0 {
 		return true
 	}
-	st := mustState[P]()
-	return string(st.dev.Bytes()[s.data:s.data+s.size]) == other
+	return unsafe.String(derefAt[byte](mustState[P](), s.data), int(s.size)) == other
 }
 
 // Free schedules the string's storage for deallocation at commit.

@@ -83,7 +83,7 @@ func (v *PVec[T, P]) grow(j *Journal[P]) error {
 	size := sizeOf[T]()
 	payload := make([]byte, newCap*size)
 	if v.len > 0 {
-		copy(payload, j.st.dev.Bytes()[v.data:v.data+v.len*size])
+		j.st.dev.LoadBytes(v.data, payload[:v.len*size])
 	}
 	newData, err := j.inner.AllocInit(payload)
 	if err != nil {

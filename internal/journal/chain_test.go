@@ -45,7 +45,6 @@ func makeCells(t *testing.T, f *fixture, n int) []uint64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.dev.MarkDirty(off, 256)
 		f.dev.Persist(off, 256)
 		cells[i] = off
 	}
@@ -200,7 +199,6 @@ func TestHugeDataLogChunksAndRollsBack(t *testing.T) {
 	for i := uint64(0); i < bigSize; i += 8 {
 		f.write8(big+i, i)
 	}
-	f.dev.MarkDirty(big, bigSize)
 	f.dev.Persist(big, bigSize)
 
 	j.Begin()

@@ -53,9 +53,10 @@ func encodeSlotWord(index int, stateWord uint64) uint64 {
 // It says nothing about freshness — a stale-but-valid mirror is a
 // legitimate post-crash state (the mirror is lazy); only damage makes
 // this return false.
-func SlotOK(img []byte, dirOff uint64, index int) bool {
-	slot := img[dirOff+uint64(index)*slotSize:][:slotSize]
-	w := leUint64(slot)
+func SlotOK(dev *pmem.Device, dirOff uint64, index int) bool {
+	var slot [slotSize]byte
+	dev.LoadBytes(dirOff+uint64(index)*slotSize, slot[:])
+	w := leUint64(slot[:])
 	if w != encodeSlotWord(index, uint64(uint32(w))) {
 		return false
 	}
@@ -71,17 +72,9 @@ func SlotOK(img []byte, dirOff uint64, index int) bool {
 // with its buffer state word: a lost lazy-mirror write, a torn mirror
 // update, or at-rest damage — all repaired the same way, by rewriting
 // the slot from the buffer word.
-func slotStale(img []byte, dirOff, bufOff uint64, index int) bool {
-	slot := dirOff + uint64(index)*slotSize
-	if leUint64(img[slot:]) != encodeSlotWord(index, leUint64(img[bufOff:])) {
-		return true
-	}
-	for _, b := range img[slot+stateSize : slot+slotSize] {
-		if b != 0 {
-			return true
-		}
-	}
-	return false
+func slotStale(dev *pmem.Device, dirOff, bufOff uint64, index int) bool {
+	return dev.Load8(dirOff+uint64(index)*slotSize) != encodeSlotWord(index, stateWord(dev, bufOff)) ||
+		!SlotOK(dev, dirOff, index)
 }
 
 // RepairSlot rewrites journal index's directory slot from its buffer

@@ -10,6 +10,7 @@ package journal
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"corundum/internal/alloc"
 	"corundum/internal/pmem"
@@ -95,6 +96,7 @@ type Journal struct {
 	//                             these instead of re-scanning and re-checksumming
 	//                             the persistent log; recovery scans)
 	allocSpans []span              // blocks allocated this tx (fresh-block undo skip)
+	undo       []byte              // scratch for the old bytes of one data entry
 	logged     map[uint64]struct{} // data offsets already undo-logged this tx
 	held       map[uint64]struct{} // lock keys held until transaction end
 	depth      int                 // flattened-nesting depth
@@ -147,15 +149,11 @@ func attach(dev *pmem.Device, heap Heap, arena int, slotOff, bufOff, bufCap uint
 
 // stateWord reads the journal's packed [epoch<<8 | state] word.
 func stateWord(dev *pmem.Device, bufOff uint64) uint64 {
-	return leUint64(dev.Bytes()[bufOff:])
+	return dev.Load8(bufOff)
 }
 
 // Arena returns the allocator arena index bound to this journal.
 func (j *Journal) Arena() int { return j.arena }
-
-// Device returns the underlying device (used by the typed layer for direct
-// loads and stores).
-func (j *Journal) Device() *pmem.Device { return j.dev }
 
 // Begin starts (or, when nested, joins) a transaction on this journal.
 // Nested begins flatten, as in the paper: only the outermost End commits.
@@ -297,7 +295,9 @@ const maxDataPayload = chainPageSize / 2
 func (j *Journal) appendChunked(off, n uint64) error {
 	for n > 0 {
 		chunk := min(n, maxDataPayload)
-		if err := j.append(entryData, off, chunk, j.dev.Bytes()[off:off+chunk]); err != nil {
+		j.undo = slices.Grow(j.undo[:0], int(chunk))[:chunk]
+		j.dev.LoadBytes(off, j.undo)
+		if err := j.append(entryData, off, chunk, j.undo); err != nil {
 			return err
 		}
 		off += chunk
@@ -412,10 +412,13 @@ func (j *Journal) commit() {
 		j.tail = j.bufOff + stateSize
 		return
 	}
+	// The typed layer stores through UnsafeAddr, unseen by the device, so
+	// each range is marked here, just before its flush: a mark made at
+	// DataLog time could be cleared by a sibling commit's flush of a
+	// shared line before the store lands.
 	for _, e := range entries {
 		if e.kind == entryData || e.kind == entryFlushOnly {
-			j.dev.MarkDirty(e.off, e.size)
-			j.dev.Flush(e.off, e.size)
+			j.dev.FlushUnsafe(e.off, e.size)
 		}
 	}
 	hasDrops := false
@@ -535,10 +538,9 @@ func (j *Journal) rollback() {
 		e := entries[i]
 		switch e.kind {
 		case entryData:
-			// Word-atomic for aligned lanes: a rollback restores heap
-			// bytes that lock-free seqlock readers may be racing.
-			pmem.StoreBytes(j.dev.Bytes(), e.off, e.payload)
-			j.dev.MarkDirty(e.off, e.size)
+			// Restore from the entry's payload in the log. After a power
+			// cut the store panics instead of landing.
+			j.dev.Copy(e.off, e.pl, e.size)
 			j.dev.Flush(e.off, e.size)
 		case entryAlloc:
 			if err := j.heap.Free(e.off, e.size); err != nil {

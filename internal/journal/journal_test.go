@@ -2,7 +2,6 @@ package journal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"corundum/internal/alloc"
@@ -68,11 +67,11 @@ func (f *fixture) reopen(t *testing.T) (rolledBack, rolledForward int) {
 }
 
 func (f *fixture) write8(off, val uint64) {
-	binary.LittleEndian.PutUint64(f.dev.Bytes()[off:], val)
+	f.dev.Store8(off, val)
 }
 
 func (f *fixture) read8(off uint64) uint64 {
-	return binary.LittleEndian.Uint64(f.dev.Bytes()[off:])
+	return f.dev.Load8(off)
 }
 
 func TestEmptyTransactionTouchesNoPM(t *testing.T) {
@@ -99,7 +98,6 @@ func TestCommittedUpdateSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.write8(cell, 1)
-	f.dev.MarkDirty(cell, 8)
 	f.dev.Persist(cell, 8)
 
 	j.Begin()
@@ -120,7 +118,6 @@ func TestAbortRestoresOldValue(t *testing.T) {
 	j := f.js[0]
 	cell, _ := j.heap.AllocEx(0, 8, nil, nil)
 	f.write8(cell, 7)
-	f.dev.MarkDirty(cell, 8)
 	f.dev.Persist(cell, 8)
 
 	j.Begin()
@@ -142,7 +139,6 @@ func TestCrashMidTransactionRollsBack(t *testing.T) {
 	j := f.js[0]
 	cell, _ := j.heap.AllocEx(0, 8, nil, nil)
 	f.write8(cell, 7)
-	f.dev.MarkDirty(cell, 8)
 	f.dev.Persist(cell, 8)
 
 	j.Begin()
@@ -150,7 +146,6 @@ func TestCrashMidTransactionRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.write8(cell, 99)
-	f.dev.MarkDirty(cell, 8)
 	f.dev.Persist(cell, 8) // the torn update even reached the media
 	// Crash without End: recovery must undo the update.
 	rb, _ := f.reopen(t)
@@ -335,7 +330,6 @@ func TestCrashAtEveryPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.write8(cell, 100)
-		f.dev.MarkDirty(cell, 8)
 		f.dev.Persist(cell, 8)
 
 		var count int
@@ -447,7 +441,6 @@ func TestRecoverIsIdempotent(t *testing.T) {
 	j := f.js[0]
 	cell, _ := j.heap.AllocEx(0, 8, nil, nil)
 	f.write8(cell, 5)
-	f.dev.MarkDirty(cell, 8)
 	f.dev.Persist(cell, 8)
 	j.Begin()
 	if err := j.DataLog(cell, 8); err != nil {
@@ -471,7 +464,6 @@ func TestMultipleJournalsIndependent(t *testing.T) {
 	c0, _ := f.heap.AllocEx(0, 8, nil, nil)
 	c1, _ := f.heap.AllocEx(0, 8, nil, nil)
 	for _, c := range []uint64{c0, c1} {
-		f.dev.MarkDirty(c, 8)
 		f.dev.Persist(c, 8)
 	}
 

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"corundum/internal/alloc"
+	"corundum/internal/pmem"
 )
 
 func leUint64(b []byte) uint64     { return binary.LittleEndian.Uint64(b) }
@@ -51,10 +53,10 @@ const chainPageSize = 64 << 10
 const entryHdrSize = 24
 
 type entry struct {
-	kind    byte
-	off     uint64
-	size    uint64
-	payload []byte // nil except for data entries
+	kind byte
+	off  uint64
+	size uint64
+	pl   uint64 // data entries: device offset of the payload in the log
 }
 
 // entryCRC seeds every entry checksum with the transaction epoch, binding
@@ -106,11 +108,7 @@ func (j *Journal) append(kind byte, off, size uint64, payload []byte) error {
 	j.log.Flush(flushFrom, j.tail+total+1-flushFrom)
 	j.log.Fence()
 	j.flushedTo = j.tail + total
-	var pl []byte
-	if kind == entryData {
-		pl = j.dev.Bytes()[j.tail+entryHdrSize : j.tail+entryHdrSize+size]
-	}
-	j.live = append(j.live, entry{kind: kind, off: off, size: size, payload: pl})
+	j.live = append(j.live, entry{kind: kind, off: off, size: size, pl: j.tail + entryHdrSize})
 	j.tail += total
 	j.logBytes += total
 	return nil
@@ -238,36 +236,41 @@ func (j *Journal) finishAppend(hdrOff uint64) {
 // scanBuffer decodes a journal's entries under the given epoch, stopping
 // at the terminator or at the first entry with a bad checksum (a torn
 // tail, or an entry from a different transaction).
-func scanBuffer(mem []byte, bufOff, bufCap, epoch uint64) []entry {
+func scanBuffer(dev *pmem.Device, bufOff, bufCap, epoch uint64) []entry {
 	var entries []entry
+	var hdr [entryHdrSize]byte
+	var buf []byte // payload scratch: only the checksum reads it
 	pos := bufOff + stateSize
 	end := bufOff + bufCap
 	const maxPages = 1 << 16 // cycle/corruption guard
 	pages := 0
 	for pos+entryHdrSize <= end {
-		kind := mem[pos]
+		dev.LoadBytes(pos, hdr[:])
+		kind := hdr[0]
 		if kind == entryEnd {
 			break
 		}
-		crc := binary.LittleEndian.Uint32(mem[pos+4:])
-		off := binary.LittleEndian.Uint64(mem[pos+8:])
-		size := binary.LittleEndian.Uint64(mem[pos+16:])
+		crc := binary.LittleEndian.Uint32(hdr[4:])
+		off := binary.LittleEndian.Uint64(hdr[8:])
+		size := binary.LittleEndian.Uint64(hdr[16:])
 		var payload []byte
 		next := pos + entryHdrSize
 		if kind == entryData {
-			if next+pad8(size) > end {
+			if size > end-next || next+pad8(size) > end {
 				break // corrupt length; treat as torn
 			}
-			payload = mem[next : next+size]
+			buf = slices.Grow(buf[:0], int(size))
+			payload = buf[:size]
+			dev.LoadBytes(next, payload)
 			next += pad8(size)
 		}
 		if entryCRC(epoch, kind, off, size, payload) != crc {
 			break // torn or foreign entry: never completed, never acted on
 		}
-		entries = append(entries, entry{kind: kind, off: off, size: size, payload: payload})
+		entries = append(entries, entry{kind: kind, off: off, size: size, pl: pos + entryHdrSize})
 		if kind == entryLink {
 			pages++
-			if pages > maxPages || off+size > uint64(len(mem)) {
+			if pages > maxPages || off+size > uint64(dev.Size()) {
 				break
 			}
 			pos = off

@@ -31,12 +31,12 @@ func Recover(dev *pmem.Device, heap Heap, dirOff, bufOff, bufCap uint64, n int) 
 			// buffer word (a lazy retire's mirror write lost at the crash)
 			// or carry at-rest damage; the buffer word is authoritative
 			// either way, so resync in place.
-			if slotStale(dev.Bytes(), dirOff, bOff, i) {
+			if slotStale(dev, dirOff, bOff, i) {
 				RepairSlot(rec, dirOff, bufOff, bufCap, i)
 			}
 			continue
 		}
-		entries := scanBuffer(dev.Bytes(), bOff, bufCap, epoch)
+		entries := scanBuffer(dev, bOff, bufCap, epoch)
 		var pages []entry
 		for _, e := range entries {
 			if e.kind == entryLink {
@@ -67,11 +67,13 @@ func Recover(dev *pmem.Device, heap Heap, dirOff, bufOff, bufCap uint64, n int) 
 				e := entries[k]
 				switch e.kind {
 				case entryData:
-					// Write (not a raw copy) so the restore store is itself an
+					// Write (not Copy, which is uncounted) so the restore is an
 					// injectable device op: exhaustive exploration must be able
 					// to cut power between any two recovery stores, and a store
 					// the injector cannot see would be an unexplorable gap.
-					rec.Write(e.off, e.payload)
+					old := make([]byte, e.size)
+					dev.LoadBytes(e.pl, old)
+					rec.Write(e.off, old)
 					rec.Flush(e.off, e.size)
 				case entryAlloc:
 					if heap.IsAllocated(e.off, e.size) {

@@ -41,7 +41,6 @@ func TestRecoverCrashAtEveryOpConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.write8(cell, 7)
-	f.dev.MarkDirty(cell, 8)
 	f.dev.Persist(cell, 8)
 
 	// A transaction that logged a data update, overwrote the cell durably,
@@ -52,7 +51,6 @@ func TestRecoverCrashAtEveryOpConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.write8(cell, 99)
-	f.dev.MarkDirty(cell, 8)
 	f.dev.Persist(cell, 8)
 	torn, err := j.Alloc(128)
 	if err != nil {
@@ -128,7 +126,6 @@ func TestEndThenRecoverCrashMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.write8(cell, 7)
-	f.dev.MarkDirty(cell, 8)
 	f.dev.Persist(cell, 8)
 
 	j.Begin()
@@ -136,7 +133,6 @@ func TestEndThenRecoverCrashMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.write8(cell, 99)
-	f.dev.MarkDirty(cell, 8)
 	f.dev.Persist(cell, 8)
 	if err := j.DropLog(victim, 64); err != nil {
 		t.Fatal(err)
@@ -178,7 +174,6 @@ func TestEndThenRecoverCrashMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.write8(cell, 99)
-		f.dev.MarkDirty(cell, 8)
 		f.dev.Persist(cell, 8)
 		if err := j.DropLog(victim, 64); err != nil {
 			t.Fatal(err)

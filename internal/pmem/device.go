@@ -1,7 +1,6 @@
 package pmem
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -17,11 +16,13 @@ import (
 
 // Device is an emulated persistent-memory device.
 //
-// The live contents (what loads observe) are in buf; callers may take
-// pointers directly into buf via Bytes, which models DAX-mapped PM where
-// loads and stores bypass the OS entirely. Stores land in the emulated CPU
-// cache: they are visible immediately but do not survive a crash until the
-// affected cache lines are Flushed and a Fence has completed. When crash
+// The live contents (what loads observe) are in buf, and every load and
+// store of them is a device method (word.go): DAX-mapped PM, where loads
+// and stores bypass the OS, but never the crash model. Stores land in the
+// emulated CPU cache: they are visible immediately but do not survive a
+// crash until the affected cache lines are Flushed and a Fence has
+// completed. The typed layer's in-place pointers (UnsafeAddr) are the one
+// documented exception. When crash
 // tracking is enabled, the device maintains a shadow copy holding exactly
 // the bytes that would survive power loss, so tests can cut power at any
 // instruction boundary and observe the surviving state.
@@ -290,29 +291,10 @@ func (d *Device) observe(op Op, sc Scope, off, n uint64) {
 	}
 }
 
-// Bytes exposes the live contents for direct, DAX-style access. Callers
-// that store through this slice must report the written range with
-// MarkDirty for crash tracking to stay sound.
-func (d *Device) Bytes() []byte { return d.buf }
-
-// MarkDirty records that [off, off+n) has been stored to through Bytes.
-// It is cheap (atomic bit sets) and must precede the Flush that persists
-// the range.
-func (d *Device) MarkDirty(off, n uint64) {
-	d.bounds(off, n)
-	first := off / CacheLineSize
-	last := (off + n - 1) / CacheLineSize
-	for line := first; line <= last; line++ {
-		d.dirty[line/64].Or(1 << (line % 64))
-	}
-}
-
-// Write copies data into the device at off and marks it dirty, charging the
-// profile's write latency once. It models a small store done by library
-// metadata code (allocator words, log headers). Aligned 8-byte lanes are
-// stored word-atomically so lock-free seqlock readers (pool.ReadView)
-// can race them without tearing — the emulated analogue of the hardware
-// guarantee on aligned PM stores.
+// Write is StoreBytes counted as an operation: an injection point, a
+// write in Stats and the op hook, and the profile's write latency. It
+// models a small store done by library metadata code (allocator words,
+// log headers), whose every cut point crash exploration enumerates.
 //
 // Write, Flush, Fence and Persist on the device itself are charged to
 // ScopeUserData; In returns the handle for any other scope.
@@ -324,19 +306,10 @@ func (d *Device) write(sc Scope, off uint64, data []byte) {
 	}
 	d.maybeInject(OpWrite, sc)
 	d.ctrs[sc].writes.Add(1)
-	StoreBytes(d.buf, off, data)
-	d.MarkDirty(off, uint64(len(data)))
+	storeBytes(d.buf, off, data)
+	d.markDirty(off, uint64(len(data)))
 	d.observe(OpWrite, sc, off, uint64(len(data)))
 	d.prof.delay(d.prof.WriteDelay)
-}
-
-// Read copies n bytes at off into a fresh slice, charging read latency once.
-func (d *Device) Read(off, n uint64) []byte {
-	d.bounds(off, n)
-	out := make([]byte, n)
-	copy(out, d.buf[off:off+n])
-	d.prof.delay(d.prof.ReadDelay)
-	return out
 }
 
 // Flush issues a write-back for every cache line overlapping [off, off+n),
@@ -403,8 +376,8 @@ func (d *Device) Persist(off, n uint64) {
 // published last was also taken last, and a flusher that finds the bit
 // already clear can only have lost to one that is still inside this
 // section — its own Fence then queues behind it on shadowMu. The copy
-// uses the word-atomic loads StoreBytes pairs with, so neighbours storing
-// to their own words of the line are not a data race.
+// uses the word-atomic loads the device's stores pair with, so neighbours
+// storing to their own words of the line are not a data race.
 func (d *Device) stageLine(word *atomic.Uint64, mask, line uint64) {
 	d.shadowMu.Lock()
 	defer d.shadowMu.Unlock()
@@ -414,9 +387,7 @@ func (d *Device) stageLine(word *atomic.Uint64, mask, line uint64) {
 	word.And(^mask)
 	start := line * CacheLineSize
 	cp := make([]byte, CacheLineSize)
-	for i := uint64(0); i < CacheLineSize; i += WordSize {
-		binary.LittleEndian.PutUint64(cp[i:], LoadWord(d.buf, start+i))
-	}
+	d.LoadBytes(start, cp)
 	d.pending[uint32(line)] = cp
 }
 

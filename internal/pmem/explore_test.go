@@ -88,7 +88,7 @@ func TestRestoreDurableRewindsEverything(t *testing.T) {
 	}
 
 	d.RestoreDurable(snap)
-	if got := d.Read(0, 1)[0]; got != 0xAA {
+	if got := load(d, 0, 1)[0]; got != 0xAA {
 		t.Fatalf("live byte after restore = %#x, want 0xAA", got)
 	}
 	if d.DurableHash() != h0 {
@@ -97,7 +97,7 @@ func TestRestoreDurableRewindsEverything(t *testing.T) {
 	// The dirty line from before the restore must be gone: a crash now
 	// keeps the restored image exactly.
 	d.Crash()
-	if got := d.Read(64, 1)[0]; got != 0 {
+	if got := load(d, 64, 1)[0]; got != 0 {
 		t.Fatalf("stale dirty line survived restore+crash: %#x", got)
 	}
 	opSequence(d) // the armed CrashAt was disarmed by the restore

@@ -18,7 +18,7 @@ func TestCrashWithEvictionTearsAtWordGranularity(t *testing.T) {
 		d := newTracked(t, 4096)
 		d.Write(0, newline) // dirty: every word differs from the zero shadow
 		d.CrashWithEviction(seed)
-		got := d.Read(0, CacheLineSize)
+		got := load(d, 0, CacheLineSize)
 		var survived, lost int
 		for w := 0; w < WordsPerLine; w++ {
 			word := got[w*WordSize : (w+1)*WordSize]
@@ -64,7 +64,7 @@ func TestTornCandidatesAndMasks(t *testing.T) {
 	// Persist only word 2: the crash image must hold new word 2, old
 	// words 0 and 5.
 	d.CrashTornMasks(map[uint32]uint8{0: 1 << 2})
-	got := d.Read(0, CacheLineSize)
+	got := load(d, 0, CacheLineSize)
 	if !bytes.Equal(got[2*WordSize:3*WordSize], bytes.Repeat([]byte{0xBB}, WordSize)) {
 		t.Fatalf("masked word 2 did not persist: %x", got[2*WordSize:3*WordSize])
 	}
@@ -86,7 +86,7 @@ func TestCrashTornMasksPersistsFlushedCopy(t *testing.T) {
 		t.Fatalf("candidates = %v, want line 0 mask 0b1", cands)
 	}
 	d.CrashTornMasks(map[uint32]uint8{0: 1})
-	if got := d.Read(0, 1)[0]; got != 1 {
+	if got := load(d, 0, 1)[0]; got != 1 {
 		t.Fatalf("flushed word did not persist under mask: %#x", got)
 	}
 }
@@ -96,10 +96,10 @@ func TestCrashTornMasksFencedLineIsNoop(t *testing.T) {
 	d.Write(0, []byte{7})
 	d.Persist(0, 1)
 	d.CrashTornMasks(map[uint32]uint8{1: 0xFF}) // line 1 is clean: fenced lines cannot tear
-	if got := d.Read(0, 1)[0]; got != 7 {
+	if got := load(d, 0, 1)[0]; got != 7 {
 		t.Fatal("persisted data lost")
 	}
-	if got := d.Read(CacheLineSize, 1)[0]; got != 0 {
+	if got := load(d, CacheLineSize, 1)[0]; got != 0 {
 		t.Fatal("clean line changed under torn mask")
 	}
 }
@@ -109,11 +109,11 @@ func TestInjectBitFlipCorruptsDurableImage(t *testing.T) {
 	d.Write(0, []byte{0x0F})
 	d.Persist(0, 1)
 	d.InjectBitFlip(0, 4)
-	if got := d.Read(0, 1)[0]; got != 0x1F {
+	if got := load(d, 0, 1)[0]; got != 0x1F {
 		t.Fatalf("live byte = %#x, want 0x1F", got)
 	}
 	d.Crash()
-	if got := d.Read(0, 1)[0]; got != 0x1F {
+	if got := load(d, 0, 1)[0]; got != 0x1F {
 		t.Fatalf("flip did not survive crash: %#x (at-rest corruption must be durable)", got)
 	}
 	if d.MediaFaults().BitFlips != 1 {
@@ -126,7 +126,7 @@ func TestMarkBadLineScramblesAndSurvivesCrash(t *testing.T) {
 	d.Write(CacheLineSize, bytes.Repeat([]byte{0x11}, CacheLineSize))
 	d.Persist(CacheLineSize, CacheLineSize)
 	d.MarkBadLine(1)
-	if got := d.Read(CacheLineSize, 1)[0]; got == 0x11 {
+	if got := load(d, CacheLineSize, 1)[0]; got == 0x11 {
 		t.Fatal("bad line still readable as original data")
 	}
 	d.Crash()

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -8,6 +9,13 @@ import (
 	"testing"
 	"testing/quick"
 )
+
+// load copies n bytes at off out of the device.
+func load(d *Device, off, n uint64) []byte {
+	out := make([]byte, n)
+	d.LoadBytes(off, out)
+	return out
+}
 
 func newTracked(t *testing.T, size int) *Device {
 	t.Helper()
@@ -17,7 +25,7 @@ func newTracked(t *testing.T, size int) *Device {
 func TestWriteIsVisibleImmediately(t *testing.T) {
 	d := newTracked(t, 4096)
 	d.Write(100, []byte{1, 2, 3})
-	got := d.Read(100, 3)
+	got := load(d, 100, 3)
 	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("read back %v, want [1 2 3]", got)
 	}
@@ -27,7 +35,7 @@ func TestUnflushedWriteLostOnCrash(t *testing.T) {
 	d := newTracked(t, 4096)
 	d.Write(0, []byte{0xAA})
 	d.Crash()
-	if got := d.Read(0, 1)[0]; got != 0 {
+	if got := load(d, 0, 1)[0]; got != 0 {
 		t.Fatalf("unflushed write survived crash: %#x", got)
 	}
 }
@@ -37,7 +45,7 @@ func TestFlushedButUnfencedWriteLostOnCrash(t *testing.T) {
 	d.Write(0, []byte{0xAA})
 	d.Flush(0, 1)
 	d.Crash()
-	if got := d.Read(0, 1)[0]; got != 0 {
+	if got := load(d, 0, 1)[0]; got != 0 {
 		t.Fatalf("unfenced write survived crash: %#x", got)
 	}
 }
@@ -47,7 +55,7 @@ func TestPersistedWriteSurvivesCrash(t *testing.T) {
 	d.Write(0, []byte{0xAA})
 	d.Persist(0, 1)
 	d.Crash()
-	if got := d.Read(0, 1)[0]; got != 0xAA {
+	if got := load(d, 0, 1)[0]; got != 0xAA {
 		t.Fatalf("persisted write lost on crash: %#x", got)
 	}
 }
@@ -62,7 +70,7 @@ func TestPersistCoversWholeRange(t *testing.T) {
 	d.Write(32, data)
 	d.Persist(32, uint64(len(data)))
 	d.Crash()
-	got := d.Read(32, uint64(len(data)))
+	got := load(d, 32, uint64(len(data)))
 	for i := range data {
 		if got[i] != data[i] {
 			t.Fatalf("byte %d: got %#x want %#x", i, got[i], data[i])
@@ -70,14 +78,80 @@ func TestPersistCoversWholeRange(t *testing.T) {
 	}
 }
 
-func TestDirectStoresNeedMarkDirty(t *testing.T) {
+func TestStoresMarkTheirLinesDirty(t *testing.T) {
 	d := newTracked(t, 4096)
-	d.Bytes()[10] = 0x42
-	d.MarkDirty(10, 1)
+	d.StoreBytes(10, []byte{0x42})
+	d.Store8(64, 0x4242)
+	d.Persist(0, 128)
+	d.Crash()
+	if got := load(d, 10, 1)[0]; got != 0x42 {
+		t.Fatalf("persisted StoreBytes lost: %#x", got)
+	}
+	if got := d.Load8(64); got != 0x4242 {
+		t.Fatalf("persisted Store8 lost: %#x", got)
+	}
+}
+
+// TestStoresAreNotOps pins that the device's stores are not injection
+// points: OpCount, Stats and the op hook see only Write, Flush and Fence,
+// so adding a store to a workload renumbers no crash point.
+func TestStoresAreNotOps(t *testing.T) {
+	d := newTracked(t, 4096)
+	hooked := 0
+	d.SetOpHook(func(Op, Scope, uint64) { hooked++ })
+	d.Store8(0, 1)
+	d.StoreBytes(8, []byte{1, 2, 3})
+	d.Copy(64, 0, 16)
+	if d.OpCount() != 0 || d.Stats() != (Stats{}) || hooked != 0 {
+		t.Fatalf("stores counted: ops %d, stats %+v, hook %d", d.OpCount(), d.Stats(), hooked)
+	}
+	if got := load(d, 64, 16); !bytes.Equal(got, load(d, 0, 16)) {
+		t.Fatalf("Copy landed %v", got)
+	}
+}
+
+// TestStoresPanicAfterTheCut: once an injected cut has poisoned the
+// device, every store panics with ErrInjectedCrash and lands nothing,
+// until the reboot (Crash) restores power.
+func TestStoresPanicAfterTheCut(t *testing.T) {
+	d := newTracked(t, 4096)
+	d.CrashAt(1)
+	if !Contain(func() { d.Fence() }) {
+		t.Fatal("CrashAt(1) did not cut the first op")
+	}
+	for name, store := range map[string]func(){
+		"Store8":     func() { d.Store8(0, 7) },
+		"StoreBytes": func() { d.StoreBytes(0, []byte{7}) },
+		"Copy":       func() { d.Copy(0, 64, 8) },
+	} {
+		if !Contain(store) {
+			t.Errorf("%s on a powered-off device returned", name)
+		}
+	}
+	if got := d.Load8(0); got != 0 || len(d.TornCandidates()) != 0 {
+		t.Fatalf("a store landed after the cut: word %#x, at-risk lines %v", got, d.TornCandidates())
+	}
+	d.Crash()
+	d.Store8(0, 7) // rebooted: stores land again
+}
+
+// TestUnsafeStoresNeedFlushUnsafe: a store through UnsafeAddr is
+// invisible to the device, so a plain Flush skips its line; FlushUnsafe
+// marks the range first and makes it durable.
+func TestUnsafeStoresNeedFlushUnsafe(t *testing.T) {
+	d := newTracked(t, 4096)
+	*(*byte)(d.UnsafeAddr(10)) = 0x42
 	d.Persist(10, 1)
 	d.Crash()
-	if got := d.Read(10, 1)[0]; got != 0x42 {
-		t.Fatalf("marked direct store lost: %#x", got)
+	if got := load(d, 10, 1)[0]; got != 0 {
+		t.Fatalf("unmarked store persisted by a plain flush: %#x", got)
+	}
+	*(*byte)(d.UnsafeAddr(10)) = 0x42
+	d.FlushUnsafe(10, 1)
+	d.Fence()
+	d.Crash()
+	if got := load(d, 10, 1)[0]; got != 0x42 {
+		t.Fatalf("FlushUnsafe + Fence lost the store: %#x", got)
 	}
 }
 
@@ -89,7 +163,7 @@ func TestLaterWriteToFlushedLineNotDurable(t *testing.T) {
 	d.Fence()
 	d.Crash()
 	// The flushed value 1 is durable; the post-flush store of 2 is not.
-	if got := d.Read(0, 1)[0]; got != 1 {
+	if got := load(d, 0, 1)[0]; got != 1 {
 		t.Fatalf("got %d, want the flushed value 1", got)
 	}
 }
@@ -100,12 +174,12 @@ func TestCrashIsRepeatable(t *testing.T) {
 	d.Persist(0, 1)
 	d.Write(0, []byte{9})
 	d.Crash()
-	if got := d.Read(0, 1)[0]; got != 7 {
+	if got := load(d, 0, 1)[0]; got != 7 {
 		t.Fatalf("after first crash: %d", got)
 	}
 	d.Write(0, []byte{9})
 	d.Crash()
-	if got := d.Read(0, 1)[0]; got != 7 {
+	if got := load(d, 0, 1)[0]; got != 7 {
 		t.Fatalf("after second crash: %d", got)
 	}
 }
@@ -157,7 +231,7 @@ func TestFaultInjectorFiresAndCrashRecovers(t *testing.T) {
 	}
 	d.SetFaultInjector(nil)
 	d.Crash()
-	if got := d.Read(0, 1)[0]; got != 5 {
+	if got := load(d, 0, 1)[0]; got != 5 {
 		t.Fatalf("post-crash value %d, want 5", got)
 	}
 }
@@ -180,7 +254,7 @@ func TestFilePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := string(d2.Read(64, 5)); got != "hello" {
+	if got := string(load(d2, 64, 5)); got != "hello" {
 		t.Fatalf("reloaded %q, want %q", got, "hello")
 	}
 }
@@ -230,10 +304,10 @@ func TestCrashWithEvictionPersistsSubset(t *testing.T) {
 		d.Persist(0, 1)
 		d.Write(CacheLineSize, []byte{9}) // dirty, maybe evicted
 		d.CrashWithEviction(seed)
-		if got := d.Read(0, 1)[0]; got != 1 {
+		if got := load(d, 0, 1)[0]; got != 1 {
 			t.Fatalf("seed %d: persisted byte lost", seed)
 		}
-		if got := d.Read(CacheLineSize, 1)[0]; got != 0 && got != 9 {
+		if got := load(d, CacheLineSize, 1)[0]; got != 0 && got != 9 {
 			t.Fatalf("seed %d: torn value %d", seed, got)
 		}
 	}
@@ -282,7 +356,7 @@ func TestPersistedWritesAlwaysSurvive(t *testing.T) {
 			copy(want[w.Off:], data)
 		}
 		d.Crash()
-		got := d.Bytes()
+		got := load(d, 0, uint64(d.Size()))
 		for i := range want {
 			if got[i] != want[i] {
 				return false

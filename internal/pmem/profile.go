@@ -31,11 +31,9 @@ const CacheLineSize = 64
 type Profile struct {
 	// Name identifies the profile in benchmark output ("OptaneDC", "DRAM").
 	Name string
-	// ReadDelay is added per explicit ReadAt call (uncached media read).
-	// Direct loads through Bytes are cached reads and free, as on hardware.
-	ReadDelay time.Duration
-	// WriteDelay is added per explicit WriteAt call (a store reaching the
-	// cache; near-free).
+	// WriteDelay is added per Write (a store reaching the cache;
+	// near-free). Loads, and the device's uncounted stores, are cached
+	// accesses and free, as on hardware.
 	WriteDelay time.Duration
 	// FlushDelay is the issue cost per cache-line Flush (CLWB dispatch).
 	FlushDelay time.Duration
@@ -66,9 +64,9 @@ type Profile struct {
 // fence in parallel and the scaling curve measures the protocol, not the
 // host's core count.
 var (
-	OptaneDC = Profile{Name: "OptaneDC", ReadDelay: 100 * time.Nanosecond, WriteDelay: 10 * time.Nanosecond, FlushDelay: 60 * time.Nanosecond, FenceDelay: 300 * time.Nanosecond}
-	DRAM     = Profile{Name: "DRAM", ReadDelay: 60 * time.Nanosecond, WriteDelay: 5 * time.Nanosecond, FlushDelay: 30 * time.Nanosecond, FenceDelay: 100 * time.Nanosecond}
-	CXL      = Profile{Name: "CXL", ReadDelay: 300 * time.Nanosecond, WriteDelay: 100 * time.Nanosecond, FlushDelay: 200 * time.Nanosecond, FenceDelay: 8 * time.Microsecond, Park: true}
+	OptaneDC = Profile{Name: "OptaneDC", WriteDelay: 10 * time.Nanosecond, FlushDelay: 60 * time.Nanosecond, FenceDelay: 300 * time.Nanosecond}
+	DRAM     = Profile{Name: "DRAM", WriteDelay: 5 * time.Nanosecond, FlushDelay: 30 * time.Nanosecond, FenceDelay: 100 * time.Nanosecond}
+	CXL      = Profile{Name: "CXL", WriteDelay: 100 * time.Nanosecond, FlushDelay: 200 * time.Nanosecond, FenceDelay: 8 * time.Microsecond, Park: true}
 	NoDelay  = Profile{Name: "NoDelay"}
 )
 

@@ -42,7 +42,8 @@ func (s Scope) String() string {
 
 // Handle is a device bound to one attribution scope: its Write, Flush,
 // Fence and Persist are the device's, charged to that scope. Everything
-// else (Bytes, MarkDirty, Stats, …) is the embedded device's own. A Handle
+// else (loads, uncounted stores, Stats, …) is the embedded device's own:
+// only counted operations carry a scope. A Handle
 // is a two-word value; layers keep the one they were given and pass it by
 // value.
 type Handle struct {

@@ -7,36 +7,123 @@ import (
 	"unsafe"
 )
 
-// Word-atomic access to the device buffer.
+// The methods in this file are the one way into device memory, so a store
+// the crash model cannot see does not compile. Stores mark their lines
+// dirty as they land and, once power is cut, panic with ErrInjectedCrash
+// instead of landing; they are not injection points (OpCount, Stats, the
+// op hook and the delays see only Write, Flush and Fence). Loads cost a
+// bounds check and a word load, as a cached read does on real PM.
 //
-// The seqlock read path (pool.ReadView) loads heap words with no lock
-// held while the group-commit batcher is mutating them under the shard's
-// writer lock. The seqlock re-check makes any value read during a
-// conflict window *discarded*, but the Go memory model (and the race
-// detector) still requires both sides of such a race to use atomic
-// operations. Every store that can touch lock-free-readable heap bytes
-// therefore goes through StoreWord/StoreBytes below, and the read view
-// loads through LoadWord: plain-data races become pairs of relaxed
-// atomics, which is exactly the hardware contract real PM gives aligned
-// 8-byte stores (the same assumption the torn-write fault model makes).
-//
-// The device buffer is cache-line aligned (alignedBytes), so any
-// word-aligned device offset is an 8-byte-aligned address. Unaligned or
-// ragged spans fall back to plain copies — those regions (log headers,
-// backup scratch) are never read lock-free.
+// Aligned 8-byte lanes are loaded and stored atomically: seqlock readers
+// (pool.ReadView) race committers' stores, and the Go memory model needs
+// both sides atomic — the contract real PM gives aligned 8-byte stores.
+// The buffer is cache-line aligned (alignedBytes), so an aligned offset
+// is an aligned address. Ragged heads and tails, never read lock-free,
+// are copied plainly.
+
+// Load8 returns the little-endian word at off.
+func (d *Device) Load8(off uint64) uint64 { return Reader{d.buf}.Load8(off) }
+
+// Reader is a read-only window onto the device's memory: Load8 without the
+// pointer chase through the Device, for a hot loop (pool.ReadView).
+type Reader struct{ buf []byte }
+
+// Reader returns the device's read-only window.
+func (d *Device) Reader() Reader { return Reader{d.buf} }
+
+// Load8 is Device.Load8: a slice load's cost, index check included (the
+// buffer's length is a multiple of the word, so an aligned word is whole).
+func (r Reader) Load8(off uint64) uint64 {
+	if off%WordSize == 0 {
+		return memWord(atomic.LoadUint64(wordPtr(r.buf, off)))
+	}
+	return binary.LittleEndian.Uint64(r.buf[off : off+WordSize])
+}
+
+// LoadBytes copies len(dst) bytes at off into dst.
+func (d *Device) LoadBytes(off uint64, dst []byte) {
+	n := uint64(len(dst))
+	d.bounds(off, n)
+	i := uint64(0)
+	if head := off % WordSize; head != 0 {
+		i = min(WordSize-head, n)
+		copy(dst[:i], d.buf[off:])
+	}
+	for ; i+WordSize <= n; i += WordSize {
+		binary.LittleEndian.PutUint64(dst[i:], memWord(atomic.LoadUint64(wordPtr(d.buf, off+i))))
+	}
+	if i < n {
+		copy(dst[i:], d.buf[off+i:])
+	}
+}
+
+// Store8 stores val little-endian at off.
+func (d *Device) Store8(off, val uint64) {
+	var w [WordSize]byte
+	binary.LittleEndian.PutUint64(w[:], val)
+	d.StoreBytes(off, w[:])
+}
+
+// StoreBytes copies src into the device at off.
+func (d *Device) StoreBytes(off uint64, src []byte) {
+	if len(src) == 0 {
+		return
+	}
+	if d.poisoned.Load() {
+		panic(ErrInjectedCrash) // power is off: nothing stores after the cut
+	}
+	d.bounds(off, uint64(len(src)))
+	storeBytes(d.buf, off, src)
+	d.markDirty(off, uint64(len(src)))
+}
+
+// Copy copies n bytes from src to dst within the device: a load of the
+// source, then a store to the destination. The ranges must not overlap.
+func (d *Device) Copy(dst, src, n uint64) {
+	var buf [256]byte
+	for n > 0 {
+		c := min(n, uint64(len(buf)))
+		d.LoadBytes(src, buf[:c])
+		d.StoreBytes(dst, buf[:c])
+		dst, src, n = dst+c, src+c, n-c
+	}
+}
+
+// UnsafeAddr returns the address of the byte at off: the one exception to
+// the rule above, for the typed layer (internal/core), which dereferences
+// persistent objects in place. Stores through it are invisible to the
+// device, so their range must reach FlushUnsafe before it can become
+// durable. No other package may call it (arch_test.go).
+func (d *Device) UnsafeAddr(off uint64) unsafe.Pointer {
+	d.bounds(off, 1)
+	return unsafe.Pointer(&d.buf[off])
+}
+
+// FlushUnsafe is Flush for a range that may hold stores made through
+// UnsafeAddr: it first marks every line of the range dirty, since the
+// device never saw those stores.
+func (d *Device) FlushUnsafe(off, n uint64) {
+	if n > 0 {
+		d.markDirty(off, n)
+		d.Flush(off, n)
+	}
+}
+
+func (d *Device) markDirty(off, n uint64) {
+	d.bounds(off, n)
+	for line := off / CacheLineSize; line <= (off+n-1)/CacheLineSize; line++ {
+		d.dirty[line/64].Or(1 << (line % 64))
+	}
+}
 
 // hostBigEndian is true on big-endian hosts, where the native uint64 view
 // of the buffer byte-swaps relative to the little-endian wire format the
-// pool uses everywhere. memWord compensates so the buffer bytes are
-// identical to what a plain little-endian copy would have produced.
+// pool uses everywhere; memWord compensates (an involution).
 var hostBigEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 0
 }()
 
-// memWord converts between a little-endian-decoded value and its native
-// in-memory representation (an involution: applying it twice is the
-// identity).
 func memWord(v uint64) uint64 {
 	if hostBigEndian {
 		return bits.ReverseBytes64(v)
@@ -48,49 +135,13 @@ func wordPtr(buf []byte, off uint64) *uint64 {
 	return (*uint64)(unsafe.Pointer(&buf[off]))
 }
 
-// WordAligned reports whether [off, off+n) is a word-aligned,
-// whole-word span — the precondition for tear-free atomic access.
-func WordAligned(off, n uint64) bool {
-	return off%WordSize == 0 && n%WordSize == 0
-}
-
-// LoadWord reads the little-endian uint64 at buf[off:] with an atomic
-// load when the offset is word-aligned (plain decode otherwise). buf
-// must be the device buffer (Bytes()) so alignment of off implies
-// alignment of the address.
-func LoadWord(buf []byte, off uint64) uint64 {
-	if off%WordSize == 0 {
-		return memWord(atomic.LoadUint64(wordPtr(buf, off)))
-	}
-	return binary.LittleEndian.Uint64(buf[off:])
-}
-
-// StoreWord writes val little-endian at buf[off:], atomically when the
-// offset is word-aligned.
-func StoreWord(buf []byte, off uint64, val uint64) {
-	if off%WordSize == 0 {
-		atomic.StoreUint64(wordPtr(buf, off), memWord(val))
-		return
-	}
-	binary.LittleEndian.PutUint64(buf[off:], val)
-}
-
-// StoreBytes copies data into buf[off:], using atomic word stores for
-// every aligned 8-byte lane so concurrent LoadWord readers never observe
-// a torn word and the race detector sees atomics on both sides. A ragged
-// head or tail (unaligned offset or length) is copied plainly — such
-// spans are never read lock-free.
-func StoreBytes(buf []byte, off uint64, data []byte) {
+// storeBytes copies data into buf[off:], one atomic store per aligned
+// 8-byte lane.
+func storeBytes(buf []byte, off uint64, data []byte) {
 	n := uint64(len(data))
-	if n == 0 {
-		return
-	}
 	i := uint64(0)
 	if head := off % WordSize; head != 0 {
-		i = WordSize - head
-		if i > n {
-			i = n
-		}
+		i = min(WordSize-head, n)
 		copy(buf[off:], data[:i])
 	}
 	for ; i+WordSize <= n; i += WordSize {

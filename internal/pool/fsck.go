@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -103,7 +102,7 @@ func Fsck(dev *pmem.Device) error {
 // else, repairable or not, lands in the report.
 func FsckDevice(dev *pmem.Device) (*FsckReport, error) {
 	r := &FsckReport{}
-	h, goodA, goodB, err := chooseHeader(dev.Bytes())
+	h, goodA, goodB, err := headerOf(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +130,7 @@ func FsckDevice(dev *pmem.Device) (*FsckReport, error) {
 		return nil, fmt.Errorf("%w: computed arena heap %d != recorded %d", ErrCorrupt, g.arenaHeap, h.arenaHeap)
 	}
 	for i := 0; i < g.nJournals; i++ {
-		word := binary.LittleEndian.Uint64(dev.Bytes()[g.bufOff+uint64(i)*g.bufCap:])
+		word := dev.Load8(g.bufOff + uint64(i)*g.bufCap)
 		switch s := byte(word); {
 		case s > 2:
 			// An impossible state byte: recovery cannot know whether a
@@ -150,7 +149,7 @@ func FsckDevice(dev *pmem.Device) (*FsckReport, error) {
 	// value is a legitimate post-crash state — which means a failure here
 	// is at-rest damage, repairable from the buffer word (the authority).
 	for i := 0; i < g.nJournals; i++ {
-		if !journal.SlotOK(dev.Bytes(), g.dirOff, i) {
+		if !journal.SlotOK(dev, g.dirOff, i) {
 			r.Problems = append(r.Problems, FsckProblem{
 				Area: AreaJournalDir, Index: i, Repairable: true,
 				Detail: "directory slot failed its checksum; buffer state word is authoritative",
@@ -184,8 +183,8 @@ func FsckDevice(dev *pmem.Device) (*FsckReport, error) {
 				})
 			}
 		}
-		_, _, okA := decodeRootSlot(dev.Bytes()[rootSlotAOff : rootSlotAOff+rootSlotSize])
-		_, _, okB := decodeRootSlot(dev.Bytes()[rootSlotBOff : rootSlotBOff+rootSlotSize])
+		_, _, okA := rootSlot(dev, rootSlotAOff)
+		_, _, okB := rootSlot(dev, rootSlotBOff)
 		switch {
 		case !okA && !okB:
 			r.Problems = append(r.Problems, FsckProblem{
@@ -202,7 +201,7 @@ func FsckDevice(dev *pmem.Device) (*FsckReport, error) {
 				Detail: fmt.Sprintf("root slot %s failed its checksum; mirror is intact", bad),
 			})
 		}
-		if root, _, ok := readRoot(dev.Bytes()); ok && root != 0 {
+		if root, _, ok := readRoot(dev); ok && root != 0 {
 			if root < g.heapOff || root >= g.heapOff+uint64(g.nJournals)*g.arenaHeap {
 				r.Problems = append(r.Problems, FsckProblem{
 					Area: AreaRoot, Index: -1, Repairable: false,

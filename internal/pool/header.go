@@ -119,6 +119,13 @@ func chooseHeader(img []byte) (h header, goodA, goodB bool, err error) {
 	return header{}, false, false, fmt.Errorf("%w: both static header copies failed their checksum", ErrCorrupt)
 }
 
+// headerOf is chooseHeader over a device's header copies.
+func headerOf(dev *pmem.Device) (h header, goodA, goodB bool, err error) {
+	var img [2 * headerCopySize]byte
+	dev.LoadBytes(0, img[:])
+	return chooseHeader(img[:])
+}
+
 // writeHeader persists h to both copies, A before B, so a crash at any
 // point leaves a valid copy carrying either the old or the new sequence.
 // Callers bump h.seq before writing; it also serves as mirror repair
@@ -140,8 +147,11 @@ func encodeRootSlot(buf []byte, root, typ uint64) {
 	binary.LittleEndian.PutUint64(buf[16:], uint64(crc32.ChecksumIEEE(buf[:16])))
 }
 
-// decodeRootSlot parses one root slot; ok is false on CRC mismatch.
-func decodeRootSlot(b []byte) (root, typ uint64, ok bool) {
+// rootSlot reads and parses the root slot at off; ok is false on CRC
+// mismatch.
+func rootSlot(dev *pmem.Device, off uint64) (root, typ uint64, ok bool) {
+	var b [rootSlotSize]byte
+	dev.LoadBytes(off, b[:])
 	if uint32(binary.LittleEndian.Uint64(b[16:])) != crc32.ChecksumIEEE(b[:16]) {
 		return 0, 0, false
 	}
@@ -152,11 +162,11 @@ func decodeRootSlot(b []byte) (root, typ uint64, ok bool) {
 // and falling back to the mirror. ok is false only when BOTH slots fail
 // their CRC — the root is then unknown, which is a corruption condition
 // (a fresh pool has both slots valid with root 0).
-func readRoot(img []byte) (root, typ uint64, ok bool) {
-	if r, t, okA := decodeRootSlot(img[rootSlotAOff : rootSlotAOff+rootSlotSize]); okA {
+func readRoot(dev *pmem.Device) (root, typ uint64, ok bool) {
+	if r, t, okA := rootSlot(dev, rootSlotAOff); okA {
 		return r, t, true
 	}
-	if r, t, okB := decodeRootSlot(img[rootSlotBOff : rootSlotBOff+rootSlotSize]); okB {
+	if r, t, okB := rootSlot(dev, rootSlotBOff); okB {
 		return r, t, true
 	}
 	return 0, 0, false

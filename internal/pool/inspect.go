@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"corundum/internal/alloc"
@@ -58,14 +57,14 @@ func Inspect(path string) (*Report, error) {
 
 // InspectDevice inspects an already-loaded pool image.
 func InspectDevice(dev *pmem.Device) (*Report, error) {
-	h, goodA, goodB, err := chooseHeader(dev.Bytes())
+	h, goodA, goodB, err := headerOf(dev)
 	if err != nil {
 		return nil, err
 	}
 	if h.version != formatVersion {
 		return nil, fmt.Errorf("%w: %d", ErrWrongVersion, h.version)
 	}
-	root, rootType, rootOK := readRoot(dev.Bytes())
+	root, rootType, rootOK := readRoot(dev)
 	r := &Report{
 		Size:       int(h.size),
 		Generation: h.generation,
@@ -97,7 +96,7 @@ func InspectDevice(dev *pmem.Device) (*Report, error) {
 
 	for i := 0; i < r.Journals; i++ {
 		bOff := g.bufOff + uint64(i)*g.bufCap
-		word := binary.LittleEndian.Uint64(dev.Bytes()[bOff:])
+		word := dev.Load8(bOff)
 		jr := JournalReport{Index: i, Epoch: word >> 8}
 		switch byte(word) {
 		case 0:
@@ -113,11 +112,13 @@ func InspectDevice(dev *pmem.Device) (*Report, error) {
 		r.JournalInfo = append(r.JournalInfo, jr)
 	}
 
+	img := make([]byte, dev.Size()) // for the scratch copies below
+	dev.LoadBytes(0, img)
 	for i := 0; i < r.Journals; i++ {
 		meta := g.metaOff + uint64(i)*alloc.MetaSize(g.arenaHeap)
 		heap := g.heapOff + uint64(i)*g.arenaHeap
 		ar := ArenaReport{Index: i, RedoLog: "clean"}
-		if binary.LittleEndian.Uint64(dev.Bytes()[meta:]) != 0 {
+		if dev.Load8(meta) != 0 {
 			ar.RedoLog = "committed (will replay)"
 		}
 		if err := alloc.Validate(dev, meta, heap, g.arenaHeap); err != nil {
@@ -129,7 +130,7 @@ func InspectDevice(dev *pmem.Device) (*Report, error) {
 		// Opening replays a committed redo log; inspect a scratch copy so
 		// fsck stays read-only.
 		scratch := pmem.New(dev.Size(), pmem.Options{})
-		copy(scratch.Bytes(), dev.Bytes())
+		scratch.StoreBytes(0, img)
 		a := alloc.Open(scratch, meta, heap, g.arenaHeap)
 		ar.InUse = a.InUse()
 		ar.FreeBytes = a.FreeBytes()

@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"encoding/binary"
 	"path/filepath"
 	"testing"
 
@@ -125,9 +124,8 @@ func TestInspectDetectsCorruption(t *testing.T) {
 	// corrupt it.
 	meta := g.metaOff
 	for off := meta; off < meta+alloc.MetaSize(g.arenaHeap); off += 8 {
-		if binary.LittleEndian.Uint64(dev.Bytes()[off:]) != 0 {
-			binary.LittleEndian.PutUint64(dev.Bytes()[off:], 0xDEADBEEF)
-			dev.MarkDirty(off, 8)
+		if dev.Load8(off) != 0 {
+			dev.Store8(off, 0xDEADBEEF)
 			dev.Persist(off, 8)
 			break
 		}

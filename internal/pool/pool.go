@@ -276,7 +276,7 @@ func Open(path string, mem pmem.Options) (*Pool, error) {
 // formatted pool image. It runs full recovery. Tests use it to reopen a
 // crashed in-memory pool; Open uses it for files.
 func Attach(dev *pmem.Device) (*Pool, error) {
-	h, _, _, err := chooseHeader(dev.Bytes())
+	h, _, _, err := headerOf(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -415,13 +415,13 @@ func (p *Pool) prependRecoveryPhase(name string, seconds float64) {
 // It reads through the mirrored, CRC-protected root slots: a single
 // damaged slot falls back to its mirror.
 func (p *Pool) RootOff() uint64 {
-	root, _, _ := readRoot(p.dev.Bytes())
+	root, _, _ := readRoot(p.dev)
 	return root
 }
 
 // RootTypeHash returns the hash of the root type recorded at first open.
 func (p *Pool) RootTypeHash() uint64 {
-	_, typ, _ := readRoot(p.dev.Bytes())
+	_, typ, _ := readRoot(p.dev)
 	return typ
 }
 
@@ -442,8 +442,8 @@ func (p *Pool) SetRoot(j *journal.Journal, off, typeHash uint64) error {
 	var slot [rootSlotSize]byte
 	encodeRootSlot(slot[:], off, typeHash)
 	p.rootMu.Lock()
-	copy(p.dev.Bytes()[rootSlotAOff:], slot[:])
-	copy(p.dev.Bytes()[rootSlotBOff:], slot[:])
+	p.dev.StoreBytes(rootSlotAOff, slot[:])
+	p.dev.StoreBytes(rootSlotBOff, slot[:])
 	p.rootMu.Unlock()
 	return nil
 }

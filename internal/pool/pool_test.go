@@ -2,7 +2,6 @@ package pool
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -45,11 +44,11 @@ func crashAndReattach(t *testing.T, p *Pool) *Pool {
 }
 
 func (p *Pool) write8(off, val uint64) {
-	binary.LittleEndian.PutUint64(p.dev.Bytes()[off:], val)
+	p.dev.Store8(off, val)
 }
 
 func (p *Pool) read8(off uint64) uint64 {
-	return binary.LittleEndian.Uint64(p.dev.Bytes()[off:])
+	return p.dev.Load8(off)
 }
 
 func TestCreateAndBasicTransaction(t *testing.T) {
@@ -83,7 +82,6 @@ func TestTransactionErrorRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.write8(cell, 5)
-	p.Device().MarkDirty(cell, 8)
 	p.Device().Persist(cell, 8)
 
 	boom := errors.New("boom")
@@ -113,7 +111,6 @@ func TestTransactionPanicRollsBackAndRepanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.write8(cell, 1)
-	p.Device().MarkDirty(cell, 8)
 	p.Device().Persist(cell, 8)
 
 	func() {
@@ -203,7 +200,6 @@ func TestNestedAbortAbortsOuter(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.write8(cell, 10)
-	p.Device().MarkDirty(cell, 8)
 	p.Device().Persist(cell, 8)
 
 	boom := errors.New("inner boom")
@@ -370,7 +366,9 @@ func TestFilePoolRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	off := p2.RootOff()
-	if got := string(p2.Device().Bytes()[off : off+8]); got != "durable!" {
+	got := make([]byte, 8)
+	p2.Device().LoadBytes(off, got)
+	if string(got) != "durable!" {
 		t.Fatalf("reloaded %q", got)
 	}
 }
@@ -623,7 +621,9 @@ func TestDroppedBlockNotReallocatedBeforeIdle(t *testing.T) {
 	if !p2.IsAllocated(got.off, size) {
 		t.Fatalf("block %#x, allocated and committed by J2 before the cut, was freed by recovery (J1's drop re-applied to its new owner)", got.off)
 	}
-	if !bytes.Equal(p2.Device().Bytes()[got.off:got.off+size], fill) {
+	contents := make([]byte, size)
+	p2.Device().LoadBytes(got.off, contents)
+	if !bytes.Equal(contents, fill) {
 		t.Fatalf("block %#x lost J2's committed contents", got.off)
 	}
 }
@@ -648,5 +648,50 @@ func TestReadViewRejectsWildOffsets(t *testing.T) {
 	}
 	if _, ok := v.Load(v.Size() - 8); !ok {
 		t.Error("the last word of the view is not readable")
+	}
+}
+
+// TestNothingStoresAfterTheCut: a power cut ends execution. When the cut
+// lands on a transaction's second undo append, the deferred rollback must
+// not write the first word's old value back into live memory: a
+// powered-off machine stores nothing, and a line it dirtied could still
+// reach the media through eviction (CrashWithEviction).
+func TestNothingStoresAfterTheCut(t *testing.T) {
+	p := newPool(t)
+	const old, stored = 0xaaaa, 0xbbbb
+	var w, w2 uint64
+	if err := p.Transaction(func(j *journal.Journal) (err error) {
+		if w, err = j.Alloc(8); err != nil {
+			return err
+		}
+		w2, err = j.Alloc(8)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.write8(w, old)
+	p.Device().Persist(w, 8)
+
+	dev := p.Device()
+	cut := pmem.Contain(func() {
+		_ = p.Transaction(func(j *journal.Journal) error {
+			if err := j.DataLog(w, 8); err != nil {
+				return err
+			}
+			p.write8(w, stored)
+			dev.SetFaultInjector(func(op pmem.Op) bool { return op == pmem.OpWrite })
+			return j.DataLog(w2, 8) // the cut lands on this append
+		})
+	})
+	dev.SetFaultInjector(nil)
+	if !cut {
+		t.Fatal("the injector never cut power")
+	}
+	if got := p.read8(w); got != stored {
+		t.Fatalf("live word %#x after the cut, want %#x: something stored after power was off", got, stored)
+	}
+	p2 := crashAndReattach(t, p)
+	if got := p2.read8(w); got != old {
+		t.Fatalf("recovered word %#x, want the committed %#x", got, old)
 	}
 }

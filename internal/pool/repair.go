@@ -112,7 +112,7 @@ func repairImage(dev *pmem.Device, rep *FsckReport) {
 		case AreaHeader:
 			// One copy failed its checksum; rewrite both from the good one
 			// under a fresh sequence number.
-			if h, _, _, err := chooseHeader(dev.Bytes()); err == nil {
+			if h, _, _, err := headerOf(dev); err == nil {
 				h.seq++
 				writeHeader(dev, h)
 			}
@@ -140,9 +140,8 @@ func repairImage(dev *pmem.Device, rep *FsckReport) {
 // repairRootSlots mirrors the surviving root slot over a damaged one.
 // A no-op when both slots are damaged or both intact.
 func repairRootSlots(dev *pmem.Device) bool {
-	img := dev.Bytes()
-	rootA, typA, okA := decodeRootSlot(img[rootSlotAOff : rootSlotAOff+rootSlotSize])
-	rootB, typB, okB := decodeRootSlot(img[rootSlotBOff : rootSlotBOff+rootSlotSize])
+	rootA, typA, okA := rootSlot(dev, rootSlotAOff)
+	rootB, typB, okB := rootSlot(dev, rootSlotBOff)
 	if okA == okB {
 		return false
 	}
@@ -161,7 +160,7 @@ func repairRootSlots(dev *pmem.Device) bool {
 
 // computeGeometryOf rebuilds the geometry from an image's header.
 func computeGeometryOf(dev *pmem.Device) (geometry, error) {
-	h, _, _, err := chooseHeader(dev.Bytes())
+	h, _, _, err := headerOf(dev)
 	if err != nil {
 		return geometry{}, err
 	}
@@ -254,7 +253,7 @@ func (p *Pool) Scrub() (*ScrubReport, error) {
 	// at attach; rootMu serializes the rewrite against SetRoot (different
 	// region, same discipline) and concurrent scrubs.
 	p.rootMu.Lock()
-	_, goodA, goodB, err := chooseHeader(p.dev.Bytes())
+	_, goodA, goodB, err := headerOf(p.dev)
 	if err == nil && (!goodA || !goodB) {
 		p.hdr.seq++
 		writeHeader(p.dev, p.hdr)
@@ -281,7 +280,7 @@ func (p *Pool) Scrub() (*ScrubReport, error) {
 			Detail: "root slot failed its checksum; repaired from mirror",
 		})
 	}
-	if _, _, ok := readRoot(p.dev.Bytes()); !ok {
+	if _, _, ok := readRoot(p.dev); !ok {
 		rep.Problems = append(rep.Problems, FsckProblem{
 			Area: AreaRoot, Index: -1, Repairable: false,
 			Detail: "both root slots failed their checksum",
@@ -303,7 +302,7 @@ dirScan:
 			if !seen[i] {
 				seen[i] = true
 				checked++
-				if !journal.SlotOK(p.dev.Bytes(), p.geo.dirOff, i) {
+				if !journal.SlotOK(p.dev, p.geo.dirOff, i) {
 					journal.RepairSlot(p.dev.In(pmem.ScopeUserData), p.geo.dirOff, p.geo.bufOff, p.geo.bufCap, i)
 					rep.Repairs++
 					rep.Problems = append(rep.Problems, FsckProblem{

@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -20,9 +19,8 @@ func corruptFreeHead(t *testing.T, dev *pmem.Device) {
 		t.Fatal(err)
 	}
 	for off := g.metaOff; off < g.metaOff+alloc.MetaSize(g.arenaHeap); off += 8 {
-		if binary.LittleEndian.Uint64(dev.Bytes()[off:]) != 0 {
-			binary.LittleEndian.PutUint64(dev.Bytes()[off:], 0xDEADBEEF)
-			dev.MarkDirty(off, 8)
+		if dev.Load8(off) != 0 {
+			dev.Store8(off, 0xDEADBEEF)
 			dev.Persist(off, 8)
 			return
 		}
@@ -47,7 +45,7 @@ func TestHeaderMirrorSurvivesDamage(t *testing.T) {
 		t.Fatalf("generation = %d, want %d", p2.Generation(), gen+1)
 	}
 	// Attach rewrites both copies: the image must be whole again.
-	if _, goodA, goodB, err := chooseHeader(dev.Bytes()); err != nil || !goodA || !goodB {
+	if _, goodA, goodB, err := headerOf(dev); err != nil || !goodA || !goodB {
 		t.Fatalf("header not repaired after attach: %v %v %v", goodA, goodB, err)
 	}
 }
@@ -98,7 +96,7 @@ func TestRootSlotMirror(t *testing.T) {
 	if rep.Repairs == 0 {
 		t.Fatal("scrub performed no repairs")
 	}
-	if _, _, ok := decodeRootSlot(p.Device().Bytes()[rootSlotAOff : rootSlotAOff+rootSlotSize]); !ok {
+	if _, _, ok := rootSlot(p.Device(), rootSlotAOff); !ok {
 		t.Fatal("slot A still damaged after scrub")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // intact data are exactly what degraded mode preserves, and damage is
 // surfaced by the same checksums either way.
 type ReadView struct {
-	buf  []byte
+	mem  pmem.Reader
 	size uint64
 }
 
@@ -31,8 +31,7 @@ func (p *Pool) ReadView() (*ReadView, error) {
 	if !open {
 		return nil, fmt.Errorf("%w: no read view", ErrClosed)
 	}
-	buf := p.dev.Bytes()
-	return &ReadView{buf: buf, size: uint64(len(buf))}, nil
+	return &ReadView{mem: p.dev.Reader(), size: uint64(p.dev.Size())}, nil
 }
 
 // Size is the pool's device size in bytes (the view's addressable range).
@@ -48,5 +47,5 @@ func (v *ReadView) Load(off uint64) (val uint64, ok bool) {
 	if off%pmem.WordSize != 0 || off > v.size-pmem.WordSize {
 		return 0, false
 	}
-	return pmem.LoadWord(v.buf, off), true
+	return v.mem.Load8(off), true
 }

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -316,10 +315,10 @@ func TestCorruptEntryAnswersDataCorrupt(t *testing.T) {
 
 	// The entry is [key][next][val][crc], 32-byte aligned: find it by its
 	// key and value words.
-	buf := p.Device().Bytes()
+	dev := p.Device()
 	var entries []uint64
-	for e := uint64(0); e+32 <= uint64(len(buf)); e += 32 {
-		if binary.LittleEndian.Uint64(buf[e:]) == key && binary.LittleEndian.Uint64(buf[e+16:]) == val {
+	for e := uint64(0); e+32 <= uint64(dev.Size()); e += 32 {
+		if dev.Load8(e) == key && dev.Load8(e+16) == val {
 			entries = append(entries, e)
 		}
 	}

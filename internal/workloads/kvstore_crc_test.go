@@ -74,7 +74,7 @@ func TestAttachParentWrittenImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := pmem.New(len(img), pmem.Options{})
-	copy(dev.Bytes(), img)
+	dev.StoreBytes(0, img)
 	p, err := pool.Attach(dev)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestV1ImageServedAtBaseGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := pmem.New(len(img), pmem.Options{})
-	copy(dev.Bytes(), img)
+	dev.StoreBytes(0, img)
 	p, err := pool.Attach(dev)
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +167,8 @@ func TestV1ImageServedAtBaseGeometry(t *testing.T) {
 	if err := kv.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	n := binary.LittleEndian.Uint64(dev.Bytes()[kv.dir:])
-	if binary.LittleEndian.Uint64(dev.Bytes()[kv.dir+8:]) != wordsCRC(n) {
+	n := dev.Load8(kv.dir)
+	if dev.Load8(kv.dir+8) != wordsCRC(n) {
 		t.Fatal("the failed upgrade left the v1 header changed")
 	}
 
@@ -179,7 +179,7 @@ func TestV1ImageServedAtBaseGeometry(t *testing.T) {
 	if !up.geo.Load().v2() {
 		t.Fatal("a writable attach did not upgrade")
 	}
-	if binary.LittleEndian.Uint64(dev.Bytes()[kv.dir+8:]) == wordsCRC(n) {
+	if dev.Load8(kv.dir+8) == wordsCRC(n) {
 		t.Fatal("a v2 header still passes the v1 check")
 	}
 }

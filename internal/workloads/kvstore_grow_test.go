@@ -390,7 +390,7 @@ func TestGroupPayloadsStayDistinguishable(t *testing.T) {
 	type target struct{ off, size uint64 }
 	seen := map[target]map[uint32][]byte{}
 	for _, w := range rec.stores {
-		if len(w.data) <= 16 { // one word, or an entry's [val][crc] (ROADMAP item 1)
+		if len(w.data) <= 16 { // one word, or an entry's [val][crc] (ROADMAP item 15)
 			continue
 		}
 		tg := target{w.off, uint64(len(w.data))}
