@@ -25,6 +25,8 @@ func TestImportGraphLaws(t *testing.T) {
 	}{
 		{dir: "internal/client", only: []string{},
 			why: "the client speaks the wire protocol and nothing else, so anything may import it"},
+		{dir: "internal/histcheck", only: []string{},
+			why: "the client-visible contract is judged from what clients observed, never from the code under test"},
 		{dir: "internal/bench", deny: []string{"internal/server", "internal/repl", "internal/explore", "internal/client"},
 			why: "corundum-bench reproduces the paper's tables and figures; the server is measured by ./benchmark, out of process"},
 		{dir: "internal/server", deny: []string{"internal/bench", "internal/explore", "internal/torture"},

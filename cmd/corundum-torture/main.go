@@ -47,26 +47,23 @@
 //	                 [-max-points N] [-workers N] [-dump-dir D]
 //
 // Repl mode runs the replication chaos rotation on live primary/replica
-// pairs under a real client write stream: link cuts, a replica power cut
-// mid-apply, a promotion under load, a power cut mid-bootstrap, and a
-// primary power cut — each round must end in byte-exact convergence with
-// every acknowledged write of the surviving epoch present, and the
-// deposed epoch's acknowledged writes surviving as a clean prefix of ack
-// order:
+// pairs under a real client write stream, with readers on the replica:
+// link cuts, a replica power cut mid-apply, a promotion under load, a
+// power cut mid-bootstrap, and a primary power cut — each round must end
+// in byte-exact convergence. Readers mode runs the reader-vs-crash
+// campaign: reader connections hammer GET/SCAN through the seqlock
+// lock-free read path while a churn stream overwrites, deletes, and
+// allocates underneath them and injected power cuts land mid-commit; the
+// rebooted server must serve lock-free reads again. Both judge what
+// their clients observed by one contract, per-key durable
+// linearizability (DESIGN §5.3): no torn or phantom value, no read of a
+// commit a power cut rolled back, no acknowledged write of the surviving
+// epoch lost, the deposed epoch's surviving as a clean prefix of ack
+// order. -rounds and -writes of 0 take the mode's default (repl 10 and
+// 200, readers 6 and 400):
 //
-//	corundum-torture -mode repl [-repl-rounds N] [-repl-writes N]
-//	                 [-repl-seed S]
-//
-// Readers mode runs the reader-vs-crash campaign: reader connections
-// hammer GET/SCAN through the seqlock lock-free read path while a churn
-// stream overwrites, deletes, and allocates underneath them and injected
-// power cuts land mid-commit. No reader may ever observe a torn value, a
-// phantom key, or a value outside its key's submitted history; every
-// acknowledged write must survive the cut exactly; and the rebooted
-// server must serve lock-free reads again:
-//
-//	corundum-torture -mode readers [-reader-rounds N] [-reader-writes N]
-//	                 [-reader-clients N] [-reader-seed S]
+//	corundum-torture -mode repl|readers [-rounds N] [-writes N]
+//	                 [-reader-clients N] [-seed S]
 //
 // In exhaust and faults modes, -shards N emulates an N-shard deployment:
 // the campaign crashes shard 0 over and over while shards 1..N-1 serve
@@ -111,13 +108,10 @@ func main() {
 	migKeys := flag.Int("mig-keys", 12, "migrate mode: keys seeded on the source shard")
 	migBatch := flag.Int("mig-batch", 4, "migrate mode: buckets moved per crash-atomic batch")
 	maxPoints := flag.Int("max-points", 0, "migrate mode: explore only the first N top-level crash points (0 = all) — the CI budget knob")
-	replRounds := flag.Int("repl-rounds", 10, "repl mode: chaos rounds (the five scenarios rotate; 10 = two full rotations)")
-	replWrites := flag.Int("repl-writes", 200, "repl mode: client writes per round")
-	replSeed := flag.Int64("repl-seed", 1, "repl mode: campaign randomness seed")
-	readerRounds := flag.Int("reader-rounds", 6, "readers mode: rounds (the three scenarios rotate; 6 = two full rotations)")
-	readerWrites := flag.Int("reader-writes", 400, "readers mode: churn writes per round")
-	readerClients := flag.Int("reader-clients", 8, "readers mode: concurrent reader connections")
-	readerSeed := flag.Int64("reader-seed", 1, "readers mode: campaign randomness seed")
+	rounds := flag.Int("rounds", 0, "repl/readers mode: rounds, rotating the mode's scenarios (0 = two full rotations: repl 10, readers 6)")
+	writes := flag.Int("writes", 0, "repl/readers mode: client writes per round (0 = repl 200, readers 400)")
+	readerClients := flag.Int("reader-clients", 0, "repl/readers mode: concurrent reader connections (0 = 8)")
+	seed := flag.Int64("seed", 0, "repl/readers mode: campaign randomness seed (0 = 1)")
 	shards := flag.Int("shards", 1, "exhaust/faults mode: run the campaign on shard 0 of an N-shard deployment; shards 1..N-1 serve live traffic throughout and are verified at the end")
 	flag.Parse()
 
@@ -138,10 +132,9 @@ func main() {
 		stopSiblings(sib)
 	case "migrate":
 		runMigrate(*migKeys, *migBatch, *depth, *maxPoints, *workers, *dumpDir)
-	case "repl":
-		runRepl(*replRounds, *replWrites, *replSeed)
-	case "readers":
-		runReaders(*readerRounds, *readerWrites, *readerClients, *readerSeed)
+	case "repl", "readers":
+		runNet(*mode, explore.NetConfig{Rounds: *rounds, WritesPerRound: *writes, Readers: *readerClients, Seed: *seed,
+			Log: func(format string, args ...any) { fmt.Fprintf(os.Stderr, "  "+format+"\n", args...) }})
 	default:
 		fmt.Fprintf(os.Stderr, "corundum-torture: unknown -mode %q (want random, exhaust, faults, migrate, repl, or readers)\n", *mode)
 		os.Exit(2)
@@ -308,46 +301,30 @@ func runMigrate(keys, batch, depth, maxPoints, workers int, dumpDir string) {
 	fmt.Printf("OK: every power cut resumes to a completed migration with all %d keys intact\n", res.Keys)
 }
 
-func runRepl(rounds, writes int, seed int64) {
-	st := &explore.ReplStats{}
+// runNet runs the repl or readers campaign; cfg's zero fields take the
+// campaign's defaults.
+func runNet(mode string, cfg explore.NetConfig) {
 	start := time.Now()
-	res, err := explore.RunRepl(explore.ReplConfig{
-		Rounds:         rounds,
-		WritesPerRound: writes,
-		Seed:           seed,
-		Stats:          st,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
-		},
-	})
-	exitOnError("repl", err)
-	fmt.Printf("repl chaos: %d rounds, %d writes acked; %d link cuts, %d replica crashes, %d bootstrap crashes, %d primary crashes, %d promotions, %d reboots (%.1fs)\n",
-		res.Rounds, st.Acked.Load(), st.LinkCuts.Load(), st.ReplicaCrashes.Load(),
-		st.BootstrapCrashes.Load(), st.PrimaryCrashes.Load(), st.Promotes.Load(),
-		st.Reboots.Load(), time.Since(start).Seconds())
-	exitOnViolations("repl", " — acked writes lost or replicas diverged", res.Violations, "")
-	fmt.Printf("OK: every round converged byte-exact with zero acked-write loss on the surviving epoch\n")
-}
-
-func runReaders(rounds, writes, clients int, seed int64) {
-	st := &explore.ReadersStats{}
-	start := time.Now()
-	res, err := explore.RunReaders(explore.ReadersConfig{
-		Rounds:         rounds,
-		WritesPerRound: writes,
-		Readers:        clients,
-		Seed:           seed,
-		Stats:          st,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
-		},
-	})
-	exitOnError("readers", err)
+	if mode == "repl" {
+		res, err := explore.RunRepl(cfg)
+		exitOnError(mode, err)
+		st := res.Stats
+		fmt.Printf("repl chaos: %d rounds, %d writes acked, %d replica reads; %d link cuts, %d replica crashes, %d bootstrap crashes, %d primary crashes, %d promotions, %d reboots (%.1fs)\n",
+			st.Rounds.Load(), st.Acked.Load(), st.Reads.Load()+st.ScanPairs.Load(), st.LinkCuts.Load(), st.ReplicaCrashes.Load(),
+			st.BootstrapCrashes.Load(), st.PrimaryCrashes.Load(), st.Promotes.Load(),
+			st.Reboots.Load(), time.Since(start).Seconds())
+		exitOnViolations(mode, " — the history broke the client-visible contract", res.Violations, "")
+		fmt.Printf("OK: every round converged byte-exact with zero acked-write loss on the surviving epoch\n")
+		return
+	}
+	res, err := explore.RunReaders(cfg)
+	exitOnError(mode, err)
+	st := res.Stats
 	fmt.Printf("reader-vs-crash: %d rounds, %d writes acked; %d GETs + %d SCAN pairs verified, %d power cuts, %d reboots, %d lock-free reads, %d retries, %d fallbacks (%.1fs)\n",
-		res.Rounds, st.Acked.Load(), st.Reads.Load(), st.ScanPairs.Load(),
+		st.Rounds.Load(), st.Acked.Load(), st.Reads.Load(), st.ScanPairs.Load(),
 		st.Crashes.Load(), st.Reboots.Load(), st.LockFreeReads.Load(),
 		st.ReadRetries.Load(), st.Fallbacks.Load(), time.Since(start).Seconds())
-	exitOnViolations("readers", " — a reader observed torn, phantom, or uncommitted state, or an acked write was lost", res.Violations, "")
+	exitOnViolations(mode, " — the history broke the client-visible contract", res.Violations, "")
 	fmt.Printf("OK: no reader ever observed torn, phantom, or uncommitted state; every acked write survived\n")
 }
 

@@ -6,15 +6,14 @@ import (
 
 // TestReplChaosCampaign runs the replication chaos rotation: link cuts,
 // a replica power cut mid-apply, a promotion under load, a power cut
-// mid-bootstrap, and a primary power cut — each round ending in
-// byte-exact convergence with zero acked-write loss on the surviving
-// epoch. CI's repl job runs the full rotation race-enabled via the CLI;
+// mid-bootstrap, and a primary power cut, with readers on the replica —
+// each round ending in byte-exact convergence and histcheck's verdict on
+// what the writer and the readers observed. CI's repl job runs the full rotation race-enabled via the CLI;
 // here short/race builds trim to the first three scenarios.
 func TestReplChaosCampaign(t *testing.T) {
-	cfg := ReplConfig{
+	cfg := NetConfig{
 		Rounds:         len(replScenarios),
 		WritesPerRound: 160,
-		SeedKeys:       100,
 		Log:            t.Logf,
 	}
 	if testing.Short() || raceEnabled {
@@ -38,6 +37,9 @@ func TestReplChaosCampaign(t *testing.T) {
 	if st.Acked.Load() == 0 {
 		t.Fatal("no client write was ever acknowledged")
 	}
+	if st.Reads.Load() == 0 || st.ScanPairs.Load() == 0 {
+		t.Fatalf("replica read coverage hole: reads=%d scanPairs=%d", st.Reads.Load(), st.ScanPairs.Load())
+	}
 	if st.LinkCuts.Load() == 0 || st.ReplicaCrashes.Load() == 0 || st.Promotes.Load() == 0 {
 		t.Fatalf("scenario coverage hole: cuts=%d replicaCrashes=%d promotes=%d",
 			st.LinkCuts.Load(), st.ReplicaCrashes.Load(), st.Promotes.Load())
@@ -46,7 +48,7 @@ func TestReplChaosCampaign(t *testing.T) {
 		t.Fatalf("scenario coverage hole: bootstrapCrashes=%d primaryCrashes=%d",
 			st.BootstrapCrashes.Load(), st.PrimaryCrashes.Load())
 	}
-	t.Logf("rounds=%d acked=%d cuts=%d replicaCrashes=%d bootstrapCrashes=%d primaryCrashes=%d promotes=%d reboots=%d",
-		st.Rounds.Load(), st.Acked.Load(), st.LinkCuts.Load(), st.ReplicaCrashes.Load(),
+	t.Logf("rounds=%d acked=%d reads=%d scanPairs=%d cuts=%d replicaCrashes=%d bootstrapCrashes=%d primaryCrashes=%d promotes=%d reboots=%d",
+		st.Rounds.Load(), st.Acked.Load(), st.Reads.Load(), st.ScanPairs.Load(), st.LinkCuts.Load(), st.ReplicaCrashes.Load(),
 		st.BootstrapCrashes.Load(), st.PrimaryCrashes.Load(), st.Promotes.Load(), st.Reboots.Load())
 }

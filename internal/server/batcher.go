@@ -528,20 +528,17 @@ func (b *Batcher) run() {
 
 // commit applies one batch in a single failure-atomic transaction. A
 // panic out of the pool (the emulated device's injected crash, which
-// models power failure) is converted into a permanent server halt: real
-// power loss would kill the process, and the recover here is what lets
-// in-process crash tests observe the post-crash protocol behaviour.
+// models power failure, or a bug or damage panic) is converted into a
+// permanent halt of the batcher, recorded before the store lock is
+// released (storeLock.write).
 func (b *Batcher) commit(ops []workloads.Op) (res []bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %v", ErrServerHalted, r)
-			b.fail(err)
+	err = b.lock.write(b.fail, func() (err error) {
+		if cs := b.stream.Load(); cs != nil {
+			res, err = cs.commit(b.kv, ops)
+		} else {
+			res, err = b.kv.Apply(ops)
 		}
-	}()
-	b.lock.Lock()
-	defer b.lock.Unlock()
-	if cs := b.stream.Load(); cs != nil {
-		return cs.commit(b.kv, ops)
-	}
-	return b.kv.Apply(ops)
+		return err
+	})
+	return res, err
 }

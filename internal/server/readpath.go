@@ -33,6 +33,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,6 +48,8 @@ import (
 type storeLock struct {
 	mu  sync.RWMutex
 	seq atomic.Uint64
+	// cut is set, for good, when power loss cut a writer section (write).
+	cut atomic.Bool
 }
 
 func (l *storeLock) Lock() {
@@ -57,6 +60,37 @@ func (l *storeLock) Lock() {
 func (l *storeLock) Unlock() {
 	l.seq.Add(1) // even again: heap is stable committed state
 	l.mu.Unlock()
+}
+
+// write runs fn as one writer critical section. A panic inside fn — a
+// power cut (the device panics with pmem.ErrInjectedCrash), or a bug or
+// damage panic out of the pool — fails the shard BEFORE the lock is
+// released (haltOnPanic): the cut transaction's in-place stores may stay
+// in live memory (a rollback cannot run on a dead device), and a reader
+// that takes the lock or opens a bracket after the release re-checks cut
+// after its walk (Server.read), so it is refused rather than answered
+// from them. The panic returns as an ErrServerHalted error.
+func (l *storeLock) write(fail func(error), fn func() error) (err error) {
+	l.Lock()
+	defer l.Unlock()
+	defer l.haltOnPanic(fail, &err)
+	return fn()
+}
+
+// haltOnPanic, deferred inside one of a shard's lock sections, turns a
+// panic out of the section into that shard's permanent failure, leaving
+// the other shards serving: fail records it first, and cut is set only
+// after, so cut set implies the shard is down. *err becomes the
+// ErrServerHalted failure. Real power loss would kill the process; the
+// conversion is what lets in-process crash tests observe the post-crash
+// protocol, and it keeps a bug or corrupt-image panic from taking every
+// shard and connection down with it.
+func (l *storeLock) haltOnPanic(fail func(error), err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("%w: %v", ErrServerHalted, r)
+		fail(*err)
+		l.cut.Store(true)
+	}
 }
 
 func (l *storeLock) RLock()   { l.mu.RLock() }
@@ -104,12 +138,24 @@ func (s *Server) read(sh *shard, walk func() error) error {
 			s.m.readsLockFree.Inc()
 		}
 		if err == nil || err == errMoved {
-			return err
+			return sh.cut(err)
 		}
 		break
 	}
 	s.m.readFallbacks.Inc()
 	sh.lock.RLock()
 	defer sh.lock.RUnlock()
-	return walk()
+	return sh.cut(walk())
+}
+
+// cut re-checks, after a walk, that no writer section of sh was cut:
+// storeLock.write marks the shard down, then sets cut, before it
+// releases the lock, so a walk that could have seen the cut batch's
+// stores is refused here with the shard's failure. err passes through
+// otherwise. The check is one atomic load.
+func (sh *shard) cut(err error) error {
+	if sh.lock.cut.Load() {
+		return sh.down()
+	}
+	return err
 }

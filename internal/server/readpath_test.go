@@ -3,6 +3,7 @@ package server_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -349,4 +350,143 @@ func TestCorruptEntryAnswersDataCorrupt(t *testing.T) {
 	}
 	// A key in another chain still reads back.
 	mustReply(t, cl, fmt.Sprintf("GET %d", other), ":1")
+}
+
+// TestCutCommitIsNeverServed parks a reader on a shard's lock while that
+// shard's commit is cut by power loss. The cut transaction's in-place
+// stores stay in live memory (its rollback cannot run on a dead device),
+// so a read that walks them after the lock is released would answer a
+// value recovery then rolls back. The reader must be refused instead, and
+// recovery must bring back the last committed value.
+func TestCutCommitIsNeverServed(t *testing.T) {
+	const n = 2 // a second shard keeps the server, and the reader's connection, up
+	pools := newShardPools(t, n, 16<<20)
+	srv, addr := startShardedServer(t, pools, server.Options{})
+	key := keyOnShard(0, n, 1)
+	dev := pools[0].Device()
+
+	cl := dial(t, addr)
+	defer cl.close()
+	mustReply(t, cl, fmt.Sprintf("SET %d 100", key), "+OK")
+	// A clean overwrite's op sequence names the cut: the batch's first
+	// user-data flush, by which point its in-place store has landed.
+	var dataFlush []bool // per injection point: a user-data flush?
+	var opsMu sync.Mutex
+	dev.SetOpHook(func(op pmem.Op, sc pmem.Scope, n uint64) {
+		opsMu.Lock()
+		defer opsMu.Unlock()
+		if op != pmem.OpFlush {
+			dataFlush = append(dataFlush, false)
+			return
+		}
+		for ; n > 0; n-- { // a flush passes the injector once per line
+			dataFlush = append(dataFlush, sc == pmem.ScopeUserData)
+		}
+	})
+	mustReply(t, cl, fmt.Sprintf("SET %d 150", key), "+OK")
+	dev.SetOpHook(nil)
+	cut := slices.Index(dataFlush, true) + 1
+	t.Logf("cutting the next overwrite at device op %d of %d", cut, len(dataFlush))
+	if cut == 0 {
+		t.Fatalf("a clean overwrite made no user-data flush in %d ops", len(dataFlush))
+	}
+
+	at, release := make(chan struct{}), make(chan struct{})
+	var count int
+	dev.SetFaultInjector(func(pmem.Op) bool {
+		if count++; count != cut {
+			return false
+		}
+		close(at)
+		<-release
+		return true
+	})
+	wrote := make(chan string, 1)
+	go func() {
+		w := dial(t, addr)
+		defer w.close()
+		rep, _ := w.cmd(fmt.Sprintf("SET %d 200", key))
+		wrote <- rep
+	}()
+	<-at
+	_, _, fb0 := srv.ReadPathStats()
+	read := make(chan string, 1)
+	go func() {
+		r := dial(t, addr)
+		defer r.close()
+		rep, err := r.cmd(fmt.Sprintf("GET %d", key))
+		if err != nil {
+			rep = err.Error()
+		}
+		read <- rep
+	}()
+	// The reader's brackets all see the commit in flight, so it falls back
+	// to the read lock and parks there.
+	for {
+		if _, _, fb := srv.ReadPathStats(); fb > fb0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	got := <-read
+	dev.SetFaultInjector(nil)
+	if !strings.HasPrefix(got, "-") {
+		t.Errorf("GET %d during the cut answered %q: it must be refused, never served from the cut batch", key, got)
+	}
+	if rep := <-wrote; rep == "+OK" {
+		t.Fatalf("the cut SET was acknowledged")
+	}
+
+	_ = srv.Close()
+	devs := make([]*pmem.Device, n)
+	for i, p := range pools {
+		devs[i] = p.Device()
+		devs[i].Crash()
+	}
+	rpools, errs := server.AttachShards(devs)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv2, addr2 := startShardedServer(t, rpools, server.Options{})
+	defer srv2.Close()
+	c2 := dial(t, addr2)
+	defer c2.close()
+	mustReply(t, c2, fmt.Sprintf("GET %d", key), ":150")
+}
+
+// TestCommitPanicHaltsOnlyItsShard plants a panic that is not a power cut
+// (a bug or damage panic) in a shard's commit. It must halt that shard
+// alone, the way a cut does: the SET and later reads of the shard's keys
+// are refused, while the other shard, the connection and the process
+// keep serving.
+func TestCommitPanicHaltsOnlyItsShard(t *testing.T) {
+	const n = 2
+	pools := newShardPools(t, n, 16<<20)
+	srv, addr := startShardedServer(t, pools, server.Options{})
+	defer srv.Close()
+	k0, k1 := keyOnShard(0, n, 1), keyOnShard(1, n, 1)
+
+	cl := dial(t, addr)
+	defer cl.close()
+	mustReply(t, cl, fmt.Sprintf("SET %d 1", k0), "+OK")
+	var fired sync.Once
+	dev := pools[0].Device()
+	dev.SetOpHook(func(pmem.Op, pmem.Scope, uint64) {
+		fired.Do(func() { panic("planted bug in the commit path") })
+	})
+	refused := func(cmd string) {
+		t.Helper()
+		if rep, err := cl.cmd(cmd); err == nil && !strings.HasPrefix(rep, "-") {
+			t.Fatalf("%s on the halted shard answered %q", cmd, rep)
+		}
+	}
+	refused(fmt.Sprintf("SET %d 2", k0))
+	dev.SetOpHook(nil)
+	refused(fmt.Sprintf("GET %d", k0))
+	mustReply(t, cl, fmt.Sprintf("SET %d 3", k1), "+OK")
+	mustReply(t, cl, fmt.Sprintf("GET %d", k1), ":3")
 }

@@ -408,9 +408,7 @@ func (s *Server) Promote() error {
 		return fmt.Errorf("promote: reading cursor: %w", err)
 	}
 	newEpoch := epoch + 1
-	sh0.lock.Lock()
-	err = sh0.kv.WriteReplCursor(newEpoch, seq)
-	sh0.lock.Unlock()
+	err = sh0.lock.write(sh0.fail, func() error { return sh0.kv.WriteReplCursor(newEpoch, seq) })
 	if err != nil {
 		return fmt.Errorf("promote: bumping epoch: %w", err)
 	}
@@ -645,9 +643,7 @@ func (h *replHost) ApplyFrame(epoch, seq uint64, ops []workloads.Op) error {
 			return err
 		}
 		sh0 := st.shards[0]
-		sh0.lock.Lock()
-		defer sh0.lock.Unlock()
-		return sh0.kv.WriteReplCursor(epoch, seq)
+		return sh0.lock.write(sh0.fail, func() error { return sh0.kv.WriteReplCursor(epoch, seq) })
 	}
 	groups := make([][]workloads.Op, st.n)
 	for _, op := range ops {
@@ -672,13 +668,9 @@ func (h *replHost) ApplyFrame(epoch, seq uint64, ops []workloads.Op) error {
 	})
 }
 
-// onStore runs fn on sh's store under its write lock, converting an
-// injected crash under it into the shard's failure.
-func (s *Server) onStore(sh *shard, fn func(kv *workloads.KVStore) error) (err error) {
-	defer s.recoverShardFailure(sh, &err)
-	sh.lock.Lock()
-	defer sh.lock.Unlock()
-	return fn(sh.kv)
+// onStore runs fn on sh's store as one writer section (storeLock.write).
+func (s *Server) onStore(sh *shard, fn func(kv *workloads.KVStore) error) error {
+	return sh.lock.write(sh.fail, func() error { return fn(sh.kv) })
 }
 
 // applyOnShard commits ops on sh in one failure-atomic transaction.
@@ -714,20 +706,18 @@ func (s *Server) applyOpsOwned(ops []workloads.Op) error {
 		if err := sh.writable(); err != nil {
 			return err
 		}
-		var applyErr error
-		stable := func() bool {
-			defer s.recoverShardFailure(sh, &applyErr)
-			sh.lock.Lock()
-			defer sh.lock.Unlock()
+		stable := true
+		applyErr := sh.lock.write(sh.fail, func() error {
 			cur := s.st()
 			for _, op := range mine {
 				if cur.owner(op.Key) != si {
-					return false
+					stable = false
+					return nil
 				}
 			}
-			_, applyErr = sh.kv.Apply(mine)
-			return true
-		}()
+			_, err := sh.kv.Apply(mine)
+			return err
+		})
 		if applyErr != nil {
 			return applyErr
 		}

@@ -953,9 +953,9 @@ func (s *Server) runScrub() string {
 		}
 		rep, scrubErr := sh.pool.Scrub()
 		storeErr := func() (err error) {
-			defer s.recoverShardFailure(sh, &err)
 			sh.lock.RLock()
 			defer sh.lock.RUnlock()
+			defer sh.lock.haltOnPanic(sh.fail, &err)
 			return sh.kv.VerifyIntegrity()
 		}()
 		arenas += rep.Arenas
@@ -995,20 +995,6 @@ func (s *Server) runScrub() string {
 	out += fmt.Sprintf("quarantined_ranges: %d\n", quarantined)
 	out += detail
 	return out
-}
-
-// recoverShardFailure converts an injected-crash panic out of sh's
-// device into that shard's permanent failure, leaving the other shards
-// serving.
-func (s *Server) recoverShardFailure(sh *shard, err *error) {
-	if r := recover(); r != nil {
-		if r != pmem.ErrInjectedCrash {
-			panic(r)
-		}
-		e := fmt.Errorf("%w: %v", ErrServerHalted, r)
-		sh.fail(e)
-		*err = e
-	}
 }
 
 func (s *Server) renderInfo() string {
