@@ -1,10 +1,14 @@
 package corundum_test
 
 import (
+	"bytes"
+	"fmt"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -37,6 +41,8 @@ func TestImportGraphLaws(t *testing.T) {
 			why: "the device emulator is the bottom layer"},
 		{dir: "internal/obs", only: []string{},
 			why: "the observability substrate is dependency-free, so every layer can record into it"},
+		{dir: "internal/crc", only: []string{},
+			why: "the heap-free checksum is a leaf, so every persistent layer can use it"},
 		{dir: "internal/pool", deny: []string{"internal/workloads", "internal/server", "internal/repl", "internal/core"},
 			why: "the pool never imports upward"},
 	}
@@ -115,5 +121,65 @@ func TestUnsafeAddrOnlyInCore(t *testing.T) {
 	}
 	if files == 0 || coreCalls == 0 {
 		t.Fatalf("parsed %d files and found %d UnsafeAddr calls in %s: the law is checking nothing", files, coreCalls, core)
+	}
+}
+
+// TestGofmtClean makes gofmt law: every Go file in the module, test files
+// and testdata included, must be exactly what go/format makes of it (what
+// `gofmt -l .` checks in CI).
+func TestGofmtClean(t *testing.T) {
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		files++
+		if err := gofmtClean(path); err != nil {
+			t.Error(err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("found no Go files: the law is checking nothing")
+	}
+}
+
+// gofmtClean reports why the Go file at path is not gofmt-clean, or nil.
+func gofmtClean(path string) error {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	out, err := format.Source(src)
+	if err != nil {
+		return fmt.Errorf("%s: %v", path, err)
+	}
+	if !bytes.Equal(out, src) {
+		return fmt.Errorf("%s is not gofmt-clean: run gofmt -w %s", path, path)
+	}
+	return nil
+}
+
+// TestGofmtCleanCatchesMisformat plants a misformatted file, so the law
+// above cannot pass by checking nothing.
+func TestGofmtCleanCatchesMisformat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "planted.go")
+	if err := os.WriteFile(path, []byte("package planted\nfunc  f( ) {}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := gofmtClean(path); err == nil {
+		t.Fatal("a misformatted file passed the gofmt check")
 	}
 }

@@ -74,10 +74,11 @@ type Buddy struct {
 	heapSize  uint64
 	maxOrder  uint
 
-	inUse  uint64              // volatile accounting of allocated bytes
-	batch  *redoBatch          // reusable staging buffer (guarded by mu)
-	slab   slabCache           // per-size-class free cache (guarded by mu)
-	crcBuf [maxOrders * 8]byte // crcThrough's image of a region (guarded by mu)
+	inUse     uint64              // volatile accounting of allocated bytes
+	batch     *redoBatch          // reusable staging buffer (guarded by mu)
+	slab      slabCache           // per-size-class free cache (guarded by mu)
+	crcBuf    [maxOrders * 8]byte // crcThrough's image of a region (guarded by mu)
+	crcChunks []uint64            // stageChecksums' touched map chunks (guarded by mu)
 }
 
 // mapChunkSize is the order-map granularity of checksum protection: one

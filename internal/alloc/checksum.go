@@ -3,8 +3,8 @@ package alloc
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
+	"corundum/internal/crc"
 	"corundum/internal/pmem"
 )
 
@@ -40,7 +40,7 @@ func (b *Buddy) chunkSpan(chunk uint64) (uint64, uint64) {
 func (b *Buddy) stageChecksums(batch *redoBatch) {
 	headsEnd := b.headsOff + maxOrders*8
 	headsTouched := false
-	var chunks []uint64
+	chunks := b.crcChunks[:0]
 	for i := range batch.entries {
 		e := &batch.entries[i]
 		for _, off := range []uint64{e.off, e.off + uint64(e.width) - 1} {
@@ -62,6 +62,7 @@ func (b *Buddy) stageChecksums(batch *redoBatch) {
 			}
 		}
 	}
+	b.crcChunks = chunks
 	if headsTouched {
 		batch.stage8(b.headsCRCSlot(), uint64(b.crcThrough(batch.entries, b.headsOff, headsEnd)))
 	}
@@ -86,7 +87,7 @@ func (b *Buddy) crcThrough(staged []redoEntry, start, end uint64) uint32 {
 			}
 		}
 	}
-	return crc32.ChecksumIEEE(img)
+	return crc.Checksum(img)
 }
 
 // writeAllChecksums computes and writes every checksum slot from the live

@@ -3,8 +3,8 @@ package alloc
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
+	"corundum/internal/crc"
 	"corundum/internal/pmem"
 )
 
@@ -121,17 +121,17 @@ func (b *redoBatch) commit() {
 	}
 	// Entries and header in one contiguous region: one flush run, one fence.
 	var ebuf [entrySize]byte
-	crc := crc32.NewIEEE()
+	var sum uint32
 	off := b.logOff + logHeaderSize
 	for _, e := range b.entries {
 		encodeEntry(ebuf[:], e)
 		b.dev.Write(off, ebuf[:])
-		crc.Write(ebuf[:])
+		sum = crc.Update(sum, ebuf[:])
 		off += entrySize
 	}
 	var hdr [logHeaderSize]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(len(b.entries)))
-	binary.LittleEndian.PutUint32(hdr[8:], crc.Sum32())
+	binary.LittleEndian.PutUint32(hdr[8:], sum)
 	b.dev.Write(b.logOff, hdr[:])
 	b.dev.Flush(b.logOff, logHeaderSize+uint64(len(b.entries))*entrySize)
 	b.dev.Fence() // commit point
@@ -199,7 +199,7 @@ func replayLog(dev pmem.Handle, logOff uint64) {
 	wantCRC := uint32(dev.Load8(logOff + 8))
 	raw := make([]byte, n*entrySize)
 	dev.LoadBytes(logOff+logHeaderSize, raw)
-	if crc32.ChecksumIEEE(raw) != wantCRC {
+	if crc.Checksum(raw) != wantCRC {
 		clearLogHeader(dev, logOff)
 		return
 	}

@@ -2,7 +2,8 @@ package alloc
 
 import (
 	"encoding/binary"
-	"hash/crc32"
+
+	"corundum/internal/crc"
 )
 
 // The slab layer kills the allocator's per-operation fence tax. Without
@@ -121,6 +122,7 @@ type slabCache struct {
 	freeSlots []int           // ledger slots not currently holding an entry
 	bytes     uint64          // total parked bytes
 	claims    []slabBlock     // blocks claimed by the live transaction
+	stocked   []slabBlock     // a refill's spares until its batch commits
 
 	pendingClaims []pendingClaim // crash-surviving claims awaiting ResolveClaims
 
@@ -209,7 +211,7 @@ func slabMeta(off uint64, order uint) uint64 {
 	var buf [9]byte
 	binary.LittleEndian.PutUint64(buf[:], off)
 	buf[8] = byte(order)
-	return uint64(order) | uint64(crc32.ChecksumIEEE(buf[:]))<<32
+	return uint64(order) | uint64(crc.Checksum(buf[:]))<<32
 }
 
 // claimMeta packs a claimed slot's meta word: order+flag, the claiming
@@ -225,7 +227,7 @@ func claimMeta(off uint64, order uint, journal int, epoch16 uint16) uint64 {
 	buf[9] = byte(journal)
 	binary.LittleEndian.PutUint16(buf[10:], epoch16)
 	return uint64(b0) | uint64(byte(journal))<<8 | uint64(epoch16)<<16 |
-		uint64(crc32.ChecksumIEEE(buf[:]))<<32
+		uint64(crc.Checksum(buf[:]))<<32
 }
 
 // writeLedger persists (flush, no fence) a parked block's ledger entry.
@@ -429,7 +431,7 @@ func (b *Buddy) slabRefillInBatch(batch *redoBatch, size uint64) []slabBlock {
 		return nil
 	}
 	b.slab.stats.Misses++
-	var stocked []slabBlock
+	stocked := b.slab.stocked[:0]
 	room := b.slab.cap - len(b.slab.classes[ci])
 	for len(stocked) < b.slab.refill && len(stocked) < room &&
 		len(b.slab.freeSlots) > len(stocked) &&
@@ -443,6 +445,7 @@ func (b *Buddy) slabRefillInBatch(batch *redoBatch, size uint64) []slabBlock {
 		batch.stage8(b.slabSlotOff(slot)+8, slabMeta(off, order))
 		stocked = append(stocked, slabBlock{off: off, slot: slot})
 	}
+	b.slab.stocked = stocked
 	return stocked
 }
 

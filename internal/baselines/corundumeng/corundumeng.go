@@ -48,7 +48,7 @@ func (l Lib) Open(cfg engine.Config) (engine.Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &enginePool{p: p, noDedup: l.NoDedup}, nil
+	return newEnginePool(p, l.NoDedup), nil
 }
 
 // Wrap adapts an already-open pool to the engine interface, so workloads
@@ -56,11 +56,22 @@ func (l Lib) Open(cfg engine.Config) (engine.Pool, error) {
 // Figure 1 structures) can run over a pool the caller created, opened, and
 // recovered itself. Closing the returned engine.Pool closes the wrapped
 // pool.
-func Wrap(p *pool.Pool) engine.Pool { return &enginePool{p: p} }
+func Wrap(p *pool.Pool) engine.Pool { return newEnginePool(p, false) }
 
 type enginePool struct {
-	p       *pool.Pool
-	noDedup bool
+	p *pool.Pool
+	// txs holds one transaction handle per journal slot. A transaction
+	// owns its slot's journal until it ends, so it may use that slot's
+	// handle, and opening one allocates nothing.
+	txs []tx
+}
+
+func newEnginePool(p *pool.Pool, noDedup bool) *enginePool {
+	ep := &enginePool{p: p, txs: make([]tx, p.Journals())}
+	for i := range ep.txs {
+		ep.txs[i] = tx{p: p, noDedup: noDedup}
+	}
+	return ep
 }
 
 func (ep *enginePool) Root() uint64         { return ep.p.RootOff() }
@@ -69,7 +80,9 @@ func (ep *enginePool) Close() error         { return ep.p.Close() }
 
 func (ep *enginePool) Tx(body func(tx engine.Tx) error) error {
 	return ep.p.Transaction(func(j *journal.Journal) error {
-		return body(&tx{p: ep.p, j: j, noDedup: ep.noDedup})
+		t := &ep.txs[j.Arena()]
+		t.j = j
+		return body(t)
 	})
 }
 

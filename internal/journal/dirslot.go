@@ -1,8 +1,7 @@
 package journal
 
 import (
-	"hash/crc32"
-
+	"corundum/internal/crc"
 	"corundum/internal/pmem"
 )
 
@@ -38,7 +37,7 @@ func slotCRC(index int, lo uint32) uint32 {
 	b[1] = byte(lo >> 8)
 	b[2] = byte(lo >> 16)
 	b[3] = byte(lo >> 24)
-	return crc32.ChecksumIEEE(b[:])
+	return crc.Checksum(b[:])
 }
 
 // encodeSlotWord packs journal index's directory mirror for the given

@@ -103,6 +103,14 @@ type Journal struct {
 	defers     []func()            // run after commit or abort (lock releases)
 	aborted    bool
 	logBytes   uint64 // log bytes appended by the current transaction
+
+	// Commit-path scratch, so a transaction touches no Go heap: the
+	// method values are bound once at attach, and the entry the next
+	// AllocEx seals lives here rather than in a fresh closure.
+	sealing   reserved                    // the entry sealReserved validates
+	sealWords [3]alloc.Update             // sealReserved's result
+	seal      func(uint64) []alloc.Update // j.sealReserved
+	drop      func()                      // j.applyDrops
 }
 
 // DirSize returns the directory bytes needed for n journal slots.
@@ -141,6 +149,7 @@ func Attach(dev *pmem.Device, heap Heap, dirOff, bufOff, bufCap uint64, n int) [
 
 func attach(dev *pmem.Device, heap Heap, arena int, slotOff, bufOff, bufCap uint64) *Journal {
 	j := &Journal{dev: dev, log: dev.In(pmem.ScopeJournal), heap: heap, arena: arena, slotOff: slotOff, bufOff: bufOff, bufCap: bufCap}
+	j.seal, j.drop = j.sealReserved, j.applyDrops
 	// Resume epochs above whatever is durable so new entries can never
 	// validate against a stale state word.
 	j.epoch = stateWord(dev, bufOff) >> 8
@@ -346,20 +355,17 @@ func (j *Journal) allocEx(size uint64, payload []byte) (uint64, error) {
 		j.allocSpans = append(j.allocSpans, span{off, off + alloc.BlockSize(size)})
 		return off, nil
 	}
-	hdr, payloadOff, err := j.reserve(entryAlloc, size)
+	r, err := j.reserve(entryAlloc, size)
 	if err != nil {
 		return 0, err
 	}
-	_ = payloadOff
-	off, err := j.heap.AllocEx(j.arena, size, payload, func(block uint64) []alloc.Update {
-		return j.sealUpdates(hdr, entryAlloc, block, size)
-	})
+	off, err := j.allocSealed(r, payload)
 	if err != nil {
 		// Nothing was committed; drop the reservation.
-		j.tail = hdr
+		j.tail = r.hdr
 		return 0, err
 	}
-	j.finishAppend(hdr)
+	j.finishAppend(r.hdr)
 	j.live = append(j.live, entry{kind: entryAlloc, off: off, size: size})
 	j.allocSpans = append(j.allocSpans, span{off, off + alloc.BlockSize(size)})
 	return off, nil
@@ -461,23 +467,7 @@ func (j *Journal) commit() {
 		// may see these frees until this journal is durably idle: the
 		// heap holds every allocator out for the length of the call, and
 		// the retire inside it is eager.
-		j.heap.Reclaim(func() {
-			for _, e := range entries {
-				if e.kind == entryDrop {
-					if err := j.heap.Free(e.off, e.size); err != nil {
-						panic(fmt.Sprintf("journal: drop of %#x failed: %v", e.off, err))
-					}
-				}
-			}
-			j.freePages()
-			// A dropped block may have parked in the slab cache: a flushed
-			// but unfenced ledger write. The idle word must never reach the
-			// media ahead of it (an evicted idle word paired with a lost
-			// park would leak the block — recovery ignores idle journals),
-			// so fence the parks before the retire is even written.
-			j.dev.In(pmem.ScopeAllocRedo).Fence()
-			j.setState(stateIdle)
-		})
+		j.heap.Reclaim(j.drop)
 		j.tail = j.bufOff + stateSize
 		return
 	}
@@ -493,6 +483,27 @@ func (j *Journal) commit() {
 	j.writeState(stateIdle)
 	j.log.Flush(j.bufOff, stateSize)
 	j.tail = j.bufOff + stateSize
+}
+
+// applyDrops is a commit's destructive tail, run under Heap.Reclaim: it
+// frees the drop-logged blocks and chained pages, then retires the
+// journal to a durable idle.
+func (j *Journal) applyDrops() {
+	for _, e := range j.live {
+		if e.kind == entryDrop {
+			if err := j.heap.Free(e.off, e.size); err != nil {
+				panic(fmt.Sprintf("journal: drop of %#x failed: %v", e.off, err))
+			}
+		}
+	}
+	j.freePages()
+	// A dropped block may have parked in the slab cache: a flushed but
+	// unfenced ledger write. The idle word must never reach the media
+	// ahead of it (an evicted idle word paired with a lost park would
+	// leak the block — recovery ignores idle journals), so fence the
+	// parks before the retire is even written.
+	j.dev.In(pmem.ScopeAllocRedo).Fence()
+	j.setState(stateIdle)
 }
 
 // freePages returns the transaction's chained continuation pages to the

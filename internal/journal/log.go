@@ -3,10 +3,10 @@ package journal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"slices"
 
 	"corundum/internal/alloc"
+	"corundum/internal/crc"
 	"corundum/internal/pmem"
 )
 
@@ -67,14 +67,14 @@ func entryCRC(epoch uint64, kind byte, off, size uint64, payload []byte) uint32 
 	h[8] = kind
 	binary.LittleEndian.PutUint64(h[9:], off)
 	binary.LittleEndian.PutUint64(h[17:], size)
-	crc := crc32.ChecksumIEEE(h[:])
-	if len(payload) > 0 {
-		crc = crc32.Update(crc, crc32.IEEETable, payload)
-	}
-	return crc
+	return crc.Update(crc.Checksum(h[:]), payload)
 }
 
 func pad8(n uint64) uint64 { return (n + 7) &^ 7 }
+
+// terminator is the entryEnd byte that closes the log after its last
+// entry; a fresh continuation page starts with one.
+var terminator = []byte{entryEnd}
 
 // append writes a complete entry followed by a fresh terminator and
 // persists it with a single fence. The first append of a transaction also
@@ -104,7 +104,7 @@ func (j *Journal) append(kind byte, off, size uint64, payload []byte) error {
 	if len(payload) > 0 {
 		j.log.Write(j.tail+entryHdrSize, payload)
 	}
-	j.log.Write(j.tail+total, []byte{entryEnd})
+	j.log.Write(j.tail+total, terminator)
 	j.log.Flush(flushFrom, j.tail+total+1-flushFrom)
 	j.log.Fence()
 	j.flushedTo = j.tail + total
@@ -119,27 +119,44 @@ func (j *Journal) append(kind byte, off, size uint64, payload []byte) error {
 // the trailing terminator (the batch's own fences order them before the
 // allocation's commit point), along with the stateRunning word on a
 // transaction's first append.
-func (j *Journal) reserve(kind byte, size uint64) (hdrOff, payloadOff uint64, err error) {
+func (j *Journal) reserve(kind byte, size uint64) (reserved, error) {
 	if err := j.ensureRoom(entryHdrSize); err != nil {
-		return 0, 0, err
+		return reserved{}, err
 	}
-	return j.reserveAt(j.tail, kind, size)
+	return j.reserveAt(j.tail, kind, size), nil
 }
 
-// sealUpdates returns the word writes that validate a reserved entry: the
-// off and size fields and the kind+crc word. Folded into the allocator's
-// redo batch, the entry becomes valid exactly when the allocation commits.
-// Every field the checksum covers is part of the seal — nothing about the
-// entry's validity depends on fence ordering, which adversarial cache
-// eviction does not respect.
-func (j *Journal) sealUpdates(hdrOff uint64, kind byte, off, size uint64) []alloc.Update {
-	crc := entryCRC(j.epoch, kind, off, size, nil)
-	word0 := uint64(kind) | uint64(crc)<<32
-	return []alloc.Update{
-		{Off: hdrOff + 8, Val: off, Width: 8},
-		{Off: hdrOff + 16, Val: size, Width: 8},
-		{Off: hdrOff, Val: word0, Width: 8},
+// reserved names an entry reserveAt staged: its header offset, and the
+// kind and size its seal gives it.
+type reserved struct {
+	hdr  uint64
+	kind byte
+	size uint64
+}
+
+// allocSealed allocates r.size bytes from the journal's arena, sealing the
+// reserved entry r in the allocation's crash-atomic redo batch.
+func (j *Journal) allocSealed(r reserved, payload []byte) (uint64, error) {
+	j.sealing = r
+	return j.heap.AllocEx(j.arena, r.size, payload, j.seal)
+}
+
+// sealReserved returns the word writes that validate the entry being
+// sealed at the allocated block: the off and size fields and the
+// kind+crc word. Folded into the allocator's redo batch, the entry
+// becomes valid exactly when the allocation commits. Every field the
+// checksum covers is part of the seal — nothing about the entry's
+// validity depends on fence ordering, which adversarial cache eviction
+// does not respect.
+func (j *Journal) sealReserved(block uint64) []alloc.Update {
+	r := j.sealing
+	crc := entryCRC(j.epoch, r.kind, block, r.size, nil)
+	j.sealWords = [3]alloc.Update{
+		{Off: r.hdr + 8, Val: block, Width: 8},
+		{Off: r.hdr + 16, Val: r.size, Width: 8},
+		{Off: r.hdr, Val: uint64(r.kind) | uint64(crc)<<32, Width: 8},
 	}
+	return j.sealWords[:]
 }
 
 // appendDeferred writes an entry without persisting it; commit flushes the
@@ -160,7 +177,7 @@ func (j *Journal) appendDeferred(kind byte, off, size uint64) error {
 	binary.LittleEndian.PutUint64(hdr[8:], off)
 	binary.LittleEndian.PutUint64(hdr[16:], size)
 	j.log.Write(j.tail, hdr[:])
-	j.log.Write(j.tail+total, []byte{entryEnd})
+	j.log.Write(j.tail+total, terminator)
 	// flushedTo intentionally not advanced: this entry is deferred.
 	j.live = append(j.live, entry{kind: kind, off: off, size: size})
 	j.tail += total
@@ -187,17 +204,12 @@ func (j *Journal) ensureRoom(total uint64) error {
 // redo batch: after a crash, the link entry is valid exactly when the page
 // is allocated, so pages never leak and scans never follow garbage.
 func (j *Journal) chainPage() error {
-	hdr, _, err := j.reserveAt(j.tail, entryLink, chainPageSize)
-	if err != nil {
-		return err
-	}
+	r := j.reserveAt(j.tail, entryLink, chainPageSize)
 	// The page's first byte must be a terminator once the link goes live;
 	// the 1-byte payload is staged through the same redo batch.
-	page, err := j.heap.AllocEx(j.arena, chainPageSize, []byte{entryEnd}, func(block uint64) []alloc.Update {
-		return j.sealUpdates(hdr, entryLink, block, chainPageSize)
-	})
+	page, err := j.allocSealed(r, terminator)
 	if err != nil {
-		j.tail = hdr
+		j.tail = r.hdr
 		return fmt.Errorf("%w: chaining a journal page: %v", ErrTxTooLarge, err)
 	}
 	j.pages = append(j.pages, page)
@@ -210,7 +222,7 @@ func (j *Journal) chainPage() error {
 
 // reserveAt writes an unsealed entry header (kind stays invalid) at pos
 // and pre-flushes it, covering any deferred entries below the watermark.
-func (j *Journal) reserveAt(pos uint64, kind byte, size uint64) (hdrOff, payloadOff uint64, err error) {
+func (j *Journal) reserveAt(pos uint64, kind byte, size uint64) reserved {
 	if !j.started {
 		j.writeState(stateRunning)
 		j.started = true
@@ -222,10 +234,10 @@ func (j *Journal) reserveAt(pos uint64, kind byte, size uint64) (hdrOff, payload
 	var hdr [entryHdrSize]byte
 	binary.LittleEndian.PutUint64(hdr[16:], size)
 	j.log.Write(pos, hdr[:])
-	j.log.Write(pos+entryHdrSize, []byte{entryEnd})
+	j.log.Write(pos+entryHdrSize, terminator)
 	j.log.Flush(pos, entryHdrSize+1)
 	j.flushedTo = pos + entryHdrSize
-	return pos, pos + entryHdrSize, nil
+	return reserved{pos, kind, size}
 }
 
 func (j *Journal) finishAppend(hdrOff uint64) {

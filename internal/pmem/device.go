@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"corundum/internal/obs"
 )
@@ -87,9 +86,11 @@ type mediaCounters struct {
 }
 
 // opCounters is one scope's cumulative operation counts, plus the
-// wall-clock nanoseconds spent inside Flush and Fence (including the
-// profile's injected delays) so latency decomposition can charge stall
-// time to the layer that issued it, not just count the operations.
+// modelled nanoseconds of its Flushes and Fences (the profile's delays:
+// FlushDelay per line, FenceDelay per fence) so latency decomposition can
+// charge persistence time to the layer that issued it, not just count
+// the operations. The modelled figure is exact and deterministic, and
+// costs no clock read; the emulator's own bookkeeping is not in it.
 type opCounters struct {
 	writes, flushes, fences atomic.Uint64
 	flushNS, fenceNS        atomic.Uint64
@@ -141,9 +142,11 @@ func (o Op) String() string {
 }
 
 // OpCounts is a point-in-time snapshot of write/flush/fence counts.
-// FlushNanos and FenceNanos are the cumulative wall-clock time spent in
-// Flush and Fence calls; the delta of two snapshots bounds how much of an
-// interval was stalled on persistence.
+// FlushNanos and FenceNanos are the cumulative modelled persistence time:
+// Flushes × the profile's FlushDelay and Fences × its FenceDelay, which
+// the device also spends (spins or parks) as it issues them. Both are 0
+// under NoDelay. The delta of two snapshots is how long an interval
+// stalled on modelled PM, never the emulator's own work.
 type OpCounts struct {
 	Writes, Flushes, Fences uint64
 	FlushNanos, FenceNanos  uint64
@@ -322,7 +325,6 @@ func (d *Device) flush(sc Scope, off, n uint64) {
 		return
 	}
 	d.bounds(off, n)
-	start := time.Now()
 	first := off / CacheLineSize
 	last := (off + n - 1) / CacheLineSize
 	for line := first; line <= last; line++ {
@@ -339,7 +341,9 @@ func (d *Device) flush(sc Scope, off, n uint64) {
 		}
 		d.prof.delay(d.prof.FlushDelay)
 	}
-	d.ctrs[sc].flushNS.Add(uint64(time.Since(start)))
+	if d.prof.FlushDelay > 0 {
+		d.ctrs[sc].flushNS.Add((last - first + 1) * uint64(d.prof.FlushDelay))
+	}
 	d.observe(OpFlush, sc, off, last-first+1)
 }
 
@@ -349,7 +353,6 @@ func (d *Device) Fence() { d.fence(ScopeUserData) }
 
 func (d *Device) fence(sc Scope) {
 	d.maybeInject(OpFence, sc)
-	start := time.Now()
 	d.ctrs[sc].fences.Add(1)
 	if d.track {
 		d.shadowMu.Lock()
@@ -361,7 +364,9 @@ func (d *Device) fence(sc Scope) {
 	}
 	d.observe(OpFence, sc, 0, 0)
 	d.prof.delay(d.prof.FenceDelay)
-	d.ctrs[sc].fenceNS.Add(uint64(time.Since(start)))
+	if d.prof.FenceDelay > 0 {
+		d.ctrs[sc].fenceNS.Add(uint64(d.prof.FenceDelay))
+	}
 }
 
 // Persist is the common Flush-then-Fence sequence.

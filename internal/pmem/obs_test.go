@@ -34,37 +34,31 @@ func TestScopeNesting(t *testing.T) {
 }
 
 func TestStatsAttributesByScope(t *testing.T) {
-	d := New(4096, Options{})
-	d.Write(0, []byte{1})
-	d.Flush(0, 1)
-	d.Fence()
-	j := d.In(ScopeJournal)
-	j.Write(64, []byte{2})
-	j.Flush(64, 1)
-	j.Fence()
-	j.Fence()
+	// FlushNanos and FenceNanos are modelled time: lines flushed × the
+	// profile's FlushDelay and fences × its FenceDelay, exact and charged
+	// to the issuing scope. Under NoDelay both are 0.
+	for _, prof := range []Profile{NoDelay, OptaneDC} {
+		d := New(4096, Options{Profile: prof})
+		d.Write(0, []byte{1})
+		d.Flush(0, 1)
+		d.Fence()
+		j := d.In(ScopeJournal)
+		j.Write(64, []byte{2, 3})
+		j.Flush(127, 2) // two lines
+		j.Fence()
+		j.Fence()
 
-	st := d.Stats()
-	counts := func(c OpCounts) OpCounts {
-		c.FlushNanos, c.FenceNanos = 0, 0
-		return c
-	}
-	if got := counts(st.ByScope[ScopeUserData]); got != (OpCounts{Writes: 1, Flushes: 1, Fences: 1}) {
-		t.Errorf("user-data counts = %+v", got)
-	}
-	if got := counts(st.ByScope[ScopeJournal]); got != (OpCounts{Writes: 1, Flushes: 1, Fences: 2}) {
-		t.Errorf("journal counts = %+v", got)
-	}
-	if st.Writes != 2 || st.Flushes != 2 || st.Fences != 3 {
-		t.Errorf("totals = %d/%d/%d, want 2/2/3", st.Writes, st.Flushes, st.Fences)
-	}
-	// Wall-clock time inside Flush/Fence is charged to the issuing scope
-	// and summed into the totals.
-	if st.ByScope[ScopeJournal].FenceNanos == 0 || st.ByScope[ScopeUserData].FenceNanos == 0 {
-		t.Errorf("fence nanos not attributed: %+v", st)
-	}
-	if st.FenceNanos != st.ByScope[ScopeUserData].FenceNanos+st.ByScope[ScopeJournal].FenceNanos {
-		t.Errorf("fence nanos total %d != sum of scopes", st.FenceNanos)
+		st := d.Stats()
+		flush, fence := uint64(prof.FlushDelay), uint64(prof.FenceDelay)
+		if got, want := st.ByScope[ScopeUserData], (OpCounts{Writes: 1, Flushes: 1, Fences: 1, FlushNanos: flush, FenceNanos: fence}); got != want {
+			t.Errorf("%s: user-data counts = %+v, want %+v", prof.Name, got, want)
+		}
+		if got, want := st.ByScope[ScopeJournal], (OpCounts{Writes: 1, Flushes: 2, Fences: 2, FlushNanos: 2 * flush, FenceNanos: 2 * fence}); got != want {
+			t.Errorf("%s: journal counts = %+v, want %+v", prof.Name, got, want)
+		}
+		if got, want := st.OpCounts, (OpCounts{Writes: 2, Flushes: 3, Fences: 3, FlushNanos: 3 * flush, FenceNanos: 3 * fence}); got != want {
+			t.Errorf("%s: totals = %+v, want %+v", prof.Name, got, want)
+		}
 	}
 }
 

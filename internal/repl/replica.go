@@ -55,19 +55,19 @@ type ReplicaConfig struct {
 
 // ReplicaStatus is a snapshot of the link state for REPLINFO/metrics.
 type ReplicaStatus struct {
-	Addr         string
-	Connected    bool
-	Syncing      bool // snapshot bootstrap in progress
-	Epoch        uint64
-	AppliedSeq   uint64 // durable cursor after the last applied frame
-	PrimarySeq   uint64 // primary's contiguous seq from the last heartbeat
-	FullSyncs    uint64
-	Reconnects   uint64
-	CRCRejects   uint64
+	Addr          string
+	Connected     bool
+	Syncing       bool // snapshot bootstrap in progress
+	Epoch         uint64
+	AppliedSeq    uint64 // durable cursor after the last applied frame
+	PrimarySeq    uint64 // primary's contiguous seq from the last heartbeat
+	FullSyncs     uint64
+	Reconnects    uint64
+	CRCRejects    uint64
 	FramesApplied uint64
 	FramesDeduped uint64
-	StaleOfPeer  bool // primary refused us: our epoch is newer than its
-	LastFrameNS  int64 // wall-clock of the last applied/deduped frame
+	StaleOfPeer   bool  // primary refused us: our epoch is newer than its
+	LastFrameNS   int64 // wall-clock of the last applied/deduped frame
 	// PrimaryClientAddr is the client-facing address the primary
 	// advertised in the handshake ("" when it did not) — what a replica's
 	// -READONLY redirect should name.
@@ -83,13 +83,13 @@ type ReplicaStatus struct {
 type Replica struct {
 	cfg ReplicaConfig
 
-	mu     sync.Mutex
-	st     ReplicaStatus
-	conn   net.Conn
+	mu      sync.Mutex
+	st      ReplicaStatus
+	conn    net.Conn
 	stopped bool
-	kick   bool
-	done   chan struct{}
-	wake   chan struct{}
+	kick    bool
+	done    chan struct{}
+	wake    chan struct{}
 }
 
 // NewReplica starts replicating from cfg.Addr immediately.

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,11 +59,12 @@ func HistLabel(bucket int) string {
 // PhaseTimes is one mutation's group-commit latency decomposition, as
 // measured by the committer. QueueNS is how long the op waited between
 // submission and its batch's commit starting (the prior batch's commit,
-// when one was in flight). JournalNS and FenceNS split the commit
-// itself into durable-write time (device Flush wall-clock: undo-log
-// entries, data stores, allocator redo) and fence-stall time (device
-// Fence wall-clock); ApplyNS is the remaining commit wall-clock (store
-// bookkeeping, lock hold). Commit costs are shared by the whole batch and
+// when one was in flight). JournalNS and FenceNS are the commit's
+// modelled PM time: its Flushes (undo-log entries, data stores,
+// allocator redo) and Fences priced at the device profile's delays
+// (pmem.OpCounts), both 0 under NoDelay. ApplyNS is the rest of the
+// commit's wall-clock: store bookkeeping, lock hold, and the emulator's
+// own work. Commit costs are shared by the whole batch and
 // reported in full to every op in it — the batch IS each op's critical
 // path — so QueueNS+JournalNS+FenceNS+ApplyNS spans submission to commit
 // end exactly. DoneNS is the obs.NowNS timestamp of commit end, from
@@ -124,7 +126,7 @@ type setReq struct {
 type Batcher struct {
 	kv       *workloads.KVStore
 	lock     *storeLock
-	dev      *pmem.Device // for flush/fence wall-clock deltas; may be nil
+	dev      *pmem.Device // for modelled flush/fence deltas; may be nil
 	maxBatch int
 
 	reqs chan setReq
@@ -199,7 +201,9 @@ func (cs *changeStream) commit(kv *workloads.KVStore, ops []workloads.Op) (res [
 		cs.log.Cancel(epoch, seq)
 		return res, err
 	}
-	cs.log.Publish(repl.Frame{Epoch: epoch, Seq: seq, Shard: cs.shard, Ops: ops})
+	// The log keeps the frame's ops, and the committer reuses its buffer
+	// for the next batch: the frame gets its own copy.
+	cs.log.Publish(repl.Frame{Epoch: epoch, Seq: seq, Shard: cs.shard, Ops: slices.Clone(ops)})
 	return res, nil
 }
 
@@ -409,7 +413,11 @@ func (b *Batcher) fail(err error) {
 
 func (b *Batcher) run() {
 	defer close(b.done)
-	batch := make([]setReq, 0, b.maxBatch) // reused: every op is answered before the next batch forms
+	// Reused: every op is answered before the next batch forms, and a
+	// change stream publishes a copy of ops (changeStream.commit).
+	batch := make([]setReq, 0, b.maxBatch)
+	ops := make([]workloads.Op, 0, b.maxBatch)
+	res := make([]bool, 0, b.maxBatch)
 	for {
 		first, ok := <-b.reqs
 		if !ok {
@@ -468,12 +476,12 @@ func (b *Batcher) run() {
 			continue
 		}
 
-		ops := make([]workloads.Op, len(batch))
-		for i, r := range batch {
-			ops[i] = r.op
+		ops = ops[:0]
+		for _, r := range batch {
+			ops = append(ops, r.op)
 		}
-		// Bracket the commit with device-counter snapshots: the flush/fence
-		// wall-clock delta splits commit time into durable-write and
+		// Bracket the commit with device-counter snapshots: the modelled
+		// flush/fence delta splits commit time into durable-write and
 		// fence-stall phases. The committer is the only writer on this
 		// shard's device and readers never flush, so the delta is this
 		// batch's own persistence cost.
@@ -482,7 +490,8 @@ func (b *Batcher) run() {
 		if b.dev != nil {
 			st0 = b.dev.Stats()
 		}
-		res, err := b.commit(ops)
+		var err error
+		res, err = b.commit(ops, res)
 		commitEnd := obs.NowNS()
 		var ph PhaseTimes
 		ph.DoneNS = commitEnd
@@ -526,18 +535,23 @@ func (b *Batcher) run() {
 	}
 }
 
-// commit applies one batch in a single failure-atomic transaction. A
+// commit applies one batch in a single failure-atomic transaction and
+// copies its results into res before the store lock drops: the store
+// reuses its results slice at its next mutation, which another writer (a
+// migration, a replica apply) may start as soon as the lock is free. A
 // panic out of the pool (the emulated device's injected crash, which
 // models power failure, or a bug or damage panic) is converted into a
 // permanent halt of the batcher, recorded before the store lock is
 // released (storeLock.write).
-func (b *Batcher) commit(ops []workloads.Op) (res []bool, err error) {
-	err = b.lock.write(b.fail, func() (err error) {
+func (b *Batcher) commit(ops []workloads.Op, res []bool) ([]bool, error) {
+	err := b.lock.write(b.fail, func() (err error) {
+		var out []bool
 		if cs := b.stream.Load(); cs != nil {
-			res, err = cs.commit(b.kv, ops)
+			out, err = cs.commit(b.kv, ops)
 		} else {
-			res, err = b.kv.Apply(ops)
+			out, err = b.kv.Apply(ops)
 		}
+		res = append(res[:0], out...)
 		return err
 	})
 	return res, err

@@ -292,6 +292,52 @@ func TestBarrierAndRefusalsInBatchAssembly(t *testing.T) {
 	}
 }
 
+// TestStreamFramesOwnTheirOps: the committer reuses its ops buffer from
+// batch to batch, while the change stream's log keeps every published
+// frame. Runs committed back to back must read back from the log, frame
+// after frame, as exactly the ops submitted, so a frame cannot alias the
+// buffer. (The committer may split a run across batches, so the frames
+// are compared as one sequence.)
+func TestStreamFramesOwnTheirOps(t *testing.T) {
+	r := newBatcherRig(t, 64)
+	defer r.b.Stop()
+	log := repl.NewLog(0, 64, 1<<20)
+	pin := log.Pin()
+	r.b.stream.Store(&changeStream{log: log, epoch: new(atomic.Uint64)})
+	var want []workloads.Op
+	for round := uint64(0); round < 8; round++ {
+		ops := make([]workloads.Op, 40-5*round) // each run shorter: a stale tail would show
+		for i := range ops {
+			ops[i] = workloads.Op{Key: round<<16 | uint64(i), Val: round, Del: i%5 == 4}
+		}
+		for i, res := range r.b.SubmitMany(ops) {
+			if res.Err != nil {
+				t.Fatalf("round %d op %d: %v", round, i, res.Err)
+			}
+		}
+		want = append(want, ops...)
+	}
+	frames, err := pin.Through(log.LastSeq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) < 8 {
+		t.Fatalf("%d frames published for 8 runs", len(frames))
+	}
+	var got []workloads.Op
+	for _, f := range frames {
+		got = append(got, f.Ops...)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("the frames hold %d ops, want the %d submitted", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("published op %d = %+v, want %+v as submitted", i, got[i], want[i])
+		}
+	}
+}
+
 // TestBatcherHammer races runs of submitters against barriers and ends
 // with Stop: every op is acked exactly once, last writer per key wins in
 // the store, and the counters add up. Run under -race.

@@ -112,6 +112,51 @@ func TestSubmitAllocsPerRun(t *testing.T) {
 	}
 }
 
+// A committed run costs the batcher exactly what a refused one does: the
+// commit itself — batch assembly, journal, allocator and store, in
+// set_churn's mix of overwrites, inserts and deletes — touches no Go
+// heap, so write-path garbage cannot grow the heap behind the device.
+func TestCommitAllocsPerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const live = 4096
+	srv := newHotServer(t, live, 1)
+	b := srv.Batcher()
+	ops := make([]workloads.Op, 64)
+	lo := uint64(0)
+	churn := func() {
+		for j := uint64(0); j < 16; j++ {
+			ops[j] = workloads.Op{Del: true, Key: lo + j}
+			ops[16+j] = workloads.Op{Key: lo + live + j, Val: j}
+		}
+		for j := uint64(32); j < 64; j++ {
+			ops[j] = workloads.Op{Key: lo + 16 + j*37%(live-32), Val: lo}
+		}
+		lo += 16
+	}
+	committed := testing.AllocsPerRun(200, func() {
+		churn()
+		for i, r := range b.SubmitMany(ops) {
+			if r.Err != nil || !r.Removed { // a put answers true, and every delete finds its key
+				t.Fatalf("op %d (%+v) answered %+v", i, ops[i], r)
+			}
+		}
+	})
+	refusal := errors.New("refused")
+	b.SetFence(func(workloads.Op) error { return refusal })
+	refused := testing.AllocsPerRun(200, func() {
+		for _, r := range b.SubmitMany(ops) {
+			if r.Err != refusal {
+				t.Fatalf("op answered %v, want the fence's refusal", r.Err)
+			}
+		}
+	})
+	if committed != refused {
+		t.Errorf("a committed 64-op run costs %v allocations, a refused one %v: want the same", committed, refused)
+	}
+}
+
 // BenchmarkServeGET is the whole per-GET serving cost over loopback TCP —
 // syscalls, parse, store walk, reply — in get_fit's shape: bursts of 32
 // pipelined GETs over 4,096 keys. traced runs at the default

@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/bits"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"corundum/internal/baselines/engine"
+	"corundum/internal/crc"
 )
 
 // ErrDataCorrupt reports that a stored checksum failed verification: the
@@ -88,19 +88,22 @@ type KVStore struct {
 	meta uint64 // offset of the config/manifest/cursor meta words
 	size uint64 // the pool's size, which bounds every offset a walk reads
 	geo  atomic.Pointer[geometry]
+	keys atomic.Uint64 // live keys as of the last commit; 0 on a v1 image
+	w    batch         // the one mutation in flight (mutations are serialized)
 }
 
 // geometry is the store's physical shape as of one commit: how many
 // buckets exist, which one a key lives in, and where its slot is.
 // Committers publish a fresh one after every transaction that changes it
 // (inside the store lock's odd window, so lock-free readers that loaded
-// the old one fail their bracket); readers load it once per walk.
+// the old one fail their bracket); readers load it once per walk. The
+// key count lives beside it (KVStore.keys), so a batch that only moves
+// the count publishes nothing new.
 type geometry struct {
 	n0, shift uint64   // base bucket count (a power of two) and its log2
 	gsz       uint64   // buckets per slot group: min(slotGroup, n0)
 	level     uint64   // completed doublings: buckets [0, n0<<level) form a full level
 	split     uint64   // next bucket to split this level; those below it already have
-	keys      uint64   // live keys; not maintained on a v1 image
 	segs      []uint64 // slot-array offset of each n0-bucket segment; segs[0] is the base directory's
 
 	rec      uint64 // geometry record; 0 on a v1 image served at base geometry
@@ -143,34 +146,10 @@ func (g *geometry) group(b uint64) (slots, word uint64) {
 	return word + 8, word
 }
 
-// crcTab holds the slicing-by-8 tables for CRC-32/IEEE: crcTab[0] is the
-// standard byte table, crcTab[k][b] is the CRC of byte b followed by k
-// zero bytes.
-var crcTab = func() (t [8][256]uint32) {
-	t[0] = *crc32.MakeTable(crc32.IEEE)
-	for k := 1; k < 8; k++ {
-		for b := range t[k] {
-			prev := t[k-1][b]
-			t[k][b] = t[0][prev&0xFF] ^ prev>>8
-		}
-	}
-	return t
-}()
-
 // wordsCRC is crc32.ChecksumIEEE over the little-endian bytes of words,
-// computed eight bytes per step straight from the uint64s. Every chain
-// hop of every read pays for one of these, so it neither builds a byte
-// buffer nor calls through hash/crc32's dispatch variable (which made
-// the buffer escape to the heap).
-func wordsCRC(words ...uint64) uint64 {
-	crc := ^uint32(0)
-	for _, w := range words {
-		lo, hi := uint32(w)^crc, uint32(w>>32)
-		crc = crcTab[7][lo&0xFF] ^ crcTab[6][lo>>8&0xFF] ^ crcTab[5][lo>>16&0xFF] ^ crcTab[4][lo>>24] ^
-			crcTab[3][hi&0xFF] ^ crcTab[2][hi>>8&0xFF] ^ crcTab[1][hi>>16&0xFF] ^ crcTab[0][hi>>24]
-	}
-	return uint64(^crc)
-}
+// widened to a word. Every chain hop of every read pays for one of
+// these, so it builds no byte buffer (crc.Words).
+func wordsCRC(words ...uint64) uint64 { return uint64(crc.Words(words...)) }
 
 func entryCRC(key, next, val uint64) uint64 { return wordsCRC(key, next, val) }
 
@@ -271,6 +250,7 @@ func AttachKVStore(p engine.Pool) (*KVStore, error) {
 	size := uint64(p.Device().Size())
 	kv := &KVStore{pool: p, dir: dir, size: size}
 	var g *geometry
+	var keys uint64
 	err := p.Tx(func(tx engine.Tx) error {
 		n := tx.Load(dir)
 		if n == 0 || n&(n-1) != 0 || n > size/16 || dir+16+segBytes(n)+kvMetaLen > size {
@@ -297,7 +277,7 @@ func AttachKVStore(p engine.Pool) (*KVStore, error) {
 		}
 		for lo := uint64(0); lo < g.buckets(); lo += g.gsz {
 			_, w := g.group(lo)
-			g.keys += tx.Load(w) >> 32
+			keys += tx.Load(w) >> 32
 		}
 		return nil
 	})
@@ -305,11 +285,12 @@ func AttachKVStore(p engine.Pool) (*KVStore, error) {
 		return nil, err
 	}
 	if !g.v2() {
-		if up, err := kv.upgrade(g); err == nil {
-			g = up
+		if up, n, err := kv.upgrade(g); err == nil {
+			g, keys = up, n
 		}
 	}
 	kv.geo.Store(g)
+	kv.keys.Store(keys)
 	return kv, nil
 }
 
@@ -329,55 +310,83 @@ func (kv *KVStore) verifyMetaTx(tx engine.Tx) error {
 }
 
 // batch is one mutating transaction's working state: the geometry it
-// grows, and how many keys its ops inserted and deleted.
+// grows, the live-key count, and how many keys its ops inserted and
+// deleted. A store keeps one and reuses it — the split scratch, the
+// store buffer, the results and the transaction body bound once — so a
+// commit allocates nothing.
 type batch struct {
-	r                 wordReader // the transaction's reads
+	kv                *KVStore
+	txn               func(engine.Tx) error // m.run, bound on first use
+	r                 wordReader            // the transaction's reads
 	g                 geometry
+	keys              uint64 // live keys; not maintained on a v1 image
 	inserted, deleted uint64
 	scratch           []chainEntry // one split's walk, reused across splits
 	buf               [groupBytes]byte
+
+	// The work: the ops, one result per op, and a write riding the same
+	// transaction (nil for a plain Apply).
+	ops  []Op
+	res  []bool
+	then func(tx engine.Tx) error
 
 	// after holds writes a planted split bug defers to a follow-up
 	// transaction (export_test.go); always empty otherwise.
 	after []func(engine.Tx) error
 }
 
-// batches recycles batch state — a split's scratch and the store buffer —
-// across transactions, so a commit leaves no garbage behind for them.
-var batches = sync.Pool{New: func() any { return new(batch) }}
-
-// mutate runs body and the growth it calls for in one failure-atomic
-// transaction, then publishes the resulting geometry. Every mutation of
-// the keyspace goes through here.
-func (kv *KVStore) mutate(body func(tx engine.Tx, m *batch) error) error {
+// mutate runs ops, then the write then makes (when non-nil), and the
+// growth they call for in one failure-atomic transaction, then publishes
+// the resulting key count and geometry. Every mutation of the keyspace
+// goes through here. It answers in the store's results slice, one element
+// per op, which stays valid until the next mutation.
+func (kv *KVStore) mutate(ops []Op, then func(tx engine.Tx) error) ([]bool, error) {
 	cur := kv.geo.Load()
-	m := batches.Get().(*batch)
-	defer batches.Put(m)
-	err := kv.pool.Tx(func(tx engine.Tx) error {
-		m.r, m.g, m.inserted, m.deleted, m.after = kv.txReader(tx), *cur, 0, 0, nil
-		if err := body(tx, m); err != nil {
-			return err
-		}
-		return m.grow(tx)
-	})
-	if err != nil {
-		return err
+	m := &kv.w
+	if m.txn == nil {
+		m.kv, m.txn = kv, m.run
 	}
-	if m.g.keys != cur.keys || m.g.buckets() != cur.buckets() {
+	m.ops, m.then = ops, then
+	m.res = slices.Grow(m.res[:0], len(ops))[:len(ops)]
+	m.g, m.keys, m.inserted, m.deleted, m.after = *cur, kv.keys.Load(), 0, 0, nil
+	err := kv.pool.Tx(m.txn)
+	m.ops, m.then = nil, nil
+	if err != nil {
+		return nil, err
+	}
+	if m.g.buckets() != cur.buckets() {
 		g := m.g
 		kv.geo.Store(&g)
 	}
-	if len(m.after) == 0 {
-		return nil
-	}
-	return kv.pool.Tx(func(tx engine.Tx) error {
-		for _, f := range m.after {
-			if err := f(tx); err != nil {
-				return err
+	kv.keys.Store(m.keys)
+	if len(m.after) > 0 {
+		err = kv.pool.Tx(func(tx engine.Tx) error {
+			for _, f := range m.after {
+				if err := f(tx); err != nil {
+					return err
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	})
+	}
+	return m.res, nil
+}
+
+// run is the transaction mutate opens.
+func (m *batch) run(tx engine.Tx) error {
+	m.r = m.kv.txReader(tx)
+	if err := m.apply(tx); err != nil {
+		return err
+	}
+	if m.then != nil {
+		if err := m.then(tx); err != nil {
+			return err
+		}
+	}
+	return m.grow(tx)
 }
 
 // store writes words to off in one contiguous store: one undo entry. It
@@ -506,20 +515,20 @@ func (m *batch) del(tx engine.Tx, key uint64) (bool, error) {
 	return false, nil
 }
 
-// apply runs ops in order, recording each one's result in res.
-func (m *batch) apply(tx engine.Tx, ops []Op, res []bool) error {
-	for i, op := range ops {
+// apply runs the batch's ops in order, recording each one's result.
+func (m *batch) apply(tx engine.Tx) error {
+	for i, op := range m.ops {
 		if op.Del {
 			removed, err := m.del(tx, op.Key)
 			if err != nil {
 				return err
 			}
-			res[i] = removed
+			m.res[i] = removed
 		} else {
 			if err := m.put(tx, op.Key, op.Val); err != nil {
 				return err
 			}
-			res[i] = true
+			m.res[i] = true
 		}
 	}
 	return nil
@@ -527,16 +536,17 @@ func (m *batch) apply(tx engine.Tx, ops []Op, res []bool) error {
 
 // Put inserts or updates key (the paper's PUT).
 func (kv *KVStore) Put(key, val uint64) error {
-	return kv.mutate(func(tx engine.Tx, m *batch) error { return m.put(tx, key, val) })
+	_, err := kv.mutate([]Op{{Key: key, Val: val}}, nil)
+	return err
 }
 
 // Delete removes key and reclaims its entry.
 func (kv *KVStore) Delete(key uint64) (removed bool, err error) {
-	err = kv.mutate(func(tx engine.Tx, m *batch) error {
-		removed, err = m.del(tx, key)
-		return err
-	})
-	return removed, err
+	res, err := kv.mutate([]Op{{Del: true, Key: key}}, nil)
+	if err != nil {
+		return false, err
+	}
+	return res[0], nil
 }
 
 // Op is one mutation in a batched transaction: a PUT of Key=Val, or (when
@@ -552,15 +562,14 @@ type Op struct {
 // undo-log commit (and its flush+fence) is amortized over the whole
 // batch. The returned slice has one element per op: for deletes, whether
 // the key existed; for puts, always true.
+//
+// The returned slice is the store's own and stays valid until its next
+// mutation: reusing it is what lets a commit allocate nothing.
 func (kv *KVStore) Apply(ops []Op) ([]bool, error) {
-	res := make([]bool, len(ops))
 	if len(ops) == 0 {
-		return res, nil
+		return kv.w.res[:0], nil
 	}
-	if err := kv.mutate(func(tx engine.Tx, m *batch) error { return m.apply(tx, ops, res) }); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return kv.mutate(ops, nil)
 }
 
 // Buckets reports the base directory size: the bound of the coordinate
@@ -575,11 +584,11 @@ func (kv *KVStore) Bucket(key uint64) uint64 {
 }
 
 // Shape reports the live key count and the physical bucket count, read
-// from the published geometry (O(1), safe against a concurrent commit).
-// keys is 0 on a v1 image served at base geometry.
+// from the published count and geometry (O(1), safe against a concurrent
+// commit; the two may be one commit apart). keys is 0 on a v1 image
+// served at base geometry.
 func (kv *KVStore) Shape() (keys, buckets uint64) {
-	g := kv.geo.Load()
-	return g.keys, g.buckets()
+	return kv.keys.Load(), kv.geo.Load().buckets()
 }
 
 // Len counts entries (test helper).
@@ -648,8 +657,8 @@ func (kv *KVStore) VerifyIntegrity() error {
 			}
 			keys += chained
 		}
-		if g.v2() && keys != g.keys {
-			return fmt.Errorf("%w: store holds %d keys, geometry counts %d", ErrDataCorrupt, keys, g.keys)
+		if counted := kv.keys.Load(); g.v2() && keys != counted {
+			return fmt.Errorf("%w: store holds %d keys, geometry counts %d", ErrDataCorrupt, keys, counted)
 		}
 		if err := kv.verifyMetaTx(tx); err != nil {
 			return err

@@ -60,12 +60,12 @@ func (m *batch) grow(tx engine.Tx) error {
 	if !g.v2() {
 		return nil
 	}
-	g.keys = g.keys + m.inserted - m.deleted
+	m.keys = m.keys + m.inserted - m.deleted
 	if g.n0 < slotGroup {
 		return nil
 	}
 	grew := false
-	for budget := (2*m.inserted + slotGroup - 1) / slotGroup; budget > 0 && g.keys > g.buckets(); budget-- {
+	for budget := (2*m.inserted + slotGroup - 1) / slotGroup; budget > 0 && m.keys > g.buckets(); budget-- {
 		ok, err := m.splitGroup(tx)
 		if err != nil {
 			return err
@@ -312,16 +312,18 @@ func loadRecord(tx engine.Tx, g *geometry, rec, size uint64) error {
 // upgrade turns a v1 image into v2 in one transaction: one walk counts
 // every group's keys into its group word, then the geometry record is
 // linked and the directory header re-sealed over it. Any failure leaves
-// the v1 image as it was.
-func (kv *KVStore) upgrade(base *geometry) (*geometry, error) {
+// the v1 image as it was. It returns the v2 geometry and the keys it
+// counted.
+func (kv *KVStore) upgrade(base *geometry) (*geometry, uint64, error) {
 	g := *base
+	var keys uint64
 	err := kv.pool.Tx(func(tx engine.Tx) error {
 		r := kv.txReader(tx)
 		rec, err := tx.Alloc(recordLen)
 		if err != nil {
 			return err
 		}
-		g.rec, g.keys = rec, 0
+		g.rec, keys = rec, 0
 		for lo := uint64(0); lo < g.n0; lo += g.gsz {
 			slots, _, err := loadGroup(&r, base, lo)
 			if err != nil {
@@ -344,7 +346,7 @@ func (kv *KVStore) upgrade(base *geometry) (*geometry, error) {
 					return err
 				}
 			}
-			g.keys += count
+			keys += count
 		}
 		if err := writeRecord(tx, &g); err != nil {
 			return err
@@ -354,5 +356,5 @@ func (kv *KVStore) upgrade(base *geometry) (*geometry, error) {
 		}
 		return tx.Store(kv.dir+8, wordsCRC(g.n0, rec))
 	})
-	return &g, err
+	return &g, keys, err
 }

@@ -242,6 +242,7 @@ func TestSegmentAllocationFailureSkipsGrowth(t *testing.T) {
 	}
 	starved := &KVStore{pool: starvedPool{kv.pool, 72}, dir: kv.dir, meta: kv.meta}
 	starved.geo.Store(kv.geo.Load())
+	starved.keys.Store(kv.keys.Load())
 	for k := uint64(9); k <= 12; k++ {
 		if err := starved.Put(k, k); err != nil {
 			t.Fatalf("Put(%d) failed when only growth lacked room: %v", k, err)
@@ -252,6 +253,7 @@ func TestSegmentAllocationFailureSkipsGrowth(t *testing.T) {
 		t.Fatalf("Shape = (%d, %d), want 12 keys still in 8 buckets", keys, buckets)
 	}
 	kv.geo.Store(starved.geo.Load())
+	kv.keys.Store(starved.keys.Load())
 	checkContents(t, p, kv, model)
 	if err := kv.Put(13, 13); err != nil {
 		t.Fatal(err)

@@ -233,16 +233,7 @@ func (kv *KVStore) writeManifestTx(tx engine.Tx, m *Manifest) error {
 // advance the cursor past them" must be indivisible, or a cut between
 // the two would lose keys (deleted but cursor still routes reads here)
 // or duplicate them (cursor advanced but keys still present).
+// Like Apply's, the returned slice stays valid until the next mutation.
 func (kv *KVStore) ApplyWithManifest(ops []Op, m *Manifest) ([]bool, error) {
-	res := make([]bool, len(ops))
-	err := kv.mutate(func(tx engine.Tx, b *batch) error {
-		if err := b.apply(tx, ops, res); err != nil {
-			return err
-		}
-		return kv.writeManifestTx(tx, m)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return kv.mutate(ops, func(tx engine.Tx) error { return kv.writeManifestTx(tx, m) })
 }

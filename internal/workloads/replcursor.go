@@ -76,16 +76,7 @@ func (kv *KVStore) verifyReplCursorTx(tx engine.Tx) error {
 // stream's crash-atomicity primitive on both ends of the link. ops may
 // be empty: the transaction then just advances the cursor (a replica
 // acknowledging a frame none of whose keys land on this shard).
+// Like Apply's, the returned slice stays valid until the next mutation.
 func (kv *KVStore) ApplyWithCursor(ops []Op, epoch, seq uint64) ([]bool, error) {
-	res := make([]bool, len(ops))
-	err := kv.mutate(func(tx engine.Tx, m *batch) error {
-		if err := m.apply(tx, ops, res); err != nil {
-			return err
-		}
-		return kv.writeReplCursorTx(tx, epoch, seq)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return kv.mutate(ops, func(tx engine.Tx) error { return kv.writeReplCursorTx(tx, epoch, seq) })
 }
