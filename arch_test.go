@@ -35,7 +35,7 @@ func TestImportGraphLaws(t *testing.T) {
 			why: "corundum-bench reproduces the paper's tables and figures; the server is measured by ./benchmark, out of process"},
 		{dir: "internal/server", deny: []string{"internal/bench", "internal/explore", "internal/torture"},
 			why: "the serving path must not depend on the harnesses that test it"},
-		{dir: "internal/repl", only: []string{"internal/workloads"},
+		{dir: "internal/repl", only: []string{"internal/workloads", "internal/crc"},
 			why: "the change stream sits below the server: it carries ops and knows nothing of who feeds or reads it"},
 		{dir: "internal/pmem", only: []string{"internal/obs"},
 			why: "the device emulator is the bottom layer"},

@@ -238,7 +238,7 @@ func (g *migration) verify(st migrated, _ int) error {
 	}
 	got := make(map[uint64]uint64, len(g.model))
 	for shard, kv := range st.kvs {
-		if err := kv.VerifyIntegrity(); err != nil {
+		if _, err := kv.VerifyIntegrity(); err != nil {
 			return fmt.Errorf("store %d integrity: %w", shard, err)
 		}
 		var walkErr error

@@ -87,8 +87,9 @@ func buildChurnScript(steps int) ([]scriptOp, []map[uint64]uint64) {
 // directory to exactly one key per bucket; each split then rides a
 // single Put, which keeps the largest transaction — and so the deepest
 // rollback every nested recovery cut replays — small. Every third fresh
-// key shares all 40 low bits with key 1, so that chain always moves whole
-// while the others split and relink.
+// key is below 2^32 and shares its low 20 bits with key 1, so it shares
+// every split bit of key 1's hash too (geometry.hash): that chain always
+// moves whole while the others split and relink.
 func buildGrowScript(steps int) ([]scriptOp, []map[uint64]uint64) {
 	shape := [8]struct{ del, over, put int }{
 		{0, 0, 8}, {0, 0, 1}, {1, 1, 7}, {0, 0, 1}, {0, 0, 1}, {0, 0, 7}, {0, 0, 1}, {1, 0, 0},
@@ -111,7 +112,7 @@ func buildGrowScript(steps int) ([]scriptOp, []map[uint64]uint64) {
 			fresh++
 			k := fresh
 			if fresh%3 == 0 {
-				k = fresh<<40 | 1
+				k = fresh<<20 | 1
 			}
 			batch = append(batch, scriptOp{key: k, val: val + uint64(j)})
 			live = append(live, k)

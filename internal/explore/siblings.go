@@ -180,7 +180,7 @@ func (s *Siblings) Stop() (SiblingsReport, error) {
 			}
 			rep.Keys++
 		}
-		if err := kv.VerifyIntegrity(); err != nil && firstErr == nil {
+		if _, err := kv.VerifyIntegrity(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("sibling %d: integrity: %w", i, err)
 		}
 		if err := s.pools[i].CheckConsistency(); err != nil && firstErr == nil {

@@ -100,7 +100,10 @@ func (s kvStructure) get(key uint64) (uint64, bool, error) { return s.kv.Get(key
 // check holds the store to its full integrity walk: every checksum, every
 // key in the physical bucket its hash names (so no key is reachable
 // twice), every group's key count.
-func (s kvStructure) check() error { return s.kv.VerifyIntegrity() }
+func (s kvStructure) check() error {
+	_, err := s.kv.VerifyIntegrity()
+	return err
+}
 
 type bstStructure struct{ b *workloads.BST }
 

@@ -42,9 +42,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"corundum/internal/crc"
 	"corundum/internal/workloads"
 )
 
@@ -86,63 +86,81 @@ type Frame struct {
 func (f *Frame) WireSize() int { return 8 + 8*(4+3*len(f.Ops)) + 4 }
 
 // WriteFrame emits one CRC frame to w. Callers flush w themselves (a
-// sender batches several frames per flush).
+// sender batches several frames per flush). It streams the frame into
+// w's own buffer, checksumming as it goes, so it builds no payload and
+// allocates nothing.
 func WriteFrame(w *bufio.Writer, typ uint32, words []uint64) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], typ)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(8*len(words)))
-	payload := make([]byte, 8*len(words))
-	for i, x := range words {
-		binary.LittleEndian.PutUint64(payload[8*i:], x)
+	sum, err := putLE(w, 0, uint64(8*len(words))<<32|uint64(typ), 8)
+	for i := 0; err == nil && i < len(words); i++ {
+		sum, err = putLE(w, sum, words[i], 8)
 	}
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	if err == nil {
+		_, err = putLE(w, 0, uint64(sum), 4)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	_, err := w.Write(tail[:])
 	return err
+}
+
+// putLE writes the low n bytes of x, little-endian, into w's buffer and
+// returns sum updated over them.
+func putLE(w *bufio.Writer, sum uint32, x uint64, n int) (uint32, error) {
+	if w.Available() < n {
+		if err := w.Flush(); err != nil {
+			return sum, err
+		}
+	}
+	b := binary.LittleEndian.AppendUint64(w.AvailableBuffer(), x)[:n]
+	_, err := w.Write(b)
+	return crc.Update(sum, b), err
 }
 
 // ReadFrame reads one CRC frame from r. A checksum or shape failure
 // returns an error wrapping ErrBadFrame; io.EOF at a frame boundary is
-// returned as io.EOF.
+// returned as io.EOF. It reads through r's own buffer, checksumming as it
+// goes, so the words it returns are its only allocation.
 func ReadFrame(r *bufio.Reader) (typ uint32, words []uint64, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
+	hdr, sum, err := getLE(r, 0, 8)
+	if err == io.EOF {
+		return 0, nil, io.EOF
+	}
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: truncated header: %v", ErrBadFrame, err)
 	}
-	typ = binary.LittleEndian.Uint32(hdr[0:])
-	n := binary.LittleEndian.Uint32(hdr[4:])
+	typ, n := uint32(hdr), uint32(hdr>>32)
 	if n > maxFramePayload || n%8 != 0 {
 		return 0, nil, fmt.Errorf("%w: payload length %d", ErrBadFrame, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated checksum: %v", ErrBadFrame, err)
-	}
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if crc != binary.LittleEndian.Uint32(tail[:]) {
-		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
-	}
 	words = make([]uint64, n/8)
 	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(payload[8*i:])
+		if words[i], sum, err = getLE(r, sum, 8); err != nil {
+			return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
+		}
+	}
+	tail, _, err := getLE(r, 0, 4)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: truncated checksum: %v", ErrBadFrame, err)
+	}
+	if uint32(tail) != sum {
+		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
 	}
 	return typ, words, nil
+}
+
+// getLE reads n bytes, little-endian, from r's buffer and returns them
+// with sum updated over them. It reports io.EOF when r holds none of them
+// and io.ErrUnexpectedEOF when it holds only some.
+func getLE(r *bufio.Reader, sum uint32, n int) (uint64, uint32, error) {
+	b, err := r.Peek(n)
+	if len(b) < n {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, sum, err
+	}
+	var le [8]byte
+	copy(le[:], b)
+	sum = crc.Update(sum, b)
+	_, err = r.Discard(n)
+	return binary.LittleEndian.Uint64(le[:]), sum, err
 }
 
 // deltaWords encodes a delta frame's payload.

@@ -3,6 +3,7 @@ package repl
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
@@ -23,6 +24,33 @@ func encodeFrames(t *testing.T, frames []Frame) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestFrameGoldenBytes pins the wire bytes: a delta frame and a heartbeat
+// as the hash/crc32 implementation of WriteFrame encoded them, through
+// writers whose buffers force a flush inside every word.
+func TestFrameGoldenBytes(t *testing.T) {
+	const golden = "0100000050000000020000000000000007000000000000000100000000000000" +
+		"0200000000000000000000000000000005000000000000000900000000000000" +
+		"01000000000000000000000000010000000000000000000082afefbd02000000" +
+		"100000000300000000000000efbeadde00000000c0d9090a"
+	f := Frame{Epoch: 2, Seq: 7, Shard: 1, Ops: []workloads.Op{{Key: 5, Val: 9}, {Del: true, Key: 1 << 40}}}
+	for _, size := range []int{4096, 16, 11} {
+		var buf bytes.Buffer
+		w := bufio.NewWriterSize(&buf, size)
+		if err := WriteFrame(w, FrameDelta, deltaWords(f)); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(w, FrameHeartbeat, []uint64{3, 0xDEADBEEF}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != golden {
+			t.Fatalf("buffer %d: wire bytes\n%s\nwant\n%s", size, got, golden)
+		}
+	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {

@@ -929,7 +929,10 @@ func (s *Server) scanShard(st *routeState, sh *shard, limit int, pairs []uint64)
 // runScrub runs one online media-scrub pass over every live shard —
 // pool metadata mirrors and allocator checksums via pool.Scrub, then a
 // full verified walk of each shard's store under its reader lock — and
-// renders the aggregated findings with per-shard attributions.
+// renders the aggregated findings with per-shard attributions, and the
+// chains' shape the walk measured: the longest chain over every shard,
+// and the mean 1-based position of a key in its chain (what a GET of a
+// present key walks).
 // Unrepairable damage leaves that shard's pool degraded (and the report
 // says so); the pass itself never takes the server down.
 func (s *Server) runScrub() string {
@@ -944,6 +947,7 @@ func (s *Server) runScrub() string {
 	arenas, repairs, problems, quarantined := 0, 0, 0, 0
 	var detail string
 	storeIntegrity := "ok"
+	var chains workloads.ChainStats
 	degraded := false
 	for _, sh := range shards {
 		if err := sh.down(); err != nil {
@@ -952,12 +956,17 @@ func (s *Server) runScrub() string {
 			continue
 		}
 		rep, scrubErr := sh.pool.Scrub()
+		var st workloads.ChainStats
 		storeErr := func() (err error) {
 			sh.lock.RLock()
 			defer sh.lock.RUnlock()
 			defer sh.lock.haltOnPanic(sh.fail, &err)
-			return sh.kv.VerifyIntegrity()
+			st, err = sh.kv.VerifyIntegrity()
+			return err
 		}()
+		chains.Keys += st.Keys
+		chains.HitSum += st.HitSum
+		chains.Longest = max(chains.Longest, st.Longest)
 		arenas += rep.Arenas
 		repairs += rep.Repairs
 		problems += len(rep.Problems)
@@ -991,6 +1000,7 @@ func (s *Server) runScrub() string {
 	}
 	out := fmt.Sprintf("arenas_scrubbed: %d\nrepairs: %d\nproblems: %d\n", arenas, repairs, problems)
 	out += fmt.Sprintf("store_integrity: %s\n", storeIntegrity)
+	out += fmt.Sprintf("store_longest_chain: %d\nstore_mean_hit_pos: %.2f\n", chains.Longest, chains.MeanHit())
 	out += fmt.Sprintf("degraded: %v\n", degraded)
 	out += fmt.Sprintf("quarantined_ranges: %d\n", quarantined)
 	out += detail

@@ -393,3 +393,61 @@ func crashRound(t *testing.T, seed int64) {
 		t.Fatalf("scan saw %d keys, fewer than %d acknowledged", scanned, ackedTotal)
 	}
 }
+
+// TestScrubReportsChainShape loads tenant-prefixed keys, (t+1)<<40 | id
+// over 16 ids, into a base-64 store and reads the chains' shape from
+// SCRUB. Each id's 256 keys share every bit key·fib keeps, so a directory
+// that took its split bits from key·fib alone would leave 256-entry
+// chains however far it grew.
+func TestScrubReportsChainShape(t *testing.T) {
+	p, err := pool.Create("", pool.Config{Size: 32 << 20, Journals: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	srv, addr := startServer(t, p, server.Options{Buckets: 64})
+	defer srv.Close()
+	cl := dial(t, addr)
+	defer cl.close()
+
+	const tenants, ids = 256, 16
+	for tenant := uint64(1); tenant <= tenants; tenant++ {
+		var b strings.Builder
+		for id := uint64(0); id < ids; id++ {
+			fmt.Fprintf(&b, "SET %d %d\n", tenant<<40|id, id)
+		}
+		if err := cl.Send(strings.TrimSuffix(b.String(), "\n")); err != nil {
+			t.Fatal(err)
+		}
+		for range ids {
+			if rep, err := cl.Recv(); err != nil || rep.String() != "+OK" {
+				t.Fatalf("SET reply = %q, %v", rep.String(), err)
+			}
+		}
+	}
+	scrub, err := cl.cmd("SCRUB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := func(name string) float64 {
+		for _, line := range strings.Split(scrub, "\n") {
+			if v, ok := strings.CutPrefix(line, name+": "); ok {
+				var f float64
+				if _, err := fmt.Sscan(v, &f); err != nil {
+					t.Fatalf("SCRUB %s = %q: %v", name, v, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("SCRUB reply has no %s:\n%s", name, scrub)
+		return 0
+	}
+	if !strings.Contains(scrub, "store_integrity: ok") {
+		t.Fatalf("SCRUB found damage:\n%s", scrub)
+	}
+	longest, mean := field("store_longest_chain"), field("store_mean_hit_pos")
+	if longest < 1 || longest > 64 || mean < 1 || mean > longest {
+		t.Fatalf("SCRUB reports longest chain %v, mean hit position %v; want 1 <= mean <= longest <= 64", longest, mean)
+	}
+	t.Logf("%d tenant keys: longest chain %v, mean hit position %v", tenants*ids, longest, mean)
+}

@@ -207,7 +207,7 @@ func TestAttributionParity(t *testing.T) {
 		if kv, err = AttachKVStore(corundumeng.Wrap(p)); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		if err := kv.VerifyIntegrity(); err != nil {
+		if _, err := kv.VerifyIntegrity(); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		churn(kv, 2)

@@ -44,9 +44,11 @@ const (
 // n0 is the base bucket count: keys are coordinated (Bucket, ScanRange,
 // migration cursors) by h & (n0-1) forever, whatever the physical
 // directory has grown to. geo links the geometry record (0 on a v1 image,
-// which predates growth), and dirCRC covers n0 and geo: wordsCRC(n0) on a
-// v1 image, wordsCRC(n0, geo) on v2, so a binary that predates growth
-// refuses a v2 image at its directory header rather than misreading it.
+// which predates growth). dirCRC names the format by what it covers
+// (dirCRC below): wordsCRC(n0) on v1, wordsCRC(n0, geo) on v2, and
+// wordsCRC(n0, geo, 3) on v3, whose splits read the mixed hash (hash). A
+// binary that predates a format refuses its images at the directory
+// header rather than misreading them.
 //
 // Group word i covers slots [8i, 8i+8): its high half is the number of
 // keys chained from those slots, its low half the slots' CRC32 XOR
@@ -79,6 +81,45 @@ const (
 	fib = 0x9E3779B97F4A7C15 // Fibonacci hashing multiplier
 )
 
+// The store's on-media formats, told apart by the directory header's
+// checksum (dirCRC).
+const (
+	formatV1 = 1 // no geometry record: served at base geometry, never grows
+	formatV2 = 2 // grows; split bits from key·fib
+	formatV3 = 3 // grows; split bits from the mixed key (geometry.hash)
+)
+
+// dirCRC is the directory header's checksum on a format-v image. A v3
+// header covers the version itself as one more word, so the v2 check
+// refuses it.
+func dirCRC(v, n0, rec uint64) uint64 {
+	switch v {
+	case formatV1:
+		return wordsCRC(n0)
+	case formatV2:
+		return wordsCRC(n0, rec)
+	}
+	return wordsCRC(n0, rec, v)
+}
+
+// headerFormat reports the format whose checksum the directory header hdr
+// carries, given the header's n0 and the meta area's record link; 0 when
+// it carries none (damage, or a format newer than this binary).
+func headerFormat(n0, rec, hdr uint64) uint64 {
+	if rec == 0 {
+		if hdr == dirCRC(formatV1, n0, 0) {
+			return formatV1
+		}
+		return 0
+	}
+	for _, v := range [...]uint64{formatV2, formatV3} {
+		if hdr == dirCRC(v, n0, rec) {
+			return v
+		}
+	}
+	return 0
+}
+
 // KVStore is a persistent hash map over one engine pool. Mutations must
 // be serialized by the caller (the server's store lock); reads may run
 // concurrently with each other, and the View reads with a mutation.
@@ -107,23 +148,62 @@ type geometry struct {
 	segs      []uint64 // slot-array offset of each n0-bucket segment; segs[0] is the base directory's
 
 	rec      uint64 // geometry record; 0 on a v1 image served at base geometry
+	v3       bool   // splits read the mixed hash; false on v1 and v2 images
 	table    uint64 // segment-table block (segments 1..), 0 before the first
 	tableCap uint64 // entries the table block holds
 	tableCRC uint64 // wordsCRC over segs[1:]
 }
 
 // v2 reports whether the image carries a geometry record, and with it
-// key counts and growth.
+// key counts and growth: true on v2 and v3 images.
 func (g *geometry) v2() bool { return g.rec != 0 }
+
+// format is the image's on-media format version.
+func (g *geometry) format() uint64 {
+	switch {
+	case g.v3:
+		return formatV3
+	case g.v2():
+		return formatV2
+	}
+	return formatV1
+}
 
 // buckets is the physical bucket count.
 func (g *geometry) buckets() uint64 { return g.n0<<g.level + g.split }
 
-// phys is the physical bucket key lives in: linear hashing over the low
-// bits of its Fibonacci hash, one more bit for buckets already split this
-// level. Its low log2(n0) bits are always the key's base coordinate.
-func (g *geometry) phys(key uint64) uint64 {
+// hash is the key's linear-hashing hash. Its low log2(n0) bits are the
+// base coordinate, key·fib & (n0-1), on every format; the bits above them
+// are the ones splits read. A product's low bits depend only on the
+// multiplicand's low bits, so key·fib's ignore a key's high half: tenant
+// keys (t+1)<<40 | id that share an id would never split apart. On a v3
+// image the split bits come from the key with a finaliser of its high
+// half folded in, which is zero for keys below 2^32: those hash exactly
+// as on v2, so a store of them is placed, and grows, exactly as before.
+// A grown v2 image keeps key·fib, the rule its keys were split by.
+func (g *geometry) hash(key uint64) uint64 {
 	h := key * fib
+	if g.v3 {
+		h = (key^mix(key>>32))*fib&^(g.n0-1) | h&(g.n0-1)
+	}
+	return h
+}
+
+// mix is a xorshift-multiply finaliser (Stafford's Mix13, splitmix64's
+// output stage): a bijection with mix(0) == 0. Its constants differ from
+// ShardFor's murmur3 fmix64, so which shard a key lands on says nothing
+// about which bucket.
+func mix(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
+// phys is the physical bucket key lives in: linear hashing over the low
+// bits of its hash, one more bit for buckets already split this level.
+// Its low log2(n0) bits are always the key's base coordinate.
+func (g *geometry) phys(key uint64) uint64 {
+	h := g.hash(key)
 	b := h & (g.n0<<g.level - 1)
 	if b < g.split {
 		b = h & (g.n0<<(g.level+1) - 1)
@@ -184,11 +264,11 @@ func NewKVStore(p engine.Pool, nBuckets int) (*KVStore, error) {
 		}
 		kv.dir, kv.meta = dir, dir+16+segBytes(n)
 		g = baseGeometry(dir, n)
-		g.rec = rec
+		g.rec, g.v3 = rec, true
 		if err := tx.Store(dir, n); err != nil {
 			return err
 		}
-		if err := tx.Store(dir+8, wordsCRC(n, rec)); err != nil {
+		if err := tx.Store(dir+8, dirCRC(formatV3, n, rec)); err != nil {
 			return err
 		}
 		if err := tx.StoreBytes(dir+16, make([]byte, n*8)); err != nil {
@@ -242,9 +322,11 @@ func baseGeometry(dir, n0 uint64) *geometry {
 // verifying the directory header's checksum, the geometry record and the
 // config/manifest meta slots first: a store whose routing metadata cannot
 // be trusted must not serve at all, because a wrong shard count silently
-// misroutes every key. A v1 image (no geometry record) is upgraded to v2
-// in one transaction; a pool that cannot take the write (read-only,
-// degraded, out of space) serves it at base geometry, without growth.
+// misroutes every key. A v1 image (no geometry record) and a v2 image that
+// never split are upgraded to v3 in one transaction; a pool that cannot
+// take the write (read-only, degraded, out of space) serves them as they
+// are, a v1 image at base geometry without growth. A grown v2 image is
+// served, and keeps growing, by the v2 split rule.
 func AttachKVStore(p engine.Pool) (*KVStore, error) {
 	dir := p.Root()
 	size := uint64(p.Device().Size())
@@ -258,17 +340,15 @@ func AttachKVStore(p engine.Pool) (*KVStore, error) {
 		}
 		kv.meta = dir + 16 + segBytes(n)
 		rec := tx.Load(kv.meta + kvMetaGeo)
-		want := wordsCRC(n)
-		if rec != 0 {
-			want = wordsCRC(n, rec)
-		}
-		if tx.Load(dir+8) != want {
+		v := headerFormat(n, rec, tx.Load(dir+8))
+		if v == 0 {
 			return fmt.Errorf("%w: directory header", ErrDataCorrupt)
 		}
 		if err := kv.verifyMetaTx(tx); err != nil {
 			return err
 		}
 		g = baseGeometry(dir, n)
+		g.v3 = v == formatV3
 		if rec == 0 {
 			return nil
 		}
@@ -284,8 +364,8 @@ func AttachKVStore(p engine.Pool) (*KVStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !g.v2() {
-		if up, n, err := kv.upgrade(g); err == nil {
+	if !g.v3 && g.buckets() == g.n0 {
+		if up, n, err := kv.upgrade(g, keys); err == nil {
 			g, keys = up, n
 		}
 	}
@@ -598,22 +678,37 @@ func (kv *KVStore) Len() (int, error) {
 	return n, err
 }
 
+// ChainStats is the shape of a store's chains, as an integrity walk
+// measured it.
+type ChainStats struct {
+	Keys    uint64 // keys chained
+	Longest uint64 // entries in the longest chain
+	HitSum  uint64 // the sum over keys of each one's 1-based position in its chain
+}
+
+// MeanHit is what an average GET of a present key walks: the mean over
+// keys of their 1-based chain position, 0 on an empty store.
+func (s ChainStats) MeanHit() float64 {
+	if s.Keys == 0 {
+		return 0
+	}
+	return float64(s.HitSum) / float64(s.Keys)
+}
+
 // VerifyIntegrity walks the whole store — directory header, geometry
 // record, every slot group, every chain entry — verifying each checksum,
 // that every key sits in the physical bucket its hash names, and that
-// every group's key count matches its chains. It returns nil when
-// everything checks out and an ErrDataCorrupt-wrapped diagnosis naming
-// the first damaged structure otherwise. Servers run it at startup and on
-// demand (SCRUB).
-func (kv *KVStore) VerifyIntegrity() error {
+// every group's key count matches its chains. It returns the chains'
+// shape and nil when everything checks out, and an ErrDataCorrupt-wrapped
+// diagnosis naming the first damaged structure otherwise. Servers run it
+// at startup and on demand (SCRUB).
+func (kv *KVStore) VerifyIntegrity() (ChainStats, error) {
 	g := kv.geo.Load()
-	return kv.pool.Tx(func(tx engine.Tx) error {
+	var st ChainStats
+	err := kv.pool.Tx(func(tx engine.Tx) error {
+		st = ChainStats{}
 		n, rec := tx.Load(kv.dir), tx.Load(kv.meta+kvMetaGeo)
-		want := wordsCRC(n)
-		if rec != 0 {
-			want = wordsCRC(n, rec)
-		}
-		if tx.Load(kv.dir+8) != want {
+		if tx.Load(kv.dir+8) != dirCRC(g.format(), n, rec) {
 			return fmt.Errorf("%w: directory header", ErrDataCorrupt)
 		}
 		if n != g.n0 || rec != g.rec {
@@ -630,7 +725,6 @@ func (kv *KVStore) VerifyIntegrity() error {
 			}
 		}
 		r := kv.txReader(tx)
-		var keys uint64
 		for lo := uint64(0); lo < g.buckets(); lo += g.gsz {
 			slots, count, err := loadGroup(&r, g, lo)
 			if err != nil {
@@ -638,8 +732,9 @@ func (kv *KVStore) VerifyIntegrity() error {
 			}
 			chained := uint64(0)
 			for i, e := range slots[:g.gsz] {
-				for ; e != 0; chained++ {
-					if g.v2() && chained == count {
+				n := uint64(0)
+				for ; e != 0; n++ {
+					if g.v2() && chained+n == count {
 						return fmt.Errorf("%w: bucket group %d chains more than its %d keys", ErrDataCorrupt, lo/slotGroup, count)
 					}
 					k, next, _, err := loadEntry(&r, e)
@@ -651,14 +746,17 @@ func (kv *KVStore) VerifyIntegrity() error {
 					}
 					e = next
 				}
+				chained += n
+				st.Longest = max(st.Longest, n)
+				st.HitSum += n * (n + 1) / 2
 			}
 			if g.v2() && chained != count {
 				return fmt.Errorf("%w: bucket group %d counts %d keys, chains hold %d", ErrDataCorrupt, lo/slotGroup, count, chained)
 			}
-			keys += chained
+			st.Keys += chained
 		}
-		if counted := kv.keys.Load(); g.v2() && keys != counted {
-			return fmt.Errorf("%w: store holds %d keys, geometry counts %d", ErrDataCorrupt, keys, counted)
+		if counted := kv.keys.Load(); g.v2() && st.Keys != counted {
+			return fmt.Errorf("%w: store holds %d keys, geometry counts %d", ErrDataCorrupt, st.Keys, counted)
 		}
 		if err := kv.verifyMetaTx(tx); err != nil {
 			return err
@@ -670,4 +768,5 @@ func (kv *KVStore) VerifyIntegrity() error {
 		}
 		return nil
 	})
+	return st, err
 }

@@ -164,7 +164,7 @@ func TestV1ImageServedAtBaseGeometry(t *testing.T) {
 	if v, found, err := kv.Get(2<<40 | 2); err != nil || !found || v != 14 {
 		t.Fatalf("Get on the v1 image = (%d, %v, %v)", v, found, err)
 	}
-	if err := kv.VerifyIntegrity(); err != nil {
+	if _, err := kv.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
 	n := dev.Load8(kv.dir)

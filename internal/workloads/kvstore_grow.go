@@ -11,7 +11,8 @@ import (
 // Online growth: the directory is a linear-hashing table (Litwin 1980).
 // Physical buckets [0, n0<<level) form a full level; the split pointer
 // walks it one slot group at a time, and splitting group [p, p+8) moves
-// each of its keys whose hash has bit n0<<level set to bucket p+n0<<level.
+// each of its keys whose hash (geometry.hash) has bit n0<<level set to
+// bucket p+n0<<level.
 // Every physical bucket is congruent mod n0 to the base coordinate of the
 // keys it holds, so Bucket, Buckets and ScanRange answer in base
 // coordinates whatever the physical size, and a split never moves a key
@@ -109,7 +110,7 @@ func (m *batch) splitGroup(tx engine.Tx) (bool, error) {
 			idx := len(m.scratch)
 			m.scratch = append(m.scratch, chainEntry{off: e, key: k, next: next, val: v})
 			heads, last := &keep[i], &lastKeep
-			if k*fib&half != 0 {
+			if g.hash(k)&half != 0 {
 				heads, last = &move[i], &lastMove
 				moved++
 			}
@@ -309,15 +310,19 @@ func loadRecord(tx engine.Tx, g *geometry, rec, size uint64) error {
 	return nil
 }
 
-// upgrade turns a v1 image into v2 in one transaction: one walk counts
-// every group's keys into its group word, then the geometry record is
-// linked and the directory header re-sealed over it. Any failure leaves
-// the v1 image as it was. It returns the v2 geometry and the keys it
-// counted.
-func (kv *KVStore) upgrade(base *geometry) (*geometry, uint64, error) {
+// upgrade turns a v1 image, or a v2 image that never split, into v3 in
+// one transaction. Neither has split, so each key sits in its base
+// coordinate's bucket under either hash and no key moves: a v2 image
+// re-seals its directory header; a v1 image first counts every group's
+// keys into its group word (one walk) and links a geometry record. Any
+// failure leaves the image as it was. It returns the v3 geometry and the
+// live key count (keys, on a v2 image).
+func (kv *KVStore) upgrade(base *geometry, keys uint64) (*geometry, uint64, error) {
 	g := *base
-	var keys uint64
 	err := kv.pool.Tx(func(tx engine.Tx) error {
+		if base.v2() {
+			return tx.Store(kv.dir+8, dirCRC(formatV3, g.n0, g.rec))
+		}
 		r := kv.txReader(tx)
 		rec, err := tx.Alloc(recordLen)
 		if err != nil {
@@ -354,7 +359,8 @@ func (kv *KVStore) upgrade(base *geometry) (*geometry, uint64, error) {
 		if err := tx.Store(kv.meta+kvMetaGeo, rec); err != nil {
 			return err
 		}
-		return tx.Store(kv.dir+8, wordsCRC(g.n0, rec))
+		return tx.Store(kv.dir+8, dirCRC(formatV3, g.n0, rec))
 	})
+	g.v3 = true
 	return &g, keys, err
 }

@@ -37,7 +37,7 @@ func newGrowStore(t *testing.T, size, base int) (*pool.Pool, *KVStore) {
 // runs the full integrity walk (placement and per-group counts included).
 func checkContents(t *testing.T, p *pool.Pool, kv *KVStore, model map[uint64]uint64) {
 	t.Helper()
-	if err := kv.VerifyIntegrity(); err != nil {
+	if _, err := kv.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
 	view, err := p.ReadView()
@@ -138,44 +138,41 @@ func TestBatchSplitsKeepLoadFactorOne(t *testing.T) {
 	checkContents(t, p, kv, model)
 }
 
-// meanChainPosition is what an average GET of a present key walks: the
-// mean over every key of its 1-based position in its physical chain.
-func meanChainPosition(t *testing.T, kv *KVStore) float64 {
+// loadKeys stores keyOf(0..n-1) in 64-op batches, the way the
+// benchmark's preload does.
+func loadKeys(t *testing.T, kv *KVStore, n uint64, keyOf func(uint64) uint64) {
 	t.Helper()
-	g := kv.geo.Load()
-	var sum, keys uint64
-	err := kv.pool.Tx(func(tx engine.Tx) error {
-		r := kv.txReader(tx)
-		for b := uint64(0); b < g.buckets(); b++ {
-			e, err := loadSlot(&r, g, b)
-			for n := uint64(1); e != 0 && err == nil; n++ {
-				_, e, _, err = loadEntry(&r, e)
-				sum, keys = sum+n, keys+1
+	ops := make([]Op, 0, 64)
+	for idx := uint64(0); idx < n; idx++ {
+		ops = append(ops, Op{Key: keyOf(idx), Val: idx})
+		if len(ops) == cap(ops) || idx == n-1 {
+			if _, err := kv.Apply(ops); err != nil {
+				t.Fatal(err)
 			}
-			if err != nil {
-				return err
-			}
+			ops = ops[:0]
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return float64(sum) / float64(keys)
 }
+
+// tenantKey is the benchmark's mixed_zipf key set: 256 tenants' ids
+// 0..255 under a (t+1)<<40 prefix. Its ids take 256 of a 4,096-bucket
+// base's coordinates, 256 keys each.
+func tenantKey(idx uint64) uint64 { return (idx>>8+1)<<40 | idx&0xff }
 
 // TestBenchmarkKeySetsShape loads the benchmark's key sets the way its
 // preload does (64-op batches into a 4,096-bucket base) and pins the
-// directory each grows to: get_large's 262,144 sequential ids end one per
-// bucket, get_fit's 4,096 never split, and the tenant set's 65,536 keys
-// grow the directory without shortening chains whose keys share every
-// low hash bit.
+// directory each grows to and the mean chain position the integrity walk
+// measures: get_large's 262,144 sequential ids end one per bucket,
+// get_fit's 4,096 never split, and the tenant set's 65,536 keys split
+// apart by their high halves (geometry.hash). Each of the tenant set's
+// 256 base coordinates grows 16 physical buckets, so its chains keep
+// about 16 keys: 8.86 is the mean position, against 128.5 when splits
+// read key·fib alone.
 func TestBenchmarkKeySetsShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 262,144 keys")
 	}
 	sequential := func(idx uint64) uint64 { return idx + 1 }
-	tenant := func(idx uint64) uint64 { return (idx>>8+1)<<40 | idx&0xff }
 	for _, c := range []struct {
 		name          string
 		keys          uint64
@@ -185,26 +182,22 @@ func TestBenchmarkKeySetsShape(t *testing.T) {
 	}{
 		{"get_fit", 4096, sequential, 4096, 1, 1},
 		{"get_large", 262144, sequential, 262144, 32.5, 1},
-		{"tenant", 65536, tenant, 65536, 128.5, 128.5},
+		{"tenant", 65536, tenantKey, 65536, 128.5, 9},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, kv := newGrowStore(t, 128<<20, 4096)
-			ops := make([]Op, 0, 64)
-			for idx := uint64(0); idx < c.keys; idx++ {
-				ops = append(ops, Op{Key: c.keyOf(idx), Val: idx})
-				if len(ops) == cap(ops) || idx == c.keys-1 {
-					if _, err := kv.Apply(ops); err != nil {
-						t.Fatal(err)
-					}
-					ops = ops[:0]
-				}
-			}
+			loadKeys(t, kv, c.keys, c.keyOf)
 			keys, buckets := kv.Shape()
 			if keys != c.keys || buckets != c.buckets {
 				t.Fatalf("Shape = (%d keys, %d buckets), want (%d, %d)", keys, buckets, c.keys, c.buckets)
 			}
-			if got := meanChainPosition(t, kv); got > c.after {
-				t.Fatalf("mean chain position %.2f, want <= %.2f (%.1f at the base directory)", got, c.after, c.before)
+			st, err := kv.VerifyIntegrity()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Keys != c.keys || st.MeanHit() > c.after {
+				t.Fatalf("walk counts %d keys at mean chain position %.2f, want %d at <= %.2f (%.1f at the base directory)",
+					st.Keys, st.MeanHit(), c.keys, c.after, c.before)
 			}
 		})
 	}
@@ -352,7 +345,7 @@ func TestBatchCutInGrownGroupRecovers(t *testing.T) {
 		if kv, err = AttachKVStore(corundumeng.Wrap(p)); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		if err := kv.VerifyIntegrity(); err != nil {
+		if _, err := kv.VerifyIntegrity(); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		_, hadGone, err1 := kv.Get(gone)

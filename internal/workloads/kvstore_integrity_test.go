@@ -60,7 +60,7 @@ func TestKVStoreDetectsEntryCorruption(t *testing.T) {
 	if err := kv.Scan(func(_, _ uint64) bool { return true }); !errors.Is(err, ErrDataCorrupt) {
 		t.Fatalf("Scan over flipped value = %v, want ErrDataCorrupt", err)
 	}
-	if err := kv.VerifyIntegrity(); !errors.Is(err, ErrDataCorrupt) {
+	if _, err := kv.VerifyIntegrity(); !errors.Is(err, ErrDataCorrupt) {
 		t.Fatalf("VerifyIntegrity = %v, want ErrDataCorrupt", err)
 	}
 	// Keys hashing to other buckets are unaffected.
@@ -84,7 +84,7 @@ func TestKVStoreDetectsBucketSlotCorruption(t *testing.T) {
 	if _, _, err := kv.Get(7); !errors.Is(err, ErrDataCorrupt) {
 		t.Fatalf("Get over flipped slot = %v, want ErrDataCorrupt", err)
 	}
-	if err := kv.VerifyIntegrity(); !errors.Is(err, ErrDataCorrupt) {
+	if _, err := kv.VerifyIntegrity(); !errors.Is(err, ErrDataCorrupt) {
 		t.Fatalf("VerifyIntegrity = %v, want ErrDataCorrupt", err)
 	}
 }
@@ -109,7 +109,7 @@ func TestKVStoreIntegrityCleanAfterChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := kv.VerifyIntegrity(); err != nil {
+	if _, err := kv.VerifyIntegrity(); err != nil {
 		t.Fatalf("VerifyIntegrity after churn: %v", err)
 	}
 	n, err := kv.Len()

@@ -63,7 +63,7 @@ func TestManifestConfigRoundTrip(t *testing.T) {
 	if err := kv.WriteManifest(&Manifest{Kind: ManifestRestore, Epoch: 9, OldN: 4, NewN: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := kv.VerifyIntegrity(); err != nil {
+	if _, err := kv.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
 	if err := kv.ClearManifest(); err != nil {
@@ -72,7 +72,7 @@ func TestManifestConfigRoundTrip(t *testing.T) {
 	if m, err := kv.ReadManifest(); err != nil || m != nil {
 		t.Fatalf("cleared manifest = %v,%v; want nil", m, err)
 	}
-	if err := kv.VerifyIntegrity(); err != nil {
+	if _, err := kv.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +146,7 @@ func verifyPlacement(t *testing.T, stores []*KVStore, n int, model map[uint64]ui
 		t.Fatalf("stores hold %d keys, model has %d", total, len(model))
 	}
 	for _, st := range stores {
-		if err := st.VerifyIntegrity(); err != nil {
+		if _, err := st.VerifyIntegrity(); err != nil {
 			t.Fatal(err)
 		}
 	}
