@@ -76,6 +76,31 @@ func TestImportGraphLaws(t *testing.T) {
 	}
 }
 
+// TestRootBenchmarksOnlyDriveBench makes law that the paper's rows are
+// written once. The root's `go test -bench` file runs the internal/bench
+// entries corundum-bench prints; importing another module package, or
+// timing with its own clock, would be a second implementation of a row.
+func TestRootBenchmarksOnlyDriveBench(t *testing.T) {
+	const file = "bench_test.go"
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), file, src, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var imports []string
+	for _, imp := range f.Imports {
+		if path := strings.Trim(imp.Path.Value, `"`); path == "time" || strings.HasPrefix(path, "corundum/") {
+			imports = append(imports, path)
+		}
+	}
+	if !slices.Equal(imports, []string{"corundum/internal/bench"}) || bytes.Contains(src, []byte("StartTimer")) || bytes.Contains(src, []byte("StopTimer")) {
+		t.Errorf("%s imports %v or toggles the timer: a paper row's code and clock live in internal/bench alone", file, imports)
+	}
+}
+
 // TestUnsafeAddrOnlyInCore makes the one exception to the device's access
 // rule law. Every load and store of persistent memory is a pmem.Device
 // method, except through the address Device.UnsafeAddr returns, which the

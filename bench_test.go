@@ -1,499 +1,83 @@
 package corundum_test
 
 // Benchmarks regenerating the paper's evaluation via `go test -bench`.
-// Each BenchmarkTable5* group corresponds to rows of Table 5, the
-// BenchmarkFig1* groups to the bars of Figure 1, BenchmarkFig2 to the
-// scalability curve, and BenchmarkTable2/3 to the qualitative tables.
-// cmd/corundum-bench produces the full formatted tables and the
-// artifact's CSV files from the same generators.
+// BenchmarkTable5 runs Table 5's rows, BenchmarkFig1 the bars of Figure
+// 1, BenchmarkFig2 the points of the scalability curve, and
+// BenchmarkTable2/3 the qualitative tables. Every row, bar and point is
+// the internal/bench entry cmd/corundum-bench prints, run at b.N
+// operations, and each sub-benchmark is named after its printed row. The
+// ns/op reported is the entry's own time in its named operation; set-up
+// stays off it.
 
 import (
-	"fmt"
 	"testing"
 
-	"corundum/internal/baselines/engine"
 	"corundum/internal/bench"
-	"corundum/internal/core"
-	"corundum/internal/pmem"
-	"corundum/internal/workloads"
-	"corundum/internal/workloads/loc"
-	"corundum/internal/workloads/wordcount"
 )
 
-// --- Table 5: basic operation latencies -----------------------------------
-
-type benchTag struct{}
-
-type benchRoot struct {
-	Cell core.PCell[int64, benchTag]
+func BenchmarkTable5(b *testing.B) {
+	for _, prof := range bench.Table5Profiles() {
+		b.Run(prof.Name, func(b *testing.B) {
+			closePool, err := bench.OpenMicro(prof)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer closePool()
+			for _, row := range bench.Table5() {
+				b.Run(row.Name, func(b *testing.B) {
+					d, err := row.Time(b.N)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(float64(d.Nanoseconds())/float64(b.N), "ns/op")
+				})
+			}
+		})
+	}
 }
 
-func openBenchPool(b *testing.B, prof pmem.Profile) {
-	b.Helper()
-	_, err := core.Open[benchRoot, benchTag]("", core.Config{
-		Size: 256 << 20, Journals: 8, JournalCap: 8 << 20,
-		Mem: pmem.Options{Profile: prof},
-	})
+func BenchmarkFig1(b *testing.B) {
+	prof, err := bench.ProfileByName("OptaneDC") // corundum-bench's default
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { _ = core.ClosePool[benchTag]() })
-}
-
-func profiles() []pmem.Profile {
-	return []pmem.Profile{pmem.OptaneDC, pmem.DRAM}
-}
-
-func BenchmarkTable5Deref(b *testing.B) {
-	for _, prof := range profiles() {
-		b.Run(prof.Name, func(b *testing.B) {
-			openBenchPool(b, prof)
-			var box core.PBox[int64, benchTag]
-			if err := core.Transaction[benchTag](func(j *core.Journal[benchTag]) error {
-				var err error
-				box, err = core.NewPBox[int64, benchTag](j, 1)
-				return err
-			}); err != nil {
-				b.Fatal(err)
-			}
-			var sink int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink += *box.Deref()
-			}
-			_ = sink
-		})
-	}
-}
-
-func BenchmarkTable5DerefMutFirst(b *testing.B) {
-	for _, prof := range profiles() {
-		b.Run(prof.Name, func(b *testing.B) {
-			openBenchPool(b, prof)
-			var box core.PBox[int64, benchTag]
-			if err := core.Transaction[benchTag](func(j *core.Journal[benchTag]) error {
-				var err error
-				box, err = core.NewPBox[int64, benchTag](j, 1)
-				return err
-			}); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// One transaction per iteration: every DerefMut is a first.
-				if err := core.Transaction[benchTag](func(j *core.Journal[benchTag]) error {
-					p, err := box.DerefMut(j)
-					if err != nil {
-						return err
-					}
-					*p = int64(i)
-					return nil
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkTable5DerefMutLater(b *testing.B) {
-	for _, prof := range profiles() {
-		b.Run(prof.Name, func(b *testing.B) {
-			openBenchPool(b, prof)
-			var box core.PBox[int64, benchTag]
-			if err := core.Transaction[benchTag](func(j *core.Journal[benchTag]) error {
-				var err error
-				box, err = core.NewPBox[int64, benchTag](j, 1)
-				return err
-			}); err != nil {
-				b.Fatal(err)
-			}
-			if err := core.Transaction[benchTag](func(j *core.Journal[benchTag]) error {
-				if _, err := box.DerefMut(j); err != nil { // pay the first
-					return err
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p, err := box.DerefMut(j)
-					if err != nil {
-						return err
-					}
-					*p = int64(i)
-				}
-				b.StopTimer()
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-func BenchmarkTable5Alloc(b *testing.B) {
-	for _, size := range []uint64{8, 256, 4096} {
-		for _, prof := range profiles() {
-			b.Run(fmt.Sprintf("%dB/%s", size, prof.Name), func(b *testing.B) {
-				openBenchPool(b, prof)
-				b.ResetTimer()
-				// Chunked transactions: drops apply at each commit, so b.N
-				// iterations never exhaust the pool.
-				for done := 0; done < b.N; done += 1024 {
-					chunk := min(1024, b.N-done)
-					err := core.Transaction[benchTag](func(j *core.Journal[benchTag]) error {
-						b.StartTimer()
-						offs := make([]uint64, chunk)
-						for k := 0; k < chunk; k++ {
-							off, err := j.Inner().Alloc(size)
-							if err != nil {
-								return err
-							}
-							offs[k] = off
-						}
-						b.StopTimer()
-						for _, off := range offs {
-							if err := j.Inner().DropLog(off, size); err != nil {
-								return err
-							}
-						}
-						return nil
-					})
+	cfg := bench.Fig1Config(prof)
+	// Every sub-benchmark opens a pool; corundum-bench's 512 MiB takes over
+	// a second to open, and b.N keys fit in far less.
+	cfg.Size = 128 << 20
+	for _, w := range bench.Fig1Workloads() {
+		for i, bar := range w.Bars {
+			for _, lib := range bench.Libraries() {
+				b.Run(w.Name+"/"+bar.Op+"/"+lib.Name(), func(b *testing.B) {
+					ds, err := w.Time(lib, cfg, b.N, i+1)
 					if err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
+					b.ReportMetric(float64(ds[i].Nanoseconds())/float64(b.N), "ns/op")
+				})
+			}
 		}
 	}
 }
 
-func BenchmarkTable5TxNop(b *testing.B) {
-	for _, prof := range profiles() {
-		b.Run(prof.Name, func(b *testing.B) {
-			openBenchPool(b, prof)
-			b.ResetTimer()
+func BenchmarkFig2(b *testing.B) {
+	const maxConsumers = 15 // the paper's
+	in, err := bench.OpenFig2(64, 16<<10, maxConsumers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer in.Close()
+	for _, p := range bench.Fig2Points(maxConsumers) {
+		b.Run(p.Label, func(b *testing.B) {
+			var ns int64
 			for i := 0; i < b.N; i++ {
-				if err := core.Transaction[benchTag](func(*core.Journal[benchTag]) error { return nil }); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkTable5DataLog(b *testing.B) {
-	for _, size := range []uint64{8, 1024, 4096} {
-		for _, prof := range profiles() {
-			b.Run(fmt.Sprintf("%dB/%s", size, prof.Name), func(b *testing.B) {
-				openBenchPool(b, prof)
-				b.ResetTimer()
-				for done := 0; done < b.N; done += 256 {
-					chunk := min(256, b.N-done)
-					err := core.Transaction[benchTag](func(j *core.Journal[benchTag]) error {
-						for k := 0; k < chunk; k++ {
-							b.StopTimer()
-							off, err := j.Inner().Alloc(size)
-							if err != nil {
-								return err
-							}
-							b.StartTimer()
-							if err := j.Inner().DataLog(off, size); err != nil {
-								return err
-							}
-							b.StopTimer()
-							if err := j.Inner().DropLog(off, size); err != nil {
-								return err
-							}
-							b.StartTimer()
-						}
-						return nil
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkTable5AtomicInit(b *testing.B) {
-	for _, prof := range profiles() {
-		b.Run("Pbox/"+prof.Name, func(b *testing.B) {
-			openBenchPool(b, prof)
-			b.ResetTimer()
-			for done := 0; done < b.N; done += 512 {
-				chunk := min(512, b.N-done)
-				err := core.Transaction[benchTag](func(j *core.Journal[benchTag]) error {
-					for k := 0; k < chunk; k++ {
-						box, err := core.NewPBox[int64, benchTag](j, int64(k))
-						if err != nil {
-							return err
-						}
-						b.StopTimer()
-						if err := box.Free(j); err != nil {
-							return err
-						}
-						b.StartTimer()
-					}
-					return nil
-				})
+				d, _, err := in.Time(p)
 				if err != nil {
 					b.Fatal(err)
 				}
+				ns += d.Nanoseconds()
 			}
-		})
-		b.Run("Parc/"+prof.Name, func(b *testing.B) {
-			openBenchPool(b, prof)
-			b.ResetTimer()
-			for done := 0; done < b.N; done += 512 {
-				chunk := min(512, b.N-done)
-				err := core.Transaction[benchTag](func(j *core.Journal[benchTag]) error {
-					for k := 0; k < chunk; k++ {
-						r, err := core.NewParc[int64, benchTag](j, int64(k))
-						if err != nil {
-							return err
-						}
-						b.StopTimer()
-						if err := r.Drop(j); err != nil {
-							return err
-						}
-						b.StartTimer()
-					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkTable5PClone(b *testing.B) {
-	for _, prof := range profiles() {
-		b.Run("Prc/"+prof.Name, func(b *testing.B) {
-			openBenchPool(b, prof)
-			b.ResetTimer()
-			err := core.Transaction[benchTag](func(j *core.Journal[benchTag]) error {
-				r, err := core.NewPrc[int64, benchTag](j, 1)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < b.N; i++ {
-					if _, err := r.PClone(j); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-		b.Run("Parc/"+prof.Name, func(b *testing.B) {
-			openBenchPool(b, prof)
-			b.ResetTimer()
-			err := core.Transaction[benchTag](func(j *core.Journal[benchTag]) error {
-				r, err := core.NewParc[int64, benchTag](j, 1)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < b.N; i++ {
-					if _, err := r.PClone(j); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// --- Figure 1: library comparison ------------------------------------------
-
-func fig1Cfg() engine.Config {
-	return engine.Config{Size: 128 << 20}
-}
-
-func BenchmarkFig1BSTInsert(b *testing.B) {
-	for _, lib := range bench.Libraries() {
-		b.Run(lib.Name(), func(b *testing.B) {
-			p, err := lib.Open(fig1Cfg())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			bst, err := workloads.NewBST(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bst.Insert(uint64(i)*2654435761%1000003, uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkFig1BSTCheck(b *testing.B) {
-	for _, lib := range bench.Libraries() {
-		b.Run(lib.Name(), func(b *testing.B) {
-			p, err := lib.Open(fig1Cfg())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			bst, err := workloads.NewBST(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 10000; i++ {
-				if err := bst.Insert(uint64(i)*2654435761%1000003, uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := bst.Lookup(uint64(i) * 2654435761 % 1000003); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkFig1KVStorePut(b *testing.B) {
-	for _, lib := range bench.Libraries() {
-		b.Run(lib.Name(), func(b *testing.B) {
-			p, err := lib.Open(fig1Cfg())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			kv, err := workloads.NewKVStore(p, 1<<14)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := kv.Put(uint64(i), uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkFig1KVStoreGet(b *testing.B) {
-	for _, lib := range bench.Libraries() {
-		b.Run(lib.Name(), func(b *testing.B) {
-			p, err := lib.Open(fig1Cfg())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			kv, err := workloads.NewKVStore(p, 1<<14)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 10000; i++ {
-				if err := kv.Put(uint64(i), uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := kv.Get(uint64(i % 10000)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkFig1BTreeInsert(b *testing.B) {
-	for _, lib := range bench.Libraries() {
-		b.Run(lib.Name(), func(b *testing.B) {
-			p, err := lib.Open(fig1Cfg())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			bt, err := workloads.NewBTree(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bt.Insert(uint64(i)*2654435761%1000003+1, uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkFig1BTreeRand(b *testing.B) {
-	for _, lib := range bench.Libraries() {
-		b.Run(lib.Name(), func(b *testing.B) {
-			p, err := lib.Open(fig1Cfg())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			bt, err := workloads.NewBTree(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 5000; i++ {
-				if err := bt.Insert(uint64(i)*2654435761%100003+1, uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := uint64(i)*2654435761%100003 + 1
-				switch i % 4 {
-				case 0:
-					if err := bt.Insert(k, k); err != nil {
-						b.Fatal(err)
-					}
-				case 1:
-					if _, err := bt.Remove(k); err != nil {
-						b.Fatal(err)
-					}
-				default:
-					if _, _, err := bt.Lookup(k); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// --- Figure 2: wordcount scalability ----------------------------------------
-
-func BenchmarkFig2Wordcount(b *testing.B) {
-	corpus := wordcount.GenerateCorpus(64, 16<<10, 1)
-	for _, consumers := range []int{1, 2, 4, 8, 15} {
-		b.Run(fmt.Sprintf("1to%d", consumers), func(b *testing.B) {
-			s, err := wordcount.Open(wordcount.DefaultConfig(consumers + 4))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := wordcount.Run(s, 1, consumers, corpus); err != nil {
-					b.Fatal(err)
-				}
-			}
+			b.ReportMetric(float64(ns)/float64(b.N), "ns/op")
 		})
 	}
 }
@@ -510,7 +94,7 @@ func BenchmarkTable2(b *testing.B) {
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := loc.Table3()
+		rows := bench.Table3()
 		if len(rows) != 3 {
 			b.Fatal("bad table 3")
 		}

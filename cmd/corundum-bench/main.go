@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -23,7 +24,6 @@ import (
 	"corundum/internal/baselines/engine"
 	"corundum/internal/bench"
 	"corundum/internal/pmem"
-	"corundum/internal/workloads/loc"
 )
 
 func main() {
@@ -36,32 +36,17 @@ func main() {
 		consumers  = flag.Int("consumers", 15, "max consumers for Figure 2 (paper: 15)")
 		profile    = flag.String("profile", "OptaneDC", "memory profile for Figure 1: OptaneDC|CXL|DRAM|NoDelay")
 		csvDir     = flag.String("csv", "", "also write artifact CSV files to this directory")
-		jsonDir    = flag.String("json", "", "also write the BENCH_micro.json artifact to this directory")
 	)
 	flag.Parse()
 
-	if err := run(*experiment, *n, *microOps, *segments, *segBytes, *consumers, *profile, *csvDir, *jsonDir); err != nil {
+	if err := run(*experiment, *n, *microOps, *segments, *segBytes, *consumers, *profile, *csvDir); err != nil {
 		fmt.Fprintln(os.Stderr, "corundum-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func profileByName(name string) (pmem.Profile, error) {
-	switch name {
-	case "OptaneDC":
-		return pmem.OptaneDC, nil
-	case "DRAM":
-		return pmem.DRAM, nil
-	case "NoDelay":
-		return pmem.NoDelay, nil
-	case "CXL":
-		return pmem.CXL, nil
-	}
-	return pmem.Profile{}, fmt.Errorf("unknown profile %q", name)
-}
-
-func run(experiment string, n, microOps, segments, segBytes, consumers int, profName, csvDir, jsonDir string) error {
-	prof, err := profileByName(profName)
+func run(experiment string, n, microOps, segments, segBytes, consumers int, profName, csvDir string) error {
+	prof, err := bench.ProfileByName(profName)
 	if err != nil {
 		return err
 	}
@@ -80,65 +65,43 @@ func run(experiment string, n, microOps, segments, segBytes, consumers int, prof
 
 	if all || experiment == "table3" {
 		fmt.Println("=== Table 3: lines of code to add persistence ===")
-		bench.PrintTable3(os.Stdout, loc.Table3())
+		bench.PrintTable3(os.Stdout, bench.Table3())
 		fmt.Println()
 	}
 
 	if all || experiment == "table5" {
 		fmt.Println("=== Table 5: basic operation latency (averaged) ===")
-		optane, err := bench.Micro(pmem.OptaneDC, microOps)
-		if err != nil {
-			return err
+		cols := bench.Table5Profiles()
+		byProfile := map[string][]bench.MicroResult{}
+		for _, p := range cols {
+			if byProfile[p.Name], err = bench.Micro(p, microOps); err != nil {
+				return err
+			}
 		}
-		dram, err := bench.Micro(pmem.DRAM, microOps)
-		if err != nil {
-			return err
-		}
-		bench.PrintMicro(os.Stdout, optane, dram)
+		bench.PrintMicro(os.Stdout, byProfile[cols[0].Name], byProfile[cols[1].Name])
 		fmt.Println()
-		if csvDir != "" {
-			f, err := os.Create(filepath.Join(csvDir, "micro.csv"))
-			if err != nil {
-				return err
+		if err := writeArtifact(csvDir, "micro.csv", func(w io.Writer) error {
+			for _, p := range cols {
+				if err := bench.WriteMicroCSV(w, p.Name, byProfile[p.Name]); err != nil {
+					return err
+				}
 			}
-			if err := bench.WriteMicroCSV(f, "OptaneDC", optane); err != nil {
-				return err
-			}
-			if err := bench.WriteMicroCSV(f, "DRAM", dram); err != nil {
-				return err
-			}
-			f.Close()
-		}
-		if jsonDir != "" {
-			f, err := os.Create(filepath.Join(jsonDir, "BENCH_micro.json"))
-			if err != nil {
-				return err
-			}
-			err = bench.WriteMicroJSON(f, map[string][]bench.MicroResult{"OptaneDC": optane, "DRAM": dram})
-			f.Close()
-			if err != nil {
-				return err
-			}
+			return nil
+		}); err != nil {
+			return err
 		}
 	}
 
 	if all || experiment == "fig1" {
 		fmt.Printf("=== Figure 1: library comparison (%d ops, %s profile) ===\n", n, prof.Name)
-		rows, err := bench.Fig1(n, engine.Config{Size: 512 << 20, Mem: pmem.Options{Profile: prof}})
+		rows, err := bench.Fig1(n, bench.Fig1Config(prof))
 		if err != nil {
 			return err
 		}
 		bench.PrintFig1(os.Stdout, rows)
 		fmt.Println()
-		if csvDir != "" {
-			f, err := os.Create(filepath.Join(csvDir, "perf.csv"))
-			if err != nil {
-				return err
-			}
-			if err := bench.WritePerfCSV(f, rows); err != nil {
-				return err
-			}
-			f.Close()
+		if err := writeArtifact(csvDir, "perf.csv", func(w io.Writer) error { return bench.WritePerfCSV(w, rows) }); err != nil {
+			return err
 		}
 	}
 
@@ -172,16 +135,26 @@ func run(experiment string, n, microOps, segments, segBytes, consumers int, prof
 		}
 		bench.PrintFig2(os.Stdout, rows)
 		fmt.Println()
-		if csvDir != "" {
-			f, err := os.Create(filepath.Join(csvDir, "scale.csv"))
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteScaleCSV(f, rows); err != nil {
-				return err
-			}
-			f.Close()
+		if err := writeArtifact(csvDir, "scale.csv", func(w io.Writer) error { return bench.WriteScaleCSV(w, rows) }); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// writeArtifact writes dir/name with write, or nothing when dir is empty
+// (the flag naming the directory was not given).
+func writeArtifact(dir, name string, write func(io.Writer) error) error {
+	if dir == "" {
+		return nil
+	}
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

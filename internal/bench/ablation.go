@@ -5,8 +5,6 @@ import (
 
 	"corundum/internal/baselines/corundumeng"
 	"corundum/internal/baselines/engine"
-	"corundum/internal/pmem"
-	"corundum/internal/workloads"
 	"corundum/internal/workloads/wordcount"
 )
 
@@ -38,91 +36,81 @@ type AblationResult struct {
 // DerefMut-in-a-loop pattern of Listing 1) is where the paper's
 // log-on-first-touch rule removes almost all logging.
 func AblationDedup(n int, cfg engine.Config) ([]AblationResult, error) {
-	type sample struct {
-		sec    float64
-		fences uint64
+	// The tree cases are Figure 1's INS bars over the keys i·2654435761
+	// mod 4n (shifted by one for the B+Tree).
+	insert := func(w Fig1Workload, shift uint64) func(engine.Pool) (func() error, error) {
+		return func(p engine.Pool) (func() error, error) {
+			m, err := w.open(p)
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = uint64(i)*2654435761%uint64(4*n) + shift
+			}
+			return func() error { return insertKeys(m, keys) }, err
+		}
 	}
-	run := func(lib engine.Lib) (bst, bt, rep sample, err error) {
-		p, err := lib.Open(cfg)
-		if err != nil {
-			return bst, bt, rep, err
-		}
-		defer p.Close()
-		w, err := workloads.NewBST(p)
-		if err != nil {
-			return bst, bt, rep, err
-		}
-		f0 := p.Device().Stats().Fences
-		t0 := time.Now()
-		for i := 0; i < n; i++ {
-			if err := w.Insert(uint64(i)*2654435761%uint64(4*n), uint64(i)); err != nil {
-				return bst, bt, rep, err
-			}
-		}
-		bst = sample{time.Since(t0).Seconds(), p.Device().Stats().Fences - f0}
-
-		p2, err := lib.Open(cfg)
-		if err != nil {
-			return bst, bt, rep, err
-		}
-		defer p2.Close()
-		w2, err := workloads.NewBTree(p2)
-		if err != nil {
-			return bst, bt, rep, err
-		}
-		f0 = p2.Device().Stats().Fences
-		t0 = time.Now()
-		for i := 0; i < n; i++ {
-			if err := w2.Insert(uint64(i)*2654435761%uint64(4*n)+1, uint64(i)); err != nil {
-				return bst, bt, rep, err
-			}
-		}
-		bt = sample{time.Since(t0).Seconds(), p2.Device().Stats().Fences - f0}
-
-		// Repeated stores to one word in one transaction, n/10 transactions.
-		p3, err := lib.Open(engine.Config{Size: 16 << 20, Mem: cfg.Mem})
-		if err != nil {
-			return bst, bt, rep, err
-		}
-		defer p3.Close()
+	// Repeated stores to one word in one transaction, n/10 transactions.
+	repeated := func(p engine.Pool) (func() error, error) {
 		var cell uint64
-		if err := p3.Tx(func(tx engine.Tx) error {
+		err := p.Tx(func(tx engine.Tx) (err error) {
 			cell, err = tx.Alloc(8)
 			return err
-		}); err != nil {
-			return bst, bt, rep, err
-		}
-		f0 = p3.Device().Stats().Fences
-		t0 = time.Now()
-		for i := 0; i < n/10; i++ {
-			if err := p3.Tx(func(tx engine.Tx) error {
-				for k := 0; k < 64; k++ {
-					if err := tx.Store(cell, uint64(k)); err != nil {
-						return err
+		})
+		return func() error {
+			for i := 0; i < n/10; i++ {
+				if err := p.Tx(func(tx engine.Tx) error {
+					for k := 0; k < 64; k++ {
+						if err := tx.Store(cell, uint64(k)); err != nil {
+							return err
+						}
 					}
+					return nil
+				}); err != nil {
+					return err
 				}
-				return nil
-			}); err != nil {
-				return bst, bt, rep, err
 			}
+			return nil
+		}, err
+	}
+	ws := Fig1Workloads()
+	cases := []struct {
+		name    string
+		cfg     engine.Config
+		prepare func(engine.Pool) (func() error, error)
+	}{
+		{"log dedup (BST INS)", cfg, insert(ws[0], 0)},
+		{"log dedup (B+Tree INS)", cfg, insert(ws[2], 1)},
+		{"log dedup (64x same-word stores)", engine.Config{Size: 16 << 20, Mem: cfg.Mem}, repeated},
+	}
+	var out []AblationResult
+	for _, c := range cases {
+		r := AblationResult{Name: c.name}
+		var err error
+		if r.Baseline, r.BaselineFences, err = measureWithFences(corundumeng.Lib{}, c.cfg, c.prepare); err != nil {
+			return nil, err
 		}
-		rep = sample{time.Since(t0).Seconds(), p3.Device().Stats().Fences - f0}
-		return bst, bt, rep, nil
+		if r.Ablated, r.AblatedFences, err = measureWithFences(corundumeng.Lib{NoDedup: true}, c.cfg, c.prepare); err != nil {
+			return nil, err
+		}
+		out = append(out, r)
 	}
+	return out, nil
+}
 
-	withBST, withBT, withRep, err := run(corundumeng.Lib{})
+// measureWithFences opens a pool of lib, readies it with prepare, and
+// returns the seconds and the fences the body prepare returned takes.
+func measureWithFences(lib engine.Lib, cfg engine.Config, prepare func(engine.Pool) (func() error, error)) (float64, uint64, error) {
+	p, err := lib.Open(cfg)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	noBST, noBT, noRep, err := run(corundumeng.Lib{NoDedup: true})
+	defer p.Close()
+	body, err := prepare(p)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	return []AblationResult{
-		{Name: "log dedup (BST INS)", Baseline: withBST.sec, Ablated: noBST.sec, BaselineFences: withBST.fences, AblatedFences: noBST.fences},
-		{Name: "log dedup (B+Tree INS)", Baseline: withBT.sec, Ablated: noBT.sec, BaselineFences: withBT.fences, AblatedFences: noBT.fences},
-		{Name: "log dedup (64x same-word stores)", Baseline: withRep.sec, Ablated: noRep.sec, BaselineFences: withRep.fences, AblatedFences: noRep.fences},
-	}, nil
+	f0, t0 := p.Device().Stats().Fences, time.Now()
+	err = body()
+	return time.Since(t0).Seconds(), p.Device().Stats().Fences - f0, err
 }
 
 // AblationArenas measures the wordcount workload with many journals/arenas
@@ -152,21 +140,4 @@ func AblationArenas(segments, segBytes, consumers int) ([]AblationResult, error)
 	return []AblationResult{
 		{Name: "per-thread journals (wordcount 1:N)", Baseline: many, Ablated: one},
 	}, nil
-}
-
-// Fences returns the device fence count consumed by running fn on a fresh
-// Corundum pool — used to compare the commit protocol's fence budget
-// against design variants in tests.
-func Fences(cfg engine.Config, fn func(p engine.Pool) error) (uint64, error) {
-	p, err := corundumeng.Lib{}.Open(cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer p.Close()
-	var dev *pmem.Device = p.Device()
-	before := dev.Stats().Fences
-	if err := fn(p); err != nil {
-		return 0, err
-	}
-	return dev.Stats().Fences - before, nil
 }

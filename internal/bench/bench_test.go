@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
+	"corundum/internal/baselines/corundumeng"
 	"corundum/internal/baselines/engine"
 	"corundum/internal/core"
 	"corundum/internal/pmem"
@@ -63,35 +63,84 @@ func TestMicroSmall(t *testing.T) {
 	}
 }
 
-// TestDataLogRowLogsItsPayload pins that Table 5's DataLog rows measure
-// an undo entry of the named size: the journal-scope bytes written per
-// DataLog grow with the payload and cover it.
-func TestDataLogRowLogsItsPayload(t *testing.T) {
-	cfg := core.Config{Size: 32 << 20, Journals: 2, JournalCap: 1 << 20, Mem: pmem.Options{Profile: pmem.NoDelay}}
-	if _, err := core.Open[microRoot, microTag]("", cfg); err != nil {
+// TestTable5RowShape runs every Table 5 row that works in the micro pool
+// at a small n and counts the device operations inside its named
+// operation alone (the meter's window). Exact counts, unlike nanoseconds,
+// hold on any host, so they pin what each row measures.
+func TestTable5RowShape(t *testing.T) {
+	closePool, err := OpenMicro(pmem.NoDelay)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer core.ClosePool[microTag]()
-	var logged uint64
-	core.DeviceOf[microTag]().SetOpHook(func(op pmem.Op, sc pmem.Scope, n uint64) {
-		if op == pmem.OpWrite && sc == pmem.ScopeJournal {
-			logged += n
+	defer closePool()
+	type counts struct{ writes, journalBytes, allocWrites, fences uint64 }
+	const n = 64
+	shape := map[string]counts{}
+	for _, row := range Table5() {
+		if strings.HasPrefix(row.Name, "Alloc") || strings.HasPrefix(row.Name, "Dealloc") {
+			continue // a private arena the pool's hook does not see
 		}
-	})
-	const ops = 64
-	prev := uint64(0)
-	for _, size := range []uint64{8, 1024, 4096} {
-		logged = 0
-		var total time.Duration
-		if err := dataLogBench(size, ops, &total); err != nil {
-			t.Fatal(err)
+		var m meter
+		var c counts
+		core.DeviceOf[microTag]().SetOpHook(func(op pmem.Op, sc pmem.Scope, bytes uint64) {
+			if !m.inside {
+				return
+			}
+			switch op {
+			case pmem.OpWrite:
+				c.writes++
+				if sc == pmem.ScopeJournal {
+					c.journalBytes += bytes
+				}
+				if sc == pmem.ScopeAllocRedo {
+					c.allocWrites++
+				}
+			case pmem.OpFence:
+				c.fences++
+			}
+		})
+		if err := row.run(&m, n); err != nil {
+			t.Fatalf("%s: %v", row.Name, err)
 		}
-		per := logged / ops
-		t.Logf("DataLog (%s): %d journal bytes written per op", sizeLabel(size), per)
-		if per < size || per <= prev {
-			t.Errorf("DataLog (%s) wrote %d journal bytes per op (previous size %d): the row does not log its payload", sizeLabel(size), per, prev)
+		shape[row.Name] = c
+		t.Logf("%-28s %+v", row.Name, c)
+	}
+	core.DeviceOf[microTag]().SetOpHook(nil)
+
+	for _, name := range []string{"Deref", "TxNop", "DerefMut (not the 1st time)"} {
+		if c := shape[name]; c.writes != 0 || c.fences != 0 {
+			t.Errorf("%s: %+v, want no PM writes or fences", name, c)
 		}
-		prev = per
+	}
+	if c := shape["DerefMut (the 1st time)"]; c.journalBytes < n*8 || c.fences != n {
+		t.Errorf("DerefMut (the 1st time): %+v, want an undo entry covering the 8-byte box and one fence per op", c)
+	}
+	// Table 5's DataLog rows measure an undo entry of the named size: the
+	// journal bytes cover the payload, and what they add to it is the same
+	// at every size.
+	var overhead uint64
+	for i, size := range []uint64{8, 1024, 4096} {
+		name := fmt.Sprintf("DataLog (%s)", sizeLabel(size))
+		c := shape[name]
+		if c.journalBytes < n*size || c.fences != n {
+			t.Fatalf("%s: %+v, want journal bytes covering %d payload bytes and one fence per op", name, c, n*size)
+		}
+		if extra := c.journalBytes - n*size; i == 0 {
+			overhead = extra
+		} else if extra != overhead {
+			t.Errorf("%s: %d journal bytes beyond the payload, DataLog (8 B) adds %d", name, extra, overhead)
+		}
+	}
+	if small, big := shape["DropLog (8 B)"], shape["DropLog (32 kB)"]; small.journalBytes == 0 || small != big {
+		t.Errorf("DropLog (8 B) %+v and DropLog (32 kB) %+v: want the same nonzero journal record at any size", small, big)
+	}
+	for _, name := range []string{"Prc::pclone", "Parc::pclone"} {
+		if c := shape[name]; c.allocWrites != 0 {
+			t.Errorf("%s: %+v, want no allocator writes: a clone only bumps a count", name, c)
+		}
+	}
+	if c := shape["Pbox::pclone (8 B)"]; c.allocWrites == 0 {
+		t.Errorf("Pbox::pclone (8 B): %+v, want allocator writes: a PBox clone allocates", c)
 	}
 }
 
@@ -218,29 +267,23 @@ func TestFenceBudgetPerCommit(t *testing.T) {
 	// the append fence, the data fence, and the idle-state fence — plus
 	// allocation fences for the cell. A regression that multiplies fences
 	// would break the Figure 1 shape, so pin it.
-	fences, err := Fences(engine.Config{Size: 16 << 20}, func(p engine.Pool) error {
-		var cell uint64
-		if err := p.Tx(func(tx engine.Tx) error {
-			var err error
-			cell, err = tx.Alloc(8)
-			return err
-		}); err != nil {
-			return err
-		}
-		before := p.Device().Stats().Fences
-		if err := p.Tx(func(tx engine.Tx) error {
-			return tx.Store(cell, 7)
-		}); err != nil {
-			return err
-		}
-		got := p.Device().Stats().Fences - before
-		if got > 3 {
-			return fmt.Errorf("single-store transaction used %d fences, want <= 3", got)
-		}
-		return nil
-	})
+	p, err := corundumeng.Lib{}.Open(engine.Config{Size: 16 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = fences
+	defer p.Close()
+	var cell uint64
+	if err := p.Tx(func(tx engine.Tx) (err error) {
+		cell, err = tx.Alloc(8)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := p.Device().Stats().Fences
+	if err := p.Tx(func(tx engine.Tx) error { return tx.Store(cell, 7) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Device().Stats().Fences - before; got > 3 {
+		t.Fatalf("single-store transaction used %d fences, want <= 3", got)
+	}
 }

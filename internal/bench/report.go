@@ -61,6 +61,9 @@ func PrintTable2(w io.Writer, rows []Table2Row) {
 	}
 }
 
+// Table3 returns the lines-of-code comparison PrintTable3 renders.
+func Table3() []loc.Row { return loc.Table3() }
+
 // PrintTable3 renders the lines-of-code comparison: the Corundum-Go port
 // versus an in-language PMDK-style (untyped offsets) port, next to the
 // paper's Rust and C++ numbers.
@@ -90,44 +93,30 @@ func PrintMicro(w io.Writer, optane, dram []MicroResult) {
 	}
 }
 
-// PrintFig1 renders Figure 1 as a table grouped by workload/op with the
-// libraries as columns.
+// PrintFig1 renders Figure 1 with a line per bar, in Fig1Workloads
+// order, and the libraries as columns.
 func PrintFig1(w io.Writer, rows []Fig1Result) {
-	type key struct{ workload, op string }
-	libsSeen := []string{}
-	data := map[key]map[string]float64{}
-	order := []key{}
+	secs := map[[3]string]float64{}
 	for _, r := range rows {
-		k := key{r.Workload, r.Op}
-		if data[k] == nil {
-			data[k] = map[string]float64{}
-			order = append(order, k)
-		}
-		data[k][r.Lib] = r.Seconds
-		found := false
-		for _, l := range libsSeen {
-			if l == r.Lib {
-				found = true
-			}
-		}
-		if !found {
-			libsSeen = append(libsSeen, r.Lib)
-		}
+		secs[[3]string{r.Lib, r.Workload, r.Op}] = r.Seconds
 	}
 	fmt.Fprintf(w, "%-10s %-5s", "Workload", "Op")
-	for _, l := range libsSeen {
-		fmt.Fprintf(w, " %12s", l)
+	for _, lib := range Libraries() {
+		fmt.Fprintf(w, " %12s", lib.Name())
 	}
 	fmt.Fprintf(w, " %14s\n", "Corundum vs PMDK")
-	for _, k := range order {
-		fmt.Fprintf(w, "%-10s %-5s", k.workload, k.op)
-		for _, l := range libsSeen {
-			fmt.Fprintf(w, " %11.3fs", data[k][l])
+	for _, wl := range Fig1Workloads() {
+		for _, bar := range wl.Bars {
+			at := func(lib string) float64 { return secs[[3]string{lib, wl.Name, bar.Op}] }
+			fmt.Fprintf(w, "%-10s %-5s", wl.Name, bar.Op)
+			for _, lib := range Libraries() {
+				fmt.Fprintf(w, " %11.3fs", at(lib.Name()))
+			}
+			if c := at("Corundum"); c > 0 {
+				fmt.Fprintf(w, " %13.2fx", at("PMDK")/c)
+			}
+			fmt.Fprintln(w)
 		}
-		if p, c := data[k]["PMDK"], data[k]["Corundum"]; c > 0 {
-			fmt.Fprintf(w, " %13.2fx", p/c)
-		}
-		fmt.Fprintln(w)
 	}
 }
 

@@ -737,6 +737,9 @@ func (kv *KVStore) VerifyIntegrity() (ChainStats, error) {
 					if g.v2() && chained+n == count {
 						return fmt.Errorf("%w: bucket group %d chains more than its %d keys", ErrDataCorrupt, lo/slotGroup, count)
 					}
+					if n == maxChainSteps {
+						return fmt.Errorf("bucket %d: %w", lo+uint64(i), errChain)
+					}
 					k, next, _, err := loadEntry(&r, e)
 					if err != nil {
 						return fmt.Errorf("bucket %d, entry %#x: %w", lo+uint64(i), e, err)

@@ -2,10 +2,12 @@ package workloads
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"os"
 	"testing"
+	"time"
 
 	"corundum/internal/baselines/corundumeng"
 	"corundum/internal/baselines/engine"
@@ -69,17 +71,7 @@ func FuzzWordsCRC(f *testing.F) {
 // verify, and read back exactly; then grow past one level and do it all
 // again, through a fresh attach of the upgraded image too.
 func TestAttachParentWrittenImage(t *testing.T) {
-	img, err := os.ReadFile("testdata/kvstore_e0566fa.img")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := pmem.New(len(img), pmem.Options{})
-	dev.StoreBytes(0, img)
-	p, err := pool.Attach(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	_, p := attachE0566fa(t)
 	kv, err := AttachKVStore(corundumeng.Wrap(p))
 	if err != nil {
 		t.Fatal(err)
@@ -139,17 +131,7 @@ func TestAttachParentWrittenImage(t *testing.T) {
 // writable attach; and a v2 image's directory header no longer carries
 // the v1 checksum, so a binary that predates growth refuses it.
 func TestV1ImageServedAtBaseGeometry(t *testing.T) {
-	img, err := os.ReadFile("testdata/kvstore_e0566fa.img")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := pmem.New(len(img), pmem.Options{})
-	dev.StoreBytes(0, img)
-	p, err := pool.Attach(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	dev, p := attachE0566fa(t)
 	ep := corundumeng.Wrap(p)
 	kv, err := AttachKVStore(starvedPool{ep, 1})
 	if err != nil {
@@ -242,4 +224,61 @@ func TestReadHopsDoNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestV1ChainCycleEndsScrub: a v1 image has no group counts to stop the
+// integrity walk, so a chain that loops back on itself with valid entry
+// checksums (a stale next through a reused block) must end at the walk's
+// step bound with ErrDataCorrupt, not spin while SCRUB holds the shard's
+// read lock.
+func TestV1ChainCycleEndsScrub(t *testing.T) {
+	dev, p := attachE0566fa(t)
+	kv, err := AttachKVStore(starvedPool{corundumeng.Wrap(p), 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := kv.geo.Load()
+	if g.v2() {
+		t.Fatal("upgrade succeeded without an allocation")
+	}
+	var e uint64
+	for b := uint64(0); b < g.buckets() && e == 0; b++ {
+		e = dev.Load8(g.slot(b))
+	}
+	key, val := dev.Load8(e+kvKey), dev.Load8(e+kvVal)
+	dev.Store8(e+kvNext, e)
+	dev.Store8(e+kvCRC, entryCRC(key, e, val))
+
+	const deadline = 30 * time.Second
+	done := make(chan error, 1)
+	go func() {
+		_, err := kv.VerifyIntegrity()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrDataCorrupt) {
+			t.Fatalf("VerifyIntegrity over a chain cycle = %v, want ErrDataCorrupt", err)
+		}
+	case <-time.After(deadline):
+		t.Fatalf("VerifyIntegrity still walking a chain cycle after %v", deadline)
+	}
+}
+
+// attachE0566fa attaches a pool over a fresh device holding the v1 image
+// written at e0566fa.
+func attachE0566fa(t *testing.T) (*pmem.Device, *pool.Pool) {
+	t.Helper()
+	img, err := os.ReadFile("testdata/kvstore_e0566fa.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := pmem.New(len(img), pmem.Options{})
+	dev.StoreBytes(0, img)
+	p, err := pool.Attach(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return dev, p
 }
