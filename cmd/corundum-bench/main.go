@@ -34,7 +34,7 @@ func main() {
 		segments   = flag.Int("segments", 256, "corpus segments for Figure 2")
 		segBytes   = flag.Int("seg-bytes", 64<<10, "bytes per corpus segment")
 		consumers  = flag.Int("consumers", 15, "max consumers for Figure 2 (paper: 15)")
-		profile    = flag.String("profile", "OptaneDC", "memory profile for Figure 1: OptaneDC|CXL|DRAM|NoDelay")
+		profile    = flag.String("profile", "OptaneDC", "memory profile for Figure 1: OptaneDC|DRAM|NoDelay")
 		csvDir     = flag.String("csv", "", "also write artifact CSV files to this directory")
 	)
 	flag.Parse()
@@ -55,11 +55,11 @@ func run(experiment string, n, microOps, segments, segBytes, consumers int, prof
 	if all || experiment == "table2" {
 		fmt.Println("=== Table 2: static/dynamic/manual check matrix ===")
 		bench.PrintTable2(os.Stdout, bench.Table2())
-		if counts, err := bench.VerifyTable2("internal/check/testdata"); err == nil {
-			fmt.Printf("\npmcheck verification over the listing corpus: %v\n", counts)
-		} else {
-			fmt.Printf("\n(pmcheck corpus not found from this directory: %v)\n", err)
+		counts, err := bench.VerifyTable2("internal/check/testdata")
+		if err != nil {
+			return fmt.Errorf("table 2: %w", err)
 		}
+		fmt.Printf("\npmcheck verification over the listing corpus: %v\n", counts)
 		fmt.Println()
 	}
 

@@ -1,12 +1,28 @@
-// Command corundum-fsck inspects a Corundum pool file without modifying
-// it: header fields, per-arena space accounting and structural
-// consistency, journal states (including transactions that a crash left
-// pending, which the next Open will roll back or forward), and the root
-// pointer. When the root is untyped, as a KV store's is, it also walks
-// the store as the next open would see it and prints its chains' shape:
-// the longest chain and the mean chain position of a stored key. Exit
-// code 1 means structural corruption was found; pending journals alone
-// are healthy (that is what recovery is for).
+// Command corundum-fsck judges a Corundum pool file the way the next
+// open will, without modifying it. It reads the file once into a private
+// in-memory copy and runs on that copy what the next repairing open runs:
+// the structural check (pool.FsckDevice), the repairing attach
+// (pool.AttachRepair, which pool.OpenRepair wraps) and, for a pool that
+// opens writable, the heap consistency check. It prints every problem the check found, what the
+// attached pool holds (size, generation, root, journals, heap use, what
+// recovery rolled back and forward, the degraded reason and quarantined
+// ranges) and, when the root is untyped as a KV store's is, the store's
+// key count and chain shape. The last line for each file is its status,
+// exactly one of:
+//
+//	clean                          the next open needs no repair
+//	clean (recovery rolled back …) the same, after recovery rolls crashed transactions back or forward
+//	repairable: …                  the next open rewrites the listed structures from mirrors and checksums
+//	degraded: …                    the next open serves reads only, with the damaged ranges quarantined
+//	refused: <error>               the next open refuses the image, or its heap fails the consistency check
+//
+// The verdict is the pool's, not an application's: corundum-server's boot
+// also refuses a degraded pool with no root and a root that is not a KV
+// store. fsck shows the first as degraded with root (unset) and the
+// second as a store line that names the attach error.
+//
+// Exit code 0 means every file is clean, 1 that some file is not, and 2
+// a usage error.
 //
 // Usage:
 //
@@ -15,7 +31,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"corundum/internal/baselines/corundumeng"
 	"corundum/internal/pmem"
@@ -28,107 +46,172 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: corundum-fsck <pool-file> [...]")
 		os.Exit(2)
 	}
-	bad := false
+	code := 0
 	for _, path := range os.Args[1:] {
-		r, err := pool.Inspect(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "corundum-fsck: %s: %v\n", path, err)
-			bad = true
-			continue
-		}
-		printReport(path, r)
-		if len(r.Errors) > 0 {
-			bad = true
-		} else if r.RootOff != 0 && r.RootType == 0 {
-			printStore(path)
-		}
+		code = max(code, run(os.Stdout, path))
 	}
-	if bad {
-		os.Exit(1)
-	}
+	os.Exit(code)
 }
 
-func printReport(path string, r *pool.Report) {
-	fmt.Printf("%s:\n", path)
-	fmt.Printf("  size        %d bytes\n", r.Size)
-	fmt.Printf("  generation  %d\n", r.Generation)
-	if r.RootOff == 0 {
-		fmt.Printf("  root        (unset)\n")
-	} else {
-		fmt.Printf("  root        offset %#x, type hash %#x\n", r.RootOff, r.RootType)
-	}
-	fmt.Printf("  journals    %d x %d bytes\n", r.Journals, r.JournalCap)
+// status is the class of a verdict, in order of severity.
+type status int
 
-	var inUse, free uint64
-	arenaErrs := 0
-	for _, a := range r.Arenas {
-		inUse += a.InUse
-		free += a.FreeBytes
-		if a.Err != "" {
-			arenaErrs++
-		}
+const (
+	clean status = iota
+	repairable
+	degraded
+	refused
+)
+
+// verdict is what the next open concludes about one image.
+type verdict struct {
+	status   status
+	problems []pool.FsckProblem // FsckDevice's findings before any repair
+	err      error              // why the image is refused
+	p        *pool.Pool         // the private attach; nil when it was refused
+}
+
+// judge decides the verdict on dev, which must be a private copy:
+// recovery and repair write to it.
+func judge(dev *pmem.Device) verdict {
+	rep, err := pool.FsckDevice(dev)
+	if err != nil {
+		return verdict{status: refused, err: err}
 	}
-	fmt.Printf("  heap        %d arenas x %d bytes: %d in use, %d free\n",
-		len(r.Arenas), r.ArenaHeap, inUse, free)
-	for _, a := range r.Arenas {
-		if a.Err != "" || a.RedoLog != "clean" {
-			fmt.Printf("    arena %-3d %s%s\n", a.Index, a.RedoLog, errSuffix(a.Err))
-		}
-	}
-	pending := 0
-	for _, j := range r.JournalInfo {
-		if j.State != "idle" {
-			pending++
-			fmt.Printf("    journal %-3d epoch %-6d %s\n", j.Index, j.Epoch, j.State)
-		}
+	v := verdict{problems: rep.Problems}
+	if v.p, err = pool.AttachRepair(dev); err != nil {
+		v.status, v.err = refused, err
+		return v
 	}
 	switch {
-	case len(r.Errors) > 0:
-		fmt.Printf("  status      CORRUPT: %d problem(s)\n", len(r.Errors))
-		for _, e := range r.Errors {
-			fmt.Printf("    ! %s\n", e)
+	case v.p.Degraded():
+		v.status = degraded
+	case !rep.Clean():
+		v.status = repairable
+	}
+	// A writable pool whose heap is inconsistent after recovery, e.g. one
+	// a committed allocator redo log damaged, is refused: server boot runs
+	// the same check before it serves.
+	if v.status != degraded {
+		if err := v.p.CheckConsistency(); err != nil {
+			v.status, v.err = refused, err
 		}
-	case pending > 0:
-		fmt.Printf("  status      clean (crashed: %d transaction(s) pending recovery at next open)\n", pending)
-	default:
-		fmt.Printf("  status      clean\n")
 	}
+	return v
 }
 
-func errSuffix(e string) string {
-	if e == "" {
-		return ""
+func (v verdict) String() string {
+	switch v.status {
+	case refused:
+		return "refused: " + v.err.Error()
+	case degraded:
+		return fmt.Sprintf("degraded: opens read-only, %d range(s) quarantined", len(v.p.Quarantine()))
+	case repairable:
+		where := make([]string, len(v.problems))
+		for i, pr := range v.problems {
+			where[i] = pr.Where()
+		}
+		return "repairable: the next open rewrites " + strings.Join(where, ", ")
 	}
-	return " — " + e
+	if back, fwd := v.p.Recovery(); back+fwd > 0 {
+		return fmt.Sprintf("clean (recovery rolled back %d, rolled forward %d transaction(s))", back, fwd)
+	}
+	return "clean"
 }
 
-// printStore attaches the KV store at the pool's root in a private copy
-// of the image, so recovery and any format upgrade happen in memory and
-// the file is never written, and prints what its integrity walk measured.
-// A root that is some other structure fails the walk; that is reported,
-// not counted as corruption.
-func printStore(path string) {
-	st, err := storeShape(path)
+// run judges the pool file at path, prints what it found to w, and
+// returns the file's exit code.
+func run(w io.Writer, path string) int {
+	fmt.Fprintf(w, "%s:\n", path)
+	v := verdict{status: refused}
+	if dev, err := load(path); err != nil {
+		v.err = err
+	} else {
+		v = judge(dev)
+	}
+	for _, pr := range v.problems {
+		fmt.Fprintf(w, "  problem     %s\n", pr)
+	}
+	if v.p != nil {
+		describe(w, v.p)
+		if v.status <= repairable && v.p.RootOff() != 0 && v.p.RootTypeHash() == 0 {
+			printStore(w, v.p)
+		}
+	}
+	fmt.Fprintf(w, "  status      %s\n", v)
+	if v.status == clean {
+		return 0
+	}
+	return 1
+}
+
+// load reads the pool file at path into a private in-memory device, a
+// chunk at a time so the image is held once. fsck judges this copy, so
+// nothing the judgement writes reaches the file; a file-mapped device
+// would have to be mapped privately here for the same reason.
+func load(path string) (*pmem.Device, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		fmt.Printf("  store       not a verified KV store: %v\n", err)
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := fi.Size()
+	if size <= 0 || size%pmem.CacheLineSize != 0 {
+		return nil, fmt.Errorf("%w: %d bytes is not a whole number of %d-byte lines", pool.ErrNotAPool, size, pmem.CacheLineSize)
+	}
+	dev := pmem.New(int(size), pmem.Options{})
+	buf := make([]byte, min(size, 1<<20))
+	for off := int64(0); off < size; {
+		n, err := io.ReadFull(f, buf[:min(int64(len(buf)), size-off)])
+		if err != nil {
+			return nil, err
+		}
+		dev.StoreBytes(uint64(off), buf[:n])
+		off += int64(n)
+	}
+	return dev, nil
+}
+
+// describe prints what the attached pool holds.
+func describe(w io.Writer, p *pool.Pool) {
+	fmt.Fprintf(w, "  size        %d bytes\n", p.Device().Size())
+	fmt.Fprintf(w, "  generation  %d at the next open\n", p.Generation())
+	if root := p.RootOff(); root == 0 {
+		fmt.Fprintf(w, "  root        (unset)\n")
+	} else {
+		fmt.Fprintf(w, "  root        offset %#x, type hash %#x\n", root, p.RootTypeHash())
+	}
+	fmt.Fprintf(w, "  journals    %d\n", p.Journals())
+	fmt.Fprintf(w, "  heap        %d in use, %d free\n", p.InUse(), p.FreeBytes())
+	if back, fwd := p.Recovery(); back+fwd > 0 {
+		fmt.Fprintf(w, "  recovery    rolled back %d, rolled forward %d\n", back, fwd)
+	}
+	if p.Degraded() {
+		fmt.Fprintf(w, "  degraded    %s\n", p.DegradedReason())
+	}
+	for _, r := range p.Quarantine() {
+		fmt.Fprintf(w, "  quarantine  [%#x, %#x)\n", r.Off, r.Off+r.Len)
+	}
+}
+
+// printStore attaches the KV store at the pool's root and prints what
+// its integrity walk measured. A root that is some other structure fails
+// the walk; that is reported, and does not change the status.
+func printStore(w io.Writer, p *pool.Pool) {
+	st, err := storeShape(p)
+	if err != nil {
+		fmt.Fprintf(w, "  store       not a verified KV store: %v\n", err)
 		return
 	}
-	fmt.Printf("  store       %d keys, longest chain %d, mean hit position %.2f\n",
+	fmt.Fprintf(w, "  store       %d keys, longest chain %d, mean hit position %.2f\n",
 		st.Keys, st.Longest, st.MeanHit())
 }
 
-func storeShape(path string) (workloads.ChainStats, error) {
-	img, err := os.ReadFile(path)
-	if err != nil {
-		return workloads.ChainStats{}, err
-	}
-	dev := pmem.New(len(img), pmem.Options{})
-	dev.StoreBytes(0, img)
-	p, err := pool.Attach(dev)
-	if err != nil {
-		return workloads.ChainStats{}, err
-	}
-	defer p.Close()
+func storeShape(p *pool.Pool) (workloads.ChainStats, error) {
 	kv, err := workloads.AttachKVStore(corundumeng.Wrap(p))
 	if err != nil {
 		return workloads.ChainStats{}, err

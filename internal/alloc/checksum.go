@@ -134,25 +134,21 @@ func (b *Buddy) verifyChecksumsLocked() error {
 }
 
 // ScrubChecksums verifies this arena's checksums under the arena lock,
-// first finishing any pending redo log, and — when repair is set —
-// recomputes every slot from the live image afterwards (used after the
-// structure itself has been validated, e.g. to absorb a corrupted
-// checksum slot rather than a corrupted map). It reports whether a
-// repair was performed and the verification error, nil if the arena
-// ended up clean.
-func (b *Buddy) ScrubChecksums(repair bool) (repaired bool, err error) {
+// first finishing any pending redo log. checksums is the verification
+// error, nil when every region matches. On a mismatch the structure is
+// validated too: when it is sound the stale side is the checksum, so
+// every slot is rewritten from the live image and structure is nil;
+// otherwise structure names the damage and nothing is written.
+func (b *Buddy) ScrubChecksums() (checksums, structure error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	replayLog(b.redo, b.logOff)
-	err = b.verifyChecksumsLocked()
-	if err != nil && repair {
-		if consistency := b.checkConsistencyLocked(); consistency == nil {
-			// The structure is sound, so the stale side is the checksum:
-			// rewrite the slots from the live image.
-			b.writeAllChecksums()
-			b.dev.Persist(b.crcOff, 8*(1+mapChunks(b.mapBytes)))
-			return true, nil
-		}
+	if checksums = b.verifyChecksumsLocked(); checksums == nil {
+		return nil, nil
 	}
-	return false, err
+	if structure = b.checkConsistencyLocked(); structure == nil {
+		b.writeAllChecksums()
+		b.dev.Persist(b.crcOff, 8*(1+mapChunks(b.mapBytes)))
+	}
+	return checksums, structure
 }

@@ -113,12 +113,12 @@ func TestScrubChecksumsRepairsCorruptSlot(t *testing.T) {
 	if err := VerifyChecksums(dev, 0, MetaSize(testHeap), testHeap); err == nil {
 		t.Fatal("corrupt checksum slot not detected")
 	}
-	repaired, err := b.ScrubChecksums(true)
-	if err != nil {
-		t.Fatalf("repairing scrub failed: %v", err)
+	checksums, structure := b.ScrubChecksums()
+	if structure != nil {
+		t.Fatalf("repairing scrub condemned a sound arena: %v", structure)
 	}
-	if !repaired {
-		t.Fatal("scrub did not report the repair")
+	if checksums == nil {
+		t.Fatal("scrub did not report the mismatch it repaired")
 	}
 	if err := VerifyChecksums(dev, 0, MetaSize(testHeap), testHeap); err != nil {
 		t.Fatalf("after repair: %v", err)

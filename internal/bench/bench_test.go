@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -225,6 +227,32 @@ func TestTable2MatrixAndVerification(t *testing.T) {
 	PrintTable2(&buf, rows)
 	if !strings.Contains(buf.String(), "Corundum-Go") {
 		t.Error("matrix missing the measured row")
+	}
+}
+
+// TestVerifyTable2NamesMissingClass: a corpus that no longer exhibits
+// one of the row's static classes fails verification, by name.
+func TestVerifyTable2NamesMissingClass(t *testing.T) {
+	dir := t.TempDir()
+	entries, err := os.ReadDir("../check/testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		src, err := os.ReadFile(filepath.Join("../check/testdata", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(src), "want PM002") {
+			continue // drop the TxInSafe listing, the corpus's PM002 class
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = VerifyTable2(dir)
+	if err == nil || !strings.Contains(err.Error(), "PM002") || strings.Contains(err.Error(), "PM001") {
+		t.Fatalf("VerifyTable2 without the PM002 listing = %v, want an error naming PM002 alone", err)
 	}
 }
 

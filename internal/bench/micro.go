@@ -29,7 +29,7 @@ func Table5Profiles() []pmem.Profile { return []pmem.Profile{pmem.OptaneDC, pmem
 
 // ProfileByName returns the built-in memory profile called name.
 func ProfileByName(name string) (pmem.Profile, error) {
-	for _, p := range []pmem.Profile{pmem.OptaneDC, pmem.DRAM, pmem.NoDelay, pmem.CXL} {
+	for _, p := range []pmem.Profile{pmem.OptaneDC, pmem.DRAM, pmem.NoDelay} {
 		if p.Name == name {
 			return p, nil
 		}

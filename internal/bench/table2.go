@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"fmt"
+	"strings"
+
 	"corundum/internal/check"
 )
 
@@ -53,8 +56,8 @@ func Table2() []Table2Row {
 // VerifyTable2 substantiates the Corundum-Go row's static entries by
 // running pmcheck over the listing corpus: every PM001/PM002/PM003/PM004
 // expectation must be caught at build time. It returns the number of
-// build-time diagnostics found, and an error when any expected class is
-// missing.
+// build-time diagnostics found per code, and an error naming every
+// expected class the corpus produced no diagnostic for.
 func VerifyTable2(corpusDir string) (map[string]int, error) {
 	diags, err := check.Dir(corpusDir)
 	if err != nil {
@@ -63,6 +66,16 @@ func VerifyTable2(corpusDir string) (map[string]int, error) {
 	byCode := map[string]int{}
 	for _, d := range diags {
 		byCode[d.Code]++
+	}
+	var missing []string
+	for _, code := range []string{"PM001", "PM002", "PM003", "PM004"} {
+		if byCode[code] == 0 {
+			missing = append(missing, code)
+		}
+	}
+	if len(missing) > 0 {
+		return byCode, fmt.Errorf("pmcheck caught no %s in %s: the static entries of the Corundum-Go row are unverified",
+			strings.Join(missing, ", "), corpusDir)
 	}
 	return byCode, nil
 }

@@ -144,9 +144,9 @@ func (o Op) String() string {
 // OpCounts is a point-in-time snapshot of write/flush/fence counts.
 // FlushNanos and FenceNanos are the cumulative modelled persistence time:
 // Flushes × the profile's FlushDelay and Fences × its FenceDelay, which
-// the device also spends (spins or parks) as it issues them. Both are 0
-// under NoDelay. The delta of two snapshots is how long an interval
-// stalled on modelled PM, never the emulator's own work.
+// the device also spins for as it issues them. Both are 0 under
+// NoDelay. The delta of two snapshots is how long an interval stalled on
+// modelled PM, never the emulator's own work.
 type OpCounts struct {
 	Writes, Flushes, Fences uint64
 	FlushNanos, FenceNanos  uint64
@@ -312,7 +312,7 @@ func (d *Device) write(sc Scope, off uint64, data []byte) {
 	storeBytes(d.buf, off, data)
 	d.markDirty(off, uint64(len(data)))
 	d.observe(OpWrite, sc, off, uint64(len(data)))
-	d.prof.delay(d.prof.WriteDelay)
+	spin(d.prof.WriteDelay)
 }
 
 // Flush issues a write-back for every cache line overlapping [off, off+n),
@@ -339,7 +339,7 @@ func (d *Device) flush(sc Scope, off, n uint64) {
 				word.And(^mask)
 			}
 		}
-		d.prof.delay(d.prof.FlushDelay)
+		spin(d.prof.FlushDelay)
 	}
 	if d.prof.FlushDelay > 0 {
 		d.ctrs[sc].flushNS.Add((last - first + 1) * uint64(d.prof.FlushDelay))
@@ -363,7 +363,7 @@ func (d *Device) fence(sc Scope) {
 		d.shadowMu.Unlock()
 	}
 	d.observe(OpFence, sc, 0, 0)
-	d.prof.delay(d.prof.FenceDelay)
+	spin(d.prof.FenceDelay)
 	if d.prof.FenceDelay > 0 {
 		d.ctrs[sc].fenceNS.Add(uint64(d.prof.FenceDelay))
 	}

@@ -10,10 +10,7 @@
 // latency asymmetry so benchmark *shapes* carry over.
 package pmem
 
-import (
-	"runtime"
-	"time"
-)
+import "time"
 
 // CacheLineSize is the granularity of Flush, matching x86 cache lines.
 const CacheLineSize = 64
@@ -40,33 +37,15 @@ type Profile struct {
 	// FenceDelay is the drain cost per Fence (SFENCE waiting for all
 	// outstanding write-backs to hit the persistence domain).
 	FenceDelay time.Duration
-	// Park, when set, injects latency with a yielding wait instead of the
-	// calibrated busy-spin: the waiting goroutine repeatedly cedes the CPU
-	// until the deadline passes. This models media whose persist drain is
-	// asynchronous to the CPU — a CXL-attached far-memory device draining
-	// its write queue while the core runs other work — so concurrently
-	// fencing devices overlap their drains in wall-clock time even when
-	// the host has fewer cores than devices. Spin-based profiles measure
-	// CPU-coupled drains (Optane's on-DIMM controller stalls the store
-	// pipeline); Park-based profiles measure drain-overlapped scaling.
-	Park bool
 }
 
 // Built-in profiles. Optane DC write-backs drain in ~300-500ns and issue
 // costs are tens of nanoseconds; battery-backed DRAM halves the drain.
 // These reproduce the Optane-vs-DRAM ratios of Table 5. NoDelay removes
 // all injected latency and is what unit tests use.
-// CXL models a CXL-attached persistent-memory expander: reads and writes
-// ride the coherence fabric at sub-microsecond cost, but a global persist
-// flush (GPF-style drain of the device write queue) takes microseconds and
-// runs asynchronously to the CPU — hence Park. It is the profile the shard
-// scaling experiment uses: with drains overlappable, N independent pools
-// fence in parallel and the scaling curve measures the protocol, not the
-// host's core count.
 var (
 	OptaneDC = Profile{Name: "OptaneDC", WriteDelay: 10 * time.Nanosecond, FlushDelay: 60 * time.Nanosecond, FenceDelay: 300 * time.Nanosecond}
 	DRAM     = Profile{Name: "DRAM", WriteDelay: 5 * time.Nanosecond, FlushDelay: 30 * time.Nanosecond, FenceDelay: 100 * time.Nanosecond}
-	CXL      = Profile{Name: "CXL", WriteDelay: 100 * time.Nanosecond, FlushDelay: 200 * time.Nanosecond, FenceDelay: 8 * time.Microsecond, Park: true}
 	NoDelay  = Profile{Name: "NoDelay"}
 )
 
@@ -81,30 +60,6 @@ func spin(d time.Duration) {
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
 	}
-}
-
-// park waits for roughly d while repeatedly yielding the processor, so
-// other runnable goroutines (another device's committer mid-drain, a
-// connection goroutine parsing its next request) execute during the wait.
-// Gosched-based waiting keeps sub-scheduler-tick latencies honest where
-// time.Sleep would round every wait up to the timer granularity.
-func park(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
-}
-
-// delay injects d according to the profile's latency discipline.
-func (p *Profile) delay(d time.Duration) {
-	if p.Park {
-		park(d)
-		return
-	}
-	spin(d)
 }
 
 // Busy publicly exposes the calibrated spin so library models can charge

@@ -34,16 +34,98 @@ type FsckProblem struct {
 	Repairable bool
 }
 
-func (p FsckProblem) String() string {
-	where := string(p.Area)
+// Where names the structure the problem sits in: its area, followed by
+// the arena or journal index for per-arena and per-journal structures.
+func (p FsckProblem) Where() string {
 	if p.Index >= 0 {
-		where = fmt.Sprintf("%s %d", p.Area, p.Index)
+		return fmt.Sprintf("%s %d", p.Area, p.Index)
 	}
+	return string(p.Area)
+}
+
+func (p FsckProblem) String() string {
 	state := "unrepairable"
 	if p.Repairable {
 		state = "repairable"
 	}
-	return fmt.Sprintf("%s: %s (%s)", where, p.Detail, state)
+	return fmt.Sprintf("%s: %s (%s)", p.Where(), p.Detail, state)
+}
+
+// The helpers below name the damage each mirrored or checksummed
+// structure can carry. FsckDevice (offline, before recovery) and Scrub
+// (online, on a live pool) both build their problems through them, so
+// the two name the same damage in the same words.
+
+// headerProblem names a static header copy that failed its checksum
+// while its mirror stayed intact; ok is false when both copies verify.
+// Both copies failing is not covered: offline the image no longer
+// parses, and online Scrub rewrites both from the attached header.
+func headerProblem(goodA, goodB bool) (pr FsckProblem, ok bool) {
+	if goodA && goodB {
+		return FsckProblem{}, false
+	}
+	bad := "A"
+	if !goodB {
+		bad = "B"
+	}
+	return FsckProblem{
+		Area: AreaHeader, Index: -1, Repairable: true,
+		Detail: fmt.Sprintf("static header copy %s failed its checksum; mirror is intact", bad),
+	}, true
+}
+
+// rootProblem names damage to the mirrored root slots; ok is false when
+// both slots verify. One damaged slot is repaired from its mirror; with
+// both damaged the root is unknown.
+func rootProblem(okA, okB bool) (pr FsckProblem, ok bool) {
+	switch {
+	case okA && okB:
+		return FsckProblem{}, false
+	case !okA && !okB:
+		return FsckProblem{
+			Area: AreaRoot, Index: -1, Repairable: false,
+			Detail: "both root slots failed their checksum",
+		}, true
+	}
+	bad := "A"
+	if !okB {
+		bad = "B"
+	}
+	return FsckProblem{
+		Area: AreaRoot, Index: -1, Repairable: true,
+		Detail: fmt.Sprintf("root slot %s failed its checksum; mirror is intact", bad),
+	}, true
+}
+
+// rootSlotsOK reports which root slots pass their checksum.
+func rootSlotsOK(dev *pmem.Device) (okA, okB bool) {
+	_, _, okA = rootSlot(dev, rootSlotAOff)
+	_, _, okB = rootSlot(dev, rootSlotBOff)
+	return okA, okB
+}
+
+// dirSlotProblem names journal i's directory slot failing its checksum.
+// The mirror is lazy, so only its internal consistency is checked, and
+// the buffer state word it echoes is the authority it is rewritten from.
+func dirSlotProblem(i int) FsckProblem {
+	return FsckProblem{
+		Area: AreaJournalDir, Index: i, Repairable: true,
+		Detail: "directory slot failed its checksum; buffer state word is authoritative",
+	}
+}
+
+// arenaProblem names damage to arena i's allocator metadata; ok is false
+// when there is none. Structural damage (free lists, order map) cannot
+// be repaired. A checksum mismatch over a sound structure means the
+// stale side is the checksum slot, which a rewrite repairs.
+func arenaProblem(i int, structure, checksums error) (pr FsckProblem, ok bool) {
+	switch {
+	case structure != nil:
+		return FsckProblem{Area: AreaBitmap, Index: i, Repairable: false, Detail: structure.Error()}, true
+	case checksums != nil:
+		return FsckProblem{Area: AreaBitmap, Index: i, Repairable: true, Detail: checksums.Error()}, true
+	}
+	return FsckProblem{}, false
 }
 
 // FsckReport is the typed result of a structural check. A clean image has
@@ -102,6 +184,9 @@ func Fsck(dev *pmem.Device) error {
 // else, repairable or not, lands in the report.
 func FsckDevice(dev *pmem.Device) (*FsckReport, error) {
 	r := &FsckReport{}
+	if dev.Size() < headerSize {
+		return nil, fmt.Errorf("%w: image of %d bytes is smaller than a pool header", ErrNotAPool, dev.Size())
+	}
 	h, goodA, goodB, err := headerOf(dev)
 	if err != nil {
 		return nil, err
@@ -109,15 +194,8 @@ func FsckDevice(dev *pmem.Device) (*FsckReport, error) {
 	if h.version != formatVersion {
 		return nil, fmt.Errorf("%w: %d", ErrWrongVersion, h.version)
 	}
-	if !goodA || !goodB {
-		bad := "A"
-		if !goodB {
-			bad = "B"
-		}
-		r.Problems = append(r.Problems, FsckProblem{
-			Area: AreaHeader, Index: -1, Repairable: true,
-			Detail: fmt.Sprintf("static header copy %s failed its checksum; mirror is intact", bad),
-		})
+	if pr, ok := headerProblem(goodA, goodB); ok {
+		r.Problems = append(r.Problems, pr)
 	}
 	if int(h.size) != dev.Size() {
 		return nil, fmt.Errorf("%w: header size %d != image size %d", ErrCorrupt, h.size, dev.Size())
@@ -150,10 +228,7 @@ func FsckDevice(dev *pmem.Device) (*FsckReport, error) {
 	// is at-rest damage, repairable from the buffer word (the authority).
 	for i := 0; i < g.nJournals; i++ {
 		if !journal.SlotOK(dev, g.dirOff, i) {
-			r.Problems = append(r.Problems, FsckProblem{
-				Area: AreaJournalDir, Index: i, Repairable: true,
-				Detail: "directory slot failed its checksum; buffer state word is authoritative",
-			})
+			r.Problems = append(r.Problems, dirSlotProblem(i))
 		}
 	}
 	// Allocator metadata and the root pointer are only required to be
@@ -166,40 +241,17 @@ func FsckDevice(dev *pmem.Device) (*FsckReport, error) {
 		for i := 0; i < g.nJournals; i++ {
 			meta := g.metaOff + uint64(i)*alloc.MetaSize(g.arenaHeap)
 			heap := g.heapOff + uint64(i)*g.arenaHeap
-			structural := alloc.Validate(dev, meta, heap, g.arenaHeap)
-			if structural != nil {
-				r.Problems = append(r.Problems, FsckProblem{
-					Area: AreaBitmap, Index: i, Repairable: false,
-					Detail: structural.Error(),
-				})
-				continue
+			structure := alloc.Validate(dev, meta, heap, g.arenaHeap)
+			var checksums error
+			if structure == nil {
+				checksums = alloc.VerifyChecksums(dev, meta, heap, g.arenaHeap)
 			}
-			if err := alloc.VerifyChecksums(dev, meta, heap, g.arenaHeap); err != nil {
-				// The structure itself walks clean, so the stale side is
-				// the checksum slot: a repairing scrub rewrites it.
-				r.Problems = append(r.Problems, FsckProblem{
-					Area: AreaBitmap, Index: i, Repairable: true,
-					Detail: err.Error(),
-				})
+			if pr, ok := arenaProblem(i, structure, checksums); ok {
+				r.Problems = append(r.Problems, pr)
 			}
 		}
-		_, _, okA := rootSlot(dev, rootSlotAOff)
-		_, _, okB := rootSlot(dev, rootSlotBOff)
-		switch {
-		case !okA && !okB:
-			r.Problems = append(r.Problems, FsckProblem{
-				Area: AreaRoot, Index: -1, Repairable: false,
-				Detail: "both root slots failed their checksum",
-			})
-		case !okA || !okB:
-			bad := "A"
-			if !okB {
-				bad = "B"
-			}
-			r.Problems = append(r.Problems, FsckProblem{
-				Area: AreaRoot, Index: -1, Repairable: true,
-				Detail: fmt.Sprintf("root slot %s failed its checksum; mirror is intact", bad),
-			})
+		if pr, ok := rootProblem(rootSlotsOK(dev)); ok {
+			r.Problems = append(r.Problems, pr)
 		}
 		if root, _, ok := readRoot(dev); ok && root != 0 {
 			if root < g.heapOff || root >= g.heapOff+uint64(g.nJournals)*g.arenaHeap {

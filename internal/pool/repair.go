@@ -125,8 +125,7 @@ func repairImage(dev *pmem.Device, rep *FsckReport) {
 			}
 			meta := g.metaOff + uint64(pr.Index)*alloc.MetaSize(g.arenaHeap)
 			heap := g.heapOff + uint64(pr.Index)*g.arenaHeap
-			a := alloc.Open(dev, meta, heap, g.arenaHeap)
-			a.ScrubChecksums(true)
+			alloc.Open(dev, meta, heap, g.arenaHeap).ScrubChecksums()
 		case AreaJournalDir:
 			g, err := computeGeometryOf(dev)
 			if err != nil {
@@ -139,11 +138,11 @@ func repairImage(dev *pmem.Device, rep *FsckReport) {
 
 // repairRootSlots mirrors the surviving root slot over a damaged one.
 // A no-op when both slots are damaged or both intact.
-func repairRootSlots(dev *pmem.Device) bool {
+func repairRootSlots(dev *pmem.Device) {
 	rootA, typA, okA := rootSlot(dev, rootSlotAOff)
 	rootB, typB, okB := rootSlot(dev, rootSlotBOff)
 	if okA == okB {
-		return false
+		return
 	}
 	root, typ := rootA, typA
 	target := uint64(rootSlotBOff)
@@ -155,7 +154,6 @@ func repairRootSlots(dev *pmem.Device) bool {
 	encodeRootSlot(slot[:], root, typ)
 	dev.Write(target, slot[:])
 	dev.Persist(target, rootSlotSize)
-	return true
 }
 
 // computeGeometryOf rebuilds the geometry from an image's header.
@@ -254,37 +252,28 @@ func (p *Pool) Scrub() (*ScrubReport, error) {
 	// region, same discipline) and concurrent scrubs.
 	p.rootMu.Lock()
 	_, goodA, goodB, err := headerOf(p.dev)
-	if err == nil && (!goodA || !goodB) {
-		p.hdr.seq++
-		writeHeader(p.dev, p.hdr)
-		rep.Repairs++
-		rep.Problems = append(rep.Problems, FsckProblem{
-			Area: AreaHeader, Index: -1, Repairable: true,
-			Detail: "static header copy failed its checksum; rewrote both from memory",
-		})
-	} else if err != nil {
+	if err != nil {
 		// Both copies damaged at once: rewrite from the attached state.
 		p.hdr.seq++
 		writeHeader(p.dev, p.hdr)
 		rep.Repairs++
 		rep.Problems = append(rep.Problems, FsckProblem{
 			Area: AreaHeader, Index: -1, Repairable: true,
-			Detail: "both static header copies failed; rewrote from memory",
+			Detail: "both static header copies failed their checksum; rewrote both from memory",
 		})
+	} else if pr, ok := headerProblem(goodA, goodB); ok {
+		p.hdr.seq++
+		writeHeader(p.dev, p.hdr)
+		rep.Repairs++
+		rep.Problems = append(rep.Problems, pr)
 	}
 	// Root slots: mirror the survivor over a damaged copy.
-	if repairRootSlots(p.dev) {
-		rep.Repairs++
-		rep.Problems = append(rep.Problems, FsckProblem{
-			Area: AreaRoot, Index: -1, Repairable: true,
-			Detail: "root slot failed its checksum; repaired from mirror",
-		})
-	}
-	if _, _, ok := readRoot(p.dev); !ok {
-		rep.Problems = append(rep.Problems, FsckProblem{
-			Area: AreaRoot, Index: -1, Repairable: false,
-			Detail: "both root slots failed their checksum",
-		})
+	if pr, ok := rootProblem(rootSlotsOK(p.dev)); ok {
+		if pr.Repairable {
+			repairRootSlots(p.dev)
+			rep.Repairs++
+		}
+		rep.Problems = append(rep.Problems, pr)
 	}
 	p.rootMu.Unlock()
 
@@ -305,10 +294,7 @@ dirScan:
 				if !journal.SlotOK(p.dev, p.geo.dirOff, i) {
 					journal.RepairSlot(p.dev.In(pmem.ScopeUserData), p.geo.dirOff, p.geo.bufOff, p.geo.bufCap, i)
 					rep.Repairs++
-					rep.Problems = append(rep.Problems, FsckProblem{
-						Area: AreaJournalDir, Index: i, Repairable: true,
-						Detail: "directory slot failed its checksum; rewrote from the buffer state word",
-					})
+					rep.Problems = append(rep.Problems, dirSlotProblem(i))
 				}
 			}
 			p.freeJ <- i
@@ -320,19 +306,12 @@ dirScan:
 	// Arenas, one lock at a time.
 	for i, a := range p.arenas {
 		rep.Arenas++
-		repaired, err := a.ScrubChecksums(true)
-		if repaired {
-			rep.Repairs++
-			rep.Problems = append(rep.Problems, FsckProblem{
-				Area: AreaBitmap, Index: i, Repairable: true,
-				Detail: "checksum slot mismatch with sound structure; slots rewritten",
-			})
-		}
-		if err != nil {
-			rep.Problems = append(rep.Problems, FsckProblem{
-				Area: AreaBitmap, Index: i, Repairable: false,
-				Detail: err.Error(),
-			})
+		checksums, structure := a.ScrubChecksums()
+		if pr, ok := arenaProblem(i, structure, checksums); ok {
+			if pr.Repairable {
+				rep.Repairs++
+			}
+			rep.Problems = append(rep.Problems, pr)
 		}
 	}
 

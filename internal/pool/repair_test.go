@@ -12,7 +12,7 @@ import (
 // corruptFreeHead smashes arena 0's first nonzero metadata word (a free
 // list head — the leading redo-log area is all zeros at rest) so the
 // structure itself, not just a checksum, is damaged.
-func corruptFreeHead(t *testing.T, dev *pmem.Device) {
+func corruptFreeHead(t testing.TB, dev *pmem.Device) {
 	t.Helper()
 	g, err := computeGeometryOf(dev)
 	if err != nil {
