@@ -5,24 +5,28 @@
 //	                [-journals 16] [-max-batch 64]
 //	                [-busy-timeout 100ms] [-metrics-addr :9100]
 //
-// On startup every shard pool is opened (created and formatted if its
-// file does not exist), crash recovery runs on all shards concurrently,
-// and each heap is consistency-checked; only then does the server start
-// accepting connections. SET and DEL requests from all connections are
-// group-committed per shard: the mutations that queue up while a shard's
-// previous transaction commits (up to -max-batch) go into its next
-// failure-atomic transaction — the committer never waits on a clock for
-// more — and each request is acknowledged only after its transaction is
-// durably committed. Each shard's store is a hash table whose bucket
-// directory grows with its keys: a batch that leaves more keys than
-// buckets splits bucket groups inside its own transaction, so a GET walks
-// about one entry however many keys the store holds, and no flag sizes
-// the directory. INFO and STATS expose pool geometry, store shape
-// (store_keys, store_buckets), recovery counts, journal occupancy, the
-// batch-size histogram, and the emulated device's write/flush/fence
-// counters (including per-scope fence attribution), with per-shard
-// breakdowns when sharded. With -metrics-addr the same numbers are served as
-// Prometheus text on GET /metrics, alongside net/http/pprof.
+// On startup (server.Boot) shard 0's pool is opened once — created and
+// formatted if its file does not exist, crash recovery run inside the
+// open — and the shard layout the deployment is committed to is read
+// from it; the other shards of that layout then open and recover
+// concurrently, and each heap is consistency-checked; only then does
+// the server start accepting connections. Booting writes no file: the
+// pool files change only when the pools close at shutdown. SET and DEL
+// requests from all connections are group-committed per shard: the
+// mutations that queue up while a shard's previous transaction commits
+// (up to -max-batch) go into its next failure-atomic transaction — the
+// committer never waits on a clock for more — and each request is
+// acknowledged only after its transaction is durably committed. Each
+// shard's store is a hash table whose bucket directory grows with its
+// keys: a batch that leaves more keys than buckets splits bucket groups
+// inside its own transaction, so a GET walks about one entry however
+// many keys the store holds, and no flag sizes the directory. INFO and
+// STATS expose pool geometry, store shape (store_keys, store_buckets),
+// recovery counts, journal occupancy, the batch-size histogram, and the
+// emulated device's write/flush/fence counters (including per-scope
+// fence attribution), with per-shard breakdowns when sharded. With
+// -metrics-addr the same numbers are served as Prometheus text on GET
+// /metrics, alongside net/http/pprof.
 //
 // Every op is traced by default (-trace-sample 1): its latency is
 // decomposed into queue/journal/fence/apply/ack phases, the SLOWLOG
@@ -45,18 +49,18 @@
 //
 // The shard count is a durable property of the deployment, not of the
 // command line: the first boot commits -shards into the cluster config
-// on shard 0, and every later boot discovers the committed layout from
-// the pool files themselves (ignoring a disagreeing -shards). The
-// RESHARD N admin command changes it online — keys migrate between
-// pools in small crash-atomic batches while traffic keeps being served;
-// writes to a key mid-move answer -MOVED <shard> (retryable:
-// client.Retry). New shard pools are created as "<pool>.<i>".
-// A crash or SIGTERM mid-migration parks it at a durable cursor; the
-// next boot resumes it automatically. BACKUP <file> streams a
-// CRC-framed, crash-consistent snapshot of the whole keyspace to a file
-// while mutations continue; RESTORE <file> validates the file end to
-// end, then atomically replaces the keyspace with the snapshot (a crash
-// mid-restore wipes to empty at next boot rather than serving a blend).
+// on shard 0, and every later boot reads the committed layout from that
+// pool (ignoring a disagreeing -shards). The RESHARD N admin command
+// changes it online — keys migrate between pools in small crash-atomic
+// batches while traffic keeps being served; writes to a key mid-move
+// answer -MOVED <shard> (retryable: client.Retry). New shard pools are
+// created as "<pool>.<i>". A crash or SIGTERM mid-migration parks it at
+// a durable cursor; the next boot resumes it automatically. BACKUP
+// <file> streams a CRC-framed, crash-consistent snapshot of the whole
+// keyspace to a file while mutations continue; RESTORE <file> validates
+// the file end to end, then atomically replaces the keyspace with the
+// snapshot (a crash mid-restore wipes to empty at next boot rather than
+// serving a blend).
 //
 // -repl-listen serves the replication stream: every committed batch is
 // shipped, in commit order, to any replicas that connect, with
@@ -137,20 +141,19 @@ func run(addr, path string, shards, size, journals, maxBatch int, busyTO time.Du
 	default:
 		return fmt.Errorf("unknown profile %q", profName)
 	}
-	if shards < 1 {
-		return fmt.Errorf("-shards %d: need at least one", shards)
-	}
 	cfg := pool.Config{Size: size, Journals: journals, Mem: pmem.Options{Profile: prof}}
 
-	// Boot discovery: the shard count a deployment is committed to lives
-	// in the pools (the cluster config an online RESHARD rewrites), not in
-	// -shards. Read it from shard 0 — along with any interrupted
-	// migration's manifest, which raises the count to cover the target
-	// pools the resume needs — and open exactly that layout. -shards only
-	// decides the layout of a fresh deployment.
-	lay, err := server.DiscoverLayout(path, shards, cfg.Mem)
+	// The shard count a deployment is committed to lives in pool 0 (the
+	// cluster config an online RESHARD rewrites, raised to cover the target
+	// pools of an interrupted migration), not in -shards: Boot opens pool 0,
+	// reads it, and opens the rest of that layout. -shards only decides the
+	// layout of a fresh deployment. No traffic is accepted before recovery
+	// completes and the consistency checks in server.NewSharded pass; a
+	// shard after 0 that fails to open is fenced (-READONLY for its slice)
+	// rather than vetoing its siblings.
+	lay, err := server.Boot(path, shards, cfg)
 	if err != nil {
-		return fmt.Errorf("discovering shard layout: %w", err)
+		return err
 	}
 	switch {
 	case lay.FromFlag:
@@ -169,28 +172,14 @@ func run(addr, path string, shards, size, journals, maxBatch int, busyTO time.Du
 			stale, lay.N)
 	}
 	shards = lay.N
-
-	// Open (recovering and repairing) or create every shard, all
-	// concurrently; no traffic is accepted before recovery completes and
-	// the consistency checks in server.NewSharded pass. OpenRepair behaves
-	// exactly like Open on a clean image; on a media-damaged one it
-	// repairs what mirrors and checksums allow and falls back to degraded
-	// read-only serving instead of refusing. A shard that fails to open
-	// outright is fenced (-READONLY for its slice) rather than vetoing
-	// its siblings — unless it is the only shard.
-	paths := lay.Paths
-	pools, errs := server.OpenShards(paths, cfg)
-	for i, p := range pools {
+	for i, p := range lay.Pools {
 		switch {
 		case p == nil:
-			fmt.Printf("WARNING: shard %d (%s) DOWN: %v\n", i, paths[i], errs[i])
-			if shards == 1 {
-				return errs[i]
-			}
+			fmt.Printf("WARNING: shard %d (%s) DOWN: %v\n", i, lay.Paths[i], lay.Errs[i])
 		case p.Generation() > 1 || p.RootOff() != 0:
 			rb, rf := p.Recovery()
 			fmt.Printf("opened pool %s: generation %d, recovery rolled back %d / forward %d txs\n",
-				paths[i], p.Generation(), rb, rf)
+				lay.Paths[i], p.Generation(), rb, rf)
 			if tl := p.RecoveryTimeline(); len(tl) > 0 {
 				line := fmt.Sprintf("shard %d recovery timeline: total %.3fms", i, p.RecoverySeconds()*1e3)
 				for _, ph := range tl {
@@ -199,28 +188,21 @@ func run(addr, path string, shards, size, journals, maxBatch int, busyTO time.Du
 				fmt.Println(line)
 			}
 			if p.Degraded() {
-				fmt.Printf("WARNING: pool %s is DEGRADED (read-only): %s\n", paths[i], p.DegradedReason())
+				fmt.Printf("WARNING: pool %s is DEGRADED (read-only): %s\n", lay.Paths[i], p.DegradedReason())
 				for _, r := range p.Quarantine() {
 					fmt.Printf("WARNING: quarantined range: off=%d len=%d\n", r.Off, r.Len)
 				}
 				fmt.Println("WARNING: serving reads; mutations on this shard will be answered -READONLY")
 			}
 		default:
-			fmt.Printf("created pool %s: %d bytes, %d journals\n", paths[i], size, journals)
+			fmt.Printf("created pool %s: %d bytes, %d journals\n", lay.Paths[i], size, journals)
 		}
 	}
-	defer func() {
-		for _, p := range pools {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
 
 	if busyTO == 0 {
 		busyTO = -1 // 0 on the command line means "block forever", Options' disable value
 	}
-	srv, err := server.NewSharded(pools, server.Options{
+	srv, err := server.NewSharded(lay.Pools, server.Options{
 		MaxBatch:    maxBatch,
 		BusyTimeout: busyTO, TraceSample: traceSample,
 		// RESHARD grows past the booted pools by creating "<pool>.<i>"
@@ -228,8 +210,18 @@ func run(addr, path string, shards, size, journals, maxBatch int, busyTO time.Du
 		ShardOpener: server.FileShardOpener(path, cfg),
 	})
 	if err != nil {
+		// A refused boot leaves every pool file as it found it.
 		return err
 	}
+	// Closing a pool writes its file; that happens once, after srv.Close
+	// has drained every batch.
+	defer func() {
+		for _, p := range lay.Pools {
+			if p != nil {
+				p.Close()
+			}
+		}
+	}()
 	// Enter the replica role before the source: a node given both flags
 	// parks its replication listener until PROMOTE makes it the primary.
 	if replicaOf != "" {

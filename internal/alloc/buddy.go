@@ -166,7 +166,7 @@ func Format(dev *pmem.Device, metaOff, heapOff, heapSize uint64) *Buddy {
 
 	// Carve the heap greedily into maximal aligned power-of-two blocks and
 	// push each onto its free list. Direct writes are fine here: Format runs
-	// before the arena is published, and ends with a full persist.
+	// before the arena is published, and ends by persisting what it wrote.
 	rel := uint64(0)
 	for rel < heapSize {
 		order := uint(bits.TrailingZeros64(rel | (1 << 62)))
@@ -180,8 +180,16 @@ func Format(dev *pmem.Device, metaOff, heapOff, heapSize uint64) *Buddy {
 		rel += uint64(1) << order
 	}
 	b.writeAllChecksums()
-	dev.Persist(b.logOff, MetaSize(heapSize))
-	dev.Persist(heapOff, heapSize)
+	// Format wrote the metadata region and, in the heap, only each free
+	// block's link head: flush those lines, not the whole heap, then fence
+	// once.
+	dev.Flush(b.logOff, MetaSize(heapSize))
+	for o := uint(MinOrder); o <= b.maxOrder; o++ {
+		for off := dev.Load8(b.headsOff + uint64(o)*8); off != 0; off = dev.Load8(off) {
+			dev.Flush(off, 16)
+		}
+	}
+	dev.Fence()
 	return b
 }
 

@@ -109,14 +109,20 @@ func (b *Buddy) writeAllChecksums() {
 // VerifyChecksums checks the free-heads and order-map checksums of an
 // arena image read-only. With a pending redo log it reports nothing: the
 // image is mid-operation and replay will land the staged checksums with
-// the staged mutations. It returns nil when every region matches and an
-// error naming the first mismatching region otherwise.
-func VerifyChecksums(dev *pmem.Device, metaOff, heapOff, heapSize uint64) error {
+// the staged mutations. checksums is nil when every region matches and
+// names the first mismatching region otherwise; on a mismatch, structure
+// is checkTilingLocked's verdict on the order map, so a flipped map byte
+// is told apart from a stale checksum (callers have validated the free
+// lists already).
+func VerifyChecksums(dev *pmem.Device, metaOff, heapOff, heapSize uint64) (checksums, structure error) {
 	b := layout(dev, metaOff, heapOff, heapSize)
 	if dev.Load8(b.logOff) != 0 {
-		return nil // committed-but-unapplied redo log; replay restores consistency
+		return nil, nil // committed-but-unapplied redo log; replay restores consistency
 	}
-	return b.verifyChecksumsLocked()
+	if checksums = b.verifyChecksumsLocked(); checksums != nil {
+		structure = b.checkTilingLocked()
+	}
+	return checksums, structure
 }
 
 func (b *Buddy) verifyChecksumsLocked() error {
@@ -136,9 +142,11 @@ func (b *Buddy) verifyChecksumsLocked() error {
 // ScrubChecksums verifies this arena's checksums under the arena lock,
 // first finishing any pending redo log. checksums is the verification
 // error, nil when every region matches. On a mismatch the structure is
-// validated too: when it is sound the stale side is the checksum, so
-// every slot is rewritten from the live image and structure is nil;
-// otherwise structure names the damage and nothing is written.
+// validated too — the free lists (checkConsistencyLocked) and the order
+// map's tiling of the heap (checkTilingLocked), which is what covers an
+// allocated block's map byte: when both hold, the stale side is the
+// checksum, so every slot is rewritten from the live image and structure
+// is nil; otherwise structure names the damage and nothing is written.
 func (b *Buddy) ScrubChecksums() (checksums, structure error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -147,8 +155,44 @@ func (b *Buddy) ScrubChecksums() (checksums, structure error) {
 		return nil, nil
 	}
 	if structure = b.checkConsistencyLocked(); structure == nil {
+		structure = b.checkTilingLocked()
+	}
+	if structure == nil {
 		b.writeAllChecksums()
 		b.dev.Persist(b.crcOff, 8*(1+mapChunks(b.mapBytes)))
 	}
 	return checksums, structure
+}
+
+// checkTilingLocked checks that the order map tiles the heap: walking
+// from the first granule, each byte met is a block head — free
+// (mapFreeFlag|order) or allocated (order) — of an order the arena
+// serves, aligned to its size and inside the heap, and every other
+// granule of the block reads mapInterior. So every granule belongs to
+// exactly one block. It reads the whole map, so it runs only once a
+// checksum has already mismatched.
+func (b *Buddy) checkTilingLocked() error {
+	m := make([]byte, b.mapBytes)
+	b.dev.LoadBytes(b.mapOff, m)
+	for g := uint64(0); g < b.mapBytes; {
+		off, code := b.heapOff+g*Granule, m[g]
+		if code == mapInterior {
+			return fmt.Errorf("alloc: order map: granule %#x belongs to no block", off)
+		}
+		order := uint(code & mapOrderMask)
+		if code&^(mapFreeFlag|mapOrderMask) != 0 || order < MinOrder || order > b.maxOrder {
+			return fmt.Errorf("alloc: order map: block %#x has map byte %#x", off, code)
+		}
+		span := uint64(1) << (order - MinOrder)
+		if g%span != 0 || g+span > b.mapBytes {
+			return fmt.Errorf("alloc: order map: block %#x of order %d is misaligned or runs past the heap", off, order)
+		}
+		for i := g + 1; i < g+span; i++ {
+			if m[i] != mapInterior {
+				return fmt.Errorf("alloc: order map: block %#x of order %d overlaps the block at %#x", off, order, b.heapOff+i*Granule)
+			}
+		}
+		g += span
+	}
+	return nil
 }

@@ -244,7 +244,7 @@ func FsckDevice(dev *pmem.Device) (*FsckReport, error) {
 			structure := alloc.Validate(dev, meta, heap, g.arenaHeap)
 			var checksums error
 			if structure == nil {
-				checksums = alloc.VerifyChecksums(dev, meta, heap, g.arenaHeap)
+				checksums, structure = alloc.VerifyChecksums(dev, meta, heap, g.arenaHeap)
 			}
 			if pr, ok := arenaProblem(i, structure, checksums); ok {
 				r.Problems = append(r.Problems, pr)

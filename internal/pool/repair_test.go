@@ -124,6 +124,55 @@ func TestAttachRepairFixesChecksumSlot(t *testing.T) {
 	}
 }
 
+// TestFlippedOrderByteIsDamage flips bit 0 of an allocated 64-byte
+// block's order-map byte (order 6 → 7) at rest. The free lists still
+// check out and only the map chunk's checksum mismatches, yet the
+// checksum is not what is stale: fsck must call it unrepairable arena
+// damage, and AttachRepair must open the pool degraded instead of
+// rewriting the checksum over the flipped byte.
+func TestFlippedOrderByteIsDamage(t *testing.T) {
+	p, err := Create("", testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off uint64
+	err = p.Transaction(func(*journal.Journal) error {
+		off, err = p.AllocEx(0, 64, nil, nil)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The order map follows the free-list heads: one byte per granule.
+	heads, n := alloc.FreeHeadsRange(p.ArenaMetaRange(0).Off)
+	dev := p.Device()
+	dev.InjectBitFlip(heads+n+(off-p.geo.heapOff)/alloc.Granule, 0)
+
+	rep, err := FsckDevice(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := false
+	for _, pr := range rep.Problems {
+		if pr.Area == AreaBitmap && pr.Index == 0 {
+			if pr.Repairable {
+				t.Fatalf("fsck calls the flipped order byte repairable: %s", pr)
+			}
+			flagged = true
+		}
+	}
+	if !flagged {
+		t.Fatalf("fsck did not flag arena 0: %+v", rep.Problems)
+	}
+	p2, err := AttachRepair(dev)
+	if err != nil {
+		t.Fatalf("AttachRepair must degrade, not refuse: %v", err)
+	}
+	if !p2.Degraded() {
+		t.Fatal("flipped order byte left the pool writable")
+	}
+}
+
 func TestAttachRepairDegradesOnStructuralDamage(t *testing.T) {
 	p, err := Create("", testConfig())
 	if err != nil {

@@ -5,28 +5,34 @@ import (
 	"os"
 
 	"corundum/internal/baselines/corundumeng"
-	"corundum/internal/pmem"
 	"corundum/internal/pool"
 	"corundum/internal/workloads"
 )
 
-// Boot discovery: after an online RESHARD, the number of pools a
-// deployment is committed to lives in the pools themselves (the cluster
-// config on shard 0), not in whatever -shards the operator passes on the
-// next start. DiscoverLayout reads that durable commitment — plus any
-// interrupted migration's manifest — and derives the exact set of pool
-// files to open, so a restart always opens the layout the data lives in.
+// Boot: after an online RESHARD, the number of pools a deployment is
+// committed to lives in the pools themselves (the cluster config on
+// shard 0), not in whatever -shards the operator passes on the next
+// start. Boot opens shard 0's pool once — recovery runs inside that
+// open — reads the committed layout from it, and opens the other shards
+// of that layout. Each pool is opened once and nothing is written back
+// to a file: a pool file changes only when its pool closes.
 
-// Layout is what DiscoverLayout found on disk.
+// Layout is the deployment Boot opened.
 type Layout struct {
 	// Paths holds one pool file per shard, in shard order. Shard 0 keeps
 	// whichever file it actually lives in: the bare base path (the
 	// single-shard and pre-reshard naming) or "<base>.0" (the -shards N
 	// naming); grown shards are always "<base>.<i>".
 	Paths []string
+	// Pools holds each shard's open pool, in shard order; nil where the
+	// shard failed to open or recover, and Errs says why. Shard 0 is never
+	// nil: without it there is no layout to read, and Boot fails instead.
+	// The caller owns the pools.
+	Pools []*pool.Pool
+	Errs  []error
 	// N is the shard count to serve: the committed config's count, raised
 	// to max(OldN, NewN) when an interrupted migration needs its target
-	// pools opened to resume.
+	// pools opened to resume (committedShards).
 	N int
 	// CfgShards and Epoch echo the committed cluster config (CfgShards 0:
 	// pool 0 exists but holds no config yet).
@@ -44,96 +50,97 @@ type Layout struct {
 	FromFlag bool
 }
 
-// shard0Path resolves where shard 0's pool lives: the bare base file if
-// it exists, else "<base>.0", else "" (fresh deployment).
-func shard0Path(base string) string {
-	if _, err := os.Stat(base); err == nil {
-		return base
-	}
-	p0 := fmt.Sprintf("%s.0", base)
-	if _, err := os.Stat(p0); err == nil {
-		return p0
-	}
-	return ""
+// shardFile names shard i's pool file under base. Shard 0 may instead
+// live in the bare base file; Boot resolves which.
+func shardFile(base string, i int) string { return fmt.Sprintf("%s.%d", base, i) }
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
-// DiscoverLayout inspects shard 0's pool (briefly opening it, with
-// recovery and repair) and returns the layout to serve. flagN is the
-// -shards value, used only when the disk holds no committed config.
-// Discovery is read-only with respect to the keyspace; the open runs
-// crash recovery exactly as the real open will, so the subsequent
-// OpenShards sees a clean image. Attaching shard 0's store upgrades a v1
-// store directory to v2, the one-transaction upgrade any writable attach
-// makes.
-func DiscoverLayout(base string, flagN int, mem pmem.Options) (Layout, error) {
+// Boot opens the deployment under base: shard 0's pool first, from the
+// bare base file if it exists, else "<base>.0" (created there on a fresh
+// deployment: the bare base for one shard, "<base>.0" for more); then
+// the committed layout read from it (committedShards, with flagN — the
+// -shards value — deciding only when pool 0 holds no config); then
+// shards 1..N-1 concurrently, through the open-or-create FileShardOpener
+// gives RESHARD. Existing files open through pool.OpenRepair: a cleanly
+// recoverable image opens as usual, a media-damaged one is repaired
+// where mirrors and checksums allow and otherwise opens degraded. Shards
+// after 0 fail alone (nil pool, error in Errs); a failure on shard 0 or
+// in reading its layout fails Boot. Attaching shard 0's store upgrades
+// an old store directory in place, the one-transaction upgrade any
+// writable attach makes. No pool is closed or synced here.
+func Boot(base string, flagN int, cfg pool.Config) (Layout, error) {
 	if flagN < 1 {
-		return Layout{}, fmt.Errorf("discover: -shards %d: need at least one", flagN)
+		return Layout{}, fmt.Errorf("boot: -shards %d: need at least one", flagN)
 	}
-	path0 := shard0Path(base)
-	if path0 == "" {
-		return Layout{Paths: ShardPaths(base, flagN), N: flagN, FromFlag: true}, nil
+	path0 := base
+	if !exists(base) && (flagN > 1 || exists(shardFile(base, 0))) {
+		path0 = shardFile(base, 0)
 	}
-
-	p, err := pool.OpenRepair(path0, mem)
+	p0, err := openShard(0, func(int) (*pool.Pool, error) { return openOrCreate(path0, cfg) })
 	if err != nil {
-		return Layout{}, fmt.Errorf("discover: opening shard 0 (%s): %w", path0, err)
+		return Layout{}, fmt.Errorf("boot: opening %s: %w", path0, err)
 	}
-	defer p.Close()
 
 	lay := Layout{N: flagN, FromFlag: true}
-	if p.RootOff() != 0 {
-		kv, err := workloads.AttachKVStore(corundumeng.Wrap(p))
+	if p0.RootOff() != 0 {
+		kv, err := workloads.AttachKVStore(corundumeng.Wrap(p0))
 		if err != nil {
-			return Layout{}, fmt.Errorf("discover: attaching store on shard 0 (%s): %w", path0, err)
+			return Layout{}, fmt.Errorf("boot: attaching store on shard 0 (%s): %w", path0, err)
 		}
 		cfgShards, cfgEpoch, err := kv.ReadConfig()
 		if err != nil {
-			return Layout{}, fmt.Errorf("discover: cluster config on shard 0 (%s): %w", path0, err)
+			return Layout{}, fmt.Errorf("boot: cluster config on shard 0 (%s): %w", path0, err)
 		}
 		m, err := kv.ReadManifest()
 		if err != nil {
-			return Layout{}, fmt.Errorf("discover: migration manifest on shard 0 (%s): %w", path0, err)
+			return Layout{}, fmt.Errorf("boot: migration manifest on shard 0 (%s): %w", path0, err)
 		}
 		lay.CfgShards, lay.Epoch = cfgShards, cfgEpoch
-		if cfgShards > 0 {
-			lay.N, lay.FromFlag = cfgShards, false
+		if n := committedShards(cfgShards, cfgEpoch, m); n > 0 {
+			lay.N, lay.FromFlag = n, false
 		}
 		if m != nil && m.Epoch > cfgEpoch {
-			// Interrupted mid-migration: both the source and target layouts'
-			// pools must open so the resume can finish moving keys.
 			lay.Resume = m
-			lay.N = max(int(m.OldN), int(m.NewN))
-			lay.FromFlag = false
 		}
 	}
 
 	lay.Paths = make([]string, lay.N)
 	lay.Paths[0] = path0
 	for i := 1; i < lay.N; i++ {
-		lay.Paths[i] = fmt.Sprintf("%s.%d", base, i)
+		lay.Paths[i] = shardFile(base, i)
 	}
 	// Shard files beyond the layout are merge leftovers (or an operator
 	// mixup); surface them rather than silently serving around them.
-	for i := lay.N; ; i++ {
-		leftover := fmt.Sprintf("%s.%d", base, i)
-		if _, err := os.Stat(leftover); err != nil {
-			break
-		}
-		lay.Stale = append(lay.Stale, leftover)
+	for i := lay.N; exists(shardFile(base, i)); i++ {
+		lay.Stale = append(lay.Stale, shardFile(base, i))
 	}
+	open := FileShardOpener(base, cfg)
+	lay.Pools, lay.Errs = openShards(lay.N, func(i int) (*pool.Pool, error) {
+		if i == 0 {
+			return p0, nil
+		}
+		return open(i)
+	})
 	return lay, nil
 }
 
-// FileShardOpener returns the ShardOpener corundum-server installs: when
-// a RESHARD grows the cluster past the pools it booted with, shard i's
-// pool is opened from "<base>.<i>" if that file exists (a rejoining
-// retiree) and created there otherwise.
+// FileShardOpener returns the ShardOpener corundum-server installs, and
+// the open Boot uses for shards after 0: shard i's pool is opened from
+// "<base>.<i>" if that file exists (a rejoining retiree, or a shard of
+// the committed layout) and created there otherwise.
 func FileShardOpener(base string, cfg pool.Config) func(int) (*pool.Pool, error) {
-	return func(i int) (*pool.Pool, error) {
-		path := fmt.Sprintf("%s.%d", base, i)
-		if _, err := os.Stat(path); err == nil {
-			return pool.OpenRepair(path, cfg.Mem)
-		}
-		return pool.Create(path, cfg)
+	return func(i int) (*pool.Pool, error) { return openOrCreate(shardFile(base, i), cfg) }
+}
+
+// openOrCreate opens (recovering and repairing) the pool at path, or
+// formats a new one there with cfg when no file exists.
+func openOrCreate(path string, cfg pool.Config) (*pool.Pool, error) {
+	if exists(path) {
+		return pool.OpenRepair(path, cfg.Mem)
 	}
+	return pool.Create(path, cfg)
 }

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,37 +16,30 @@ import (
 // finish; generous because CI machines stall.
 const migrationWait = 30 * time.Second
 
-// bootFromDisk is the corundum-server startup path in miniature:
-// discover the committed layout under base, open it, serve it with a
-// file-backed opener.
-func bootFromDisk(t *testing.T, base string, flagN int, cfg pool.Config) (server.Layout, *server.Server, []*pool.Pool, string) {
+// boot opens the deployment under base with the corundum-server startup
+// path (server.Boot) and fails the test unless every shard opened.
+func boot(t *testing.T, base string, flagN int, cfg pool.Config) server.Layout {
 	t.Helper()
-	lay, err := server.DiscoverLayout(base, flagN, cfg.Mem)
+	lay, err := server.Boot(base, flagN, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pools, errs := server.OpenShards(lay.Paths, cfg)
-	for i, p := range pools {
+	for i, p := range lay.Pools {
 		if p == nil {
-			t.Fatalf("shard %d (%s) failed to open: %v", i, lay.Paths[i], errs[i])
+			t.Fatalf("shard %d (%s) failed to open: %v", i, lay.Paths[i], lay.Errs[i])
 		}
 	}
-	srv, err := server.NewSharded(pools, server.Options{
+	return lay
+}
+
+// fileOpts are the server options the lifecycle tests serve a booted
+// layout with: small batches and a file-backed opener, as
+// corundum-server installs.
+func fileOpts(base string, cfg pool.Config) server.Options {
+	return server.Options{
 		MaxBatch: 8, Buckets: 256, MigrateBatchBuckets: 32,
 		ShardOpener: server.FileShardOpener(base, cfg),
-	})
-	if err != nil {
-		for _, p := range pools {
-			p.Close()
-		}
-		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	return lay, srv, pools, ln.Addr().String()
 }
 
 // TestDiscoverLayoutLifecycle walks a deployment through its layout
@@ -61,7 +53,8 @@ func TestDiscoverLayoutLifecycle(t *testing.T) {
 	cfg := pool.Config{Size: 16 << 20, Journals: 8, Mem: pmem.Options{}}
 
 	// Boot 1: nothing on disk — the flag decides, the bare base is used.
-	lay, srv, pools, addr := bootFromDisk(t, base, 1, cfg)
+	lay := boot(t, base, 1, cfg)
+	srv, addr := startShardedServer(t, lay.Pools, fileOpts(base, cfg))
 	if !lay.FromFlag || lay.N != 1 || lay.Paths[0] != base {
 		t.Fatalf("fresh layout = %+v, want 1 shard at %s from flag", lay, base)
 	}
@@ -77,7 +70,7 @@ func TestDiscoverLayoutLifecycle(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	closeShardPools(pools) // grown pools are server-owned and already closed
+	closeShardPools(lay.Pools) // grown pools are server-owned and already closed
 
 	// The grow must have materialized real files.
 	for _, p := range []string{base, base + ".1", base + ".2"} {
@@ -88,7 +81,8 @@ func TestDiscoverLayoutLifecycle(t *testing.T) {
 
 	// Boot 2: the operator passes a stale -shards 1; the committed config
 	// must win and all 300 keys must be there across the 3 shards.
-	lay2, srv2, pools2, addr2 := bootFromDisk(t, base, 1, cfg)
+	lay2 := boot(t, base, 1, cfg)
+	srv2, addr2 := startShardedServer(t, lay2.Pools, fileOpts(base, cfg))
 	if lay2.FromFlag || lay2.N != 3 || lay2.CfgShards != 3 {
 		t.Fatalf("post-grow layout = %+v, want 3 committed shards", lay2)
 	}
@@ -114,11 +108,12 @@ func TestDiscoverLayoutLifecycle(t *testing.T) {
 	if err := srv2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	closeShardPools(pools2)
+	closeShardPools(lay2.Pools)
 
 	// Boot 3: config says 1 shard; the .1/.2 files still exist on disk and
 	// must be reported stale, not opened.
-	lay3, srv3, pools3, addr3 := bootFromDisk(t, base, 4, cfg)
+	lay3 := boot(t, base, 4, cfg)
+	srv3, addr3 := startShardedServer(t, lay3.Pools, fileOpts(base, cfg))
 	if lay3.N != 1 || lay3.CfgShards != 1 {
 		t.Fatalf("post-merge layout = %+v, want 1 committed shard", lay3)
 	}
@@ -127,7 +122,7 @@ func TestDiscoverLayoutLifecycle(t *testing.T) {
 	}
 	cl3 := dial(t, addr3)
 	defer cl3.close()
-	defer closeShardPools(pools3)
+	defer closeShardPools(lay3.Pools)
 	defer srv3.Close()
 	if info := parseKV(t, mustCmd(t, cl3, "INFO")); info["shards"] != "1" {
 		t.Fatalf("INFO shards = %q, want 1", info["shards"])
@@ -144,14 +139,15 @@ func TestDiscoverLayoutLifecycle(t *testing.T) {
 }
 
 // TestDiscoverLayoutResume interrupts a file-backed migration with
-// SIGTERM-style shutdown and verifies discovery reports the parked
-// manifest, opens the target pools, and the next boot completes it.
+// SIGTERM-style shutdown and verifies the next boot reports the parked
+// manifest, opens the target pools, and completes the migration.
 func TestDiscoverLayoutResume(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "kv.pool")
 	cfg := pool.Config{Size: 16 << 20, Journals: 8, Mem: pmem.Options{}}
 
-	_, srv, pools, addr := bootFromDisk(t, base, 1, cfg)
+	lay := boot(t, base, 1, cfg)
+	srv, addr := startShardedServer(t, lay.Pools, fileOpts(base, cfg))
 	cl := dial(t, addr)
 	model := map[uint64]uint64{}
 	for k := uint64(0); k < 300; k++ {
@@ -159,58 +155,41 @@ func TestDiscoverLayoutResume(t *testing.T) {
 		model[k] = valFor(k)
 	}
 	cl.close()
+	srv.Close()
+	closeShardPools(lay.Pools)
 
 	// Slow the migration down so Close parks it mid-flight.
-	srv.Close()
-	closeShardPools(pools)
-	lay, err := server.DiscoverLayout(base, 1, cfg.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pools2, _ := server.OpenShards(lay.Paths, cfg)
-	srv2, err := server.NewSharded(pools2, server.Options{
-		MaxBatch: 8, Buckets: 256, MigrateBatchBuckets: 8,
-		MigrationThrottle: 10 * time.Millisecond,
-		ShardOpener:       server.FileShardOpener(base, cfg),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv2.Serve(ln)
-	cl2 := dial(t, ln.Addr().String())
-	mustReply(t, cl2, "RESHARD 2", "+OK")
+	lay1 := boot(t, base, 1, cfg)
+	opts := fileOpts(base, cfg)
+	opts.MigrateBatchBuckets = 8
+	opts.MigrationThrottle = 10 * time.Millisecond
+	srv1, addr1 := startShardedServer(t, lay1.Pools, opts)
+	cl1 := dial(t, addr1)
+	mustReply(t, cl1, "RESHARD 2", "+OK")
 	time.Sleep(40 * time.Millisecond)
-	cl2.close()
-	if err := srv2.Close(); err != nil { // drains and checkpoints the cursor
+	cl1.close()
+	if err := srv1.Close(); err != nil { // drains and checkpoints the cursor
 		t.Fatal(err)
 	}
-	closeShardPools(pools2)
+	closeShardPools(lay1.Pools)
 
-	lay2, err := server.DiscoverLayout(base, 1, cfg.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lay2 := boot(t, base, 1, cfg)
+	defer closeShardPools(lay2.Pools)
 	if lay2.Resume == nil {
 		t.Skip("migration completed before shutdown; nothing to resume")
 	}
-	if lay2.N != 2 || lay2.Resume.OldN != 1 || lay2.Resume.NewN != 2 {
+	if lay2.N != 2 || len(lay2.Pools) != 2 || lay2.Resume.OldN != 1 || lay2.Resume.NewN != 2 {
 		t.Fatalf("parked layout = %+v (resume %+v), want 1->2 over 2 pools", lay2, lay2.Resume)
 	}
-
-	_, srv3, pools3, addr3 := bootFromDisk(t, base, 1, cfg)
-	defer closeShardPools(pools3)
-	defer srv3.Close()
-	cl3 := dial(t, addr3)
-	defer cl3.close()
-	waitMigration(t, cl3, migrationWait)
-	if info := parseKV(t, mustCmd(t, cl3, "INFO")); info["shards"] != "2" {
+	srv2, addr2 := startShardedServer(t, lay2.Pools, fileOpts(base, cfg))
+	defer srv2.Close()
+	cl2 := dial(t, addr2)
+	defer cl2.close()
+	waitMigration(t, cl2, migrationWait)
+	if info := parseKV(t, mustCmd(t, cl2, "INFO")); info["shards"] != "2" {
 		t.Fatalf("INFO shards = %q, want 2 after resumed migration", info["shards"])
 	}
-	got := scanToMap(t, mustCmd(t, cl3, "SCAN"))
+	got := scanToMap(t, mustCmd(t, cl2, "SCAN"))
 	if len(got) != len(model) {
 		t.Fatalf("resumed walk holds %d keys, want %d", len(got), len(model))
 	}

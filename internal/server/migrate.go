@@ -21,16 +21,24 @@ import (
 // RESTORE) was in flight when the last process died.
 
 // shardCoord adapts the server's per-shard locks and group-commit
-// batchers to the Resharder's Coordinator interface. Lock/RLock are the
-// same locks every batch commit and verified read takes; Barrier drains
-// the shard's batcher queue, so a scan after the barrier sees every
-// mutation accepted before the fence went up.
+// batchers to the Resharder's Coordinator interface. Read and Write are
+// the same lock sections every verified read and batch commit runs in —
+// a power cut inside a migration section fails that shard and releases
+// its lock, exactly as one inside a commit does; Barrier drains the
+// shard's batcher queue, so a scan after the barrier sees every mutation
+// accepted before the fence went up.
 type shardCoord struct{ shards []*shard }
 
-func (c shardCoord) RLock(i int)   { c.shards[i].lock.RLock() }
-func (c shardCoord) RUnlock(i int) { c.shards[i].lock.RUnlock() }
-func (c shardCoord) Lock(i int)    { c.shards[i].lock.Lock() }
-func (c shardCoord) Unlock(i int)  { c.shards[i].lock.Unlock() }
+func (c shardCoord) Read(i int, fn func() error) error {
+	sh := c.shards[i]
+	return sh.lock.read(sh.fail, fn)
+}
+
+func (c shardCoord) Write(i int, fn func() error) error {
+	sh := c.shards[i]
+	return sh.lock.write(sh.fail, fn)
+}
+
 func (c shardCoord) Barrier(i int) error {
 	b := c.shards[i].b
 	if b == nil {
@@ -249,6 +257,11 @@ func (s *Server) driveMigration(rs *workloads.Resharder, stop <-chan struct{}) {
 	completed, err := rs.Run(stop, throttle)
 	if err != nil {
 		s.setMigErr(err)
+		if errors.Is(err, ErrServerHalted) {
+			// A lock section of the migration caught the panic and failed
+			// its shard; the migration still spans shards, so halt as above.
+			s.haltAll(err)
+		}
 		return
 	}
 	if completed {
@@ -407,39 +420,40 @@ func (s *Server) adoptPersistentState() error {
 		s.restoreWiped.Store(true)
 	}
 
-	if len(active) == 0 {
-		if cfgShards == 0 {
-			if sh0.kv != nil && sh0.down() == nil && sh0.pool.Writable() == nil {
-				if err := sh0.kv.WriteConfig(st.n, 1); err != nil {
-					return fmt.Errorf("server: committing initial cluster config: %w", err)
-				}
+	var m0 *workloads.Manifest
+	if len(active) > 0 {
+		m0 = active[0]
+		for i, m := range active[1:] {
+			if m.Epoch != m0.Epoch || m.OldN != m0.OldN || m.NewN != m0.NewN {
+				return fmt.Errorf("server: shards %d and %d disagree about the active migration (%d->%d@%d vs %d->%d@%d)",
+					activeShards[0], activeShards[i+1], m0.OldN, m0.NewN, m0.Epoch, m.OldN, m.NewN, m.Epoch)
 			}
-			return nil
 		}
-		if cfgShards != st.n {
-			return fmt.Errorf("server: pools committed to %d shards (epoch %d) but %d were opened; open the committed layout (corundum-server discovers it from pool 0)",
-				cfgShards, cfgEpoch, st.n)
+		if cfgShards != 0 && cfgShards != int(m0.OldN) {
+			return fmt.Errorf("server: active migration moves %d->%d shards but the committed config says %d",
+				m0.OldN, m0.NewN, cfgShards)
+		}
+	}
+	switch need := committedShards(cfgShards, cfgEpoch, m0); {
+	case m0 == nil && need == 0:
+		if sh0.kv != nil && sh0.down() == nil && sh0.pool.Writable() == nil {
+			if err := sh0.kv.WriteConfig(st.n, 1); err != nil {
+				return fmt.Errorf("server: committing initial cluster config: %w", err)
+			}
 		}
 		return nil
+	case m0 == nil:
+		if need != st.n {
+			return fmt.Errorf("server: pools committed to %d shards (epoch %d) but %d were opened; open the committed layout (server.Boot reads it from pool 0)",
+				need, cfgEpoch, st.n)
+		}
+		return nil
+	case len(st.shards) < need:
+		return fmt.Errorf("server: active %d->%d migration needs %d pools, only %d were opened",
+			m0.OldN, m0.NewN, need, len(st.shards))
 	}
 
-	m0 := active[0]
-	for i, m := range active[1:] {
-		if m.Epoch != m0.Epoch || m.OldN != m0.OldN || m.NewN != m0.NewN {
-			return fmt.Errorf("server: shards %d and %d disagree about the active migration (%d->%d@%d vs %d->%d@%d)",
-				activeShards[0], activeShards[i+1], m0.OldN, m0.NewN, m0.Epoch, m.OldN, m.NewN, m.Epoch)
-		}
-	}
 	oldN, newN := int(m0.OldN), int(m0.NewN)
-	if cfgShards != 0 && cfgShards != oldN {
-		return fmt.Errorf("server: active migration moves %d->%d shards but the committed config says %d",
-			oldN, newN, cfgShards)
-	}
-	need := max(oldN, newN)
-	if len(st.shards) < need {
-		return fmt.Errorf("server: active %d->%d migration needs %d pools, only %d were opened",
-			oldN, newN, need, len(st.shards))
-	}
 	stores := make([]*workloads.KVStore, len(st.shards))
 	for i, sh := range st.shards {
 		if sh.down() == nil {
@@ -456,6 +470,21 @@ func (s *Server) adoptPersistentState() error {
 	}
 	s.state.Store(&routeState{shards: st.shards, n: oldN, rs: rs})
 	return nil
+}
+
+// committedShards is the one rule for how many pools a deployment's
+// persistent state commits it to: the cluster config's shard count, or
+// max(OldN, NewN) while m — a migration manifest, or nil — is ahead of
+// the config epoch, since the config write is a migration's commit point
+// and its resume needs every source and target pool open. 0 means
+// nothing is committed: a fresh deployment, where -shards decides. Boot
+// applies it to pool 0's config and manifest to choose which pools to
+// open; adoptPersistentState applies it to check what was opened.
+func committedShards(cfgShards int, cfgEpoch uint64, m *workloads.Manifest) int {
+	if m != nil && m.Epoch > cfgEpoch {
+		return max(int(m.OldN), int(m.NewN))
+	}
+	return cfgShards
 }
 
 // wipeStore deletes every key, in bounded failure-atomic chunks. Used to

@@ -320,6 +320,95 @@ func TestMigrationCrashResume(t *testing.T) {
 	}
 }
 
+// TestMigrationCutUnderTrafficCloses power-cuts the source device of a
+// live migration while clients keep reading and writing the moving
+// keys. Wherever the cut lands — inside a migration section (manifest
+// write, target apply, handover) or a batch commit — that section must
+// end: the shard fails, its lock is released, and the server halts. A
+// section that kept its lock would park every later GET fallback and
+// commit on that shard for good, and Close, which waits for them, would
+// never return.
+func TestMigrationCutUnderTrafficCloses(t *testing.T) {
+	pools := newShardPools(t, 2, 16<<20)
+	dev0 := pools[0].Device()
+	srv, addr := startShardedServer(t, pools[:1], server.Options{
+		MaxBatch: 8, Buckets: 256, MigrateBatchBuckets: 8,
+		MigrationThrottle: time.Millisecond,
+		ShardOpener:       func(i int) (*pool.Pool, error) { return pools[i], nil },
+	})
+	cl := dial(t, addr)
+	const keys = 300
+	for k := uint64(0); k < keys; k++ {
+		mustReply(t, cl, fmt.Sprintf("SET %d %d", k, valFor(k)), "+OK")
+	}
+	mustReply(t, cl, "RESHARD 2", "+OK")
+	cl.close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := client.NewSession(addr, 2*time.Second)
+			defer s.Close()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := uint64(c*97+i) % keys
+				var err error
+				if i%8 == 0 {
+					err = s.Set(k, valFor(k))
+				} else {
+					_, _, err = s.Get(k)
+				}
+				if err != nil {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}()
+	}
+	// Each fence on the source takes a millisecond from here on, so the
+	// sections the cut can land in are long enough for GETs and commits
+	// to queue on the shard's lock behind them.
+	dev0.SetFaultInjector(func(op pmem.Op) bool {
+		if op == pmem.OpFence {
+			time.Sleep(time.Millisecond)
+		}
+		return false
+	})
+	dev0.CrashAt(dev0.OpCount() + 300)
+
+	deadline := time.Now().Add(15 * time.Second)
+	for !srv.Halted() {
+		if time.Now().After(deadline) {
+			close(stop)
+			t.Fatal("injected crash never halted the server")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(stop)
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close still blocked 10s after the cut: a lock section on the cut shard never ended")
+	}
+	wg.Wait()
+	if err := srv.MigrationError(); err == nil {
+		t.Error("halted server reports no migration error")
+	} else {
+		t.Logf("halt reason: %v", err)
+	}
+}
+
 // TestMovedReplyHelpers pins the client-side -MOVED parsing helpers.
 func TestMovedReplyHelpers(t *testing.T) {
 	cases := []struct {

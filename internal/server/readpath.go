@@ -77,6 +77,15 @@ func (l *storeLock) write(fail func(error), fn func() error) (err error) {
 	return fn()
 }
 
+// read runs fn under the read lock, with write's panic handling: a
+// panic out of fn fails the shard before the lock is released.
+func (l *storeLock) read(fail func(error), fn func() error) (err error) {
+	l.RLock()
+	defer l.RUnlock()
+	defer l.haltOnPanic(fail, &err)
+	return fn()
+}
+
 // haltOnPanic, deferred inside one of a shard's lock sections, turns a
 // panic out of the section into that shard's permanent failure, leaving
 // the other shards serving: fail records it first, and cut is set only

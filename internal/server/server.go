@@ -957,13 +957,10 @@ func (s *Server) runScrub() string {
 		}
 		rep, scrubErr := sh.pool.Scrub()
 		var st workloads.ChainStats
-		storeErr := func() (err error) {
-			sh.lock.RLock()
-			defer sh.lock.RUnlock()
-			defer sh.lock.haltOnPanic(sh.fail, &err)
+		storeErr := sh.lock.read(sh.fail, func() (err error) {
 			st, err = sh.kv.VerifyIntegrity()
 			return err
-		}()
+		})
 		chains.Keys += st.Keys
 		chains.HitSum += st.HitSum
 		chains.Longest = max(chains.Longest, st.Longest)

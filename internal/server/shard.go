@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -124,7 +123,7 @@ func New(p *pool.Pool, opts Options) (*Server, error) {
 
 // NewSharded builds a server over N independent shard pools, routing the
 // keyspace across them by hash (workloads.ShardFor). A nil entry is a
-// shard that failed to open or recover (see AttachShards/OpenShards):
+// shard that failed to open or recover (see AttachShards and Boot):
 // the server still comes up and serves every other shard, while the
 // down shard's keyspace slice answers -READONLY. With a single shard,
 // any per-shard refusal is fatal — exactly New's contract; with more,
@@ -269,90 +268,46 @@ func (s *Server) failure() error {
 	return fmt.Errorf("%w: %v", ErrServerHalted, s.failErr)
 }
 
-// AttachShards recovers N shard devices concurrently — errgroup-style
-// fan-out without the dependency — via pool.AttachRepair, so a K-shard
-// restart pays one shard's recovery latency, not the sum. Each shard's
-// outcome is independent: a recovery that fails, or crashes (a power
-// cut mid-recovery on that device, surfacing as a panic), yields a nil
-// pool and an error at that index while every sibling recovers
-// normally. Feed the result straight to NewSharded, which serves the
-// survivors and fences the casualties.
+// AttachShards recovers N shard devices concurrently via
+// pool.AttachRepair, so a K-shard restart pays one shard's recovery
+// latency, not the sum (openShards). Each shard's outcome is
+// independent: a recovery that fails, or crashes (a power cut
+// mid-recovery on that device, surfacing as a panic), yields a nil pool
+// and an error at that index while every sibling recovers normally.
+// Feed the result straight to NewSharded, which serves the survivors and
+// fences the casualties. Boot is the file-backed counterpart.
 func AttachShards(devs []*pmem.Device) ([]*pool.Pool, []error) {
-	pools := make([]*pool.Pool, len(devs))
-	errs := make([]error, len(devs))
+	return openShards(len(devs), func(i int) (*pool.Pool, error) { return pool.AttachRepair(devs[i]) })
+}
+
+// openShards runs open for shards 0..n-1 concurrently — errgroup-style
+// fan-out without the dependency — each through openShard, so one
+// shard's failure or crash leaves its siblings opening normally.
+func openShards(n int, open func(i int) (*pool.Pool, error)) ([]*pool.Pool, []error) {
+	pools := make([]*pool.Pool, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, dev := range devs {
+	for i := range n {
 		wg.Add(1)
-		go func(i int, dev *pmem.Device) {
+		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					pools[i] = nil
-					errs[i] = fmt.Errorf("shard %d: recovery crashed: %v", i, r)
-				}
-			}()
-			p, err := pool.AttachRepair(dev)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				return
-			}
-			pools[i] = p
-		}(i, dev)
+			pools[i], errs[i] = openShard(i, open)
+		}()
 	}
 	wg.Wait()
 	return pools, errs
 }
 
-// ShardPaths derives each shard's pool file from the configured base
-// path: the base itself for one shard (so existing single-pool
-// deployments keep their file), "<base>.<i>" for more.
-func ShardPaths(base string, n int) []string {
-	if n <= 1 {
-		return []string{base}
+// openShard runs open for shard i, turning its error, or a panic out of
+// recovery (an injected power cut), into shard i's error.
+func openShard(i int, open func(i int) (*pool.Pool, error)) (p *pool.Pool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p, err = nil, fmt.Errorf("shard %d: recovery crashed: %v", i, r)
+		}
+	}()
+	if p, err = open(i); err != nil {
+		return nil, fmt.Errorf("shard %d: %w", i, err)
 	}
-	paths := make([]string, n)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("%s.%d", base, i)
-	}
-	return paths
-}
-
-// OpenShards opens (recovering and repairing) or creates one pool per
-// path, all concurrently — the corundum-server startup path, sharded.
-// Existing files go through pool.OpenRepair: a cleanly recoverable
-// image opens as usual, a media-damaged one is repaired where mirrors
-// and checksums allow and otherwise opens degraded. Missing files are
-// created with cfg. As with AttachShards, each shard fails alone.
-func OpenShards(paths []string, cfg pool.Config) ([]*pool.Pool, []error) {
-	pools := make([]*pool.Pool, len(paths))
-	errs := make([]error, len(paths))
-	var wg sync.WaitGroup
-	for i, path := range paths {
-		wg.Add(1)
-		go func(i int, path string) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					pools[i] = nil
-					errs[i] = fmt.Errorf("shard %d: open crashed: %v", i, r)
-				}
-			}()
-			var (
-				p   *pool.Pool
-				err error
-			)
-			if _, statErr := os.Stat(path); statErr == nil {
-				p, err = pool.OpenRepair(path, cfg.Mem)
-			} else {
-				p, err = pool.Create(path, cfg)
-			}
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d (%s): %w", i, path, err)
-				return
-			}
-			pools[i] = p
-		}(i, path)
-	}
-	wg.Wait()
-	return pools, errs
+	return p, nil
 }

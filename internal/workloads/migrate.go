@@ -13,32 +13,31 @@ type MovedError struct{ Shard int }
 func (e MovedError) Error() string { return fmt.Sprintf("moved to shard %d", e.Shard) }
 
 // Coordinator is what the Resharder needs from the serving layer to move
-// keys out from under live traffic: per-shard reader/writer exclusion
-// (the same locks the server's group-commit batchers take around every
-// Apply) and a write barrier that flushes every mutation enqueued before
+// keys out from under live traffic: per-shard reader/writer sections
+// (the same sections the server's group-commit batchers run every Apply
+// in) and a write barrier that flushes every mutation enqueued before
 // the barrier into the store. Tests that migrate quiesced stores use
 // NopCoordinator.
 type Coordinator interface {
-	// RLock/RUnlock guard verified reads of shard's store.
-	RLock(shard int)
-	RUnlock(shard int)
-	// Lock/Unlock guard mutations of shard's store.
-	Lock(shard int)
-	Unlock(shard int)
+	// Read runs fn as one verified read of shard's store, Write as one
+	// mutation of it. Either section always ends: a panic out of fn (a
+	// power cut) may instead return as an error once the serving layer
+	// has failed the shard.
+	Read(shard int, fn func() error) error
+	Write(shard int, fn func() error) error
 	// Barrier returns once every mutation submitted to shard before the
 	// call is durably committed (group-commit queue drained up to here).
 	Barrier(shard int) error
 }
 
 // NopCoordinator coordinates nothing: for single-threaded tests and the
-// crash-exploration campaign, where no concurrent traffic exists.
+// crash-exploration campaign, where no concurrent traffic exists. A
+// panic out of fn propagates.
 type NopCoordinator struct{}
 
-func (NopCoordinator) RLock(int)         {}
-func (NopCoordinator) RUnlock(int)       {}
-func (NopCoordinator) Lock(int)          {}
-func (NopCoordinator) Unlock(int)        {}
-func (NopCoordinator) Barrier(int) error { return nil }
+func (NopCoordinator) Read(_ int, fn func() error) error  { return fn() }
+func (NopCoordinator) Write(_ int, fn func() error) error { return fn() }
+func (NopCoordinator) Barrier(int) error                  { return nil }
 
 // fenceWindow is the published in-flight batch window: writes landing on
 // shard Src in bucket range [Lo, Hi) whose new-layout home is elsewhere
@@ -120,9 +119,7 @@ func (rs *Resharder) Init() error {
 			return fmt.Errorf("reshard: source shard %d is down", s)
 		}
 		m := &Manifest{Kind: ManifestReshard, Epoch: rs.epoch, OldN: uint64(rs.oldN), NewN: uint64(rs.newN)}
-		rs.coord.Lock(s)
-		err := rs.stores[s].WriteManifest(m)
-		rs.coord.Unlock(s)
+		err := rs.coord.Write(s, func() error { return rs.stores[s].WriteManifest(m) })
 		if err != nil {
 			return fmt.Errorf("reshard: publishing manifest on shard %d: %w", s, err)
 		}
@@ -147,9 +144,7 @@ func (rs *Resharder) Attach() error {
 		}
 		if m == nil || m.Epoch != rs.epoch || m.Kind != ManifestReshard {
 			m = &Manifest{Kind: ManifestReshard, Epoch: rs.epoch, OldN: uint64(rs.oldN), NewN: uint64(rs.newN)}
-			rs.coord.Lock(s)
-			err := rs.stores[s].WriteManifest(m)
-			rs.coord.Unlock(s)
+			err := rs.coord.Write(s, func() error { return rs.stores[s].WriteManifest(m) })
 			if err != nil {
 				return fmt.Errorf("reshard: re-publishing manifest on shard %d: %w", s, err)
 			}
@@ -301,14 +296,14 @@ func (rs *Resharder) Step(s int) (done bool, err error) {
 
 	type kvPair struct{ k, v uint64 }
 	var moving []kvPair
-	rs.coord.RLock(s)
-	scanErr := st.ScanRange(lo, hi, func(k, v uint64) bool {
-		if ShardFor(k, rs.newN) != s {
-			moving = append(moving, kvPair{k, v})
-		}
-		return true
+	scanErr := rs.coord.Read(s, func() error {
+		return st.ScanRange(lo, hi, func(k, v uint64) bool {
+			if ShardFor(k, rs.newN) != s {
+				moving = append(moving, kvPair{k, v})
+			}
+			return true
+		})
 	})
-	rs.coord.RUnlock(s)
 	if scanErr != nil {
 		return false, scanErr
 	}
@@ -336,10 +331,7 @@ func (rs *Resharder) Step(s int) (done bool, err error) {
 			OldN: uint64(rs.oldN), NewN: uint64(rs.newN),
 			Cursor: m.Cursor, BatchBuckets: hi - lo, Batch: record,
 		}
-		rs.coord.Lock(s)
-		err := st.WriteManifest(rec)
-		rs.coord.Unlock(s)
-		if err != nil {
+		if err := rs.coord.Write(s, func() error { return st.WriteManifest(rec) }); err != nil {
 			return false, err
 		}
 
@@ -359,9 +351,10 @@ func (rs *Resharder) Step(s int) (done bool, err error) {
 			if tst == nil {
 				return false, fmt.Errorf("reshard: target shard %d is down", dst)
 			}
-			rs.coord.Lock(dst)
-			_, err := tst.Apply(ops)
-			rs.coord.Unlock(dst)
+			err := rs.coord.Write(dst, func() error {
+				_, err := tst.Apply(ops)
+				return err
+			})
 			if err != nil {
 				return false, fmt.Errorf("reshard: applying batch at shard %d: %w", dst, err)
 			}
@@ -379,12 +372,13 @@ func (rs *Resharder) Step(s int) (done bool, err error) {
 	for _, p := range moving {
 		dels = append(dels, Op{Del: true, Key: p.k})
 	}
-	rs.coord.Lock(s)
-	_, err = st.ApplyWithManifest(dels, adv)
-	if err == nil {
+	err = rs.coord.Write(s, func() error {
+		if _, err := st.ApplyWithManifest(dels, adv); err != nil {
+			return err
+		}
 		rs.cursors[s].Store(hi)
-	}
-	rs.coord.Unlock(s)
+		return nil
+	})
 	if err != nil {
 		return false, err
 	}
@@ -405,9 +399,7 @@ func (rs *Resharder) Finish() error {
 	if rs.stores[0] == nil {
 		return fmt.Errorf("reshard: shard 0 is down, cannot commit config")
 	}
-	rs.coord.Lock(0)
-	err := rs.stores[0].WriteConfig(rs.newN, rs.epoch)
-	rs.coord.Unlock(0)
+	err := rs.coord.Write(0, func() error { return rs.stores[0].WriteConfig(rs.newN, rs.epoch) })
 	if err != nil {
 		return fmt.Errorf("reshard: committing config: %w", err)
 	}
@@ -415,9 +407,7 @@ func (rs *Resharder) Finish() error {
 		if rs.stores[s] == nil {
 			continue
 		}
-		rs.coord.Lock(s)
-		err := rs.stores[s].WriteConfig(rs.newN, rs.epoch)
-		rs.coord.Unlock(s)
+		err := rs.coord.Write(s, func() error { return rs.stores[s].WriteConfig(rs.newN, rs.epoch) })
 		if err != nil {
 			return fmt.Errorf("reshard: mirroring config to shard %d: %w", s, err)
 		}
@@ -426,9 +416,7 @@ func (rs *Resharder) Finish() error {
 		if rs.stores[s] == nil {
 			continue
 		}
-		rs.coord.Lock(s)
-		err := rs.stores[s].ClearManifest()
-		rs.coord.Unlock(s)
+		err := rs.coord.Write(s, rs.stores[s].ClearManifest)
 		if err != nil {
 			return fmt.Errorf("reshard: clearing manifest on shard %d: %w", s, err)
 		}
