@@ -7,7 +7,8 @@
 // attached pool holds (size, generation, root, journals, heap use, what
 // recovery rolled back and forward, the degraded reason and quarantined
 // ranges) and, when the root is untyped as a KV store's is, the store's
-// key count and chain shape. The last line for each file is its status,
+// key count and chain shape, and its layout: what the next boot does
+// with the file as shard 0. The last line for each file is its status,
 // exactly one of:
 //
 //	clean                          the next open needs no repair
@@ -199,22 +200,29 @@ func describe(w io.Writer, p *pool.Pool) {
 }
 
 // printStore attaches the KV store at the pool's root and prints what
-// its integrity walk measured. A root that is some other structure fails
-// the walk; that is reported, and does not change the status.
+// its integrity walk measured and what workloads.DecideBoot says a boot
+// does with it. A root that is some other structure fails the walk; that
+// is reported, and does not change the status.
 func printStore(w io.Writer, p *pool.Pool) {
-	st, err := storeShape(p)
+	kv, st, err := storeShape(p)
 	if err != nil {
 		fmt.Fprintf(w, "  store       not a verified KV store: %v\n", err)
 		return
 	}
 	fmt.Fprintf(w, "  store       %d keys, longest chain %d, mean hit position %.2f\n",
 		st.Keys, st.Longest, st.MeanHit())
+	if v, err := workloads.DecideBoot([]*workloads.KVStore{kv}); err != nil {
+		fmt.Fprintf(w, "  layout      the next boot refuses: %v\n", err)
+	} else {
+		fmt.Fprintf(w, "  layout      %s\n", v)
+	}
 }
 
-func storeShape(p *pool.Pool) (workloads.ChainStats, error) {
+func storeShape(p *pool.Pool) (*workloads.KVStore, workloads.ChainStats, error) {
 	kv, err := workloads.AttachKVStore(corundumeng.Wrap(p))
 	if err != nil {
-		return workloads.ChainStats{}, err
+		return nil, workloads.ChainStats{}, err
 	}
-	return kv.VerifyIntegrity()
+	st, err := kv.VerifyIntegrity()
+	return kv, st, err
 }

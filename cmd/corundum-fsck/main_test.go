@@ -369,7 +369,7 @@ func TestStoreShapeLeavesFileAlone(t *testing.T) {
 			if v.status != clean {
 				t.Fatalf("the KV image judged %v: %v", v.status, v)
 			}
-			st, err := storeShape(v.p)
+			_, st, err := storeShape(v.p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -403,5 +403,66 @@ func TestFsckMemory(t *testing.T) {
 	t.Logf("fsck allocated %d bytes (%.2fx the pool)", got, float64(got)/float64(cfg.Size))
 	if got > 3*uint64(cfg.Size) {
 		t.Fatalf("fsck allocated %d bytes, more than 3x the %d-byte pool", got, cfg.Size)
+	}
+}
+
+// TestLayoutLine: for a KV store, fsck prints what the next boot does
+// with the cluster state the file records, from the same decision the
+// server boots with, and the status line and exit code stay the pool's.
+func TestLayoutLine(t *testing.T) {
+	reshard := &workloads.Manifest{Kind: workloads.ManifestReshard, Epoch: 2, OldN: 1, NewN: 2, Cursor: 8}
+	for _, tc := range []struct {
+		name   string
+		edit   func(kv *workloads.KVStore) error
+		layout string
+	}{
+		{"fresh", func(*workloads.KVStore) error { return nil },
+			"fresh: the first boot commits its shard count at epoch 1"},
+		{"committed", func(kv *workloads.KVStore) error { return kv.WriteConfig(2, 3) },
+			"committed to 2 shards at epoch 3"},
+		{"mid-migration", func(kv *workloads.KVStore) error {
+			if err := kv.WriteConfig(1, 1); err != nil {
+				return err
+			}
+			return kv.WriteManifest(reshard)
+		}, "resume the 1->2 reshard at cursor 8 (epoch 2)"},
+		{"restore marker", func(kv *workloads.KVStore) error {
+			if err := kv.WriteConfig(2, 3); err != nil {
+				return err
+			}
+			return kv.WriteManifest(&workloads.Manifest{Kind: workloads.ManifestRestore, Epoch: 4, OldN: 2, NewN: 2})
+		}, "wipe after a crashed RESTORE (marker for epoch 4)"},
+		{"stale manifest", func(kv *workloads.KVStore) error {
+			if err := kv.WriteConfig(2, 2); err != nil {
+				return err
+			}
+			return kv.WriteManifest(reshard)
+		}, "committed to 2 shards at epoch 2; clear 1 stale manifest(s)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "kv.pool")
+			p, err := pool.Create(path, small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kv, err := workloads.NewKVStore(corundumeng.Wrap(p), 64)
+			if err == nil {
+				err = tc.edit(kv)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			code := run(&out, path)
+			if !strings.Contains(out.String(), "  layout      "+tc.layout+"\n") {
+				t.Errorf("no layout line %q:\n%s", tc.layout, out.String())
+			}
+			if !strings.Contains(out.String(), "  status      clean\n") || code != 0 {
+				t.Errorf("exit %d, want 0 with status clean:\n%s", code, out.String())
+			}
+		})
 	}
 }

@@ -155,17 +155,16 @@ func run(addr, path string, shards, size, journals, maxBatch int, busyTO time.Du
 	if err != nil {
 		return err
 	}
-	switch {
-	case lay.FromFlag:
-		// Fresh deployment (or a pool predating cluster configs): -shards
-		// decides, and adoptPersistentState commits it.
-	case lay.CfgShards != shards:
+	if !lay.FromFlag && lay.CfgShards != shards {
 		fmt.Printf("pools are committed to %d shard(s) (config epoch %d); ignoring -shards %d\n",
 			lay.CfgShards, lay.Epoch, shards)
 	}
 	if m := lay.Resume; m != nil {
 		fmt.Printf("interrupted %d->%d migration found (epoch %d, cursor at bucket %d); resuming after recovery\n",
 			m.OldN, m.NewN, m.Epoch, m.Cursor)
+	}
+	if m := lay.Restore; m != nil {
+		fmt.Printf("crashed RESTORE found (marker for epoch %d); the keyspace will be wiped to empty after recovery\n", m.Epoch)
 	}
 	for _, stale := range lay.Stale {
 		fmt.Printf("WARNING: %s exists but is not part of the committed %d-shard layout (merge leftover?); not opening it\n",

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,7 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"corundum/internal/baselines/corundumeng"
 	"corundum/internal/client"
+	"corundum/internal/pmem"
+	"corundum/internal/pool"
+	"corundum/internal/server"
+	"corundum/internal/workloads"
 )
 
 // childEnv makes the test binary run main instead of the tests, so the
@@ -167,5 +173,69 @@ func TestBootLeavesPoolFilesAlone(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBootNamesCrashedRestore plants the marker a RESTORE that died
+// between its wipe and its commit leaves on a pool file, and boots it:
+// server.Boot must report the marker as a restore, not as a migration to
+// resume, and corundum-server must say that it wipes the keyspace, and
+// then serve it empty.
+func TestBootNamesCrashedRestore(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "kv.pool")
+	common := []string{"-pool", base, "-size", "16777216", "-journals", "4"}
+	first := start(t, common...)
+	cl := client.NewSession(first.addr, 10*time.Second)
+	for k := uint64(1); k <= 16; k++ {
+		if err := cl.Set(k, k*10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Close()
+	first.stop(t)
+
+	p, err := pool.OpenRepair(base, pmem.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, err := workloads.AttachKVStore(corundumeng.Wrap(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, epoch, err := kv.ReadConfig()
+	if err == nil {
+		err = kv.WriteManifest(&workloads.Manifest{Kind: workloads.ManifestRestore, Epoch: epoch + 1, OldN: 1, NewN: 1})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	lay, err := server.Boot(base, 1, pool.Config{Size: 16 << 20, Journals: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range lay.Pools {
+		p.Close()
+	}
+	if lay.Resume != nil || lay.Restore == nil || lay.Restore.Kind != workloads.ManifestRestore || lay.Restore.Epoch != epoch+1 {
+		t.Fatalf("Boot reports resume %+v, restore %+v; want only the restore marker for epoch %d", lay.Resume, lay.Restore, epoch+1)
+	}
+
+	second := start(t, common...)
+	defer second.stop(t)
+	log := second.out.String()
+	if want := fmt.Sprintf("crashed RESTORE found (marker for epoch %d); the keyspace will be wiped to empty", epoch+1); !strings.Contains(log, want) {
+		t.Errorf("boot log lacks %q:\n%s", want, log)
+	}
+	if strings.Contains(log, "migration found") {
+		t.Errorf("boot log calls the restore marker a migration:\n%s", log)
+	}
+	cl = client.NewSession(second.addr, 10*time.Second)
+	defer cl.Close()
+	if v, found, err := cl.Get(1); err != nil || found {
+		t.Fatalf("GET 1 after the wipe = %d, %v, %v; want not found", v, found, err)
 	}
 }

@@ -162,9 +162,12 @@ func (g *migration) forward(mc *machine, open func(), _ *int) error {
 
 func (g *migration) reboot(mc *machine) (migrated, error) { return g.resume(mc) }
 
-// resume attaches both pools and drives the migration from whatever
-// durable state they hold to completion — exactly what a rebooted server
-// does. Injected crashes propagate as panics for the sweep to contain.
+// resume attaches both pools and boots them through
+// workloads.RecoverBoot, the decision corundum-server makes at boot, then
+// stands in for the operator and the server's migration driver: it
+// issues the 1->2 split when none was ever published, and runs the
+// Resharder to completion synchronously. Injected crashes propagate as
+// panics for the sweep to contain.
 func (g *migration) resume(mc *machine) (st migrated, err error) {
 	for i, d := range mc.devs {
 		if st.pools[i], err = pool.Attach(d); err != nil {
@@ -176,46 +179,21 @@ func (g *migration) resume(mc *machine) (st migrated, err error) {
 			return st, fmt.Errorf("attach store %d: %w", i, err)
 		}
 	}
-	kv0 := st.kvs[0]
-	cfgShards, cfgEpoch, err := kv0.ReadConfig()
-	if err != nil {
-		return st, fmt.Errorf("read config: %w", err)
-	}
-	m, err := kv0.ReadManifest()
-	if err != nil {
-		return st, fmt.Errorf("read manifest: %w", err)
-	}
-	var rs *workloads.Resharder
-	switch {
-	case m != nil && m.Epoch > cfgEpoch:
-		// Interrupted mid-migration: adopt the durable cursor and resume.
-		if rs, err = workloads.NewResharder(st.kvs[:], int(m.OldN), int(m.NewN), m.Epoch,
-			g.cfg.BatchBuckets, workloads.NopCoordinator{}); err == nil {
-			err = rs.Attach()
-		}
-	case m != nil:
-		// Stale manifest: the config write (the commit point) landed but
-		// cleanup didn't. Finish the cleanup.
-		if err := kv0.ClearManifest(); err != nil {
-			return st, fmt.Errorf("clearing stale manifest: %w", err)
-		}
-	case cfgShards == 1:
-		// Not started (or cut before the manifest became durable): run the
-		// whole split.
-		if rs, err = workloads.NewResharder(st.kvs[:], 1, 2, cfgEpoch+1,
+	v, err := workloads.RecoverBoot(st.kvs[:], g.cfg.BatchBuckets, workloads.NopCoordinator{})
+	rs := v.Resharder
+	if err == nil && v.Action == workloads.BootCommitted && v.N == 1 {
+		// Not started (or cut before the manifest became durable): the
+		// operator's RESHARD 2.
+		if rs, err = workloads.NewResharder(st.kvs[:], 1, 2, v.Epoch+1,
 			g.cfg.BatchBuckets, workloads.NopCoordinator{}); err == nil {
 			err = rs.Init()
 		}
-	default:
-		// cfgShards == 2 with no manifest: fully committed and cleaned.
+	}
+	if err == nil && rs != nil {
+		_, err = rs.Run(nil, nil)
 	}
 	if err != nil {
-		return st, fmt.Errorf("resharder: %w", err)
-	}
-	if rs != nil {
-		if _, err := rs.Run(nil, nil); err != nil {
-			return st, fmt.Errorf("run: %w", err)
-		}
+		return st, fmt.Errorf("boot and resume: %w", err)
 	}
 	return st, nil
 }

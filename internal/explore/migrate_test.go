@@ -52,6 +52,15 @@ func TestMigrateCampaign(t *testing.T) {
 	}
 	t.Logf("ops=%d points=%d explored=%d pruned=%d recoveryCrashes=%d",
 		res.TotalOps, res.ExploredPoints, st.Explored.Load(), st.Pruned.Load(), st.RecoveryCrashes.Load())
+	if cfg.Depth == 1 {
+		// The full sweep's census is pinned: every reboot in it runs the
+		// server's boot decision (workloads.RecoverBoot), so a change to
+		// that decision, or to what it writes, moves these numbers.
+		got := [4]uint64{res.TotalOps, st.Explored.Load(), st.Pruned.Load(), st.RecoveryCrashes.Load()}
+		if want := [4]uint64{3068, 3009, 6178, 6119}; got != want {
+			t.Fatalf("census {ops, terminal states, pruned, nested recovery crashes} = %v, want %v", got, want)
+		}
+	}
 }
 
 // TestMigrateCampaignDeep exercises depth-2 nesting (cuts during the

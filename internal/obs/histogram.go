@@ -71,6 +71,15 @@ func (h *Histogram) bucket(i int) uint64 {
 	return n
 }
 
+// BucketCounts returns each bound's bucket count, then the +Inf one's.
+func (h *Histogram) BucketCounts() []uint64 {
+	counts := make([]uint64, len(h.bounds)+1)
+	for i := range counts {
+		counts[i] = h.bucket(i)
+	}
+	return counts
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	var n uint64

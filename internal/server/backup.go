@@ -431,7 +431,7 @@ func (s *Server) Restore(path string) (RestoreReport, error) {
 // the config-epoch bump that makes the marker stale (the commit point)
 // and the marker's clear. A crash anywhere between marker and commit is
 // detected at the next boot, which wipes the half-written pools rather
-// than serving a blend (adoptPersistentState). Every store call runs
+// than serving a blend (workloads.RecoverBoot). Every store call runs
 // under onStore, so a power cut inside any of them fails that shard
 // instead of the process. The caller holds the admin slot throughout.
 type keyspaceLoad struct {
@@ -485,7 +485,7 @@ func (s *Server) beginLoad(what string, replica bool) (*keyspaceLoad, error) {
 					return err
 				}
 			}
-			return wipeStore(kv)
+			return kv.Wipe()
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: wiping shard %d: %w", what, i, err)

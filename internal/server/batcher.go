@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -18,42 +17,12 @@ import (
 // requests will be served.
 var ErrServerHalted = errors.New("server halted: pool failure")
 
-// HistBuckets is the number of batch-size histogram buckets: sizes
-// 1, 2, 3-4, 5-8, 9-16, 17-32, 33-64, >64.
-const HistBuckets = 8
-
 // BatchStats counts what the group-commit batcher has done. All fields
-// are safe to read concurrently.
+// are safe to read concurrently. The batch-size histogram is the
+// registry's server_batch_size (Batcher.sizes).
 type BatchStats struct {
-	Batches    atomic.Uint64              // committed pool transactions
-	BatchedOps atomic.Uint64              // SET/DEL ops inside them
-	Hist       [HistBuckets]atomic.Uint64 // batch size histogram
-}
-
-// histBucket maps a batch size to its histogram bucket.
-func histBucket(n int) int {
-	idx := 0
-	for m := n - 1; m > 0; m >>= 1 {
-		idx++
-	}
-	if idx >= HistBuckets {
-		idx = HistBuckets - 1
-	}
-	return idx
-}
-
-// HistLabel names a histogram bucket ("1", "2", "3-4", ..., ">64").
-func HistLabel(bucket int) string {
-	switch bucket {
-	case 0:
-		return "1"
-	case 1:
-		return "2"
-	case HistBuckets - 1:
-		return fmt.Sprintf(">%d", 1<<(HistBuckets-2))
-	default:
-		return fmt.Sprintf("%d-%d", 1<<(bucket-1)+1, 1<<bucket)
-	}
+	Batches    atomic.Uint64 // committed pool transactions
+	BatchedOps atomic.Uint64 // SET/DEL ops inside them
 }
 
 // PhaseTimes is one mutation's group-commit latency decomposition, as
@@ -138,9 +107,9 @@ type Batcher struct {
 	onFail  func(error) // optional: invoked once, from the committer
 
 	stats BatchStats
-	// sizes, when set, additionally records each committed batch's size
-	// into the registry histogram (atomic: it is installed after the
-	// committer goroutine has started).
+	// sizes, when set, records each committed batch's size into the
+	// registry histogram STATS renders as batch_hist_* (atomic: it is
+	// installed after the committer goroutine has started).
 	sizes atomic.Pointer[obs.Histogram]
 
 	// fence, when set, vets every mutation at batch assembly — after any
@@ -509,7 +478,6 @@ func (b *Batcher) run() {
 			// the counters.
 			b.stats.Batches.Add(1)
 			b.stats.BatchedOps.Add(uint64(len(batch)))
-			b.stats.Hist[histBucket(len(batch))].Add(1)
 			if h := b.sizes.Load(); h != nil {
 				h.Observe(float64(len(batch)))
 			}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"corundum/internal/baselines/corundumeng"
+	"corundum/internal/obs"
 	"corundum/internal/pool"
 	"corundum/internal/repl"
 	"corundum/internal/workloads"
@@ -20,9 +21,10 @@ import (
 // lock in the test's hands so a test can park the committer mid-commit
 // and decide exactly what is queued when it resumes.
 type batcherRig struct {
-	b    *Batcher
-	lock *storeLock
-	kv   *workloads.KVStore
+	b     *Batcher
+	lock  *storeLock
+	kv    *workloads.KVStore
+	sizes *obs.Histogram // the batch-size histogram, as the server installs it
 }
 
 func newBatcherRig(t *testing.T, maxBatch int) *batcherRig {
@@ -38,7 +40,15 @@ func newBatcherRig(t *testing.T, maxBatch int) *batcherRig {
 	}
 	r := &batcherRig{lock: new(storeLock), kv: kv}
 	r.b = newBatcher(kv, r.lock, p.Device(), maxBatch, nil)
+	r.sizes = obs.NewRegistry().Histogram("server_batch_size", "", nil, batchSizeBuckets)
+	r.b.sizes.Store(r.sizes)
 	return r
+}
+
+// batchesSized reports how many committed batches the histogram holds in
+// the bucket a batch of n ops lands in.
+func (r *batcherRig) batchesSized(n int) uint64 {
+	return r.sizes.BucketCounts()[sort.SearchFloat64s(batchSizeBuckets, float64(n))]
 }
 
 // park submits a primer op and returns once the committer has assembled
@@ -148,7 +158,7 @@ func TestQueuedOpsCommitAsOneBatch(t *testing.T) {
 	if b, ops := st.Batches.Load(), st.BatchedOps.Load(); b != 2 || ops != n+1 {
 		t.Errorf("primer + %d queued ops committed as %d batches / %d ops, want 2 / %d", n, b, ops, n+1)
 	}
-	if got := st.Hist[histBucket(n)].Load(); got != 1 {
+	if got := r.batchesSized(n); got != 1 {
 		t.Errorf("batch-size histogram has %d batches of %d, want 1", got, n)
 	}
 	for k := uint64(0); k < n; k++ {
@@ -172,7 +182,7 @@ func TestQueuedOpsCommitAsOneBatch(t *testing.T) {
 			t.Fatalf("op %d: %v", i, res.Err)
 		}
 	}
-	if full, rest := st.Hist[histBucket(maxBatch)].Load(), st.Hist[histBucket(10)].Load(); full != 1 || rest != 1 {
+	if full, rest := r.batchesSized(maxBatch), r.batchesSized(10); full != 1 || rest != 1 {
 		t.Errorf("a %d-op backlog committed as %d full batches and %d of 10, want 1 and 1", len(ops), full, rest)
 	}
 }

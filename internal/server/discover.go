@@ -32,15 +32,17 @@ type Layout struct {
 	Errs  []error
 	// N is the shard count to serve: the committed config's count, raised
 	// to max(OldN, NewN) when an interrupted migration needs its target
-	// pools opened to resume (committedShards).
+	// pools opened to resume (workloads.DecideBoot's N).
 	N int
 	// CfgShards and Epoch echo the committed cluster config (CfgShards 0:
 	// pool 0 exists but holds no config yet).
 	CfgShards int
 	Epoch     uint64
-	// Resume is the interrupted migration's manifest when one was found
+	// Resume is the interrupted reshard's manifest when one was found
 	// ahead of the config epoch; the server will adopt and resume it.
 	Resume *workloads.Manifest
+	// Restore is a crashed RESTORE's marker; the server will wipe the keyspace.
+	Restore *workloads.Manifest
 	// Stale lists shard files that exist on disk beyond the committed
 	// layout — leftovers of a merge that are no longer part of the
 	// keyspace. They are not opened; the operator decides their fate.
@@ -62,8 +64,8 @@ func exists(path string) bool {
 // Boot opens the deployment under base: shard 0's pool first, from the
 // bare base file if it exists, else "<base>.0" (created there on a fresh
 // deployment: the bare base for one shard, "<base>.0" for more); then
-// the committed layout read from it (committedShards, with flagN — the
-// -shards value — deciding only when pool 0 holds no config); then
+// the committed layout read from it (workloads.DecideBoot, with flagN —
+// the -shards value — deciding only when pool 0 holds no config); then
 // shards 1..N-1 concurrently, through the open-or-create FileShardOpener
 // gives RESHARD. Existing files open through pool.OpenRepair: a cleanly
 // recoverable image opens as usual, a media-damaged one is repaired
@@ -91,20 +93,19 @@ func Boot(base string, flagN int, cfg pool.Config) (Layout, error) {
 		if err != nil {
 			return Layout{}, fmt.Errorf("boot: attaching store on shard 0 (%s): %w", path0, err)
 		}
-		cfgShards, cfgEpoch, err := kv.ReadConfig()
+		v, err := workloads.DecideBoot([]*workloads.KVStore{kv})
 		if err != nil {
-			return Layout{}, fmt.Errorf("boot: cluster config on shard 0 (%s): %w", path0, err)
+			return Layout{}, fmt.Errorf("boot: shard 0 (%s): %w", path0, err)
 		}
-		m, err := kv.ReadManifest()
-		if err != nil {
-			return Layout{}, fmt.Errorf("boot: migration manifest on shard 0 (%s): %w", path0, err)
+		lay.CfgShards, lay.Epoch = v.CfgShards, v.Epoch
+		if v.N > 0 {
+			lay.N, lay.FromFlag = v.N, false
 		}
-		lay.CfgShards, lay.Epoch = cfgShards, cfgEpoch
-		if n := committedShards(cfgShards, cfgEpoch, m); n > 0 {
-			lay.N, lay.FromFlag = n, false
-		}
-		if m != nil && m.Epoch > cfgEpoch {
-			lay.Resume = m
+		switch v.Action {
+		case workloads.BootResume:
+			lay.Resume = v.Manifest
+		case workloads.BootWipe:
+			lay.Restore = v.Manifest
 		}
 	}
 

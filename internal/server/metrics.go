@@ -19,6 +19,9 @@ func scopeKey(sc pmem.Scope) string { return strings.ReplaceAll(sc.String(), "-"
 // batcher never packs more than MaxBatch (default 64) ops.
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
+// batchSizeLabels name the buckets, +Inf last, in STATS' batch_hist_* keys.
+var batchSizeLabels = []string{"1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", ">64"}
+
 // opLatencyBuckets is a ×2 ladder from 500ns to ~4s: finer than
 // obs.LatencyBuckets so the interpolated p99/p999 of microsecond-scale
 // ops have sub-bucket resolution.

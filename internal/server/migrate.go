@@ -16,9 +16,9 @@ import (
 // whose state is persistent) into the server's locks, batchers, and
 // routing view. The division of labor: the Resharder knows how to move
 // keys without losing one across a power cut; this file knows how to do
-// that while connections keep getting answers — and how a freshly booted
-// server recognizes, from the pools alone, that a migration (or a
-// RESTORE) was in flight when the last process died.
+// that while connections keep getting answers — and installs what the
+// boot decision (workloads.RecoverBoot) found in the pools: a migration,
+// or a RESTORE, in flight when the last process died.
 
 // shardCoord adapts the server's per-shard locks and group-commit
 // batchers to the Resharder's Coordinator interface. Read and Write are
@@ -104,13 +104,7 @@ func (s *Server) Reshard(newN int) error {
 		}
 	}
 
-	stores := make([]*workloads.KVStore, len(shards))
-	for i, sh := range shards {
-		if sh.down() == nil {
-			stores[i] = sh.kv
-		}
-	}
-	rs, err := workloads.NewResharder(stores, st.n, newN, cfgEpoch+1,
+	rs, err := workloads.NewResharder(liveStores(shards), st.n, newN, cfgEpoch+1,
 		s.opts.MigrateBatchBuckets, shardCoord{shards})
 	if err != nil {
 		return err
@@ -282,18 +276,6 @@ func (s *Server) finishMigration(rs *workloads.Resharder) {
 	s.state.Store(&routeState{shards: old.shards[:newN], n: newN})
 }
 
-// resumeMigration restarts the driver for a migration adopted from
-// persistent state at boot (see adoptPersistentState).
-func (s *Server) resumeMigration() {
-	st := s.st()
-	if st.rs == nil {
-		return
-	}
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	s.startDriverLocked(st.rs)
-}
-
 // stopMigration stops the driver and waits for it to park at a batch
 // boundary, where the manifest cursor is durable. Close calls this
 // before stopping the batchers (the driver barriers into them).
@@ -323,192 +305,37 @@ func (s *Server) MigrationError() error {
 	return s.migLastErr
 }
 
-// adoptPersistentState reconciles the server's in-memory view with
-// whatever sharding state the pools persist. Called once from NewSharded,
-// before traffic:
-//
-//   - A restore marker (a crashed RESTORE left pools half-written) wipes
-//     every store back to empty — loudly, never serving a silent blend of
-//     old and restored data.
-//   - Manifests at or below the config epoch are committed-migration
-//     leftovers; they are cleared.
-//   - Manifests ahead of the config epoch are an interrupted migration:
-//     a Resharder is attached to its durable cursors and the routing view
-//     adopts the mid-migration layout (resumeMigration then restarts the
-//     driver).
-//   - With no manifests, the committed config must agree with the opened
-//     pool count — a mismatch means the operator opened the wrong layout,
-//     and serving it would scatter the keyspace.
-//   - A fresh deployment (no config anywhere) commits {n, epoch 1}.
+// adoptPersistentState makes the boot decision over the opened pools
+// (workloads.RecoverBoot) and installs it, once from NewSharded before
+// traffic: an interrupted migration's Resharder becomes the routing view
+// (NewSharded then starts its driver); otherwise the committed layout
+// must be the one opened, or serving would scatter the keyspace.
 func (s *Server) adoptPersistentState() error {
 	st := s.st()
-	sh0 := st.shards[0]
-	var (
-		cfgShards int
-		cfgEpoch  uint64
-	)
-	if sh0.kv != nil && sh0.down() == nil {
-		var err error
-		cfgShards, cfgEpoch, err = sh0.kv.ReadConfig()
-		if err != nil {
-			return fmt.Errorf("server: cluster config on shard 0: %w", err)
-		}
+	v, err := workloads.RecoverBoot(liveStores(st.shards), s.opts.MigrateBatchBuckets, shardCoord{st.shards})
+	if err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
-
-	var (
-		active       []*workloads.Manifest
-		activeShards []int
-		restore      *workloads.Manifest
-	)
-	for _, sh := range st.shards {
-		if sh.kv == nil || sh.down() != nil {
-			continue
-		}
-		m, err := sh.kv.ReadManifest()
-		if err != nil {
-			return fmt.Errorf("server: migration manifest on shard %d: %w", sh.id, err)
-		}
-		if m == nil {
-			continue
-		}
-		if m.Epoch <= cfgEpoch {
-			// The config write is the commit point, so this manifest is a
-			// leftover from a migration that already committed (the crash hit
-			// during cleanup). Finish the cleanup.
-			if sh.pool.Writable() == nil {
-				if err := sh.kv.ClearManifest(); err != nil {
-					return fmt.Errorf("server: clearing stale manifest on shard %d: %w", sh.id, err)
-				}
-			}
-			continue
-		}
-		if m.Kind == workloads.ManifestRestore {
-			restore = m
-			continue
-		}
-		active = append(active, m)
-		activeShards = append(activeShards, sh.id)
-	}
-
-	if restore != nil {
-		if len(active) > 0 {
-			return errors.New("server: pools hold both a restore marker and a reshard manifest; refusing to guess")
-		}
-		// A RESTORE died between wiping the stores and committing: the pools
-		// hold an unusable blend. Wipe back to empty and say so, rather than
-		// silently serving half a snapshot.
-		for _, sh := range st.shards {
-			if sh.kv == nil || sh.down() != nil {
-				continue
-			}
-			if err := sh.pool.Writable(); err != nil {
-				return fmt.Errorf("server: shard %d needs wiping after a crashed RESTORE but is not writable: %w", sh.id, err)
-			}
-			if err := wipeStore(sh.kv); err != nil {
-				return fmt.Errorf("server: wiping shard %d after a crashed RESTORE: %w", sh.id, err)
-			}
-			// The same marker also covers a crashed replication bootstrap:
-			// zero the cursor so the wiped (empty) store cannot claim to be
-			// caught up to a stream position it no longer reflects.
-			if err := sh.kv.WriteReplCursor(0, 0); err != nil {
-				return fmt.Errorf("server: zeroing replication cursor on shard %d: %w", sh.id, err)
-			}
-		}
-		if err := sh0.kv.ClearManifest(); err != nil {
-			return fmt.Errorf("server: clearing restore marker: %w", err)
-		}
-		s.restoreWiped.Store(true)
-	}
-
-	var m0 *workloads.Manifest
-	if len(active) > 0 {
-		m0 = active[0]
-		for i, m := range active[1:] {
-			if m.Epoch != m0.Epoch || m.OldN != m0.OldN || m.NewN != m0.NewN {
-				return fmt.Errorf("server: shards %d and %d disagree about the active migration (%d->%d@%d vs %d->%d@%d)",
-					activeShards[0], activeShards[i+1], m0.OldN, m0.NewN, m0.Epoch, m.OldN, m.NewN, m.Epoch)
-			}
-		}
-		if cfgShards != 0 && cfgShards != int(m0.OldN) {
-			return fmt.Errorf("server: active migration moves %d->%d shards but the committed config says %d",
-				m0.OldN, m0.NewN, cfgShards)
-		}
-	}
-	switch need := committedShards(cfgShards, cfgEpoch, m0); {
-	case m0 == nil && need == 0:
-		if sh0.kv != nil && sh0.down() == nil && sh0.pool.Writable() == nil {
-			if err := sh0.kv.WriteConfig(st.n, 1); err != nil {
-				return fmt.Errorf("server: committing initial cluster config: %w", err)
-			}
-		}
+	s.restoreWiped.Store(v.Action == workloads.BootWipe)
+	if v.Resharder != nil {
+		s.state.Store(&routeState{shards: st.shards, n: int(v.Manifest.OldN), rs: v.Resharder})
 		return nil
-	case m0 == nil:
-		if need != st.n {
-			return fmt.Errorf("server: pools committed to %d shards (epoch %d) but %d were opened; open the committed layout (server.Boot reads it from pool 0)",
-				need, cfgEpoch, st.n)
-		}
-		return nil
-	case len(st.shards) < need:
-		return fmt.Errorf("server: active %d->%d migration needs %d pools, only %d were opened",
-			m0.OldN, m0.NewN, need, len(st.shards))
 	}
+	if v.N != 0 && v.N != st.n {
+		return fmt.Errorf("server: pools committed to %d shards (epoch %d) but %d were opened; open the committed layout (server.Boot reads it from pool 0)",
+			v.N, v.Epoch, st.n)
+	}
+	return nil
+}
 
-	oldN, newN := int(m0.OldN), int(m0.NewN)
-	stores := make([]*workloads.KVStore, len(st.shards))
-	for i, sh := range st.shards {
+// liveStores lists each shard's store, nil where the shard is down: the
+// cluster as the Resharder and the boot decision see it.
+func liveStores(shards []*shard) []*workloads.KVStore {
+	stores := make([]*workloads.KVStore, len(shards))
+	for i, sh := range shards {
 		if sh.down() == nil {
 			stores[i] = sh.kv
 		}
 	}
-	rs, err := workloads.NewResharder(stores, oldN, newN, m0.Epoch,
-		s.opts.MigrateBatchBuckets, shardCoord{st.shards})
-	if err != nil {
-		return err
-	}
-	if err := rs.Attach(); err != nil {
-		return err
-	}
-	s.state.Store(&routeState{shards: st.shards, n: oldN, rs: rs})
-	return nil
-}
-
-// committedShards is the one rule for how many pools a deployment's
-// persistent state commits it to: the cluster config's shard count, or
-// max(OldN, NewN) while m — a migration manifest, or nil — is ahead of
-// the config epoch, since the config write is a migration's commit point
-// and its resume needs every source and target pool open. 0 means
-// nothing is committed: a fresh deployment, where -shards decides. Boot
-// applies it to pool 0's config and manifest to choose which pools to
-// open; adoptPersistentState applies it to check what was opened.
-func committedShards(cfgShards int, cfgEpoch uint64, m *workloads.Manifest) int {
-	if m != nil && m.Epoch > cfgEpoch {
-		return max(int(m.OldN), int(m.NewN))
-	}
-	return cfgShards
-}
-
-// wipeStore deletes every key, in bounded failure-atomic chunks. Used to
-// sanitize pools after a crashed RESTORE and to clear the keyspace
-// before applying a snapshot.
-func wipeStore(kv *workloads.KVStore) error {
-	for {
-		var keys []uint64
-		err := kv.ScanRange(0, kv.Buckets(), func(k, _ uint64) bool {
-			keys = append(keys, k)
-			return len(keys) < 1024
-		})
-		if err != nil {
-			return err
-		}
-		if len(keys) == 0 {
-			return nil
-		}
-		ops := make([]workloads.Op, len(keys))
-		for i, k := range keys {
-			ops[i] = workloads.Op{Del: true, Key: k}
-		}
-		if _, err := kv.Apply(ops); err != nil {
-			return err
-		}
-	}
+	return stores
 }

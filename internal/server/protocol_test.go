@@ -8,6 +8,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"corundum/internal/obs"
 )
 
 func TestParseCommand(t *testing.T) {
@@ -133,17 +135,22 @@ func TestReplyWritersDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestHistBucket: a batch of each size lands in the registry histogram
+// bucket whose STATS label names it.
 func TestHistBucket(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 16: 4, 17: 5, 32: 5, 33: 6, 64: 6, 65: 7, 1000: 7}
+	// Every label, as the benchmark and dashboards read them.
+	cases := map[int]string{1: "1", 2: "2", 3: "3-4", 4: "3-4", 5: "5-8", 8: "5-8", 9: "9-16", 16: "9-16",
+		17: "17-32", 32: "17-32", 33: "33-64", 64: "33-64", 65: ">64", 1000: ">64"}
 	for n, want := range cases {
-		if got := histBucket(n); got != want {
-			t.Errorf("histBucket(%d) = %d, want %d", n, got, want)
+		h := obs.NewRegistry().Histogram("server_batch_size", "", nil, batchSizeBuckets)
+		h.Observe(float64(n))
+		for i, c := range h.BucketCounts() {
+			if got := batchSizeLabels[i]; c == 1 && got != want {
+				t.Errorf("a batch of %d lands in bucket %q, want %q", n, got, want)
+			}
 		}
 	}
-	labels := []string{"1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", ">64"}
-	for i, want := range labels {
-		if got := HistLabel(i); got != want {
-			t.Errorf("HistLabel(%d) = %q, want %q", i, got, want)
-		}
+	if len(batchSizeLabels) != len(batchSizeBuckets)+1 {
+		t.Errorf("%d labels for %d buckets and +Inf", len(batchSizeLabels), len(batchSizeBuckets))
 	}
 }

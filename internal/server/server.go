@@ -1150,7 +1150,6 @@ func (s *Server) renderInfoRepl() string {
 func (s *Server) renderStats() string {
 	var st pmem.Stats
 	var batches, ops uint64
-	var hist [HistBuckets]uint64
 	var perShard string
 	rst := s.st()
 	multi := len(rst.shards) > 1
@@ -1173,9 +1172,6 @@ func (s *Server) renderStats() string {
 			shardOps = bs.BatchedOps.Load()
 			batches += shardBatches
 			ops += shardOps
-			for i := 0; i < HistBuckets; i++ {
-				hist[i] += bs.Hist[i].Load()
-			}
 		}
 		if multi {
 			perShard += fmt.Sprintf("shard%d_batches_committed: %d\nshard%d_batched_ops: %d\nshard%d_pmem_fences: %d\n",
@@ -1198,8 +1194,8 @@ func (s *Server) renderStats() string {
 	)
 	out += fmt.Sprintf("reads_lockfree: %d\nread_retries: %d\nread_fallbacks: %d\n",
 		s.m.readsLockFree.Value(), s.m.readRetries.Value(), s.m.readFallbacks.Value())
-	for i := 0; i < HistBuckets; i++ {
-		out += fmt.Sprintf("batch_hist_%s: %d\n", HistLabel(i), hist[i])
+	for i, n := range s.m.batchSizes.BucketCounts() {
+		out += fmt.Sprintf("batch_hist_%s: %d\n", batchSizeLabels[i], n)
 	}
 	out += fmt.Sprintf("pmem_writes: %d\npmem_flushes: %d\npmem_fences: %d\n",
 		st.Writes, st.Flushes, st.Fences)

@@ -167,10 +167,7 @@ func NewSharded(pools []*pool.Pool, opts Options) (*Server, error) {
 	s.downShards.Store(int64(down))
 	s.all = shards
 	s.state.Store(&routeState{shards: shards, n: len(shards)})
-	// Adopt whatever sharding state the pools persist: write the initial
-	// cluster config on fresh deployments, wipe pools a crashed RESTORE
-	// left half-written, clear stale manifests, and resume an interrupted
-	// migration (see migrate.go).
+	// Install the boot decision over the pools' durable state (migrate.go).
 	if err := s.adoptPersistentState(); err != nil {
 		return nil, err
 	}
@@ -180,7 +177,11 @@ func NewSharded(pools []*pool.Pool, opts Options) (*Server, error) {
 			sh.b.sizes.Store(s.m.batchSizes)
 		}
 	}
-	s.resumeMigration()
+	if rs := s.st().rs; rs != nil {
+		s.migMu.Lock()
+		s.startDriverLocked(rs) // resume the migration adopted above
+		s.migMu.Unlock()
+	}
 	return s, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 
 	"corundum/internal/baselines/engine"
+	"corundum/internal/pmem"
 )
 
 // The migration manifest is the persistent heart of crash-safe
@@ -30,9 +31,8 @@ import (
 //
 // Separately, the config word in the meta area packs the cluster layout
 // the shard last committed to: epoch<<32 | shard count. The config write
-// on shard 0 is THE commit point of a migration; manifests with
-// epoch <= config epoch are stale leftovers, manifests with a larger
-// epoch are active and must be resumed.
+// on shard 0 is THE commit point of a migration; what a boot makes of
+// the config and the manifests is boot.go's decision.
 
 // Manifest kinds. A reshard manifest drives a shard split/merge; a
 // restore manifest marks a RESTORE in progress so a crash mid-restore
@@ -81,16 +81,30 @@ func (m *Manifest) encode() []byte {
 	return buf
 }
 
+// metaReader is what the config and manifest are read through: a
+// transaction, or the device itself (deviceReader).
+type metaReader interface {
+	Load(off uint64) uint64
+	ReadBytes(off uint64, out []byte)
+}
+
+// deviceReader reads the device outside any transaction, as the boot
+// decision does: a read-only transaction still spends an epoch of its
+// journal slot, so deciding would change what the next one writes.
+type deviceReader struct{ d *pmem.Device }
+
+func (r deviceReader) Load(off uint64) uint64           { return r.d.Load8(off) }
+func (r deviceReader) ReadBytes(off uint64, out []byte) { r.d.LoadBytes(off, out) }
+
 // decodeManifest reads and verifies the manifest block at off.
-func decodeManifest(tx engine.Tx, off uint64) (*Manifest, error) {
-	hdr := make([]byte, 8*manifestHeaderWords)
-	tx.ReadBytes(off, hdr)
-	batchLen := binary.LittleEndian.Uint64(hdr[8*6:])
-	if batchLen > 1<<20 {
-		return nil, fmt.Errorf("%w: manifest claims %d batch keys", ErrDataCorrupt, batchLen)
+func decodeManifest(r metaReader, off uint64) (*Manifest, error) {
+	size, err := manifestBlockSize(r, off)
+	if err != nil {
+		return nil, err
 	}
-	buf := make([]byte, 8*(manifestHeaderWords+batchLen+1))
-	tx.ReadBytes(off, buf)
+	buf := make([]byte, size)
+	r.ReadBytes(off, buf)
+	batchLen := size/8 - manifestHeaderWords - 1
 	want := binary.LittleEndian.Uint64(buf[len(buf)-8:])
 	got := uint64(crc32.ChecksumIEEE(buf[:len(buf)-8]))
 	if got != want {
@@ -116,11 +130,11 @@ func decodeManifest(tx engine.Tx, off uint64) (*Manifest, error) {
 	return m, nil
 }
 
-// manifestBlockSize reports the allocated size of the block at off so it
-// can be freed. It trusts only the verified batchLen word.
-func manifestBlockSize(tx engine.Tx, off uint64) (uint64, error) {
+// manifestBlockSize reports the size of the block at off, from its
+// batchLen word, refusing an absurd one.
+func manifestBlockSize(r metaReader, off uint64) (uint64, error) {
 	hdr := make([]byte, 8*manifestHeaderWords)
-	tx.ReadBytes(off, hdr)
+	r.ReadBytes(off, hdr)
 	batchLen := binary.LittleEndian.Uint64(hdr[8*6:])
 	if batchLen > 1<<20 {
 		return 0, fmt.Errorf("%w: manifest claims %d batch keys", ErrDataCorrupt, batchLen)
@@ -137,14 +151,18 @@ func packConfig(shards int, epoch uint64) uint64 { return epoch<<32 | uint64(sha
 // written (a pre-sharding store or a fresh one not yet initialized).
 func (kv *KVStore) ReadConfig() (shards int, epoch uint64, err error) {
 	err = kv.pool.Tx(func(tx engine.Tx) error {
-		w := tx.Load(kv.meta + kvMetaCfg)
-		if tx.Load(kv.meta+kvMetaCfg+8) != wordsCRC(w) {
-			return fmt.Errorf("%w: config meta slot", ErrDataCorrupt)
-		}
-		shards, epoch = int(w&0xFFFFFFFF), w>>32
-		return nil
+		shards, epoch, err = kv.readConfig(tx)
+		return err
 	})
 	return shards, epoch, err
+}
+
+func (kv *KVStore) readConfig(r metaReader) (shards int, epoch uint64, err error) {
+	w := r.Load(kv.meta + kvMetaCfg)
+	if r.Load(kv.meta+kvMetaCfg+8) != wordsCRC(w) {
+		return 0, 0, fmt.Errorf("%w: config meta slot", ErrDataCorrupt)
+	}
+	return int(w & 0xFFFFFFFF), w >> 32, nil
 }
 
 // WriteConfig durably commits the cluster layout {shards, epoch} into
@@ -168,17 +186,21 @@ func (kv *KVStore) writeConfigTx(tx engine.Tx, shards int, epoch uint64) error {
 // when none is recorded.
 func (kv *KVStore) ReadManifest() (m *Manifest, err error) {
 	err = kv.pool.Tx(func(tx engine.Tx) error {
-		off := tx.Load(kv.meta + kvMetaMani)
-		if tx.Load(kv.meta+kvMetaMani+8) != wordsCRC(off) {
-			return fmt.Errorf("%w: manifest meta slot", ErrDataCorrupt)
-		}
-		if off == 0 {
-			return nil
-		}
-		m, err = decodeManifest(tx, off)
+		m, err = kv.readManifest(tx)
 		return err
 	})
 	return m, err
+}
+
+func (kv *KVStore) readManifest(r metaReader) (*Manifest, error) {
+	off := r.Load(kv.meta + kvMetaMani)
+	if r.Load(kv.meta+kvMetaMani+8) != wordsCRC(off) {
+		return nil, fmt.Errorf("%w: manifest meta slot", ErrDataCorrupt)
+	}
+	if off == 0 {
+		return nil, nil
+	}
+	return decodeManifest(r, off)
 }
 
 // WriteManifest durably replaces this shard's manifest with m (m == nil
